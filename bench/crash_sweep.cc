@@ -1,32 +1,36 @@
 /**
  * @file
- * crash_sweep: CLI driver for the crash-point explorer.
+ * crash_sweep: CLI driver for the crash-sweep engine on every target.
  *
- * Sweeps schemes x workloads over systematically enumerated power-
- * failure points, validates recovery at every point against the
- * shadow-map oracle, and emits a JSON report (points explored,
- * violations with repro tuples, recovery replay counts, wall time and
- * parallel speedup). Exit status is the number of sweeps that found
- * violations (0 = clean).
+ * Sweeps schemes x workloads (x core or shard counts) over
+ * systematically enumerated power-failure points, validates recovery
+ * at every point against the target's oracle, prints one summary per
+ * sweep and optionally a JSON report. Exit status is the number of
+ * sweeps that found violations (0 = clean); usage errors exit 2.
  *
  * Typical runs:
- *   crash_sweep                             # sampled default sweep
+ *   crash_sweep                             # sampled core sweep
  *   crash_sweep --full --workers=8          # every store, parallel
+ *   crash_sweep --target=mc --cores=4       # interleaved multicore
+ *   crash_sweep --target=service --shards=4 --tiny-cache
  *   crash_sweep --scheme=SLPMT --workload=hashtable --seed=42 \
  *               --crash-point=117           # reproduce one tuple
  */
 
 #include <sys/resource.h>
 
-#include <cstdio>
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "multicore/mc_crash.hh"
+#include "service/service_crash.hh"
 #include "sim/json.hh"
 #include "validate/crash_explorer.hh"
 #include "workloads/factory.hh"
@@ -36,10 +40,18 @@ namespace
 
 using namespace slpmt;
 
+enum class Target
+{
+    Core,
+    Mc,
+    Service
+};
+
 struct CliOptions
 {
+    Target target = Target::Core;
     std::vector<std::string> schemes = {"SLPMT", "FG"};
-    std::vector<std::string> workloads = {"hashtable", "rbtree"};
+    std::vector<std::string> workloads;  //!< empty: the target's default
     LoggingStyle style = LoggingStyle::Undo;
     std::size_t numOps = 60;
     std::size_t valueBytes = 32;
@@ -47,16 +59,19 @@ struct CliOptions
     unsigned insertPct = 80;
     unsigned updatePct = 12;
     unsigned removePct = 8;
-    std::size_t maxPoints = 200;
+    std::vector<std::size_t> coreCounts = {2, 4};
+    std::size_t opsPerCore = 24;
+    unsigned sharedPct = 25;
+    std::vector<std::size_t> shardCounts = {2};
+    std::optional<std::size_t> maxPoints;  //!< unset: the target's default
     bool full = false;
-    std::size_t workers = 0;  //!< 0: hardware concurrency
+    std::size_t workers = 0;  //!< 0 on the command line: all cores
     bool compareSerial = false;
     bool tinyCache = false;
     std::string jsonPath;
     long long crashPoint = -1;  //!< >= 0: reproduce a single point
-
     bool useCheckpoints = true;
-    std::size_t checkpointInterval = 64;
+    std::optional<std::size_t> checkpointInterval;
 
     /** Profile mode: time checkpointed vs full-replay sweeps, verify
      *  their reports match, and write a sweep-speed JSON. */
@@ -64,6 +79,15 @@ struct CliOptions
 
     /** > 0: gate on checkpoint-vs-fullreplay speedup (profile mode). */
     double speedThreshold = 0.0;
+};
+
+/** One sweep of the matrix. */
+struct Cell
+{
+    std::string scheme;
+    std::string workload;
+    std::size_t shape = 0;  //!< cores (mc) or shards (service)
+    std::string label;      //!< profile key
 };
 
 /** Process peak resident set size in kilobytes. */
@@ -93,6 +117,27 @@ splitList(const std::string &s)
     return out;
 }
 
+std::vector<std::size_t>
+splitCounts(const std::string &s)
+{
+    std::vector<std::size_t> out;
+    for (const auto &part : splitList(s))
+        out.push_back(std::strtoull(part.c_str(), nullptr, 10));
+    return out;
+}
+
+/** Core or shard counts: each must be at least 1. */
+std::vector<std::size_t>
+splitShapes(const std::string &s)
+{
+    std::vector<std::size_t> out = splitCounts(s);
+    if (out.empty() || std::find(out.begin(), out.end(), 0u) != out.end()) {
+        std::fprintf(stderr, "core and shard counts must be >= 1\n");
+        std::exit(2);
+    }
+    return out;
+}
+
 SchemeKind
 parseScheme(const std::string &name)
 {
@@ -115,24 +160,35 @@ usage()
     std::fprintf(
         stderr,
         "usage: crash_sweep [options]\n"
+        "  --target=core|mc|service  what to crash (default core)\n"
         "  --scheme=A,B       schemes to sweep (default SLPMT,FG)\n"
-        "  --workload=A,B     workloads (default hashtable,rbtree)\n"
+        "  --workload=A,B     workloads (default hashtable,rbtree for "
+        "core, hashtable otherwise)\n"
         "  --style=undo|redo  logging style (default undo)\n"
-        "  --ops=N            trace length (default 60)\n"
-        "  --value-bytes=N    value size (default 32)\n"
-        "  --seed=N           trace seed (default 42)\n"
-        "  --mix=I,U,R        insert/update/remove %% (default 80,12,8)\n"
-        "  --max-points=N     sampled point budget (default 200)\n"
+        "  --ops=N            core: trace length; service: requests "
+        "(default 60)\n"
+        "  --value-bytes=N    core, mc: value size (default 32)\n"
+        "  --seed=N           trace / interleaving / load seed "
+        "(default 42)\n"
+        "  --mix=I,U,R        core: insert/update/remove %% (default "
+        "80,12,8)\n"
+        "  --cores=A,B        mc: core counts (default 2,4)\n"
+        "  --ops-per-core=N   mc: ops per core (default 24)\n"
+        "  --shared-pct=N     mc: shared-key op %% (default 25)\n"
+        "  --shards=A,B       service: shard counts (default 2)\n"
+        "  --max-points=N     sampled point budget (default 200 for "
+        "core, 120 otherwise)\n"
         "  --full             explore every store (overrides budget)\n"
-        "  --workers=N        sweep threads (default: all cores)\n"
+        "  --workers=N        sweep threads, this one included "
+        "(default: all cores; 1 = serial)\n"
         "  --compare-serial   also run 1-worker and report speedup\n"
         "  --tiny-cache       shrink caches so dirty lines overflow\n"
         "                     mid-txn (exercises log replay)\n"
         "  --json=PATH        write the JSON report to PATH\n"
-        "  --crash-point=K    reproduce one point (single scheme/"
-        "workload); K=0 is the post-completion point\n"
+        "  --crash-point=K    reproduce one point (single sweep); K=0 "
+        "is the post-completion point\n"
         "  --checkpoint-interval=N  stores between master-run "
-        "checkpoints (default 64)\n"
+        "checkpoints (default 64; service 256)\n"
         "  --no-checkpoint    audit mode: re-run every point from "
         "scratch (O(P*T))\n"
         "  --profile=PATH     time checkpointed vs full-replay "
@@ -141,6 +197,13 @@ usage()
         "  --speed-threshold=X  with --profile: fail unless the "
         "checkpointed sweep is at least X times faster (250 ms "
         "noise floor)\n");
+}
+
+[[noreturn]] void
+usageError()
+{
+    usage();
+    std::exit(2);
 }
 
 CliOptions
@@ -155,7 +218,17 @@ parseArgs(int argc, char **argv)
                 return arg.c_str() + n + 1;
             return nullptr;
         };
-        if (const char *v = val("--scheme")) {
+        if (const char *v = val("--target")) {
+            const std::string t = v;
+            if (t == "core")
+                opt.target = Target::Core;
+            else if (t == "mc")
+                opt.target = Target::Mc;
+            else if (t == "service")
+                opt.target = Target::Service;
+            else
+                usageError();
+        } else if (const char *v = val("--scheme")) {
             opt.schemes = splitList(v);
         } else if (const char *v = val("--workload")) {
             opt.workloads = splitList(v);
@@ -164,10 +237,8 @@ parseArgs(int argc, char **argv)
                 opt.style = LoggingStyle::Redo;
             else if (std::string(v) == "undo")
                 opt.style = LoggingStyle::Undo;
-            else {
-                usage();
-                std::exit(2);
-            }
+            else
+                usageError();
         } else if (const char *v = val("--ops")) {
             opt.numOps = std::strtoull(v, nullptr, 10);
         } else if (const char *v = val("--value-bytes")) {
@@ -175,20 +246,21 @@ parseArgs(int argc, char **argv)
         } else if (const char *v = val("--seed")) {
             opt.seed = std::strtoull(v, nullptr, 10);
         } else if (const char *v = val("--mix")) {
-            const auto parts = splitList(v);
-            if (parts.size() != 3) {
-                usage();
-                std::exit(2);
-            }
-            opt.insertPct =
-                static_cast<unsigned>(std::strtoul(parts[0].c_str(),
-                                                   nullptr, 10));
-            opt.updatePct =
-                static_cast<unsigned>(std::strtoul(parts[1].c_str(),
-                                                   nullptr, 10));
-            opt.removePct =
-                static_cast<unsigned>(std::strtoul(parts[2].c_str(),
-                                                   nullptr, 10));
+            const auto parts = splitCounts(v);
+            if (parts.size() != 3)
+                usageError();
+            opt.insertPct = static_cast<unsigned>(parts[0]);
+            opt.updatePct = static_cast<unsigned>(parts[1]);
+            opt.removePct = static_cast<unsigned>(parts[2]);
+        } else if (const char *v = val("--cores")) {
+            opt.coreCounts = splitShapes(v);
+        } else if (const char *v = val("--ops-per-core")) {
+            opt.opsPerCore = std::strtoull(v, nullptr, 10);
+        } else if (const char *v = val("--shared-pct")) {
+            opt.sharedPct =
+                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+        } else if (const char *v = val("--shards")) {
+            opt.shardCounts = splitShapes(v);
         } else if (const char *v = val("--max-points")) {
             opt.maxPoints = std::strtoull(v, nullptr, 10);
         } else if (arg == "--full") {
@@ -216,32 +288,212 @@ parseArgs(int argc, char **argv)
             std::exit(arg == "--help" ? 0 : 2);
         }
     }
+    if (opt.workloads.empty()) {
+        opt.workloads = {"hashtable"};
+        if (opt.target == Target::Core)
+            opt.workloads.push_back("rbtree");
+    }
+    if (opt.workers == 0)
+        opt.workers = std::max(1u, std::thread::hardware_concurrency());
     return opt;
 }
 
+/** The sweep matrix: schemes x workloads x core or shard counts. */
+std::vector<Cell>
+cellsFor(const CliOptions &opt)
+{
+    const std::vector<std::size_t> shapes =
+        opt.target == Target::Mc        ? opt.coreCounts
+        : opt.target == Target::Service ? opt.shardCounts
+                                        : std::vector<std::size_t>{0};
+    const char *shape_key = opt.target == Target::Mc ? "/cores=" : "/shards=";
+    std::vector<Cell> cells;
+    for (const auto &scheme : opt.schemes) {
+        for (const auto &workload : opt.workloads) {
+            for (std::size_t shape : shapes) {
+                std::string label = workload + "/" + scheme;
+                if (opt.target != Target::Core)
+                    label += shape_key + std::to_string(shape);
+                cells.push_back({scheme, workload, shape, label});
+            }
+        }
+    }
+    return cells;
+}
+
+/** The knobs every target shares. */
+void
+applyOptions(const CliOptions &opt, const Cell &c, SweepOptions &s)
+{
+    s.scheme = parseScheme(c.scheme);
+    s.style = opt.style;
+    s.maxPoints = opt.full ? 0
+                           : opt.maxPoints.value_or(
+                                 opt.target == Target::Core ? 200 : 120);
+    s.tinyCache = opt.tinyCache;
+    if (opt.checkpointInterval)
+        s.checkpointInterval = *opt.checkpointInterval;
+    s.useCheckpoints = opt.useCheckpoints;
+    s.workers = opt.workers;
+}
+
 CrashSweepConfig
-configFor(const CliOptions &opt, const std::string &scheme,
-          const std::string &workload)
+coreConfig(const CliOptions &opt, const Cell &c)
 {
     CrashSweepConfig cfg;
-    cfg.scheme = parseScheme(scheme);
-    cfg.style = opt.style;
-    cfg.workload = workload;
+    applyOptions(opt, c, cfg);
+    cfg.workload = c.workload;
     cfg.mix.numOps = opt.numOps;
     cfg.mix.valueBytes = opt.valueBytes;
     cfg.mix.seed = opt.seed;
     cfg.mix.insertPct = opt.insertPct;
     cfg.mix.updatePct = opt.updatePct;
     cfg.mix.removePct = opt.removePct;
-    cfg.maxPoints = opt.full ? 0 : opt.maxPoints;
-    cfg.tinyCache = opt.tinyCache;
-    cfg.checkpointInterval = opt.checkpointInterval;
-    cfg.useCheckpoints = opt.useCheckpoints;
-    cfg.workers = opt.workers
-                      ? opt.workers
-                      : std::max(1u,
-                                 std::thread::hardware_concurrency());
     return cfg;
+}
+
+McCrashSweepConfig
+mcConfig(const CliOptions &opt, const Cell &c)
+{
+    McCrashSweepConfig cfg;
+    applyOptions(opt, c, cfg);
+    cfg.run.workload = c.workload;
+    cfg.run.numCores = c.shape;
+    cfg.run.opsPerCore = opt.opsPerCore;
+    cfg.run.valueBytes = opt.valueBytes;
+    cfg.run.seed = opt.seed;
+    cfg.run.sharedPct = opt.sharedPct;
+    return cfg;
+}
+
+ServiceCrashConfig
+serviceConfig(const CliOptions &opt, const Cell &c)
+{
+    ServiceCrashConfig cfg;
+    applyOptions(opt, c, cfg);
+    cfg.workload = c.workload;
+    cfg.numShards = c.shape;
+    cfg.load.numOps = opt.numOps;
+    cfg.load.seed = opt.seed;
+    return cfg;
+}
+
+CrashSweepReport
+runCell(const CliOptions &opt, const Cell &c)
+{
+    switch (opt.target) {
+      case Target::Mc:
+        return runMcCrashSweep(mcConfig(opt, c));
+      case Target::Service:
+        return runServiceCrashSweep(serviceConfig(opt, c));
+      case Target::Core:
+        break;
+    }
+    return runCrashSweep(coreConfig(opt, c));
+}
+
+CrashPointOutcome
+runCellPoint(const CliOptions &opt, const Cell &c, std::uint64_t k)
+{
+    switch (opt.target) {
+      case Target::Mc:
+        return runMcCrashPoint(mcConfig(opt, c), k);
+      case Target::Service:
+        return runServiceCrashPoint(serviceConfig(opt, c), k);
+      case Target::Core:
+        break;
+    }
+    return runCrashPoint(coreConfig(opt, c), k);
+}
+
+/**
+ * Profile mode: run every cell twice — checkpointed and full-replay
+ * audit — verify the reports are byte-identical, and record the speed
+ * ratio. The optional gate compares against --speed-threshold with a
+ * 250 ms noise floor (a full replay that finishes under the floor is
+ * too small to time reliably).
+ */
+int
+runProfile(const CliOptions &opt, const std::vector<Cell> &cells)
+{
+    int failures = 0;
+    double ckpt_ms = 0.0;
+    double replay_ms = 0.0;
+    std::size_t points = 0;
+    std::size_t interval = 0;
+    bool reports_match = true;
+
+    CliOptions checkpointed = opt;
+    checkpointed.useCheckpoints = true;
+    CliOptions full_replay = opt;
+    full_replay.useCheckpoints = false;
+
+    JsonWriter w;
+    w.beginObject();
+    w.key("schema").value("slpmt-sweep-speed-1");
+    w.key("sweep").beginObject();
+    w.key("cells").beginObject();
+    for (const Cell &c : cells) {
+        const CrashSweepReport ckpt = runCell(checkpointed, c);
+        const CrashSweepReport replay = runCell(full_replay, c);
+        if (ckpt.toJson() != replay.toJson()) {
+            std::fprintf(stderr,
+                         "AUDIT BROKEN: checkpointed and full-replay "
+                         "reports differ (%s)\n",
+                         c.label.c_str());
+            reports_match = false;
+            ++failures;
+        }
+        failures += ckpt.violationCount() > 0 ? 1 : 0;
+
+        ckpt_ms += ckpt.wallMs;
+        replay_ms += replay.wallMs;
+        points += ckpt.pointsExplored();
+        interval = ckpt.identity.checkpointInterval;
+        w.key(c.label).beginObject();
+        w.key("checkpointMs").value(ckpt.wallMs);
+        w.key("fullReplayMs").value(replay.wallMs);
+        w.key("points").value(ckpt.pointsExplored());
+        w.key("speedup").value(
+            ckpt.wallMs > 0.0 ? replay.wallMs / ckpt.wallMs : 0.0);
+        w.endObject();
+    }
+    w.endObject();
+    const double speedup = ckpt_ms > 0.0 ? replay_ms / ckpt_ms : 0.0;
+    w.key("totalCheckpointMs").value(ckpt_ms);
+    w.key("totalFullReplayMs").value(replay_ms);
+    w.key("points").value(points);
+    w.key("pointsPerSecCheckpoint")
+        .value(ckpt_ms > 0.0 ? 1000.0 * points / ckpt_ms : 0.0);
+    w.key("pointsPerSecFullReplay")
+        .value(replay_ms > 0.0 ? 1000.0 * points / replay_ms : 0.0);
+    w.key("speedup").value(speedup);
+    w.key("ckptInterval").value(interval);
+    w.key("reportsMatch").value(reports_match);
+    w.endObject();
+    w.key("peakRssKb").value(peakRssKb());
+    w.endObject();
+
+    std::printf("checkpointed %.0f ms vs full replay %.0f ms -> "
+                "speedup %.2fx over %zu points\n",
+                ckpt_ms, replay_ms, speedup, points);
+
+    if (!opt.profilePath.empty()) {
+        std::ofstream out(opt.profilePath);
+        out << w.str() << '\n';
+    }
+    if (opt.speedThreshold > 0.0) {
+        if (replay_ms < 250.0) {
+            std::printf("speed gate skipped: full replay %.0f ms is "
+                        "under the 250 ms noise floor\n",
+                        replay_ms);
+        } else if (speedup < opt.speedThreshold) {
+            std::fprintf(stderr, "SPEED GATE FAILED: %.2fx < %.2fx\n",
+                         speedup, opt.speedThreshold);
+            ++failures;
+        }
+    }
+    return failures;
 }
 
 } // namespace
@@ -259,18 +511,18 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    const std::vector<Cell> cells = cellsFor(opt);
 
     // Single-point reproduction mode.
     if (opt.crashPoint >= 0) {
-        if (opt.schemes.size() != 1 || opt.workloads.size() != 1) {
+        if (cells.size() != 1) {
             std::fprintf(stderr, "--crash-point needs exactly one "
-                                 "scheme and one workload\n");
+                                 "scheme, workload and core or shard "
+                                 "count\n");
             return 2;
         }
-        const CrashSweepConfig cfg =
-            configFor(opt, opt.schemes[0], opt.workloads[0]);
-        const CrashPointOutcome out = runCrashPoint(
-            cfg, static_cast<std::uint64_t>(opt.crashPoint));
+        const CrashPointOutcome out = runCellPoint(
+            opt, cells.front(), static_cast<std::uint64_t>(opt.crashPoint));
         std::printf("crash_point=%llu fired=%d committed_ops=%zu "
                     "replayed_records=%zu violations=%zu\n",
                     static_cast<unsigned long long>(out.crashPoint),
@@ -281,142 +533,38 @@ main(int argc, char **argv)
         return out.violations.empty() ? 0 : 1;
     }
 
-    // Profile mode: run every cell twice — checkpointed and
-    // full-replay audit — verify the reports are byte-identical, and
-    // record the speed ratio. The optional gate compares against
-    // --speed-threshold with a 250 ms noise floor (a full replay that
-    // finishes under the floor is too small to time reliably).
-    if (!opt.profilePath.empty() || opt.speedThreshold > 0.0) {
-        int failures = 0;
-        double ckpt_ms = 0.0;
-        double replay_ms = 0.0;
-        std::size_t points = 0;
-        bool reports_match = true;
+    if (!opt.profilePath.empty() || opt.speedThreshold > 0.0)
+        return runProfile(opt, cells);
 
-        JsonWriter w;
-        w.beginObject();
-        w.key("schema").value("slpmt-sweep-speed-1");
-        w.key("sweep").beginObject();
-        w.key("cells").beginObject();
-        for (const auto &scheme : opt.schemes) {
-            for (const auto &workload : opt.workloads) {
-                CrashSweepConfig cfg =
-                    configFor(opt, scheme, workload);
-                cfg.useCheckpoints = true;
-                const CrashSweepReport ckpt = runCrashSweep(cfg);
-                cfg.useCheckpoints = false;
-                const CrashSweepReport replay = runCrashSweep(cfg);
-
-                const bool match = ckpt.toJson() == replay.toJson();
-                if (!match) {
-                    std::fprintf(stderr,
-                                 "AUDIT BROKEN: checkpointed and "
-                                 "full-replay reports differ (%s, "
-                                 "%s)\n",
-                                 scheme.c_str(), workload.c_str());
-                    reports_match = false;
-                    ++failures;
-                }
-                failures += ckpt.violationCount() > 0 ? 1 : 0;
-
-                ckpt_ms += ckpt.wallMs;
-                replay_ms += replay.wallMs;
-                points += ckpt.pointsExplored();
-                w.key(workload + "/" + scheme).beginObject();
-                w.key("checkpointMs").value(ckpt.wallMs);
-                w.key("fullReplayMs").value(replay.wallMs);
-                w.key("points").value(ckpt.pointsExplored());
-                w.key("speedup").value(
-                    ckpt.wallMs > 0.0 ? replay.wallMs / ckpt.wallMs
-                                      : 0.0);
-                w.endObject();
-            }
-        }
-        w.endObject();
-        const double speedup =
-            ckpt_ms > 0.0 ? replay_ms / ckpt_ms : 0.0;
-        w.key("totalCheckpointMs").value(ckpt_ms);
-        w.key("totalFullReplayMs").value(replay_ms);
-        w.key("points").value(points);
-        w.key("pointsPerSecCheckpoint")
-            .value(ckpt_ms > 0.0 ? 1000.0 * points / ckpt_ms : 0.0);
-        w.key("pointsPerSecFullReplay")
-            .value(replay_ms > 0.0 ? 1000.0 * points / replay_ms
-                                   : 0.0);
-        w.key("speedup").value(speedup);
-        w.key("ckptInterval").value(opt.checkpointInterval);
-        w.key("reportsMatch").value(reports_match);
-        w.endObject();
-        w.key("peakRssKb").value(peakRssKb());
-        w.endObject();
-
-        std::printf("checkpointed %.0f ms vs full replay %.0f ms -> "
-                    "speedup %.2fx over %zu points\n",
-                    ckpt_ms, replay_ms, speedup, points);
-
-        if (!opt.profilePath.empty()) {
-            std::ofstream out(opt.profilePath);
-            out << w.str() << '\n';
-        }
-        if (opt.speedThreshold > 0.0) {
-            if (replay_ms < 250.0) {
-                std::printf("speed gate skipped: full replay %.0f ms "
-                            "is under the 250 ms noise floor\n",
-                            replay_ms);
-            } else if (speedup < opt.speedThreshold) {
-                std::fprintf(stderr,
-                             "SPEED GATE FAILED: %.2fx < %.2fx\n",
-                             speedup, opt.speedThreshold);
-                ++failures;
-            }
-        }
-        return failures;
-    }
-
+    CliOptions serial_opt = opt;
+    serial_opt.workers = 1;
     int failures = 0;
     double serial_ms = 0.0;
     double parallel_ms = 0.0;
     std::vector<std::string> sweep_jsons;
+    for (const Cell &c : cells) {
+        const CrashSweepReport report = runCell(opt, c);
+        parallel_ms += report.wallMs;
+        sweep_jsons.push_back(report.toJson());
 
-    for (const auto &scheme : opt.schemes) {
-        for (const auto &workload : opt.workloads) {
-            CrashSweepConfig cfg = configFor(opt, scheme, workload);
-            CrashSweepReport report = runCrashSweep(cfg);
-            parallel_ms += report.wallMs;
-
-            if (opt.compareSerial) {
-                CrashSweepConfig serial_cfg = cfg;
-                serial_cfg.workers = 1;
-                CrashSweepReport serial = runCrashSweep(serial_cfg);
-                serial_ms += serial.wallMs;
-                if (serial.violationsText() !=
-                    report.violationsText()) {
-                    std::fprintf(stderr,
-                                 "DETERMINISM BROKEN: serial and "
-                                 "parallel reports differ (%s, %s)\n",
-                                 scheme.c_str(), workload.c_str());
-                    ++failures;
-                }
-            }
-
-            std::printf("%-9s %-9s points=%-5zu stores=%-6llu "
-                        "replays=%-6llu violations=%zu  (%.0f ms, "
-                        "%zu workers)\n",
-                        scheme.c_str(), workload.c_str(),
-                        report.pointsExplored(),
-                        static_cast<unsigned long long>(
-                            report.traceStores),
-                        static_cast<unsigned long long>(
-                            report.replayedRecordsTotal()),
-                        report.violationCount(), report.wallMs,
-                        cfg.workers);
-            if (report.violationCount() > 0) {
-                std::printf("%s", report.violationsText().c_str());
+        if (opt.compareSerial) {
+            const CrashSweepReport serial = runCell(serial_opt, c);
+            serial_ms += serial.wallMs;
+            if (serial.toJson() != sweep_jsons.back()) {
+                std::fprintf(stderr,
+                             "DETERMINISM BROKEN: serial and parallel "
+                             "reports differ (%s)\n",
+                             c.label.c_str());
                 ++failures;
             }
-            sweep_jsons.push_back(report.toJson());
         }
+
+        std::printf("%s", report.summaryText().c_str());
+        if (report.violationCount() > 0)
+            ++failures;
     }
+    std::printf("%zu sweeps in %.0f ms (%zu workers)\n", cells.size(),
+                parallel_ms, opt.workers);
 
     if (opt.compareSerial && serial_ms > 0.0) {
         std::printf("parallel %.0f ms vs serial %.0f ms -> speedup "
@@ -432,14 +580,11 @@ main(int argc, char **argv)
                 doc += ',';
             doc += sweep_jsons[i];
         }
-        doc += "],\"parallel_wall_ms\":";
-        {
-            char buf[48];
-            std::snprintf(buf, sizeof(buf), "%.3f", parallel_ms);
-            doc += buf;
-        }
+        char buf[96];
+        std::snprintf(buf, sizeof(buf), "],\"parallel_wall_ms\":%.3f",
+                      parallel_ms);
+        doc += buf;
         if (opt.compareSerial) {
-            char buf[96];
             std::snprintf(buf, sizeof(buf),
                           ",\"serial_wall_ms\":%.3f,\"speedup\":%.3f",
                           serial_ms,

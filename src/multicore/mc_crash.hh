@@ -1,117 +1,46 @@
 /**
  * @file
  * Multicore crash-point sweep (recovery fuzzing of the interleaved
- * machine).
+ * machine): the multicore target of the sweep engine
+ * (validate/sweep_engine.hh), built into slpmt_validate.
  *
- * Extends the single-core crash explorer's methodology to the
- * multicore machine: the seeded interleaved YCSB run is executed once
- * on a master machine that counts its store/storeT instructions and
- * drops a whole-machine checkpoint (plus driver cursors, the commit
- * log so far, and the scheduler's register file) at quantum
- * boundaries every checkpointInterval stores; the sweep enumerates
- * crash points over the store range (stratified when budgeted, plus
- * the post-completion point with lazy data still volatile), and each
- * point restores the nearest checkpoint into a fresh machine, resumes
- * the identical interleaving for only the tail, fires the
- * machine-wide power failure at exactly that store, recovers every
- * core's log slice plus the workload's user-level recovery, and
- * checks the survivors against the scheduler-commit-order shadow map:
- * committed upserts readable with their committed values, interrupted
- * ops invisible, invariants intact, recovery idempotent, and the
- * structure still writable afterwards. Restores are bit-exact, so the
- * report is byte-identical to the from-scratch O(P·T) path, which
- * survives as the --no-checkpoint audit mode.
- *
- * Points are independent machines, so the sweep reuses the
- * work-stealing pool; violation reports are bit-identical for any
- * worker count.
+ * The seeded interleaved YCSB run executes once on a master machine;
+ * its fork bases sit at scheduler quantum boundaries, where no driver
+ * is mid-transaction, and carry the machine checkpoint plus the
+ * driver cursors, the commit log so far and the scheduler's register
+ * file. Each point resumes the identical interleaving for only the
+ * tail, fires the machine-wide power failure at exactly that store,
+ * recovers every core's log slice plus the workload's user-level
+ * recovery, and checks the survivors against the
+ * scheduler-commit-order shadow map: committed upserts readable with
+ * their committed values, interrupted ops invisible, invariants
+ * intact, recovery idempotent, and the structure still writable
+ * afterwards.
  */
 
 #ifndef SLPMT_MULTICORE_MC_CRASH_HH
 #define SLPMT_MULTICORE_MC_CRASH_HH
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "multicore/mc_ycsb.hh"
+#include "validate/sweep_engine.hh"
 
 namespace slpmt
 {
 
 /** Everything configurable about one multicore sweep. */
-struct McCrashSweepConfig
+struct McCrashSweepConfig : SweepOptions
 {
-    SchemeKind scheme = SchemeKind::SLPMT;
-    LoggingStyle style = LoggingStyle::Undo;
-
     /** The interleaved run to crash (its sys scheme/style fields are
-     *  overwritten from the two knobs above). */
+     *  overwritten from the options' scheme and style). */
     McYcsbConfig run;
-
-    /** Crash-point budget; 0 explores every store. */
-    std::size_t maxPoints = 0;
-
-    /** Shrink every cache level so mid-transaction evictions push
-     *  data (and with it, persisted log records) to PM before the
-     *  crash — the points where recovery actually replays. */
-    bool tinyCache = false;
-
-    /** Also crash once after the full run (lazy data still cached). */
-    bool crashAfterCompletion = true;
-
-    bool checkIdempotence = true;
-    std::size_t continuationOps = 2;
-
-    /** Worker threads for the sweep (real threads — each point owns
-     *  its machine; the simulated cores stay deterministic). */
-    std::size_t workers = 1;
-
-    /** Stores between master-run checkpoints (see file comment);
-     *  part of the repro tuple. */
-    std::size_t checkpointInterval = 64;
-
-    /** Audit mode: false re-runs every point from scratch. */
-    bool useCheckpoints = true;
 };
 
-/** Outcome of one explored multicore crash point. */
-struct McCrashPointOutcome
-{
-    std::uint64_t crashPoint = 0;  //!< 0 = post-completion point
-    bool fired = false;
-    std::size_t committedOps = 0;  //!< ops committed before the crash
-    std::size_t replayedRecords = 0;
-    std::vector<std::string> violations;
-    StatsSnapshot stats;
-};
+using McCrashPointOutcome = CrashPointOutcome;
+using McCrashSweepReport = CrashSweepReport;
 
-/** Aggregated result of a multicore sweep. */
-struct McCrashSweepReport
-{
-    McCrashSweepConfig config;
-    std::uint64_t traceStores = 0;
-    std::vector<McCrashPointOutcome> points;
-
-    std::size_t pointsExplored() const { return points.size(); }
-    std::size_t violationCount() const;
-    std::uint64_t replayedRecordsTotal() const;
-
-    /** Deterministic violation listing (one repro line each). */
-    std::string violationsText() const;
-
-    /** Deterministic human-readable summary for the sweep binary. */
-    std::string summaryText() const;
-
-    /**
-     * Deterministic machine-readable report (no timing or worker
-     * fields): byte-identical between the checkpointed sweep and the
-     * --no-checkpoint audit sweep.
-     */
-    std::string toJson() const;
-};
-
-/** Run one sweep: dry-run, enumerate, explore (possibly parallel). */
+/** Run one sweep: master run, enumerate, explore (possibly parallel). */
 McCrashSweepReport runMcCrashSweep(const McCrashSweepConfig &cfg);
 
 /** Re-run a single point in isolation (the repro handle). */

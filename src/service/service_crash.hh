@@ -1,22 +1,19 @@
 /**
  * @file
  * Service-level crash-point sweep: power-fail the sharded KV service
- * mid-load and validate every shard's recovery.
+ * mid-load and validate every shard's recovery. The service target of
+ * the sweep engine (validate/sweep_engine.hh), built into
+ * slpmt_validate.
  *
- * Extends the checkpoint-and-fork methodology of the multicore sweep
- * (multicore/mc_crash.hh) to the service layer. The generated request
- * stream is lowered to its arrival-ordered (shard, op) dispatch list;
- * a master run executes it once across the shard machines, counting
- * store/storeT instructions in one *global* ordinal space (the sum
- * over shards) and dropping a whole-service checkpoint — one
- * MachineCheckpoint plus one workload clone per shard — every
- * checkpointInterval stores at request boundaries. The sweep
- * enumerates crash points over the global store range (stratified
- * when budgeted, plus the post-completion point with lazy data still
- * volatile); each point restores the nearest checkpoint, replays the
- * dispatch tail, arms the store-level crash on the shard executing
- * the interrupted request, and power-fails the *whole service* —
- * every shard machine — at exactly that store.
+ * The generated request stream is lowered to its arrival-ordered
+ * (shard, op) dispatch list; a master run executes it once across the
+ * shard machines, counting store/storeT instructions in one *global*
+ * ordinal space (the sum over shards). Its fork bases sit at request
+ * boundaries and hold one MachineCheckpoint plus one workload clone
+ * per shard. Each point replays the dispatch tail, arms the
+ * store-level crash on the shard executing the interrupted request,
+ * and power-fails the *whole service* — every shard machine — at
+ * exactly that store.
  *
  * Recovery then runs per shard (hardware log replay + the workload's
  * user-level recovery) and is validated against the last-write-wins
@@ -25,9 +22,7 @@
  * (its key holds entirely the old or entirely the new value), keys
  * only written by future requests absent, structure invariants
  * intact on every shard, recovery idempotent, and every shard still
- * writable afterwards. Restores are bit-exact, so the report is
- * byte-identical to the from-scratch audit path (useCheckpoints =
- * false) and across sweep worker counts.
+ * writable afterwards.
  */
 
 #ifndef SLPMT_SERVICE_SERVICE_CRASH_HH
@@ -35,76 +30,30 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "service/service.hh"
+#include "validate/sweep_engine.hh"
 
 namespace slpmt
 {
 
 /** Everything configurable about one service sweep. */
-struct ServiceCrashConfig
+struct ServiceCrashConfig : SweepOptions
 {
-    SchemeKind scheme = SchemeKind::SLPMT;
-    LoggingStyle style = LoggingStyle::Undo;
+    /** Global stores between master-run bases default to 256 here. */
+    ServiceCrashConfig() { checkpointInterval = 256; }
 
     std::string workload = "hashtable";
     std::size_t numShards = 2;
     LoadGenConfig load;
     std::uint64_t routerSalt = ShardRouter::defaultSalt;
-
-    /** Crash-point budget; 0 explores every store. */
-    std::size_t maxPoints = 0;
-
-    /** Shrink every cache level so mid-transaction evictions push
-     *  data (and persisted log records) to PM before the crash. */
-    bool tinyCache = false;
-
-    /** Also crash once after the full run (lazy data still cached). */
-    bool crashAfterCompletion = true;
-
-    bool checkIdempotence = true;
-    std::size_t continuationOps = 2;
-
-    /** Worker threads for the sweep (each point owns its machines). */
-    std::size_t workers = 1;
-
-    /** Global stores between master-run checkpoints. */
-    std::size_t checkpointInterval = 256;
-
-    /** Audit mode: false re-runs every point from scratch. */
-    bool useCheckpoints = true;
 };
 
-/** Outcome of one explored service crash point. */
-struct ServiceCrashPointOutcome
-{
-    std::uint64_t crashPoint = 0;   //!< 0 = post-completion point
-    bool fired = false;
-    std::size_t crashShard = 0;     //!< shard executing the store
-    std::size_t completedOps = 0;   //!< dispatch ops fully completed
-    std::size_t replayedRecords = 0;  //!< summed across shards
-    std::vector<std::string> violations;
-};
-
-/** Aggregated result of a service sweep. */
-struct ServiceCrashSweepReport
-{
-    ServiceCrashConfig config;
-    std::uint64_t traceStores = 0;   //!< global (summed) store count
-    std::size_t dispatchOps = 0;     //!< lowered dispatch-list length
-    std::vector<ServiceCrashPointOutcome> points;
-
-    std::size_t pointsExplored() const { return points.size(); }
-    std::size_t violationCount() const;
-    std::uint64_t replayedRecordsTotal() const;
-
-    /** Deterministic violation listing (one repro line each). */
-    std::string violationsText() const;
-
-    /** Deterministic human-readable summary. */
-    std::string summaryText() const;
-};
+/** A service point's committedOps counts completed dispatch ops and
+ *  crashShard names the shard whose store fired; traceStores is the
+ *  global (summed) store count and traceOps the dispatch-list length. */
+using ServiceCrashPointOutcome = CrashPointOutcome;
+using ServiceCrashSweepReport = CrashSweepReport;
 
 /** Run one sweep: master run, enumerate, explore (possibly parallel). */
 ServiceCrashSweepReport runServiceCrashSweep(const ServiceCrashConfig &cfg);

@@ -1357,29 +1357,4 @@ runBench(const BenchOptions &opts)
     return 0;
 }
 
-int
-runFigureMain(const std::string &figure_name, int argc, char **argv)
-{
-    BenchOptions opts;
-    opts.figures = {figure_name};
-    for (int i = 1; i < argc; ++i) {
-        std::string error;
-        const int consumed = parseCommonFlag(argv[i], &opts, &error);
-        if (consumed < 0) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            return 2;
-        }
-        if (consumed == 0) {
-            std::fprintf(
-                stderr,
-                "unknown option %s\nusage: %s [--workers=N] "
-                "[--json[=FILE]] [--stats] [--baseline=FILE] "
-                "[--threshold=FRACTION] [--no-tables]\n",
-                argv[i], argv[0]);
-            return 2;
-        }
-    }
-    return runBench(opts);
-}
-
 } // namespace slpmt

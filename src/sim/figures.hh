@@ -4,10 +4,9 @@
  *
  * Each figure of the evaluation (Figures 8-14) is one declarative
  * sweep over the experiment space plus a table printer that formats
- * the results the way the paper's figure does. The registry lets the
- * per-figure binaries and the slpmt_bench multiplexer share a single
- * implementation of the sweep loops, and runFigureMain() gives them
- * all the same CLI (worker count, JSON reports, baseline diffing).
+ * the results the way the paper's figure does. The slpmt_bench
+ * multiplexer runs any subset of the registry behind one CLI (worker
+ * count, JSON reports, baseline diffing).
  */
 
 #ifndef SLPMT_SIM_FIGURES_HH
@@ -38,7 +37,7 @@ const std::vector<FigureSpec> &figureRegistry();
 /** Lookup by CLI id; nullptr when unknown. */
 const FigureSpec *findFigure(const std::string &name);
 
-/** Parsed command line shared by slpmt_bench and the fig binaries. */
+/** Parsed slpmt_bench command line. */
 struct BenchOptions
 {
     std::vector<std::string> figures;  //!< resolved figure names
@@ -100,12 +99,6 @@ int parseCommonFlag(const std::string &arg, BenchOptions *opts,
  *         error, 3 baseline regression
  */
 int runBench(const BenchOptions &opts);
-
-/**
- * Shared main() body for the single-figure binaries: common flags
- * only, then runBench() on @p figure_name.
- */
-int runFigureMain(const std::string &figure_name, int argc, char **argv);
 
 } // namespace slpmt
 

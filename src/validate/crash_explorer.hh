@@ -1,19 +1,17 @@
 /**
  * @file
- * Exhaustive crash-point exploration (recovery-correctness fuzzing).
+ * Exhaustive crash-point exploration (recovery-correctness fuzzing):
+ * the single-core target of the sweep engine (validate/sweep_engine.hh).
  *
  * The paper's guarantee is that selective logging plus lazy
  * persistency recovers a consistent state from *any* power-failure
- * point. This subsystem validates that systematically instead of via
- * hand-picked points: a dry run counts the store/storeT instructions a
- * seeded workload trace executes, the explorer enumerates crash points
- * over that range (every store for small runs, deterministic
- * stratified sampling for large ones, plus one post-completion point
- * that crashes with lazy data still volatile), and each point replays
- * the trace up to exactly that store, injects the power failure, runs
- * hardware recovery (undo/redo replay) plus the workload's user-level
- * recovery, and checks the surviving state against a shadow-map
- * oracle:
+ * point. This target validates that systematically instead of via
+ * hand-picked points: a seeded YCSB-style mixed trace runs once on a
+ * master machine, whose op boundaries are the fork bases; each crash
+ * point replays the trace up to exactly that store, injects the power
+ * failure, runs hardware recovery (undo/redo replay) plus the
+ * workload's user-level recovery, and checks the surviving state
+ * against a shadow map updated op by op:
  *
  *  - every committed key is readable with its committed value,
  *  - no aborted or in-flight partial update is visible,
@@ -21,21 +19,7 @@
  *  - recovery is idempotent (running it twice changes nothing),
  *  - the structure keeps working (post-recovery inserts succeed).
  *
- * Rather than re-running the whole trace for every point (O(P·T)),
- * the sweep runs the trace once on a master machine, captures a
- * whole-machine checkpoint every checkpointInterval stores (CoW page
- * sharing keeps K checkpoints near one heap's cost), and serves each
- * crash point by restoring the nearest checkpoint below it into a
- * fresh machine and replaying only the ≤K-store tail — O(T + P·K).
- * Restores are bit-exact, so reports are byte-identical to the
- * from-scratch path, which survives as the --no-checkpoint audit
- * mode.
- *
- * Points are independent — each owns its own machine — so the sweep
- * runs on a work-stealing worker pool; checkpoints are immutable and
- * forked concurrently by many workers; results land in slots indexed
- * by point, making the violation report bit-identical for any worker
- * count. Every violation prints the (scheme, style, workload, seed,
+ * Every violation prints the (scheme, style, workload, seed,
  * ckpt_interval, crash_point) tuple that reproduces it in isolation.
  */
 
@@ -44,74 +28,21 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/pm_system.hh"
-#include "stats/stats.hh"
-#include "txn/engine.hh"
-#include "txn/scheme.hh"
+#include "validate/sweep_engine.hh"
 #include "workloads/ycsb.hh"
 
 namespace slpmt
 {
 
-/** Everything configurable about one crash sweep. */
-struct CrashSweepConfig
+/** Everything configurable about one single-core crash sweep. */
+struct CrashSweepConfig : SweepOptions
 {
-    SchemeKind scheme = SchemeKind::SLPMT;
-    LoggingStyle style = LoggingStyle::Undo;
     std::string workload = "hashtable";
 
     /** Seeded op trace the sweep replays (seed is the repro handle). */
     YcsbMixConfig mix;
-
-    /**
-     * Crash-point budget. 0 explores every store; otherwise the range
-     * is split into this many strata and one point is drawn
-     * deterministically (from the trace seed) per stratum, always
-     * including the first and last store.
-     */
-    std::size_t maxPoints = 0;
-
-    /** Also crash once after the full trace (lazy data still cached). */
-    bool crashAfterCompletion = true;
-
-    /** Re-run recovery a second time and re-verify (idempotence). */
-    bool checkIdempotence = true;
-
-    /** Fresh inserts after recovery proving the structure still works. */
-    std::size_t continuationOps = 2;
-
-    /** Worker threads for the sweep (1 = serial). */
-    std::size_t workers = 1;
-
-    /**
-     * Stores between machine checkpoints on the master run. The sweep
-     * applies the trace once, drops a checkpoint every this many
-     * stores, and serves each crash point by restoring the nearest
-     * checkpoint below it and replaying only the tail — O(T + P·K)
-     * total work instead of O(P·T). Restores are bit-exact, so the
-     * report is byte-identical to a from-scratch sweep; the interval
-     * is part of the repro tuple so a printed violation reproduces
-     * the exact sweep that found it.
-     */
-    std::size_t checkpointInterval = 64;
-
-    /**
-     * Audit mode: false re-runs every point from scratch (the
-     * original O(P·T) path), used to cross-check that checkpointed
-     * sweeps produce byte-identical reports.
-     */
-    bool useCheckpoints = true;
-
-    /**
-     * Shrink the caches far below the working set so dirty
-     * transactional lines overflow mid-transaction, draining log
-     * records to PM and making recovery actually replay them. With the
-     * default Table III hierarchy small traces fit entirely in cache
-     * and every crash point recovers from an empty persistent log.
-     */
-    bool tinyCache = false;
 
     /**
      * SoA layout self-check policy for every machine the sweep builds
@@ -130,67 +61,7 @@ struct CrashSweepConfig
     bool skipUserRecovery = false;
 };
 
-/** Outcome of one explored crash point. */
-struct CrashPointOutcome
-{
-    /** Store/storeT instruction ordinal at which the crash fired;
-     *  0 marks the post-completion crash point. */
-    std::uint64_t crashPoint = 0;
-
-    /** The armed crash fired mid-trace (vs. injected after it). */
-    bool fired = false;
-
-    /** Trace ops that committed before the crash. */
-    std::size_t committedOps = 0;
-
-    /** Log records the hardware recovery replayed. */
-    std::size_t replayedRecords = 0;
-
-    /** Oracle violations (empty = the point recovered correctly). */
-    std::vector<std::string> violations;
-
-    /** This point's machine counters (summed into the sweep report). */
-    StatsSnapshot stats;
-};
-
-/** Aggregated result of a sweep. */
-struct CrashSweepReport
-{
-    CrashSweepConfig config;
-
-    /** Store/storeT instructions the full trace executes (dry run). */
-    std::uint64_t traceStores = 0;
-
-    /** Ops of the generated trace. */
-    std::size_t traceOps = 0;
-
-    /** Per-point outcomes, ordered by crash point (deterministic). */
-    std::vector<CrashPointOutcome> points;
-
-    /** Wall-clock milliseconds of the (possibly parallel) sweep.
-     *  Kept out of toJson() so reports diff cleanly across modes. */
-    double wallMs = 0.0;
-
-    std::size_t pointsExplored() const { return points.size(); }
-    std::size_t violationCount() const;
-    std::uint64_t replayedRecordsTotal() const;
-
-    /**
-     * Deterministic, timing-free violation listing: one line per
-     * violation carrying the full repro tuple. Bit-identical across
-     * worker counts; empty string when the sweep is clean.
-     */
-    std::string violationsText() const;
-
-    /**
-     * Full machine-readable report. Deterministic: no timing or
-     * worker-count fields, so the checkpointed sweep and the
-     * --no-checkpoint audit sweep produce byte-identical documents.
-     */
-    std::string toJson() const;
-};
-
-/** Run one sweep: dry-run, enumerate, explore (possibly in parallel). */
+/** Run one sweep: master run, enumerate, explore (possibly parallel). */
 CrashSweepReport runCrashSweep(const CrashSweepConfig &cfg);
 
 /**

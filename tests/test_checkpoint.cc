@@ -15,8 +15,8 @@
  *
  * The CheckpointAudit suite is the cross-mode oracle the
  * checkpoint-audit ctest preset runs: a checkpointed sweep's JSON
- * report must be byte-identical to the --no-checkpoint audit sweep's,
- * single- and multi-core, at any worker count.
+ * report must be byte-identical to the --no-checkpoint audit sweep's
+ * on every target (core, mc, service), at any worker count.
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +32,7 @@
 #include "multicore/mc_crash.hh"
 #include "multicore/mc_ycsb.hh"
 #include "multicore/scheduler.hh"
+#include "service/service_crash.hh"
 #include "validate/crash_explorer.hh"
 #include "workloads/factory.hh"
 #include "workloads/ycsb.hh"
@@ -411,17 +412,28 @@ auditSweepConfig()
     return cfg;
 }
 
-TEST(CheckpointAudit, SingleCoreReportMatchesNoCheckpointMode)
+/** A target's checkpointed sweep against its audit sweep, each at
+ *  its own worker count: byte-identical JSON reports. */
+template <class Config>
+void
+expectCheckpointedMatchesAudit(Config cfg,
+                               CrashSweepReport (*sweep)(const Config &),
+                               std::size_t ckpt_workers,
+                               std::size_t audit_workers)
 {
-    CrashSweepConfig cfg = auditSweepConfig();
     cfg.useCheckpoints = true;
-    cfg.workers = 3;
-    const std::string checkpointed = runCrashSweep(cfg).toJson();
+    cfg.workers = ckpt_workers;
+    const std::string checkpointed = sweep(cfg).toJson();
 
     cfg.useCheckpoints = false;
-    cfg.workers = 1;
-    const std::string audit = runCrashSweep(cfg).toJson();
-    EXPECT_EQ(checkpointed, audit);
+    cfg.workers = audit_workers;
+    EXPECT_EQ(checkpointed, sweep(cfg).toJson());
+}
+
+TEST(CheckpointAudit, SingleCoreReportMatchesNoCheckpointMode)
+{
+    expectCheckpointedMatchesAudit(auditSweepConfig(), runCrashSweep, 3,
+                                   1);
 }
 
 TEST(CheckpointAudit, SingleCoreRedoReportMatchesNoCheckpointMode)
@@ -430,14 +442,7 @@ TEST(CheckpointAudit, SingleCoreRedoReportMatchesNoCheckpointMode)
     cfg.style = LoggingStyle::Redo;
     cfg.scheme = SchemeKind::FG_LZ;
     cfg.workload = "kv-ctree";
-    cfg.useCheckpoints = true;
-    cfg.workers = 2;
-    const std::string checkpointed = runCrashSweep(cfg).toJson();
-
-    cfg.useCheckpoints = false;
-    cfg.workers = 4;
-    const std::string audit = runCrashSweep(cfg).toJson();
-    EXPECT_EQ(checkpointed, audit);
+    expectCheckpointedMatchesAudit(cfg, runCrashSweep, 2, 4);
 }
 
 TEST(CheckpointAudit, MultiCoreReportMatchesNoCheckpointMode)
@@ -452,14 +457,20 @@ TEST(CheckpointAudit, MultiCoreReportMatchesNoCheckpointMode)
     cfg.run.valueBytes = 32;
     cfg.maxPoints = 8;
     cfg.checkpointInterval = 24;
-    cfg.useCheckpoints = true;
-    cfg.workers = 3;
-    const std::string checkpointed = runMcCrashSweep(cfg).toJson();
+    expectCheckpointedMatchesAudit(cfg, runMcCrashSweep, 3, 1);
+}
 
-    cfg.useCheckpoints = false;
-    cfg.workers = 1;
-    const std::string audit = runMcCrashSweep(cfg).toJson();
-    EXPECT_EQ(checkpointed, audit);
+TEST(CheckpointAudit, ServiceReportMatchesNoCheckpointMode)
+{
+    ServiceCrashConfig cfg;
+    cfg.tinyCache = true;
+    cfg.numShards = 3;
+    cfg.load.keySpace = std::size_t{1} << 14;
+    cfg.load.preloadRecords = 24;
+    cfg.load.numOps = 32;
+    cfg.maxPoints = 12;
+    cfg.checkpointInterval = 48;
+    expectCheckpointedMatchesAudit(cfg, runServiceCrashSweep, 3, 1);
 }
 
 } // namespace

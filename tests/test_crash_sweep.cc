@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests of the crash-point explorer itself: clean sampled sweeps over
- * every scheme family (the recovery guarantee), bit-identical parallel
- * determinism, oracle discrimination against deliberately broken
- * recovery paths, and the underlying work-stealing queue and JSON
- * writer.
+ * Tests of the crash-sweep engine and its core target: clean sampled
+ * sweeps over every scheme family (the recovery guarantee),
+ * bit-identical parallel determinism, oracle discrimination against
+ * deliberately broken recovery paths, pinned report digests for every
+ * target, and the underlying work-stealing queue and JSON writer.
  */
 
 #include <atomic>
@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "multicore/mc_crash.hh"
+#include "service/service_crash.hh"
 #include "sim/json.hh"
 #include "validate/crash_explorer.hh"
 #include "validate/work_queue.hh"
@@ -200,28 +202,6 @@ TEST(CrashSweep, ParallelSweepIsBitIdenticalToSerial)
     std::ofstream("crash_sweep_determinism.json") << w.str() << "\n";
 }
 
-/** On a real multicore host the 4-worker sweep must be clearly
- *  faster; single-core CI boxes skip the timing half. */
-TEST(CrashSweep, ParallelSweepSpeedsUpOnMulticore)
-{
-    if (std::thread::hardware_concurrency() < 4)
-        GTEST_SKIP() << "needs >= 4 hardware threads for a "
-                        "meaningful speedup measurement";
-
-    CrashSweepConfig cfg =
-        sweepConfig(SchemeKind::SLPMT, LoggingStyle::Undo, "rbtree");
-    cfg.mix.numOps = 120;
-    cfg.maxPoints = 200;
-    cfg.workers = 1;
-    const auto serial = runCrashSweep(cfg);
-    cfg.workers = 4;
-    const auto parallel = runCrashSweep(cfg);
-    EXPECT_EQ(serial.violationsText(), parallel.violationsText());
-    EXPECT_GE(serial.wallMs / parallel.wallMs, 2.0)
-        << "serial " << serial.wallMs << " ms vs parallel "
-        << parallel.wallMs << " ms";
-}
-
 /**
  * Oracle discrimination: a recovery path with the hardware log replay
  * deliberately skipped must be caught. The FG/rbtree/tiny-cache sweep
@@ -273,6 +253,147 @@ TEST(CrashSweep, ReportJsonIsWellFormed)
     EXPECT_NE(json.find("\"scheme\":\"SLPMT\""), std::string::npos);
     EXPECT_NE(json.find("\"violation_lines\":[]"), std::string::npos);
     EXPECT_NE(json.find("\"points\":["), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Referee digests: FNV-1a over every per-point field of one sampled and
+// one exhaustive sweep per target (the JSON report for core and mc;
+// the point fields plus the summary for service), recorded before the
+// three targets shared one engine. Each sweep runs serially and on
+// three threads, which takes the pipelined path when exhaustive.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** Every field of every service point, after the summary. */
+std::string
+serviceFields(const CrashSweepReport &report)
+{
+    std::string text = report.summaryText();
+    for (const auto &p : report.points) {
+        text += std::to_string(p.crashPoint) + ' ' +
+                std::to_string(p.fired) + ' ' +
+                std::to_string(p.crashShard) + ' ' +
+                std::to_string(p.committedOps) + ' ' +
+                std::to_string(p.replayedRecords) + ' ' +
+                std::to_string(p.violations.size()) + '\n';
+        for (const auto &v : p.violations)
+            text += v + '\n';
+    }
+    return text;
+}
+
+template <class Config, class Digest>
+void
+expectDigest(Config cfg, CrashSweepReport (*sweep)(const Config &),
+             Digest digest, std::uint64_t expected, std::size_t points)
+{
+    for (std::size_t workers : {1u, 3u}) {
+        cfg.workers = workers;
+        const CrashSweepReport report = sweep(cfg);
+        EXPECT_EQ(report.pointsExplored(), points) << workers;
+        EXPECT_EQ(fnv1a(digest(report)), expected)
+            << "workers=" << workers << "\n"
+            << report.summaryText();
+    }
+}
+
+std::string
+jsonOf(const CrashSweepReport &report)
+{
+    return report.toJson();
+}
+
+TEST(CrashSweepDigest, CoreReportsArePinned)
+{
+    CrashSweepConfig cfg;
+    cfg.tinyCache = true;
+    cfg.mix.valueBytes = 256;
+    cfg.mix.seed = 42;
+    cfg.checkpointInterval = 16;
+    cfg.workload = "rbtree";
+    cfg.mix.numOps = 40;
+    cfg.maxPoints = 30;
+    expectDigest(cfg, runCrashSweep, jsonOf, 0xcd68298f61b4c468ULL, 31);
+
+    cfg.scheme = SchemeKind::FG;
+    cfg.workload = "hashtable";
+    cfg.mix.numOps = 20;
+    cfg.mix.insertPct = 70;
+    cfg.mix.updatePct = 20;
+    cfg.mix.removePct = 10;
+    cfg.maxPoints = 0;
+    expectDigest(cfg, runCrashSweep, jsonOf, 0xbdeebe896e355936ULL, 147);
+
+    // A sweep that reports violations pins the violation lines too.
+    CrashSweepConfig broken;
+    broken.scheme = SchemeKind::FG;
+    broken.workload = "rbtree";
+    broken.tinyCache = true;
+    broken.mix.numOps = 60;
+    broken.mix.valueBytes = 256;
+    broken.mix.seed = 42;
+    broken.maxPoints = 100;
+    broken.skipHardwareReplay = true;
+    expectDigest(broken, runCrashSweep, jsonOf, 0x35ad053b48a7c3e2ULL,
+                 101);
+}
+
+TEST(CrashSweepDigest, McReportsArePinned)
+{
+    McCrashSweepConfig cfg;
+    cfg.tinyCache = true;
+    cfg.run.workload = "hashtable";
+    cfg.run.numCores = 2;
+    cfg.run.seed = 42;
+    cfg.run.sharedPct = 25;
+    cfg.run.opsPerCore = 10;
+    cfg.run.valueBytes = 128;
+    cfg.maxPoints = 12;
+    cfg.checkpointInterval = 24;
+    expectDigest(cfg, runMcCrashSweep, jsonOf, 0x653cfe77d3aebbc6ULL, 13);
+
+    cfg.style = LoggingStyle::Redo;
+    cfg.run.opsPerCore = 6;
+    cfg.run.valueBytes = 32;
+    cfg.maxPoints = 0;
+    cfg.checkpointInterval = 16;
+    expectDigest(cfg, runMcCrashSweep, jsonOf, 0xd750be011cdd0c21ULL, 93);
+}
+
+TEST(CrashSweepDigest, ServiceReportsArePinned)
+{
+    ServiceCrashConfig cfg;
+    cfg.numShards = 2;
+    cfg.tinyCache = true;
+    cfg.checkpointInterval = 192;
+    cfg.load.mix = YcsbMix::A;
+    cfg.load.skew = KeySkew::Zipfian;
+    cfg.load.keySpace = std::size_t{1} << 14;
+    cfg.load.preloadRecords = 24;
+    cfg.load.numOps = 48;
+    cfg.load.valueBytesMin = 48;
+    cfg.load.valueBytesMax = 96;
+    cfg.load.seed = 5;
+    cfg.maxPoints = 10;
+    expectDigest(cfg, runServiceCrashSweep, serviceFields,
+                 0xc4a5fe3fcf8090c8ULL, 11);
+
+    cfg.load.preloadRecords = 8;
+    cfg.load.numOps = 12;
+    cfg.checkpointInterval = 64;
+    cfg.maxPoints = 0;
+    expectDigest(cfg, runServiceCrashSweep, serviceFields,
+                 0x1da8060f006e0126ULL, 97);
 }
 
 // ---------------------------------------------------------------------

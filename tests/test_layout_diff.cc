@@ -12,8 +12,8 @@
  * behaviourally byte-identical — reports, stats, PM images,
  * checkpoint encodings — over every figure cell, seeded random
  * machine traces, and a sampled crash sweep, and that the pipelined
- * exhaustive tail-replay sweeps match the from-scratch audit path
- * bit for bit.
+ * exhaustive tail-replay sweeps of every target (core, mc, service)
+ * match their from-scratch audit path bit for bit.
  */
 
 #include <algorithm>
@@ -26,6 +26,7 @@
 
 #include "checkpoint/checkpoint.hh"
 #include "multicore/mc_crash.hh"
+#include "service/service_crash.hh"
 #include "sim/figures.hh"
 #include "validate/crash_explorer.hh"
 
@@ -163,26 +164,41 @@ TEST(LayoutDiff, SampledSweepReportMatchesAcrossAuditModes)
     EXPECT_EQ(off.toJson(), on.toJson());
 }
 
-TEST(LayoutDiff, PipelinedExhaustiveSweepMatchesFromScratch)
+/**
+ * maxPoints == 0 with checkpoints and two or more workers takes the
+ * pipelined tail-replay path: the master publishes bases while tail
+ * threads fork and replay points concurrently. The from-scratch audit
+ * sweep of the same target is the reference; the reports, and every
+ * point's victim shard, must match.
+ */
+template <class Config>
+void
+expectPipelinedMatchesScratch(Config cfg,
+                              CrashSweepReport (*sweep)(const Config &),
+                              std::size_t workers)
 {
-    // maxPoints == 0 with checkpoints takes the pipelined tail-replay
-    // path: the master publishes checkpoints while workers fork and
-    // replay tails concurrently. The from-scratch audit sweep is the
-    // reference; the reports must be byte-identical.
-    CrashSweepConfig cfg = diffSweepConfig();
-    cfg.mix.numOps = 24;
     cfg.maxPoints = 0;
-    cfg.workers = 3;
-
+    cfg.workers = workers;
     cfg.useCheckpoints = true;
-    const CrashSweepReport pipelined = runCrashSweep(cfg);
+    const CrashSweepReport pipelined = sweep(cfg);
     cfg.useCheckpoints = false;
-    const CrashSweepReport scratch = runCrashSweep(cfg);
+    const CrashSweepReport scratch = sweep(cfg);
 
     EXPECT_EQ(pipelined.violationCount(), 0u)
         << pipelined.violationsText();
     EXPECT_GT(pipelined.pointsExplored(), 10u);
     EXPECT_EQ(pipelined.toJson(), scratch.toJson());
+    ASSERT_EQ(pipelined.points.size(), scratch.points.size());
+    for (std::size_t i = 0; i < pipelined.points.size(); ++i)
+        EXPECT_EQ(pipelined.points[i].crashShard,
+                  scratch.points[i].crashShard);
+}
+
+TEST(LayoutDiff, PipelinedExhaustiveSweepMatchesFromScratch)
+{
+    CrashSweepConfig cfg = diffSweepConfig();
+    cfg.mix.numOps = 24;
+    expectPipelinedMatchesScratch(cfg, runCrashSweep, 3);
 }
 
 TEST(LayoutDiff, McPipelinedExhaustiveSweepMatchesFromScratch)
@@ -197,18 +213,23 @@ TEST(LayoutDiff, McPipelinedExhaustiveSweepMatchesFromScratch)
     cfg.run.seed = 42;
     cfg.run.sharedPct = 25;
     cfg.tinyCache = true;
-    cfg.maxPoints = 0;
-    cfg.workers = 2;
     cfg.checkpointInterval = 16;
+    expectPipelinedMatchesScratch(cfg, runMcCrashSweep, 2);
+}
 
-    cfg.useCheckpoints = true;
-    const McCrashSweepReport pipelined = runMcCrashSweep(cfg);
-    cfg.useCheckpoints = false;
-    const McCrashSweepReport scratch = runMcCrashSweep(cfg);
-
-    EXPECT_EQ(pipelined.violationCount(), 0u)
-        << pipelined.violationsText();
-    EXPECT_EQ(pipelined.toJson(), scratch.toJson());
+TEST(LayoutDiff, ServicePipelinedExhaustiveSweepMatchesFromScratch)
+{
+    ServiceCrashConfig cfg;
+    cfg.numShards = 2;
+    cfg.tinyCache = true;
+    cfg.checkpointInterval = 16;
+    cfg.load.keySpace = std::size_t{1} << 14;
+    cfg.load.preloadRecords = 8;
+    cfg.load.numOps = 16;
+    cfg.load.valueBytesMin = 48;
+    cfg.load.valueBytesMax = 96;
+    cfg.load.seed = 5;
+    expectPipelinedMatchesScratch(cfg, runServiceCrashSweep, 3);
 }
 
 } // namespace
