@@ -1,12 +1,20 @@
 /**
  * @file
  * Unit tests for the persistent-heap allocator: first-fit behaviour,
- * free-range coalescing, liveness queries, and the post-crash GC
- * rebuild that reclaims transactions' leaked allocations.
+ * free-range coalescing, liveness queries, the post-crash GC rebuild
+ * that reclaims transactions' leaked allocations, and a differential
+ * of the indexed first fit against a reference linear walk.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "checkpoint/serde.hh"
 #include "common/rng.hh"
 #include "stats/stats.hh"
 #include "core/heap.hh"
@@ -122,28 +130,177 @@ TEST_F(HeapTest, ResetReturnsToBlankSlate)
     EXPECT_EQ(heap.alloc(1024), 0x1000u);
 }
 
-TEST_F(HeapTest, StressRandomAllocFree)
+TEST_F(HeapTest, FreshHeapHoldsNoIndex)
 {
-    StatsRegistry local;
-    PersistentHeap heap(0x1000, 4 * 1024 * 1024, local);
-    Rng rng(11);
-    std::vector<std::pair<Addr, Bytes>> live;
-    for (int i = 0; i < 5000; ++i) {
-        if (live.empty() || rng.below(100) < 60) {
-            const Bytes size = 8 + rng.below(256);
-            const Addr a = heap.alloc(size);
-            for (const auto &[b, s] : live) {
-                ASSERT_TRUE(a + size <= b || b + s <= a)
-                    << "overlapping allocation";
+    EXPECT_EQ(heap.indexBytes(), 0u);
+    const Addr a = heap.alloc(64);
+    heap.alloc(64);
+    EXPECT_EQ(heap.indexBytes(), 0u);  // carved from the highest range
+    heap.free(a);                      // a hole below it gets indexed
+    EXPECT_GT(heap.indexBytes(), 0u);
+    heap.reset();
+    EXPECT_EQ(heap.indexBytes(), 0u);
+}
+
+/** Reference first fit: the linear walk over every free range that the
+ *  heap's index replaced. Tracks free ranges only. */
+struct LinearFirstFit
+{
+    LinearFirstFit(Addr base, Bytes size) : free{{base, size}} {}
+
+    /** The address alloc() must return; 0 when it must be fatal. */
+    Addr
+    alloc(Bytes need)
+    {
+        for (auto it = free.begin(); it != free.end(); ++it) {
+            if (it->second < need)
+                continue;
+            const Addr addr = it->first;
+            const Bytes rest = it->second - need;
+            free.erase(it);
+            if (rest > 0)
+                free[addr + need] = rest;
+            return addr;
+        }
+        return 0;
+    }
+
+    void
+    release(Addr addr, Bytes size)
+    {
+        auto next = free.lower_bound(addr);
+        if (next != free.begin() &&
+            std::prev(next)->first + std::prev(next)->second == addr) {
+            addr = std::prev(next)->first;
+            size += std::prev(next)->second;
+            free.erase(std::prev(next));
+        }
+        next = free.lower_bound(addr + size);
+        if (next != free.end() && next->first == addr + size) {
+            size += next->second;
+            free.erase(next);
+        }
+        free[addr] = size;
+    }
+
+    std::map<Addr, Bytes> free;
+};
+
+/**
+ * Step-by-step differential against LinearFirstFit: seeded alloc, free,
+ * rebuild, reset and save/restore sequences must get the same address
+ * (or the same FatalError) for every request, and a restored heap must
+ * save the bytes it was restored from. Small requests with a rare 8 KB
+ * one leave thousands of holes, some spanning index blocks; requests
+ * for exactly a short highest range reach the end of the heap, so
+ * frees land above the highest range.
+ */
+void
+runFirstFitDifferential(Bytes heap_size, std::uint64_t seed, int steps)
+{
+    SCOPED_TRACE("heap " + std::to_string(heap_size) + " seed " +
+                 std::to_string(seed));
+    constexpr Addr base = 0x41001000;
+    StatsRegistry stats;
+    auto heap = std::make_unique<PersistentHeap>(base, heap_size, stats);
+    LinearFirstFit ref(base, heap_size);
+    std::map<Addr, Bytes> live;  // base -> rounded size
+    std::vector<Addr> bases;     // the same keys, for uniform picks
+
+    struct Saved
+    {
+        std::vector<std::uint8_t> blob;
+        LinearFirstFit ref;
+        std::map<Addr, Bytes> live;
+    };
+    std::optional<Saved> saved;
+    const auto resync = [&] {
+        bases.clear();
+        for (const auto &[addr, size] : live)
+            bases.push_back(addr);
+    };
+
+    Rng rng(seed);
+    for (int step = 0; step < steps; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        // Alternate growing and shrinking phases, so that frees punch
+        // thousands of holes into a large live set.
+        const std::uint64_t allocs = step / 10000 % 2 == 0 ? 95000 : 10000;
+        const std::uint64_t op = rng.below(100000);
+        if (step % 25000 == 24999) {
+            heap->reset();
+            ref = LinearFirstFit(base, heap_size);
+            live.clear();
+            bases.clear();
+        } else if (op < allocs || bases.empty()) {
+            Bytes size = rng.below(100) == 0 ? 8192 : 1 + rng.below(300);
+            // Now and then use up a short highest range exactly, so the
+            // next one down becomes the highest and later frees land
+            // above it.
+            if (rng.below(20) == 0 && !ref.free.empty() &&
+                ref.free.rbegin()->second <= 8192)
+                size = ref.free.rbegin()->second;
+            const Bytes need = (size + wordSize - 1) / wordSize * wordSize;
+            const Addr want = ref.alloc(need);
+            if (want == 0) {
+                ASSERT_THROW(heap->alloc(size, step), FatalError);
+                continue;
             }
-            live.emplace_back(a, size);
+            ASSERT_EQ(heap->alloc(size, step), want);
+            live[want] = need;
+            bases.push_back(want);
+        } else if (op < 99750) {
+            const std::size_t i = rng.below(bases.size());
+            const Addr addr = bases[i];
+            heap->free(addr);
+            ref.release(addr, live.at(addr));
+            live.erase(addr);
+            bases[i] = bases.back();
+            bases.pop_back();
+        } else if (op < 99760) {
+            std::vector<Addr> keep;
+            std::size_t reclaimed = 0;
+            for (auto it = live.begin(); it != live.end();) {
+                if (rng.below(4) != 0) {
+                    keep.push_back(it->first);
+                    ++it;
+                } else {
+                    ref.release(it->first, it->second);
+                    it = live.erase(it);
+                    ++reclaimed;
+                }
+            }
+            ASSERT_EQ(heap->rebuild(keep), reclaimed);
+            resync();
         } else {
-            const std::size_t idx = rng.below(live.size());
-            heap.free(live[idx].first);
-            live.erase(live.begin() + static_cast<long>(idx));
+            // Round-trip the state through the same heap or a fresh
+            // one; now and then roll back to the last saved state.
+            if (op >= 99780 || !saved) {
+                BlobWriter w;
+                heap->saveState(w);
+                saved = Saved{w.data(), ref, live};
+            }
+            if (rng.below(2) == 0)
+                heap = std::make_unique<PersistentHeap>(base, heap_size,
+                                                        stats);
+            BlobReader r(saved->blob);
+            heap->restoreState(r);
+            BlobWriter w;
+            heap->saveState(w);
+            ASSERT_EQ(w.data(), saved->blob);
+            ref = saved->ref;
+            live = saved->live;
+            resync();
         }
     }
-    EXPECT_EQ(heap.liveCount(), live.size());
+    EXPECT_EQ(heap->liveCount(), live.size());
+}
+
+TEST_F(HeapTest, StressRandomAllocFree)
+{
+    runFirstFitDifferential(64u << 10, 11, 10000);
+    runFirstFitDifferential(4u << 20, 12, 30000);
+    runFirstFitDifferential(64u << 20, 13, 30000);
 }
 
 } // namespace

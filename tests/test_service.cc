@@ -3,7 +3,8 @@
  * The sharded KV service: router determinism and partition
  * correctness, the 1-shard-vs-plain-machine differential anchor,
  * whole-run determinism and verification across shard counts, core
- * counts and schemes, and the ExperimentConfig dispatch bridge.
+ * counts and schemes, pinned placement after frees, and the
+ * ExperimentConfig dispatch bridge.
  */
 
 #include <gtest/gtest.h>
@@ -223,6 +224,77 @@ TEST(ServiceRun, LatencyPercentileGaugesAreOrdered)
     EXPECT_LE(res.stats.at("service.commitLatency.p50"),
               res.stats.at("service.commitLatency.p999"));
     EXPECT_GT(res.stats.at("service.opsPerGcycle"), 0u);
+}
+
+/**
+ * A small kv-service-shaped run whose updates free and reuse value
+ * blobs: hashtable, 2 shards x 2 cores, YCSB-A Zipfian 0.99 with hot-key
+ * churn and 64-256 B values. Each update allocates the new blob before
+ * freeing the old one, so first fit's placement in the holes decides
+ * which lines the later stores touch.
+ */
+KvServiceResult
+placementRun(SchemeKind scheme)
+{
+    ServiceConfig cfg;
+    cfg.workload = "hashtable";
+    cfg.numShards = 2;
+    cfg.coresPerShard = 2;
+    cfg.load.mix = YcsbMix::A;
+    cfg.load.skew = KeySkew::Zipfian;
+    cfg.load.zipfThetaBp = 9900;
+    cfg.load.preloadRecords = 2000;
+    cfg.load.numOps = 3000;
+    cfg.load.valueBytesMin = 64;
+    cfg.load.valueBytesMax = 256;
+    cfg.load.churnInterval = 500;
+    cfg.load.seed = 5;
+    cfg.sys.scheme = SchemeConfig::forKind(scheme);
+    return runService(cfg);
+}
+
+struct PinnedRun
+{
+    Cycles makespan;
+    std::vector<Cycles> shardCycles;
+    std::uint64_t pmBytesWritten;  //!< summed over shards
+    std::vector<std::uint64_t> shardImageFp;
+};
+
+void
+expectPinned(SchemeKind scheme, const PinnedRun &pin)
+{
+    const KvServiceResult res = placementRun(scheme);
+    ASSERT_TRUE(res.verified) << res.failure;
+    EXPECT_GT(res.stats.at("shard0.heap.frees"), 0u);
+    EXPECT_EQ(res.makespan, pin.makespan);
+    EXPECT_EQ(res.shardCycles, pin.shardCycles);
+    EXPECT_EQ(res.stats.at("shard0.pm.bytesWritten") +
+                  res.stats.at("shard1.pm.bytesWritten"),
+              pin.pmBytesWritten);
+    EXPECT_EQ(res.shardImageFp, pin.shardImageFp);
+}
+
+// Placement after frees, pinned: the golden figures come from
+// insert-only runs, so these are the numbers that catch an allocator
+// change that picks another hole. Recorded with the linear first-fit
+// walk the free-range index replaced.
+TEST(ServicePlacement, FgRunAfterFreesMatchesPinnedValues)
+{
+    expectPinned(SchemeKind::FG,
+                 {6781251,
+                  {6403769, 6781251},
+                  366648 + 447320,
+                  {0xaf11392239134ed8ULL, 0xb6c1e989d435ad80ULL}});
+}
+
+TEST(ServicePlacement, SlpmtRunAfterFreesMatchesPinnedValues)
+{
+    expectPinned(SchemeKind::SLPMT,
+                 {4791771,
+                  {4538532, 4791771},
+                  233760 + 282896,
+                  {0x14399c8e68191603ULL, 0x7e185fc0f9cee768ULL}});
 }
 
 TEST(ServiceExperiment, DispatchesServiceCellsAndMapsMetrics)
