@@ -78,8 +78,6 @@ usage(const char *prog)
         "  --profile[=FILE]    self-profiling harness: per-cell wall\n"
         "                      clock, simulated cycles/sec and peak\n"
         "                      RSS to FILE (default BENCH_speed.json)\n"
-        "  --profile-compare   also time the index-disabled full-scan\n"
-        "                      mode and record the speedup\n"
         "  --speed-baseline=F  diff wall-clock against a recorded\n"
         "                      speed profile; exit 3 on regression\n"
         "  --speed-threshold=N wall-clock regression bound (default "

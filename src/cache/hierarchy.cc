@@ -7,31 +7,14 @@ namespace slpmt
 
 CacheHierarchy::CacheHierarchy(const HierarchyConfig &cfg,
                                const AddressMap &map, PmDevice &pm,
-                               DramDevice &dram, StatsRegistry &stats)
-    : CacheHierarchy(cfg, map, pm, dram, stats,
-                     static_cast<Cache *>(nullptr))
-{
-}
-
-CacheHierarchy::CacheHierarchy(const HierarchyConfig &cfg,
-                               const AddressMap &map, PmDevice &pm,
                                DramDevice &dram, StatsRegistry &stats,
                                Cache &shared_l3)
-    : CacheHierarchy(cfg, map, pm, dram, stats, &shared_l3)
-{
-}
-
-CacheHierarchy::CacheHierarchy(const HierarchyConfig &cfg,
-                               const AddressMap &map, PmDevice &pm,
-                               DramDevice &dram, StatsRegistry &stats,
-                               Cache *shared_l3)
     : addrMap(map),
       pm(pm),
       dram(dram),
       l1Cache(cfg.l1),
       l2Cache(cfg.l2),
-      ownedL3(shared_l3 ? nullptr : std::make_unique<Cache>(cfg.l3)),
-      l3Ptr(shared_l3 ? shared_l3 : ownedL3.get()),
+      l3Cache(shared_l3),
       statL1Hits(stats.counter("cache.l1Hits")),
       statL1Misses(stats.counter("cache.l1Misses")),
       statL2Hits(stats.counter("cache.l2Hits")),
@@ -73,30 +56,30 @@ CacheHierarchy::ensureInL2(Addr addr, Cycles now)
         return latency;
     }
     statL2Misses++;
-    latency += l3Ptr->hitLatency();
+    latency += l3Cache.hitLatency();
 
-    CacheLine *l3_line = l3Ptr->find(addr);
+    CacheLine *l3_line = l3Cache.find(addr);
     if (!l3_line) {
         statL3Misses++;
         // Fill L3 from the backing device.
-        CacheLine &frame = l3Ptr->victimFor(addr);
+        CacheLine &frame = l3Cache.victimFor(addr);
         if (frame.valid()) {
             CacheLine victim = frame;  // copy: eviction may recurse
-            l3Ptr->invalidateFrame(frame);
+            l3Cache.invalidateFrame(frame);
             latency += evictFromL3(victim, now);
         }
-        l3Ptr->fillFrame(frame, lineBase(addr), MesiState::Exclusive);
+        l3Cache.fillFrame(frame, lineBase(addr), MesiState::Exclusive);
         frame.dirty = false;
         frame.clearTxnMeta();
         if (addrMap.isPm(addr))
             latency += pm.readLine(addr, frame.data.data());
         else
             latency += dram.readLine(addr, frame.data.data());
-        l3Ptr->touch(frame);
+        l3Cache.touch(frame);
         l3_line = &frame;
     } else {
         statL3Hits++;
-        l3Ptr->touch(*l3_line);
+        l3Cache.touch(*l3_line);
     }
 
     // Fill L2 from L3. Metadata starts clear (Section III-B1).
@@ -203,18 +186,18 @@ CacheHierarchy::evictFromL2(CacheLine &victim, Cycles now)
 
     // Install into L3 (the copy may already exist — it usually does,
     // because fills pass through L3).
-    CacheLine *l3_line = l3Ptr->find(victim.tag);
+    CacheLine *l3_line = l3Cache.find(victim.tag);
     if (!l3_line) {
-        CacheLine &frame = l3Ptr->victimFor(victim.tag);
+        CacheLine &frame = l3Cache.victimFor(victim.tag);
         if (frame.valid()) {
             CacheLine old = frame;
-            l3Ptr->invalidateFrame(frame);
+            l3Cache.invalidateFrame(frame);
             latency += evictFromL3(old, now);
         }
-        l3Ptr->fillFrame(frame, victim.tag, MesiState::Exclusive);
+        l3Cache.fillFrame(frame, victim.tag, MesiState::Exclusive);
         frame.dirty = false;
         frame.clearTxnMeta();
-        l3Ptr->touch(frame);
+        l3Cache.touch(frame);
         l3_line = &frame;
     }
     l3_line->data = victim.data;
@@ -339,7 +322,7 @@ CacheHierarchy::auditMetaIndex() const
     if (!l1Cache.checkMetaIndex(&why) || !l2Cache.checkMetaIndex(&why))
         panic("metadata line index diverged from full scan: " + why);
     if (!l1Cache.checkProbeKeys(&why) || !l2Cache.checkProbeKeys(&why) ||
-        !l3Ptr->checkProbeKeys(&why))
+        !l3Cache.checkProbeKeys(&why))
         panic("probe keys diverged from frame state: " + why);
 }
 
@@ -363,7 +346,7 @@ CacheHierarchy::persistPrivateLine(CacheLine &line, PersistKind kind,
             l2_copy->dirty = false;
         }
     }
-    if (CacheLine *l3_copy = l3Ptr->find(line.tag)) {
+    if (CacheLine *l3_copy = l3Cache.find(line.tag)) {
         l3_copy->data = line.data;
         l3_copy->dirty = false;
     }
@@ -381,8 +364,8 @@ CacheHierarchy::invalidateLineEverywhere(Addr addr)
         l2Cache.invalidateFrame(*line);
         l2Cache.syncMetaIndex(*line);
     }
-    if (CacheLine *line = l3Ptr->find(addr))
-        l3Ptr->invalidateFrame(*line);
+    if (CacheLine *line = l3Cache.find(addr))
+        l3Cache.invalidateFrame(*line);
 }
 
 void
@@ -390,7 +373,7 @@ CacheHierarchy::crash()
 {
     l1Cache.invalidateAll();
     l2Cache.invalidateAll();
-    l3Ptr->invalidateAll();
+    l3Cache.invalidateAll();
 }
 
 Cycles
@@ -415,9 +398,9 @@ Cycles
 CacheHierarchy::flushShared(Cycles now)
 {
     Cycles latency = 0;
-    l3Ptr->forEachValid([&](CacheLine &line) {
+    l3Cache.forEachValid([&](CacheLine &line) {
         CacheLine victim = line;
-        l3Ptr->invalidateFrame(line);
+        l3Cache.invalidateFrame(line);
         latency += evictFromL3(victim, now);
     });
     return latency;

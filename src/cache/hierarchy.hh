@@ -23,7 +23,6 @@
 #ifndef SLPMT_CACHE_HIERARCHY_HH
 #define SLPMT_CACHE_HIERARCHY_HH
 
-#include <memory>
 #include <utility>
 
 #include "cache/cache.hh"
@@ -56,10 +55,7 @@ struct AccessResult
 class CacheHierarchy
 {
   public:
-    CacheHierarchy(const HierarchyConfig &cfg, const AddressMap &map,
-                   PmDevice &pm, DramDevice &dram, StatsRegistry &stats);
-
-    /** Multicore topology: private L1/L2 over an externally owned,
+    /** Private L1/L2 (geometry from @p cfg) over the machine's
      *  shared L3 (the caller keeps @p shared_l3 alive). */
     CacheHierarchy(const HierarchyConfig &cfg, const AddressMap &map,
                    PmDevice &pm, DramDevice &dram, StatsRegistry &stats,
@@ -109,8 +105,7 @@ class CacheHierarchy
      * bearing lines) before the writeback. The folder provides a
      * non-virtual `Cycles foldRemotePrivate(CacheHierarchy &evictor,
      * CacheLine &victim, Cycles now)` member; dispatch is the same
-     * devirtualized thunk scheme as setEvictionClient(). Single-core
-     * hierarchies leave it unset.
+     * devirtualized thunk scheme as setEvictionClient().
      */
     template <typename Folder>
     void
@@ -177,9 +172,6 @@ class CacheHierarchy
      * may clear metadata (unlinking lines) freely; it must not create
      * new metadata lines mid-sweep.
      *
-     * With the index disabled (profiling comparisons) this falls back
-     * to the historical full scan over every valid private frame;
-     * callers filter on metadata anyway, so results are identical.
      * With auditing enabled, every walk first cross-checks the index
      * against a brute-force scan and panics on divergence.
      */
@@ -188,14 +180,6 @@ class CacheHierarchy
     forEachPrivate(Fn &&fn)
     {
         statMetaWalks++;
-        if (!metaIndexEnabled) {
-            l1Cache.forEachValid(fn);
-            l2Cache.forEachValid([&](CacheLine &line) {
-                if (!l1Cache.find(line.tag))
-                    fn(line);
-            });
-            return;
-        }
         if (metaIndexAudit)
             auditMetaIndex();
         // Move the scratch buffer out for the walk and put it back
@@ -248,10 +232,6 @@ class CacheHierarchy
     {
         return l1Cache.checkMetaIndex(why) && l2Cache.checkMetaIndex(why);
     }
-
-    /** Disable the index (forEachPrivate falls back to full scans) —
-     *  for the self-profiling harness's before/after comparison. */
-    void setMetaIndexEnabled(bool on) { metaIndexEnabled = on; }
 
     /** Cross-check the index against a full scan on every walk. */
     void setMetaIndexAudit(bool on) { metaIndexAudit = on; }
@@ -306,7 +286,7 @@ class CacheHierarchy
 
     Cache &l1() { return l1Cache; }
     Cache &l2() { return l2Cache; }
-    Cache &l3() { return *l3Ptr; }
+    Cache &l3() { return l3Cache; }
 
   private:
     /** Panic if the metadata line index diverges from a full scan. */
@@ -329,21 +309,12 @@ class CacheHierarchy
     /** Write a line's data into the backing device (dirty writeback). */
     Cycles writebackToDevice(const CacheLine &line, Cycles now);
 
-    /** Common body of the two public constructors. */
-    CacheHierarchy(const HierarchyConfig &cfg, const AddressMap &map,
-                   PmDevice &pm, DramDevice &dram, StatsRegistry &stats,
-                   Cache *shared_l3);
-
     const AddressMap &addrMap;
     PmDevice &pm;
     DramDevice &dram;
     Cache l1Cache;
     Cache l2Cache;
-
-    /** The L3: owned in the single-core topology, external (shared
-     *  across cores) in the multicore one. */
-    std::unique_ptr<Cache> ownedL3;
-    Cache *l3Ptr;
+    Cache &l3Cache;  //!< the machine's shared L3
 
     /** Devirtualized client/folder dispatch (see the setters). */
     void *evictClientObj = nullptr;
@@ -363,9 +334,8 @@ class CacheHierarchy
     /** forEachPrivate() snapshot buffer, reused across walks. */
     std::vector<CacheLine *> walkScratch;
 
-    /** Metadata line index controls (see forEachPrivate()). Auditing
-     *  defaults on in assertion builds, off in optimised ones. */
-    bool metaIndexEnabled = true;
+    /** Metadata line index audit (see forEachPrivate()): defaults on
+     *  in assertion builds, off in optimised ones. */
 #ifdef NDEBUG
     bool metaIndexAudit = false;
 #else
@@ -385,9 +355,8 @@ class CacheHierarchy
      *  by conjunction zeroed a partially-logged group (III-B1). */
     StatsRegistry::Counter statLogBitAggrLossy;
 
-    /** forEachPrivate invocations. Bumped identically on the indexed
-     *  and full-scan branches (walks, not lines visited), so the two
-     *  modes stay stats-identical; pinned by GoldenStats. */
+    /** forEachPrivate invocations (walks, not lines visited); pinned
+     *  by GoldenStats. */
     StatsRegistry::Counter statMetaWalks;
 };
 

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/rng.hh"
-#include "core/pm_system.hh"
 #include "multicore/machine.hh"
 
 namespace slpmt
@@ -49,7 +48,6 @@ fingerprintOf(const SystemConfig &cfg)
     h = fpMix(h, cfg.scheme.numTxnIds);
     h = fpMix(h, static_cast<std::uint64_t>(cfg.style));
     h = fpMix(h, cfg.numCores);
-    h = fpMix(h, cfg.useMetaIndex ? 1 : 0);
     h = fpMix(h, cfg.map.dramBase);
     h = fpMix(h, cfg.map.dramSize);
     h = fpMix(h, cfg.map.pmBase);
@@ -69,8 +67,9 @@ fingerprintOf(const SystemConfig &cfg)
     return h;
 }
 
-/** Blob tag distinguishing the two machine shapes. */
-enum class MachineKind : std::uint8_t { SingleCore = 1, MultiCore = 2 };
+/** Tag byte at the head of the state blob. Value 1 marked a retired
+ *  single-core layout, so such blobs fail the tag check. */
+constexpr std::uint8_t machineTag = 2;
 
 void
 saveSites(BlobWriter &w, const StoreSiteRegistry &sites)
@@ -150,66 +149,9 @@ restorePages(BlobReader &r)
 } // namespace
 
 std::uint64_t
-checkpointFingerprint(const PmSystem &sys)
-{
-    return fingerprintOf(sys.cfg());
-}
-
-std::uint64_t
 checkpointFingerprint(const McMachine &machine)
 {
     return fingerprintOf(machine.cfg());
-}
-
-MachineCheckpoint
-MachineCheckpoint::capture(PmSystem &sys)
-{
-    MachineCheckpoint ckpt;
-    ckpt.fingerprint = checkpointFingerprint(sys);
-
-    BlobWriter w;
-    w.u<std::uint8_t>(
-        static_cast<std::uint8_t>(MachineKind::SingleCore));
-    sys.stats().saveState(w);
-    saveSites(w, sys.sites());
-    sys.heap().saveState(w);
-    sys.pm().saveState(w);
-    sys.dram().saveState(w);
-    sys.hierarchy().l1().saveState(w);
-    sys.hierarchy().l2().saveState(w);
-    sys.hierarchy().l3().saveState(w);
-    sys.engine().saveState(w);
-    ckpt.blob = w.data();
-
-    ckpt.pmPages = sys.pm().memory().snapshot();
-    ckpt.dramPages = sys.dram().memory().snapshot();
-    return ckpt;
-}
-
-void
-MachineCheckpoint::restore(PmSystem &sys) const
-{
-    if (fingerprint != checkpointFingerprint(sys))
-        throw CheckpointError("machine configuration mismatch");
-
-    BlobReader r(blob);
-    const auto kind = r.u<std::uint8_t>();
-    if (kind != static_cast<std::uint8_t>(MachineKind::SingleCore))
-        throw CheckpointError("not a single-core checkpoint");
-    sys.stats().restoreState(r);
-    restoreSites(r, sys.sites());
-    sys.heap().restoreState(r);
-    sys.pm().restoreState(r);
-    sys.dram().restoreState(r);
-    sys.hierarchy().l1().restoreState(r);
-    sys.hierarchy().l2().restoreState(r);
-    sys.hierarchy().l3().restoreState(r);
-    sys.engine().restoreState(r);
-    if (!r.atEnd())
-        throw CheckpointError("trailing bytes in blob");
-
-    sys.pm().memory().restore(pmPages);
-    sys.dram().memory().restore(dramPages);
 }
 
 MachineCheckpoint
@@ -219,8 +161,7 @@ MachineCheckpoint::capture(McMachine &machine)
     ckpt.fingerprint = checkpointFingerprint(machine);
 
     BlobWriter w;
-    w.u<std::uint8_t>(
-        static_cast<std::uint8_t>(MachineKind::MultiCore));
+    w.u<std::uint8_t>(machineTag);
     w.u<std::uint64_t>(machine.numCores());
     w.u<std::uint64_t>(machine.sharedSeqCounter());
     w.u<std::uint64_t>(machine.sharedCrashCountdown());
@@ -251,9 +192,8 @@ MachineCheckpoint::restore(McMachine &machine) const
         throw CheckpointError("machine configuration mismatch");
 
     BlobReader r(blob);
-    const auto kind = r.u<std::uint8_t>();
-    if (kind != static_cast<std::uint8_t>(MachineKind::MultiCore))
-        throw CheckpointError("not a multi-core checkpoint");
+    if (r.u<std::uint8_t>() != machineTag)
+        throw CheckpointError("not a machine checkpoint");
     const std::uint64_t cores = r.u<std::uint64_t>();
     if (cores != machine.numCores())
         throw CheckpointError("core count mismatch");

@@ -40,30 +40,27 @@
 namespace slpmt
 {
 
-class PmSystem;
 class McMachine;
 
-/** One captured machine state (single- or multi-core). */
+/** One captured machine state (any core count; a PmSystem is the
+ *  one-core McMachine). */
 class MachineCheckpoint
 {
   public:
     /** Bumped on any change to the serialized layout. */
     static constexpr std::uint32_t formatVersion = 1;
 
-    /** Capture the complete state of a single-core machine. */
-    static MachineCheckpoint capture(PmSystem &sys);
-
-    /** Capture the complete state of a multi-core machine. */
+    /** Capture the complete state of a machine. */
     static MachineCheckpoint capture(McMachine &machine);
 
     /**
-     * Restore into @p sys, which must be constructed with the same
-     * SystemConfig the checkpoint was captured from (the construction
-     * re-wires every sink/client pointer; restore only rewrites
-     * state). Throws CheckpointError on a configuration-fingerprint
-     * mismatch. The checkpoint remains valid and reusable.
+     * Restore into @p machine, which must be constructed with the
+     * same SystemConfig the checkpoint was captured from (the
+     * construction re-wires every sink/client pointer; restore only
+     * rewrites state). Throws CheckpointError on a
+     * configuration-fingerprint mismatch. The checkpoint remains
+     * valid and reusable.
      */
-    void restore(PmSystem &sys) const;
     void restore(McMachine &machine) const;
 
     /** Portable encoding: header + state blob + pages + CRC trailer. */
@@ -96,8 +93,7 @@ class MachineCheckpoint
     PagedMemory::Snapshot dramPages;  //!< volatile image (CoW)
 };
 
-/** Configuration fingerprints (exposed for tests). */
-std::uint64_t checkpointFingerprint(const PmSystem &sys);
+/** Configuration fingerprint (exposed for tests). */
 std::uint64_t checkpointFingerprint(const McMachine &machine);
 
 } // namespace slpmt

@@ -2,18 +2,16 @@
  * @file
  * PmContext: the machine interface programs (workloads) run against.
  *
- * Historically the workloads were written directly against PmSystem,
- * the single-core machine. The multicore subsystem (src/multicore/)
- * gives every simulated core its own transaction engine and private
- * cache levels while sharing the L3, the PM device and the persistent
- * heap — so "the machine a program sees" is no longer the same object
- * as "the whole machine". PmContext captures exactly the surface the
- * workloads and the annotation-driven store path use: transaction
- * control, the typed/byte data path, the shared heap and site
- * registry, compute-time charging, and the untimed durable peek used
- * by recovery code. PmSystem implements it directly; McCore
- * implements it by routing accesses through the coherence directory
- * before its private engine.
+ * The machine (McMachine, src/multicore/) gives every simulated core
+ * its own transaction engine and private cache levels while sharing
+ * the L3, the PM device and the persistent heap — so "the machine a
+ * program sees" is one core, not the whole machine. PmContext
+ * captures exactly the surface the workloads and the annotation-driven
+ * store path use: transaction control, the typed/byte data path, the
+ * shared heap and site registry, compute-time charging, and the
+ * untimed durable peek used by recovery code. McCore implements it by
+ * routing accesses through the coherence directory before its private
+ * engine; the one-core PmSystem facade forwards it to core 0.
  */
 
 #ifndef SLPMT_CORE_PM_CONTEXT_HH

@@ -2,137 +2,88 @@
  * @file
  * PmSystem: the top-level facade a program (or workload) uses.
  *
- * Owns the full simulated machine — PM and DRAM devices, the cache
- * hierarchy, the transaction engine for the configured scheme, the
- * persistent heap, and the store-site registry — and exposes the
- * typed load/store/storeT API, transaction control, crash injection,
- * and recovery entry points. PmSystem is the single-core machine; it
- * implements the PmContext program surface directly. The multicore
- * machine (src/multicore/) assembles the same components per core
- * around shared devices instead.
+ * PmSystem is the one-core McMachine (src/multicore/machine.hh): the
+ * machine owns the PM and DRAM devices, the shared L3, the persistent
+ * heap and the store-site registry, and core 0 owns the private
+ * hierarchy and the transaction engine. The facade holds no state of
+ * its own. It forwards the PmContext program surface to core 0 and
+ * adds the single-core accessors programs, tests and benches use:
+ * engine(), hierarchy(), stats(), tracker() and recoverHardware().
  */
 
 #ifndef SLPMT_CORE_PM_SYSTEM_HH
 #define SLPMT_CORE_PM_SYSTEM_HH
 
-#include <cstring>
-#include <memory>
-#include <type_traits>
+#include <string>
 
-#include "cache/hierarchy.hh"
-#include "stats/stats.hh"
-#include "core/annotation.hh"
-#include "core/heap.hh"
 #include "core/pm_context.hh"
-#include "mem/address_map.hh"
-#include "mem/dram_device.hh"
-#include "mem/persist_tracker.hh"
-#include "mem/pm_device.hh"
-#include "txn/engine.hh"
+#include "core/system_config.hh"
+#include "multicore/machine.hh"
 
 namespace slpmt
 {
 
 /**
- * Layout self-check policy for the SoA cache arrays: leave the
- * hierarchy's build-type default alone, or force the probe-key and
- * metadata-index audits off/on. The audits recompute the sibling
- * arrays from the architectural lines on every index walk, so a
- * forced-On machine must behave byte-identically to a forced-Off one
- * — the differential the LayoutDiff suite runs.
+ * Read-only statistics of a one-core machine under the single-core
+ * names: core 0's registry and the machine's shared registry merged
+ * without "core0." prefixes, minus the multicore.* directory counters.
  */
-enum class LayoutAudit : std::uint8_t
+class SingleCoreStats
 {
-    Default,
-    Off,
-    On,
+  public:
+    explicit SingleCoreStats(const McMachine &machine) : machine(machine) {}
+
+    StatsSnapshot
+    snapshot() const
+    {
+        StatsSnapshot merged = machine.core(0).stats().snapshot();
+        for (const auto &[name, value] : machine.sharedStats().snapshot())
+            if (!name.starts_with("multicore."))
+                merged.emplace(name, value);
+        return merged;
+    }
+
+    /** Read one flattened value (0 if it was never registered). */
+    std::uint64_t
+    get(const std::string &name) const
+    {
+        const StatsSnapshot snap = snapshot();
+        auto it = snap.find(name);
+        return it == snap.end() ? 0 : it->second;
+    }
+
+  private:
+    const McMachine &machine;
 };
 
-/** Everything configurable about the simulated machine. */
-struct SystemConfig
-{
-    SchemeConfig scheme = SchemeConfig::forKind(SchemeKind::SLPMT);
-    LoggingStyle style = LoggingStyle::Undo;
-    AddressMap map;
-    PmConfig pm;
-    DramConfig dram;
-    HierarchyConfig hierarchy;
-
-    /** Metadata line index toggle (see ExperimentConfig::useMetaIndex). */
-    bool useMetaIndex = true;
-
-    /** SoA layout self-check policy (never part of checkpoint
-     *  fingerprints or reports — results must not depend on it). */
-    LayoutAudit layoutAudit = LayoutAudit::Default;
-
-    /**
-     * Number of logical cores. PmSystem models exactly one core and
-     * rejects anything else; McMachine (src/multicore/) accepts 1-16.
-     * With numCores == 1 the topology is byte-identical to what every
-     * existing figure and test was measured on.
-     */
-    std::size_t numCores = 1;
-};
-
-/** The simulated machine. */
-class PmSystem : public PmContext
+/** The simulated single-core machine. */
+class PmSystem : public McMachine, public PmContext
 {
   public:
     explicit PmSystem(const SystemConfig &cfg = SystemConfig{})
-        : config(cfg),
-          pmDev(cfg.pm, statsReg, persistTracker),
-          dramDev(cfg.dram, statsReg),
-          hier(cfg.hierarchy, config.map, pmDev, dramDev, statsReg),
-          txnEngine(cfg.scheme, cfg.style, config.map, hier, pmDev,
-                    statsReg),
-          pmHeap(config.map.heapBase() + rootDirBytes,
-                 config.map.heapSize() - rootDirBytes, statsReg)
+        : McMachine(cfg)
     {
-        panicIfNot(config.numCores == 1,
-                   "PmSystem is the single-core machine; build an "
+        panicIfNot(numCores() == 1,
+                   "PmSystem is the one-core machine; build an "
                    "McMachine for numCores > 1");
-        policy = &manualPolicy;
-        hier.setMetaIndexEnabled(config.useMetaIndex);
-        if (config.layoutAudit != LayoutAudit::Default)
-            hier.setMetaIndexAudit(config.layoutAudit ==
-                                   LayoutAudit::On);
     }
 
-    /** @name Component access */
+    /** @name Core 0's components */
     /** @{ */
-    TxnEngine &engine() { return txnEngine; }
-    PmDevice &pm() { return pmDev; }
-    DramDevice &dram() { return dramDev; }
-    CacheHierarchy &hierarchy() { return hier; }
-    StatsRegistry &stats() { return statsReg; }
-    PersistTracker &tracker() { return persistTracker; }
-    PersistentHeap &heap() override { return pmHeap; }
-    StoreSiteRegistry &sites() override { return siteRegistry; }
-    const AddressMap &map() const override { return config.map; }
-    const SystemConfig &cfg() const { return config; }
-    /** @} */
-
-    /** @name Annotation policy (manual by default) */
-    /** @{ */
-    void setAnnotationPolicy(const AnnotationPolicy *p)
-    {
-        policy = p ? p : &manualPolicy;
-    }
-    const AnnotationPolicy &annotationPolicy() const { return *policy; }
+    TxnEngine &engine() { return core(0).engine(); }
+    CacheHierarchy &hierarchy() { return core(0).hierarchy(); }
+    SingleCoreStats stats() const { return SingleCoreStats(*this); }
     /** @} */
 
     /** @name Transaction control */
     /** @{ */
-    void txBegin() override { txnEngine.txBegin(); }
-    void txCommit() override { txnEngine.txCommit(); }
-    void txAbort() override { txnEngine.txAbort(); }
-    bool inTransaction() const override
-    {
-        return txnEngine.inTransaction();
-    }
+    void txBegin() override { core(0).txBegin(); }
+    void txCommit() override { core(0).txCommit(); }
+    void txAbort() override { core(0).txAbort(); }
+    bool inTransaction() const override { return core(0).inTransaction(); }
     std::uint64_t currentTxnSeq() const override
     {
-        return txnEngine.currentTxnSeq();
+        return core(0).currentTxnSeq();
     }
     /** @} */
 
@@ -141,85 +92,53 @@ class PmSystem : public PmContext
     void
     readBytes(Addr addr, void *out, std::size_t len) override
     {
-        txnEngine.load(addr, out, len);
+        core(0).readBytes(addr, out, len);
     }
 
     void
     writeBytes(Addr addr, const void *src, std::size_t len) override
     {
-        txnEngine.store(addr, src, len);
+        core(0).writeBytes(addr, src, len);
     }
 
     void
     writeBytesT(Addr addr, const void *src, std::size_t len,
                 StoreFlags flags) override
     {
-        txnEngine.storeT(addr, src, len, flags);
+        core(0).writeBytesT(addr, src, len, flags);
     }
 
     void
     writeBytesSite(Addr addr, const void *src, std::size_t len,
                    SiteId site) override
     {
-        txnEngine.storeT(addr, src, len,
-                         policy->flagsFor(siteRegistry.info(site)));
+        core(0).writeBytesSite(addr, src, len, site);
     }
-    /** @} */
-
-    /** @name Crash and recovery */
-    /** @{ */
-    /** Power failure now. */
-    void crash() { txnEngine.crash(); dramDev.crash(); }
-
-    /** Fault injection: crash after @p n more stores (0 disarms). */
-    void armCrashAfterStores(std::uint64_t n)
-    {
-        txnEngine.armCrashAfterStores(n);
-    }
-
-    /** Hardware log replay; returns records applied. */
-    std::size_t recoverHardware() { return txnEngine.recover(); }
 
     /** Untimed durable-image read (recovery code). */
     void
     peekBytes(Addr addr, void *out, std::size_t len) const override
     {
-        pmDev.peek(addr, out, len);
+        core(0).peekBytes(addr, out, len);
     }
     /** @} */
 
-    /** @name Utilities */
+    /** @name Shared machine components */
     /** @{ */
-    Cycles cycles() const override { return txnEngine.now(); }
-
-    /** Charge pure compute time (workload instruction work). */
-    void compute(Cycles c) override { txnEngine.advance(c); }
-
-    /** Write back every dirty line and persist lazy data: reach a
-     *  fully durable quiescent state between experiment phases. */
-    void
-    quiesce() override
-    {
-        txnEngine.persistAllLazy();
-        txnEngine.advance(hier.flushAll(txnEngine.now()));
-    }
+    PersistentHeap &heap() override { return McMachine::heap(); }
+    StoreSiteRegistry &sites() override { return McMachine::sites(); }
+    const AddressMap &map() const override { return McMachine::map(); }
     /** @} */
 
-  private:
-    /** Bytes reserved for the durable root directory. */
-    static constexpr Bytes rootDirBytes = 4096;
+    /** @name Time and recovery */
+    /** @{ */
+    Cycles cycles() const override { return core(0).cycles(); }
+    void compute(Cycles c) override { core(0).compute(c); }
+    void quiesce() override { McMachine::quiesce(); }
 
-    SystemConfig config;
-    StatsRegistry statsReg;
-    PersistTracker persistTracker;
-    PmDevice pmDev;
-    DramDevice dramDev;
-    CacheHierarchy hier;
-    TxnEngine txnEngine;
-    PersistentHeap pmHeap;
-    StoreSiteRegistry siteRegistry;
-    ManualAnnotationPolicy manualPolicy;
-    const AnnotationPolicy *policy = nullptr;
+    /** Hardware log replay; returns records applied. */
+    std::size_t recoverHardware() { return recover(); }
+    /** @} */
 };
 
 } // namespace slpmt

@@ -13,6 +13,7 @@ McCore::McCore(McMachine &machine, std::size_t id,
                std::uint64_t *seq_counter, std::uint64_t *crash_countdown)
     : machine(machine),
       coreId(id),
+      hasPeers(cfg.numCores > 1),
       hier(cfg.hierarchy, cfg.map, pm, dram, coreStats, shared_l3),
       eng(cfg.scheme, cfg.style, cfg.map, hier, pm, coreStats, log_base,
           log_size),
@@ -20,54 +21,11 @@ McCore::McCore(McMachine &machine, std::size_t id,
       ctrRemoteIdObserved(
           coreStats.counter("txn.lazyDrain.remoteIdObserved"))
 {
-    hier.setMetaIndexEnabled(cfg.useMetaIndex);
     if (cfg.layoutAudit != LayoutAudit::Default)
         hier.setMetaIndexAudit(cfg.layoutAudit == LayoutAudit::On);
     hier.setRemoteFolder(&machine);
     eng.setSharedSeqCounter(seq_counter);
     eng.setSharedCrashCountdown(crash_countdown);
-}
-
-void
-McCore::probeRange(Addr addr, std::size_t len, bool is_write)
-{
-    if (len == 0 || machine.numCores() == 1)
-        return;
-    const Addr last = lineBase(addr + len - 1);
-    for (Addr line = lineBase(addr); line <= last; line += cacheLineSize)
-        eng.advance(machine.beforeLineAccess(coreId, line, is_write));
-}
-
-void
-McCore::readBytes(Addr addr, void *out, std::size_t len)
-{
-    probeRange(addr, len, false);
-    eng.load(addr, out, len);
-}
-
-void
-McCore::writeBytes(Addr addr, const void *src, std::size_t len)
-{
-    probeRange(addr, len, true);
-    eng.store(addr, src, len);
-}
-
-void
-McCore::writeBytesT(Addr addr, const void *src, std::size_t len,
-                    StoreFlags flags)
-{
-    probeRange(addr, len, true);
-    eng.storeT(addr, src, len, flags);
-}
-
-void
-McCore::writeBytesSite(Addr addr, const void *src, std::size_t len,
-                       SiteId site)
-{
-    probeRange(addr, len, true);
-    eng.storeT(addr, src, len,
-               machine.annotationPolicy().flagsFor(
-                   machine.sites().info(site)));
 }
 
 void
@@ -106,7 +64,7 @@ McCore::quiesce()
 
 McMachine::McMachine(const SystemConfig &cfg)
     : config(cfg),
-      pmDev(config.pm, shared, tracker),
+      pmDev(config.pm, shared, persistTracker),
       dramDev(config.dram, shared),
       sharedL3(config.hierarchy.l3),
       pmHeap(config.map.heapBase() + rootDirBytes,

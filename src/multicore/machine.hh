@@ -28,6 +28,9 @@
  *
  * Everything is deterministic: no wall clock, no real threads; the
  * interleaving comes from the seeded scheduler (scheduler.hh).
+ *
+ * This is the only machine: the single-core PmSystem facade
+ * (core/pm_system.hh) is an McMachine with one core.
  */
 
 #ifndef SLPMT_MULTICORE_MACHINE_HH
@@ -37,8 +40,11 @@
 #include <memory>
 #include <vector>
 
+#include "core/annotation.hh"
+#include "core/heap.hh"
 #include "core/pm_context.hh"
-#include "core/pm_system.hh"
+#include "core/system_config.hh"
+#include "mem/persist_tracker.hh"
 
 namespace slpmt
 {
@@ -50,7 +56,7 @@ class McMachine;
  * sees. Every data-path access consults the machine's coherence
  * directory line-by-line before reaching the private engine.
  */
-class McCore : public PmContext
+class McCore final : public PmContext
 {
   public:
     McCore(McMachine &machine, std::size_t id, const SystemConfig &cfg,
@@ -114,6 +120,7 @@ class McCore : public PmContext
 
     McMachine &machine;
     std::size_t coreId;
+    bool hasPeers;  //!< more than one core: accesses probe the directory
     StatsRegistry coreStats;
     CacheHierarchy hier;
     TxnEngine eng;
@@ -124,7 +131,7 @@ class McCore : public PmContext
 };
 
 /** The machine: shared components plus the per-core column. */
-class McMachine final
+class McMachine
 {
   public:
     /** Called when a probe aborted core @p core's in-flight
@@ -138,9 +145,12 @@ class McMachine final
 
     std::size_t numCores() const { return cores.size(); }
     McCore &core(std::size_t i) { return *cores[i]; }
+    const McCore &core(std::size_t i) const { return *cores[i]; }
     PmContext &context(std::size_t i) { return *cores[i]; }
 
     StatsRegistry &sharedStats() { return shared; }
+    const StatsRegistry &sharedStats() const { return shared; }
+    PersistTracker &tracker() { return persistTracker; }
     PmDevice &pm() { return pmDev; }
     const PmDevice &pm() const { return pmDev; }
     DramDevice &dram() { return dramDev; }
@@ -214,8 +224,7 @@ class McMachine final
                              Cycles now);
 
   private:
-    /** Bytes reserved for the durable root directory (matches
-     *  PmSystem so heap layouts line up across machines). */
+    /** Bytes reserved for the durable root directory. */
     static constexpr Bytes rootDirBytes = 4096;
 
     /** Cross-core line transfer charge: a shared-L3 round trip. */
@@ -223,7 +232,7 @@ class McMachine final
 
     SystemConfig config;
     StatsRegistry shared;
-    PersistTracker tracker;
+    PersistTracker persistTracker;
     PmDevice pmDev;
     DramDevice dramDev;
     Cache sharedL3;
@@ -247,6 +256,52 @@ class McMachine final
     StatsRegistry::Counter statRemoteSigHitDrains;
     StatsRegistry::Counter statRemoteIdObservedDrains;
 };
+
+// The per-access data path is inline: every load and store of a
+// workload passes through it, and a one-core machine (PmSystem) must
+// reach its engine without a call per access.
+
+inline void
+McCore::probeRange(Addr addr, std::size_t len, bool is_write)
+{
+    if (len == 0 || !hasPeers)
+        return;
+    const Addr last = lineBase(addr + len - 1);
+    for (Addr line = lineBase(addr); line <= last; line += cacheLineSize)
+        eng.advance(machine.beforeLineAccess(coreId, line, is_write));
+}
+
+inline void
+McCore::readBytes(Addr addr, void *out, std::size_t len)
+{
+    probeRange(addr, len, false);
+    eng.load(addr, out, len);
+}
+
+inline void
+McCore::writeBytes(Addr addr, const void *src, std::size_t len)
+{
+    probeRange(addr, len, true);
+    eng.store(addr, src, len);
+}
+
+inline void
+McCore::writeBytesT(Addr addr, const void *src, std::size_t len,
+                    StoreFlags flags)
+{
+    probeRange(addr, len, true);
+    eng.storeT(addr, src, len, flags);
+}
+
+inline void
+McCore::writeBytesSite(Addr addr, const void *src, std::size_t len,
+                       SiteId site)
+{
+    probeRange(addr, len, true);
+    eng.storeT(addr, src, len,
+               machine.annotationPolicy().flagsFor(
+                   machine.sites().info(site)));
+}
 
 } // namespace slpmt
 

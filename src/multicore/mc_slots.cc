@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "common/rng.hh"
+#include "core/pm_system.hh"
 
 namespace slpmt
 {

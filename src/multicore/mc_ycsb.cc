@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "common/rng.hh"
+#include "core/pm_system.hh"
 #include "workloads/ycsb.hh"
 
 namespace slpmt
@@ -161,75 +162,6 @@ replaySerialOracle(const McYcsbConfig &cfg,
         if (!workload->update(sys, op.key, op.value))
             workload->insert(sys, op.key, op.value);
     return verifyAgainstLog(*workload, sys, commit_log, why);
-}
-
-ExperimentResult
-runMcExperiment(const std::string &workload_name,
-                const ExperimentConfig &cfg)
-{
-    McYcsbConfig mc;
-    mc.workload = workload_name;
-    mc.numCores = cfg.numCores ? cfg.numCores : 1;
-    mc.opsPerCore =
-        std::max<std::size_t>(1, cfg.ycsb.numOps / mc.numCores);
-    mc.valueBytes = cfg.ycsb.valueBytes;
-    mc.seed = cfg.ycsb.seed;
-    mc.sharedPct = cfg.mcSharedPct;
-    mc.sched.seed = cfg.ycsb.seed;
-    mc.sched.quantumOps = cfg.mcQuantumOps;
-
-    mc.sys.scheme = SchemeConfig::forKind(cfg.scheme);
-    mc.sys.scheme.speculativeRounding = cfg.speculativeRounding;
-    mc.sys.scheme.numTxnIds = cfg.numTxnIds;
-    mc.sys.style = cfg.style;
-    mc.sys.pm.writeLatencyNs = cfg.pmWriteLatencyNs;
-    mc.sys.useMetaIndex = cfg.useMetaIndex;
-    mc.sys.layoutAudit = cfg.layoutAudit;
-
-    static const NullAnnotationPolicy null_policy;
-    static const ManualAnnotationPolicy manual_policy;
-    static const CompilerAnnotationPolicy compiler_policy;
-    switch (cfg.annotations) {
-      case AnnotationMode::None:
-        mc.policy = &null_policy;
-        break;
-      case AnnotationMode::Manual:
-        mc.policy = &manual_policy;
-        break;
-      case AnnotationMode::Compiler:
-        mc.policy = &compiler_policy;
-        break;
-    }
-
-    const McYcsbResult run = runMcYcsb(mc);
-
-    ExperimentResult result;
-    result.workload = workload_name;
-    result.scheme = cfg.scheme;
-    result.cycles = run.makespan;
-    const StatsSnapshot delta =
-        StatsRegistry::delta(run.statsBefore, run.statsAfter);
-
-    // Shared-device counters appear once under their plain name;
-    // engine counters appear per core under "coreN.". Summing exact
-    // and ".name"-suffixed matches covers both.
-    auto sum = [&](const std::string &name) {
-        const std::string dotted = "." + name;
-        std::uint64_t total = 0;
-        for (const auto &[key, value] : delta)
-            if (key == name || key.ends_with(dotted))
-                total += value;
-        return total;
-    };
-    result.pmWriteBytes = sum("pm.bytesWritten");
-    result.pmDataBytes = sum("pm.dataBytesWritten");
-    result.pmLogBytes = sum("pm.logBytesWritten");
-    result.commits = sum("txn.committed");
-    result.logRecords = sum("txn.logRecordsCreated");
-    result.stats = delta;
-    result.verified = run.verified;
-    result.failure = run.failure;
-    return result;
 }
 
 } // namespace slpmt

@@ -25,7 +25,6 @@
 
 #include "multicore/machine.hh"
 #include "multicore/scheduler.hh"
-#include "sim/experiment.hh"
 #include "workloads/factory.hh"
 
 namespace slpmt
@@ -130,16 +129,6 @@ McYcsbResult runMcYcsb(const McYcsbConfig &cfg);
 bool replaySerialOracle(const McYcsbConfig &cfg,
                         const std::vector<McOpRecord> &commit_log,
                         std::string *why);
-
-/**
- * ExperimentConfig bridge: run a multicore YCSB cell (cfg.numCores
- * cores, cfg.ycsb.numOps total ops split across them) and map the
- * outcome onto the figure-orchestrator result type. Engine metrics
- * (commits, log records) are summed across the coreN.-prefixed
- * registries; cycles is the makespan.
- */
-ExperimentResult runMcExperiment(const std::string &workload_name,
-                                 const ExperimentConfig &cfg);
 
 } // namespace slpmt
 

@@ -4,7 +4,6 @@
 #include <map>
 #include <memory>
 
-#include "compiler/compiler_policy.hh"
 #include "mem/paged_memory.hh"
 #include "workloads/factory.hh"
 
@@ -123,23 +122,6 @@ class ShardCoreDriver : public McCoreDriver
     ServiceCounters &counters;
     std::size_t cursor = 0;
 };
-
-const AnnotationPolicy *
-policyFor(AnnotationMode mode)
-{
-    static const NullAnnotationPolicy null_policy;
-    static const ManualAnnotationPolicy manual_policy;
-    static const CompilerAnnotationPolicy compiler_policy;
-    switch (mode) {
-      case AnnotationMode::None:
-        return &null_policy;
-      case AnnotationMode::Manual:
-        return &manual_policy;
-      case AnnotationMode::Compiler:
-        return &compiler_policy;
-    }
-    return &manual_policy;
-}
 
 } // namespace
 
@@ -373,70 +355,6 @@ runService(const ServiceConfig &cfg)
         }
     }
     return res;
-}
-
-ExperimentResult
-runServiceExperiment(const std::string &workload_name,
-                     const ExperimentConfig &cfg)
-{
-    ServiceConfig svc;
-    svc.workload = workload_name;
-    svc.numShards = cfg.service.shards;
-    svc.coresPerShard = std::max<std::size_t>(1, cfg.numCores);
-
-    svc.load.mix = static_cast<YcsbMix>(cfg.service.mix);
-    svc.load.skew = cfg.service.zipfian ? KeySkew::Zipfian
-                                        : KeySkew::Uniform;
-    svc.load.zipfThetaBp = cfg.service.zipfThetaBp;
-    svc.load.keySpace = cfg.service.keySpace;
-    svc.load.preloadRecords = cfg.service.preloadRecords;
-    svc.load.numOps = cfg.ycsb.numOps;
-    svc.load.valueBytesMax = cfg.ycsb.valueBytes;
-    svc.load.valueBytesMin = cfg.service.valueBytesMin
-                                 ? cfg.service.valueBytesMin
-                                 : cfg.ycsb.valueBytes;
-    svc.load.churnInterval = cfg.service.churnInterval;
-    svc.load.seed = cfg.ycsb.seed;
-
-    svc.sched.seed = cfg.ycsb.seed;
-    svc.sched.quantumOps = cfg.mcQuantumOps;
-
-    svc.sys.scheme = SchemeConfig::forKind(cfg.scheme);
-    svc.sys.scheme.speculativeRounding = cfg.speculativeRounding;
-    svc.sys.scheme.numTxnIds = cfg.numTxnIds;
-    svc.sys.style = cfg.style;
-    svc.sys.pm.writeLatencyNs = cfg.pmWriteLatencyNs;
-    svc.sys.useMetaIndex = cfg.useMetaIndex;
-    svc.sys.layoutAudit = cfg.layoutAudit;
-    svc.policy = policyFor(cfg.annotations);
-
-    const KvServiceResult run = runService(svc);
-
-    ExperimentResult result;
-    result.workload = workload_name;
-    result.scheme = cfg.scheme;
-    result.cycles = run.makespan;
-
-    // Shared-device counters appear once per shard under "shardN.";
-    // engine counters per core under "shardN.coreM.". Summing
-    // ".name"-suffixed matches covers both.
-    auto sum = [&](const std::string &name) {
-        const std::string dotted = "." + name;
-        std::uint64_t total = 0;
-        for (const auto &[key, value] : run.stats)
-            if (key == name || key.ends_with(dotted))
-                total += value;
-        return total;
-    };
-    result.pmWriteBytes = sum("pm.bytesWritten");
-    result.pmDataBytes = sum("pm.dataBytesWritten");
-    result.pmLogBytes = sum("pm.logBytesWritten");
-    result.commits = sum("txn.committed");
-    result.logRecords = sum("txn.logRecordsCreated");
-    result.stats = run.stats;
-    result.verified = run.verified;
-    result.failure = run.failure;
-    return result;
 }
 
 } // namespace slpmt

@@ -31,8 +31,8 @@
 #include "multicore/machine.hh"
 #include "multicore/scheduler.hh"
 #include "service/router.hh"
-#include "sim/experiment.hh"
 #include "workloads/loadgen.hh"
+#include "workloads/workload.hh"
 
 namespace slpmt
 {
@@ -124,15 +124,6 @@ struct KvServiceResult
 /** Run one service load to completion and verify every shard against
  *  the last-write-wins oracle of the request stream. */
 KvServiceResult runService(const ServiceConfig &cfg);
-
-/**
- * ExperimentConfig bridge: run a service cell (cfg.service.* knobs,
- * cfg.ycsb.numOps requests, cfg.numCores cores per shard) and map the
- * outcome onto the figure-orchestrator result type. Cycles is the
- * service makespan; engine and PM metrics sum across shards.
- */
-ExperimentResult runServiceExperiment(const std::string &workload_name,
-                                      const ExperimentConfig &cfg);
 
 } // namespace slpmt
 

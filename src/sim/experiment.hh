@@ -44,12 +44,6 @@ struct ExperimentConfig
     bool speculativeRounding = false;      //!< Section III-B1 ablation
     std::uint8_t numTxnIds = 4;            //!< lazy-depth ablation
 
-    /** Simulator-internal: walk transaction sweeps via the metadata
-     *  line index (default) or the historical full cache scan. Both
-     *  produce identical results; the toggle exists so the profiling
-     *  harness can measure the index's host-side speedup. */
-    bool useMetaIndex = true;
-
     /** SoA layout self-check policy (see SystemConfig::layoutAudit):
      *  forced on/off by the LayoutDiff differential suite, which
      *  asserts both modes produce byte-identical results. */
@@ -58,10 +52,10 @@ struct ExperimentConfig
     /** @name Multicore cells (src/multicore/) */
     /** @{ */
     /** Cores of the simulated machine. > 1 runs the interleaved
-     *  multicore machine; 1 runs the classic single-core path. */
+     *  per-core upsert driver; 1 runs one structure's insert phase. */
     std::size_t numCores = 1;
 
-    /** Force the multicore driver even at numCores == 1 so scaling
+    /** Force the interleaved driver even at numCores == 1 so scaling
      *  sweeps measure their 1-core baseline with the same scheduler
      *  and workload layer as the scaled cells. */
     bool mcDriver = false;

@@ -968,11 +968,6 @@ parseCommonFlag(const std::string &arg, BenchOptions *opts,
         }
         return 1;
     }
-    if (arg == "--profile-compare") {
-        opts->profile = true;
-        opts->profileCompare = true;
-        return 1;
-    }
     if (startsWith("--speed-baseline=")) {
         opts->profile = true;
         opts->speedBaselinePath = valueOf("--speed-baseline=");
@@ -1092,9 +1087,9 @@ runProfile(const BenchOptions &opts)
         const std::vector<ExperimentCase> cases = fig->cases();
 
         const std::uint64_t allocs_before = allocationsNow();
-        const auto indexed_start = std::chrono::steady_clock::now();
+        const auto start = std::chrono::steady_clock::now();
         const MatrixResult result = runCases(cases, opts.workers);
-        const std::uint64_t wall_us = elapsedMicros(indexed_start);
+        const std::uint64_t wall_us = elapsedMicros(start);
         const std::uint64_t figure_allocs =
             allocationsNow() - allocs_before;
 
@@ -1135,44 +1130,11 @@ runProfile(const BenchOptions &opts)
         if (allocation_counter)
             w.key("hostAllocs").value(figure_allocs);
 
-        double speedup = 0;
-        if (opts.profileCompare) {
-            // Same sweep with the metadata line index disabled: the
-            // historical O(cache capacity) sweeps. The reports must
-            // match byte for byte — the index is a pure host-side
-            // optimisation.
-            std::vector<ExperimentCase> full_scan = cases;
-            for (ExperimentCase &c : full_scan)
-                c.cfg.useMetaIndex = false;
-            const auto scan_start = std::chrono::steady_clock::now();
-            const MatrixResult scan_result =
-                runCases(std::move(full_scan), opts.workers);
-            const std::uint64_t scan_us = elapsedMicros(scan_start);
-
-            const bool match = reportJson(name, result, false) ==
-                               reportJson(name, scan_result, false);
-            if (!match) {
-                all_verified = false;
-                std::fprintf(stderr,
-                             "RESULT DIVERGENCE (%s): indexed and "
-                             "full-scan sweeps disagree\n",
-                             name.c_str());
-            }
-            speedup = wall_us ? static_cast<double>(scan_us) /
-                                    static_cast<double>(wall_us)
-                              : 0;
-            w.key("fullScanWallUs").value(scan_us);
-            w.key("speedup").value(speedup);
-            w.key("resultsMatch").value(match);
-        }
         w.endObject();
 
-        std::fprintf(stderr, "%s: %zu cells, %.1f ms", name.c_str(),
+        std::fprintf(stderr, "%s: %zu cells, %.1f ms\n", name.c_str(),
                      result.cases.size(),
                      static_cast<double>(wall_us) / 1000.0);
-        if (opts.profileCompare)
-            std::fprintf(stderr, ", %.2fx vs full scan", speedup);
-        std::fprintf(stderr, "\n");
 
         if (have_baseline) {
             const JsonValue *recorded = nullptr;

@@ -53,7 +53,6 @@ struct BenchOptions
     /** @{ */
     bool profile = false;              //!< run the profiling harness
     std::string profilePath = "BENCH_speed.json";
-    bool profileCompare = false;       //!< also time the full-scan mode
     std::string speedBaselinePath;     //!< recorded BENCH_speed.json
     double speedThreshold = 3.0;       //!< wall-clock regression bound
     /** @} */
@@ -72,8 +71,7 @@ void setAllocationCounter(std::uint64_t (*fn)());
 /**
  * Parse one common flag (--workers=N, --json[=FILE], --stats,
  * --baseline=FILE, --threshold=FRACTION, --no-tables,
- * --profile[=FILE], --profile-compare, --speed-baseline=FILE,
- * --speed-threshold=N).
+ * --profile[=FILE], --speed-baseline=FILE, --speed-threshold=N).
  * @return 1 consumed, 0 not a common flag, -1 malformed (error set).
  */
 int parseCommonFlag(const std::string &arg, BenchOptions *opts,
@@ -86,11 +84,7 @@ int parseCommonFlag(const std::string &arg, BenchOptions *opts,
  * With opts.profile set, the self-profiling harness runs instead: each
  * figure is timed (per-cell host wall-clock, simulated cycles per
  * host second, process peak RSS) and a "slpmt-speed-1" JSON document
- * is written to opts.profilePath. With opts.profileCompare the figure
- * is run a second time with the metadata line index disabled — the
- * historical full-scan sweeps — recording the wall-clock speedup the
- * index delivers and checking both runs produce identical reports.
- * With opts.speedBaselinePath set, each figure's wall-clock is diffed
+ * is written to opts.profilePath. With opts.speedBaselinePath set, each figure's wall-clock is diffed
  * against the recorded document: exceeding speedThreshold x the
  * recorded time (and a 250 ms absolute noise floor, so tiny sweeps on
  * loaded machines cannot flake) is a regression.

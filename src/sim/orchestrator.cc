@@ -57,7 +57,6 @@ expandMatrix(const MatrixSpec &spec)
                         c.cfg.speculativeRounding =
                             spec.speculativeRounding;
                         c.cfg.numTxnIds = spec.numTxnIds;
-                        c.cfg.useMetaIndex = spec.useMetaIndex;
 
                         // Swept axes show up in the key; point axes
                         // keep the short workload/Scheme form.

@@ -56,7 +56,6 @@ struct MatrixSpec
     LoggingStyle style = LoggingStyle::Undo;
     bool speculativeRounding = false;
     std::uint8_t numTxnIds = 4;
-    bool useMetaIndex = true;  //!< host-side profiling toggle
 };
 
 /** Annotation-mode tag for cell keys ("none", "manual", "compiler"). */

@@ -16,8 +16,7 @@ TxnEngine::TxnEngine(const SchemeConfig &scheme, LoggingStyle style,
       hier(hier),
       pm(pm),
       logBuf(stats),
-      undoLog(pm, log_size ? log_base : map.logAreaBase(),
-              log_size ? log_size : map.logAreaSize(), stats),
+      undoLog(pm, log_base, log_size, stats),
       ids(scheme.numTxnIds),
       idState(scheme.numTxnIds),
       statTxns(stats.counter("txn.begun")),

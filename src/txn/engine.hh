@@ -90,14 +90,13 @@ class TxnEngine final
   public:
     /**
      * @param log_base,log_size Persistent log-area slice this engine
-     *        appends to. 0/0 selects the map's whole log area (the
-     *        single-core default); the multicore machine carves the
-     *        area into per-core slices so concurrent engines never
-     *        interleave records.
+     *        appends to: the machine carves the map's log area into
+     *        per-core slices so concurrent engines never interleave
+     *        records.
      */
     TxnEngine(const SchemeConfig &scheme, LoggingStyle style,
               const AddressMap &map, CacheHierarchy &hier, PmDevice &pm,
-              StatsRegistry &stats, Addr log_base = 0, Bytes log_size = 0);
+              StatsRegistry &stats, Addr log_base, Bytes log_size);
 
     TxnEngine(const TxnEngine &) = delete;
     TxnEngine &operator=(const TxnEngine &) = delete;

@@ -3,12 +3,11 @@
  * Common interface of the durable data-structure workloads (Table II).
  *
  * Every workload is a persistent key-value container built on the
- * PmContext API — the machine surface both the single-core PmSystem
- * and the per-core contexts of the multicore machine implement.
- * Insertions run as one durable transaction each, with
- * storeT annotations issued through registered store sites so the
- * same code runs under the manual, compiler, or null annotation
- * policy. Each workload also implements its crash recovery — the
+ * PmContext API — the surface each core of the machine implements
+ * (the one-core PmSystem forwards it to its core). Insertions run as
+ * one durable transaction each, with storeT annotations issued
+ * through registered store sites so the same code runs under the
+ * manual, compiler, or null annotation policy. Each workload also implements its crash recovery — the
  * structure-specific fix-up of log-free and lazily persistent data
  * that Section IV assigns to the program/runtime — and a deep
  * consistency checker used by the property tests.

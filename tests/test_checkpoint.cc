@@ -7,11 +7,13 @@
  * indistinguishable — byte-identical PM and DRAM images, identical
  * stats registries — from the run that never checkpointed. The fuzz
  * crosses all seven schemes with both logging styles on the
- * single-core machine, and 1/2/4-core interleaved runs on the
- * multicore machine (checkpointed at a scheduler quantum boundary and
- * resumed through runInterleavedFrom). The portable encoding must
- * round-trip through bytes and through a file, and reject corruption,
- * truncation, version skew, and configuration mismatches.
+ * one-core PmSystem, and 1/2/4-core interleaved runs on the
+ * McMachine (checkpointed at a scheduler quantum boundary and resumed
+ * through runInterleavedFrom; a PmSystem master must resume on a
+ * plain one-core McMachine). The portable encoding must round-trip
+ * through bytes and through a file, and reject corruption,
+ * truncation, version skew, configuration mismatches, and the retired
+ * single-core blob tag.
  *
  * The CheckpointAudit suite is the cross-mode oracle the
  * checkpoint-audit ctest preset runs: a checkpointed sweep's JSON
@@ -23,6 +25,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -155,12 +158,15 @@ fuzzSingleCore(SchemeKind scheme, const std::string &workload,
  * One multicore fuzz round: interleave per-core YCSB streams,
  * checkpointing (machine + cursors + commit log + scheduler
  * registers) at a quantum boundary; run the master out for the
- * reference; then restore, resume with runInterleavedFrom, and
- * demand identical final images and merged stats.
+ * reference; then restore into a fresh McMachine, resume with
+ * runInterleavedFrom, and demand identical final images and merged
+ * stats. With @p pm_system_master the one-core master is a PmSystem,
+ * whose checkpoint must resume on the plain McMachine.
  */
 void
 fuzzMultiCore(SchemeKind scheme, LoggingStyle style,
-              std::size_t cores, std::uint64_t seed)
+              std::size_t cores, std::uint64_t seed,
+              bool pm_system_master = false)
 {
     McYcsbConfig rc;
     rc.workload = "hashtable";
@@ -175,7 +181,10 @@ fuzzMultiCore(SchemeKind scheme, LoggingStyle style,
     sys_cfg.numCores = cores;
     const auto streams = mcYcsbStreams(rc);
 
-    McMachine master(sys_cfg);
+    std::optional<PmSystem> sys;
+    std::optional<McMachine> plain;
+    McMachine &master = pm_system_master ? sys.emplace(sys_cfg)
+                                         : plain.emplace(sys_cfg);
     auto wl = makeWorkload(rc.workload);
     wl->setup(master.context(0));
 
@@ -264,6 +273,8 @@ TEST(CheckpointFuzz, MultiCoreResumeBitExact)
         fuzzMultiCore(SchemeKind::FG, LoggingStyle::Redo, cores,
                       4000 + cores);
     }
+    fuzzMultiCore(SchemeKind::SLPMT, LoggingStyle::Undo, 1, 5001,
+                  /*pm_system_master=*/true);
 }
 
 /** A small machine with known content, for the encoding tests. */
@@ -350,6 +361,17 @@ TEST(CheckpointEncoding, TruncatedBlobRejected)
     }
 }
 
+/** Recompute the CRC trailer after editing a blob's body. */
+void
+resealCrc(std::vector<std::uint8_t> &bytes)
+{
+    const std::size_t body = bytes.size() - 4;
+    const std::uint32_t crc = crc32c(bytes.data(), body);
+    for (std::size_t i = 0; i < 4; ++i)
+        bytes[body + i] =
+            static_cast<std::uint8_t>((crc >> (8 * i)) & 0xff);
+}
+
 TEST(CheckpointEncoding, VersionMismatchRejected)
 {
     PmSystem sys(tinySystem(SchemeKind::SLPMT, LoggingStyle::Undo));
@@ -357,12 +379,26 @@ TEST(CheckpointEncoding, VersionMismatchRejected)
     // Bump the format version field (bytes 4..7 after the magic) and
     // re-seal the CRC so only the version check can object.
     bytes[4] += 1;
-    const std::size_t body = bytes.size() - 4;
-    const std::uint32_t crc = crc32c(bytes.data(), body);
-    for (std::size_t i = 0; i < 4; ++i)
-        bytes[body + i] =
-            static_cast<std::uint8_t>((crc >> (8 * i)) & 0xff);
+    resealCrc(bytes);
     EXPECT_THROW(MachineCheckpoint::fromBytes(bytes), CheckpointError);
+}
+
+TEST(CheckpointEncoding, MachineKindMismatchRejected)
+{
+    // The state blob opens with the machine tag, right after the
+    // 24-byte header (magic, version, fingerprint, blob length). Tag 1
+    // marked the retired single-core layout: re-sealed, such a blob
+    // decodes but must not restore.
+    const SystemConfig sc =
+        tinySystem(SchemeKind::SLPMT, LoggingStyle::Undo);
+    PmSystem sys(sc);
+    auto bytes = sampleCheckpoint(sys).toBytes();
+    ASSERT_EQ(bytes[24], 2u);
+    bytes[24] = 1;
+    resealCrc(bytes);
+    const MachineCheckpoint old = MachineCheckpoint::fromBytes(bytes);
+    PmSystem target(sc);
+    EXPECT_THROW(old.restore(target), CheckpointError);
 }
 
 TEST(CheckpointEncoding, ConfigFingerprintMismatchRejected)
@@ -377,20 +413,6 @@ TEST(CheckpointEncoding, ConfigFingerprintMismatchRejected)
     PmSystem other_style(
         tinySystem(SchemeKind::SLPMT, LoggingStyle::Redo));
     EXPECT_THROW(ckpt.restore(other_style), CheckpointError);
-}
-
-TEST(CheckpointEncoding, MachineKindMismatchRejected)
-{
-    // A 1-core McMachine has the same configuration fingerprint as a
-    // PmSystem, so only the machine-kind tag can tell them apart.
-    PmSystem sys(tinySystem(SchemeKind::SLPMT, LoggingStyle::Undo));
-    const MachineCheckpoint ckpt = sampleCheckpoint(sys);
-
-    SystemConfig mc_cfg =
-        tinySystem(SchemeKind::SLPMT, LoggingStyle::Undo);
-    mc_cfg.numCores = 1;
-    McMachine machine(mc_cfg);
-    EXPECT_THROW(ckpt.restore(machine), CheckpointError);
 }
 
 /** Shared sampled sweep configuration for the audit tests. */

@@ -4,14 +4,12 @@
  * sweeps) and the hoisted signature hashing.
  *
  * The index is a pure host-side optimisation: it must never change
- * what the simulator computes. Three layers of evidence:
+ * what the simulator computes. Two layers of evidence:
  *  - a randomized fuzzer drives tiny-cache machines through every
  *    metadata transition (store, storeT, promotion, merge-down,
  *    eviction, commit, abort, lazy drain, crash) with the per-walk
  *    audit armed, cross-checking index against brute-force scan after
  *    every operation;
- *  - indexed and full-scan sweeps over the same operation stream must
- *    leave identical machine state (cycles, stats);
  *  - the signature probe hoist is pinned to the exact historical bit
  *    pattern with hard-coded slot values.
  */
@@ -32,7 +30,7 @@ namespace
 /** Tiny geometry (matches the crash explorer): single-digit sets per
  *  level so promotions and evictions happen within a few stores. */
 SystemConfig
-tinyConfig(SchemeKind kind, LoggingStyle style, bool use_index)
+tinyConfig(SchemeKind kind, LoggingStyle style)
 {
     SystemConfig sc;
     sc.scheme = SchemeConfig::forKind(kind);
@@ -40,7 +38,6 @@ tinyConfig(SchemeKind kind, LoggingStyle style, bool use_index)
     sc.hierarchy.l1 = CacheConfig{"L1", 1024, 2, 4};
     sc.hierarchy.l2 = CacheConfig{"L2", 2048, 2, 12};
     sc.hierarchy.l3 = CacheConfig{"L3", 4096, 4, 40};
-    sc.useMetaIndex = use_index;
     return sc;
 }
 
@@ -62,7 +59,7 @@ void
 fuzzMachine(SchemeKind kind, LoggingStyle style, std::uint64_t seed,
             std::size_t num_ops)
 {
-    PmSystem sys(tinyConfig(kind, style, true));
+    PmSystem sys(tinyConfig(kind, style));
     sys.hierarchy().setMetaIndexAudit(true);
     Rng rng(seed);
 
@@ -176,48 +173,9 @@ TEST(LineIndex, FuzzLargeGeometryLazyHeavy)
     expectIndexClean(sys, "after drain");
 }
 
-TEST(LineIndex, IndexedAndFullScanMachinesStayIdentical)
-{
-    // The same deterministic operation stream on two machines — one
-    // indexed, one using the historical full scans — must produce the
-    // same clock and the same stats, store for store.
-    for (LoggingStyle style : {LoggingStyle::Undo, LoggingStyle::Redo}) {
-        PmSystem indexed(
-            tinyConfig(SchemeKind::SLPMT, style, /*use_index=*/true));
-        PmSystem scanned(
-            tinyConfig(SchemeKind::SLPMT, style, /*use_index=*/false));
-        auto drive = [](PmSystem &sys) {
-            Rng rng(2026);
-            const Addr base = sys.map().heapBase() + 8192;
-            for (int txn = 0; txn < 40; ++txn) {
-                sys.txBegin();
-                for (int s = 0; s < 12; ++s) {
-                    StoreFlags flags;
-                    flags.lazy = rng.below(3) == 0;
-                    flags.logFree = rng.below(4) == 0;
-                    sys.writeT<std::uint64_t>(
-                        base + rng.below(48) * cacheLineSize,
-                        rng.next(), flags);
-                }
-                if (txn % 7 == 3)
-                    sys.txAbort();
-                else
-                    sys.txCommit();
-            }
-            sys.engine().persistAllLazy();
-        };
-        drive(indexed);
-        drive(scanned);
-        EXPECT_EQ(indexed.cycles(), scanned.cycles());
-        EXPECT_EQ(indexed.stats().snapshot(),
-                  scanned.stats().snapshot());
-    }
-}
-
 TEST(LineIndex, AuditDetectsHandCorruptedIndex)
 {
-    PmSystem sys(
-        tinyConfig(SchemeKind::SLPMT, LoggingStyle::Undo, true));
+    PmSystem sys(tinyConfig(SchemeKind::SLPMT, LoggingStyle::Undo));
     sys.txBegin();
     sys.write<std::uint64_t>(sys.map().heapBase() + 8192, 1);
     std::string why;
