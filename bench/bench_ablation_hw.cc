@@ -8,6 +8,8 @@
  *    is before the circular allocator forces persists;
  *  - the tiered coalescing log buffer itself: FG with the buffer vs
  *    FG persisting each record as it is created.
+ *
+ * Exits 1 when any cell fails its post-run verification.
  */
 
 #include "sim/experiment.hh"
@@ -17,6 +19,9 @@ namespace slpmt
 {
 namespace
 {
+
+/** Cleared by any cell that fails its post-run verification. */
+bool allVerified = true;
 
 ExperimentResult
 runWith(const std::string &workload, SchemeKind kind, bool speculative,
@@ -28,7 +33,9 @@ runWith(const std::string &workload, SchemeKind kind, bool speculative,
     cfg.ycsb.valueBytes = 256;
     cfg.speculativeRounding = speculative;
     cfg.numTxnIds = txn_ids;
-    return runExperiment(workload, cfg);
+    const ExperimentResult res = runExperiment(workload, cfg);
+    allVerified = allVerified && res.verified;
+    return res;
 }
 
 void
@@ -84,17 +91,12 @@ printLogBuffer()
     table.header({"benchmark", "with buffer KB", "without buffer KB",
                   "speedup with/without"});
     for (const auto &workload : kernelWorkloads()) {
-        ExperimentConfig with_cfg;
-        with_cfg.scheme = SchemeKind::FG;
-        with_cfg.ycsb.numOps = 1000;
-        with_cfg.ycsb.valueBytes = 256;
-        const auto with_buf = runExperiment(workload, with_cfg);
+        const auto with_buf = runWith(workload, SchemeKind::FG, false, 4);
 
         // FG without the buffer: like EDE's persist-per-record but
         // with hardware record creation (no software costs).
-        ExperimentConfig without_cfg = with_cfg;
-        without_cfg.scheme = SchemeKind::EDE;
-        const auto without_buf = runExperiment(workload, without_cfg);
+        const auto without_buf =
+            runWith(workload, SchemeKind::EDE, false, 4);
 
         table.row({workload,
                    TableReport::num(
@@ -119,5 +121,5 @@ main()
     printSpeculative();
     printTxnIds();
     printLogBuffer();
-    return 0;
+    return allVerified ? 0 : 1;
 }

@@ -48,7 +48,7 @@ class MachineCheckpoint
 {
   public:
     /** Bumped on any change to the serialized layout. */
-    static constexpr std::uint32_t formatVersion = 1;
+    static constexpr std::uint32_t formatVersion = 2;
 
     /** Capture the complete state of a machine. */
     static MachineCheckpoint capture(McMachine &machine);

@@ -10,13 +10,13 @@ namespace slpmt
 McCore::McCore(McMachine &machine, std::size_t id,
                const SystemConfig &cfg, Cache &shared_l3, PmDevice &pm,
                DramDevice &dram, Addr log_base, Bytes log_size,
-               std::uint64_t *seq_counter, std::uint64_t *crash_countdown)
+               std::uint64_t &seq_counter, std::uint64_t &crash_countdown)
     : machine(machine),
       coreId(id),
       hasPeers(cfg.numCores > 1),
       hier(cfg.hierarchy, cfg.map, pm, dram, coreStats, shared_l3),
       eng(cfg.scheme, cfg.style, cfg.map, hier, pm, coreStats, log_base,
-          log_size),
+          log_size, seq_counter, crash_countdown),
       ctrRemoteSigHit(coreStats.counter("txn.lazyDrain.remoteSigHit")),
       ctrRemoteIdObserved(
           coreStats.counter("txn.lazyDrain.remoteIdObserved"))
@@ -24,8 +24,6 @@ McCore::McCore(McMachine &machine, std::size_t id,
     if (cfg.layoutAudit != LayoutAudit::Default)
         hier.setMetaIndexAudit(cfg.layoutAudit == LayoutAudit::On);
     hier.setRemoteFolder(&machine);
-    eng.setSharedSeqCounter(seq_counter);
-    eng.setSharedCrashCountdown(crash_countdown);
 }
 
 void
@@ -94,8 +92,8 @@ McMachine::McMachine(const SystemConfig &cfg)
     for (std::size_t i = 0; i < config.numCores; ++i)
         cores.push_back(std::make_unique<McCore>(
             *this, i, config, sharedL3, pmDev, dramDev,
-            config.map.logAreaBase() + i * slice, slice, &seqCounter,
-            &crashCountdown));
+            config.map.logAreaBase() + i * slice, slice, seqCounter,
+            crashCountdown));
 }
 
 Cycles

@@ -61,8 +61,8 @@ class McCore final : public PmContext
   public:
     McCore(McMachine &machine, std::size_t id, const SystemConfig &cfg,
            Cache &shared_l3, PmDevice &pm, DramDevice &dram,
-           Addr log_base, Bytes log_size, std::uint64_t *seq_counter,
-           std::uint64_t *crash_countdown);
+           Addr log_base, Bytes log_size, std::uint64_t &seq_counter,
+           std::uint64_t &crash_countdown);
 
     std::size_t id() const { return coreId; }
     TxnEngine &engine() { return eng; }

@@ -10,6 +10,14 @@
 namespace slpmt
 {
 
+namespace
+{
+
+/** Keys in the cross-core shared pool. */
+constexpr std::size_t sharedKeys = 16;
+
+} // namespace
+
 std::vector<std::vector<McOpRecord>>
 mcYcsbStreams(const McYcsbConfig &cfg)
 {
@@ -20,7 +28,7 @@ mcYcsbStreams(const McYcsbConfig &cfg)
     Rng pool_rng(mix64(cfg.seed ^ 0x5a11ed'5a11ed5aULL));
     std::unordered_set<std::uint64_t> used;
     std::vector<std::uint64_t> shared;
-    while (shared.size() < cfg.sharedKeys) {
+    while (shared.size() < sharedKeys) {
         const std::uint64_t key = (pool_rng.next() >> 1) | 1ULL;
         if (used.insert(key).second)
             shared.push_back(key);

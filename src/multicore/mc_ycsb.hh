@@ -39,9 +39,9 @@ struct McYcsbConfig
     std::size_t valueBytes = 64;
     std::uint64_t seed = 42;
 
-    /** Percent of each core's ops that target the shared key pool. */
+    /** Percent of each core's ops that target the 16-key shared
+     *  pool. */
     unsigned sharedPct = 25;
-    std::size_t sharedKeys = 16;
 
     McSchedConfig sched;
 

@@ -8,6 +8,10 @@ namespace slpmt
 namespace
 {
 
+/** Livelock bound: conflict aborts in a row after which a core is
+ *  scheduled stubbornly until it commits. */
+constexpr std::size_t stubbornAfterAborts = 3;
+
 /** The scheduling loop, parameterised on the starting register file
  *  so a fresh run and a checkpoint resume share one code path. */
 McScheduleResult
@@ -31,12 +35,10 @@ runLoop(McMachine &machine, const std::vector<McCoreDriver *> &drivers,
         // Livelock bound: a core whose transactions keep aborting is
         // scheduled exclusively until it commits (lowest index wins
         // for determinism).
-        if (cfg.stubbornAfterAborts > 0) {
-            for (std::size_t i = 0; i < drivers.size(); ++i)
-                if (!drivers[i]->done() &&
-                    drivers[i]->abortStreak() >= cfg.stubbornAfterAborts)
-                    return i;
-        }
+        for (std::size_t i = 0; i < drivers.size(); ++i)
+            if (!drivers[i]->done() &&
+                drivers[i]->abortStreak() >= stubbornAfterAborts)
+                return i;
         runnable.clear();
         for (std::size_t i = 0; i < drivers.size(); ++i)
             if (!drivers[i]->done())
@@ -64,7 +66,7 @@ runLoop(McMachine &machine, const std::vector<McCoreDriver *> &drivers,
                  op < cfg.quantumOps && !drivers[core]->done(); ++op)
                 drivers[core]->step();
             ++result.quanta;
-            machine.noteQuantumExpiry(core, cfg.drainOnQuantumExpiry);
+            machine.noteQuantumExpiry(core, true);
             // Everything the next pick() reads is in {rng, rr,
             // quanta}; drivers are between transactions. Report the
             // boundary so sweeps can checkpoint here.

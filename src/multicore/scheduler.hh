@@ -7,8 +7,7 @@
  * seeded scheduler that hands one core a quantum of micro-ops at a
  * time, either round-robin or by weighted random draw over the cores
  * that still have work. Quantum expiry models an OS context switch —
- * the §V-C rule drains the departing core's log buffer (configurable,
- * so tests can isolate its effect).
+ * the §V-C rule drains the departing core's log buffer.
  *
  * Cross-core conflicts abort the *suspended* transaction; the driver
  * rewinds to its transaction group start and retries. A core whose
@@ -37,8 +36,6 @@ struct McSchedConfig
     std::uint64_t seed = 1;        //!< interleaving seed
     std::size_t quantumOps = 4;    //!< micro-ops per scheduling quantum
     bool weighted = false;         //!< random draw instead of round-robin
-    bool drainOnQuantumExpiry = true;  //!< §V-C context-switch drain
-    std::size_t stubbornAfterAborts = 3;  //!< livelock bound
 };
 
 /** One core's op stream, advanced one micro-op at a time. */

@@ -84,9 +84,7 @@ runMcExperiment(const std::string &workload_name,
         std::max<std::size_t>(1, cfg.ycsb.numOps / mc.numCores);
     mc.valueBytes = cfg.ycsb.valueBytes;
     mc.seed = cfg.ycsb.seed;
-    mc.sharedPct = cfg.mcSharedPct;
     mc.sched.seed = cfg.ycsb.seed;
-    mc.sched.quantumOps = cfg.mcQuantumOps;
     mc.sys = systemConfigFor(cfg);
     mc.policy = policyFor(cfg.annotations);
 
@@ -131,7 +129,6 @@ runServiceExperiment(const std::string &workload_name,
     svc.load.seed = cfg.ycsb.seed;
 
     svc.sched.seed = cfg.ycsb.seed;
-    svc.sched.quantumOps = cfg.mcQuantumOps;
     svc.sys = systemConfigFor(cfg);
     svc.policy = policyFor(cfg.annotations);
 

@@ -59,12 +59,6 @@ struct ExperimentConfig
      *  sweeps measure their 1-core baseline with the same scheduler
      *  and workload layer as the scaled cells. */
     bool mcDriver = false;
-
-    /** Percent of ops targeting the cross-core shared key pool. */
-    unsigned mcSharedPct = 25;
-
-    /** Scheduler quantum (micro-ops per core per turn). */
-    std::size_t mcQuantumOps = 4;
     /** @} */
 
     /** @name Sharded service cells (src/service/) */

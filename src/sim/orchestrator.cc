@@ -11,17 +11,6 @@ namespace slpmt
 {
 
 std::string
-annotationModeName(AnnotationMode mode)
-{
-    switch (mode) {
-      case AnnotationMode::None: return "none";
-      case AnnotationMode::Manual: return "manual";
-      case AnnotationMode::Compiler: return "compiler";
-    }
-    return "?";
-}
-
-std::string
 caseKey(const std::string &workload, SchemeKind scheme,
         const std::string &suffix)
 {
@@ -35,46 +24,31 @@ expandMatrix(const MatrixSpec &spec)
     panicIfNot(!spec.workloads.empty() && !spec.schemes.empty(),
                "matrix needs at least one workload and one scheme");
     panicIfNot(!spec.valueSizes.empty() &&
-                   !spec.pmWriteLatenciesNs.empty() &&
-                   !spec.annotationModes.empty(),
+                   !spec.pmWriteLatenciesNs.empty(),
                "matrix axis with no values");
 
     std::vector<ExperimentCase> cases;
     for (const auto &workload : spec.workloads) {
         for (std::size_t vs : spec.valueSizes) {
             for (std::uint64_t lat : spec.pmWriteLatenciesNs) {
-                for (AnnotationMode ann : spec.annotationModes) {
-                    for (SchemeKind scheme : spec.schemes) {
-                        ExperimentCase c;
-                        c.workload = workload;
-                        c.cfg.scheme = scheme;
-                        c.cfg.style = spec.style;
-                        c.cfg.annotations = ann;
-                        c.cfg.ycsb.numOps = spec.numOps;
-                        c.cfg.ycsb.valueBytes = vs;
-                        c.cfg.ycsb.seed = spec.seed;
-                        c.cfg.pmWriteLatencyNs = lat;
-                        c.cfg.speculativeRounding =
-                            spec.speculativeRounding;
-                        c.cfg.numTxnIds = spec.numTxnIds;
+                for (SchemeKind scheme : spec.schemes) {
+                    ExperimentCase c;
+                    c.workload = workload;
+                    c.cfg.scheme = scheme;
+                    c.cfg.ycsb.numOps = spec.numOps;
+                    c.cfg.ycsb.valueBytes = vs;
+                    c.cfg.pmWriteLatencyNs = lat;
 
-                        // Swept axes show up in the key; point axes
-                        // keep the short workload/Scheme form.
-                        std::string suffix;
-                        auto add = [&suffix](const std::string &part) {
-                            if (!suffix.empty())
-                                suffix += "/";
-                            suffix += part;
-                        };
-                        if (spec.valueSizes.size() > 1)
-                            add(std::to_string(vs) + "B");
-                        if (spec.pmWriteLatenciesNs.size() > 1)
-                            add(std::to_string(lat) + "ns");
-                        if (spec.annotationModes.size() > 1)
-                            add(annotationModeName(ann));
-                        c.key = caseKey(workload, scheme, suffix);
-                        cases.push_back(std::move(c));
-                    }
+                    // Swept axes show up in the key; point axes keep
+                    // the short workload/Scheme form.
+                    std::string suffix;
+                    if (spec.valueSizes.size() > 1)
+                        suffix = std::to_string(vs) + "B";
+                    if (spec.pmWriteLatenciesNs.size() > 1)
+                        suffix += (suffix.empty() ? "" : "/") +
+                                  std::to_string(lat) + "ns";
+                    c.key = caseKey(workload, scheme, suffix);
+                    cases.push_back(std::move(c));
                 }
             }
         }

@@ -3,7 +3,7 @@
  * Parallel experiment orchestrator.
  *
  * Every paper figure is a sweep over the same experiment space
- * (workload x scheme x value size x PM latency x annotation mode),
+ * (workload x scheme x value size x PM latency),
  * and every cell is one independent simulated machine. The
  * orchestrator expands a declarative MatrixSpec into a flat case
  * list in a fixed enumeration order, runs the cases on a
@@ -41,8 +41,9 @@ struct ExperimentCase
 /**
  * A declarative experiment matrix. Expansion takes the cross product
  * of the vector axes in a fixed nesting order (workload, value size,
- * PM latency, annotation mode, scheme); the scalar fields apply to
- * every cell.
+ * PM latency, scheme); numOps applies to every cell, and every other
+ * knob keeps its ExperimentConfig default (undo logging, manual
+ * annotations, the figure seed).
  */
 struct MatrixSpec
 {
@@ -50,16 +51,8 @@ struct MatrixSpec
     std::vector<SchemeKind> schemes;
     std::vector<std::size_t> valueSizes = {256};
     std::vector<std::uint64_t> pmWriteLatenciesNs = {500};
-    std::vector<AnnotationMode> annotationModes = {AnnotationMode::Manual};
     std::size_t numOps = 1000;
-    std::uint64_t seed = 42;
-    LoggingStyle style = LoggingStyle::Undo;
-    bool speculativeRounding = false;
-    std::uint8_t numTxnIds = 4;
 };
-
-/** Annotation-mode tag for cell keys ("none", "manual", "compiler"). */
-std::string annotationModeName(AnnotationMode mode);
 
 /** Cell key builder: workload/SchemeName[/suffix]. */
 std::string caseKey(const std::string &workload, SchemeKind scheme,

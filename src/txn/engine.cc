@@ -9,7 +9,8 @@ namespace slpmt
 TxnEngine::TxnEngine(const SchemeConfig &scheme, LoggingStyle style,
                      const AddressMap &map, CacheHierarchy &hier,
                      PmDevice &pm, StatsRegistry &stats, Addr log_base,
-                     Bytes log_size)
+                     Bytes log_size, std::uint64_t &seq_counter,
+                     std::uint64_t &crash_countdown)
     : schemeCfg(scheme),
       loggingStyle(style),
       addrMap(map),
@@ -19,6 +20,8 @@ TxnEngine::TxnEngine(const SchemeConfig &scheme, LoggingStyle style,
       undoLog(pm, log_base, log_size, stats),
       ids(scheme.numTxnIds),
       idState(scheme.numTxnIds),
+      seqCounter(seq_counter),
+      crashCountdown(crash_countdown),
       statTxns(stats.counter("txn.begun")),
       statCommits(stats.counter("txn.committed")),
       statAborts(stats.counter("txn.aborted")),
@@ -73,7 +76,7 @@ TxnEngine::txBegin()
     }
 
     curId = ids.allocate();
-    curSeq = ++*seqSrc;
+    curSeq = ++seqCounter;
     idState[curId].signature.clear();
     idState[curId].txnSeq = curSeq;
     idState[curId].lazyOutstanding = false;
@@ -350,7 +353,7 @@ void
 TxnEngine::storeT(Addr addr, const void *src, std::size_t len,
                   StoreFlags flags)
 {
-    if (*crashSrc > 0 && --*crashSrc == 0) {
+    if (crashCountdown > 0 && --crashCountdown == 0) {
         crash();
         throw CrashInjected();
     }
@@ -694,35 +697,6 @@ TxnEngine::lazyOutstandingCount() const
 // ---------------------------------------------------------------------
 
 bool
-TxnEngine::remoteWrite(Addr addr)
-{
-    clock += checkSignaturesOnWrite(addr, clock);
-    bool conflict = false;
-    if (CacheLine *line = hier.findPrivate(addr)) {
-        if (inTxn && line->txnId == curId && line->txnSeq == curSeq) {
-            conflict = true;  // caller decides whether to abort
-        } else {
-            clock += checkLineOwner(*line, clock);
-            hier.invalidateLineEverywhere(addr);
-        }
-    }
-    return conflict;
-}
-
-bool
-TxnEngine::remoteRead(Addr addr)
-{
-    bool conflict = false;
-    if (CacheLine *line = hier.findPrivate(addr)) {
-        if (inTxn && line->txnId == curId && line->txnSeq == curSeq)
-            conflict = true;
-        else
-            clock += checkLineOwner(*line, clock);
-    }
-    return conflict;
-}
-
-bool
 TxnEngine::remoteObserve(Addr addr, bool is_write)
 {
     remoteObserving = true;
@@ -904,8 +878,6 @@ void
 TxnEngine::saveState(BlobWriter &w) const
 {
     w.u<Cycles>(clock);
-    w.u<std::uint64_t>(crashCountdown);
-    w.u<std::uint64_t>(globalSeq);
     w.b(inTxn);
     w.u<std::uint8_t>(curId);
     w.u<std::uint64_t>(curSeq);
@@ -947,8 +919,6 @@ void
 TxnEngine::restoreState(BlobReader &r)
 {
     clock = r.u<Cycles>();
-    crashCountdown = r.u<std::uint64_t>();
-    globalSeq = r.u<std::uint64_t>();
     inTxn = r.b();
     curId = r.u<std::uint8_t>();
     curSeq = r.u<std::uint64_t>();

@@ -93,10 +93,19 @@ class TxnEngine final
      *        appends to: the machine carves the map's log area into
      *        per-core slices so concurrent engines never interleave
      *        records.
+     * @param seq_counter The machine's transaction sequence counter,
+     *        shared by its engines so (txn ID, txn seq) pairs stay
+     *        globally unique.
+     * @param crash_countdown The machine's crash-after-N-stores
+     *        countdown, shared by its engines so the machine crashes
+     *        at a global store ordinal (0 = disarmed). When it reaches
+     *        zero on a store, the engine crashes and throws
+     *        CrashInjected, unwinding the workload mid-transaction.
      */
     TxnEngine(const SchemeConfig &scheme, LoggingStyle style,
               const AddressMap &map, CacheHierarchy &hier, PmDevice &pm,
-              StatsRegistry &stats, Addr log_base, Bytes log_size);
+              StatsRegistry &stats, Addr log_base, Bytes log_size,
+              std::uint64_t &seq_counter, std::uint64_t &crash_countdown);
 
     TxnEngine(const TxnEngine &) = delete;
     TxnEngine &operator=(const TxnEngine &) = delete;
@@ -140,12 +149,8 @@ class TxnEngine final
                 StoreFlags flags);
     /** @} */
 
-    /** @name Coherence events from other cores (conflict tests) */
+    /** @name Coherence events from other cores */
     /** @{ */
-    /** @return true if the event conflicts with the in-flight txn. */
-    bool remoteWrite(Addr addr);
-    bool remoteRead(Addr addr);
-
     /**
      * Directory probe from another core (multicore machine): run the
      * paper's cross-transaction observation rules — the
@@ -161,21 +166,6 @@ class TxnEngine final
      *         machine must resolve by aborting this core)
      */
     bool remoteObserve(Addr addr, bool is_write);
-    /** @} */
-
-    /** @name Multicore sharing hooks (see src/multicore/machine.hh) */
-    /** @{ */
-    /** Share the transaction sequence counter across cores so
-     *  (txn ID, txn seq) pairs stay globally unique. */
-    void setSharedSeqCounter(std::uint64_t *counter) { seqSrc = counter; }
-
-    /** Share the crash-after-N-stores countdown across cores so the
-     *  machine can crash at a global store ordinal. */
-    void
-    setSharedCrashCountdown(std::uint64_t *countdown)
-    {
-        crashSrc = countdown;
-    }
     /** @} */
 
     /**
@@ -207,16 +197,8 @@ class TxnEngine final
     void crash();
 
     /**
-     * Fault injection for tests: after @p n more store/storeT
-     * instructions the engine crashes the machine and throws
-     * CrashInjected, unwinding the workload mid-transaction.
-     * Pass 0 to disarm.
-     */
-    void armCrashAfterStores(std::uint64_t n) { *crashSrc = n; }
-
-    /**
      * Total store/storeT instructions executed so far — the ordinal
-     * space armCrashAfterStores() counts in. The crash-point explorer
+     * space the crash countdown counts in. The crash-point explorer
      * dry-runs a workload, reads this, and enumerates every value as
      * an injection point.
      */
@@ -251,10 +233,9 @@ class TxnEngine final
      *
      * Serializes every architectural register of the engine: clock,
      * txn-control state, per-ID signatures, log buffer tiers, the
-     * undo-log tail, and the redo write/evicted sets. The shared
-     * counter pointers (seqSrc/crashSrc) are wiring, not state — the
-     * owning machine re-establishes them on construction and
-     * serializes the shared counters itself when they are shared.
+     * undo-log tail, and the redo write/evicted sets. The sequence
+     * counter and crash countdown belong to the machine, which
+     * serializes them itself.
      */
     /** @{ */
     void saveState(BlobWriter &w) const;
@@ -359,16 +340,13 @@ class TxnEngine final
     Signature::Probe probeCache{};
 
     Cycles clock = 0;
-    std::uint64_t crashCountdown = 0;  //!< fault injection (0 = off)
     bool inTxn = false;
     std::uint8_t curId = noTxnId;
     std::uint64_t curSeq = 0;
-    std::uint64_t globalSeq = 0;
 
-    /** Sequence/countdown sources: own fields unless a multicore
-     *  machine shares one counter across its engines. */
-    std::uint64_t *seqSrc = &globalSeq;
-    std::uint64_t *crashSrc = &crashCountdown;
+    /** The machine's shared counters (see the constructor). */
+    std::uint64_t &seqCounter;
+    std::uint64_t &crashCountdown;
 
     /** A remoteObserve() probe is running: attribute forced lazy
      *  drains to the cross-core counters. */

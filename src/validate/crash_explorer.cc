@@ -70,8 +70,8 @@ class CoreTarget final : public SweepTarget
     {}
 
     std::uint64_t runMaster(MasterSink &sink) override;
-    CrashPointOutcome runPoint(const SweepBase *base,
-                               std::uint64_t crash_point) const override;
+    std::unique_ptr<SweepPoint>
+    fork(const SweepBase *base, std::uint64_t crash_point) const override;
 
     const CrashSweepConfig &cfg;
     const std::vector<YcsbMixedOp> trace;
@@ -111,35 +111,37 @@ CoreTarget::runMaster(MasterSink &sink)
     return sys.engine().storesExecuted() - start;
 }
 
-CrashPointOutcome
-CoreTarget::runPoint(const SweepBase *base, std::uint64_t crash_point) const
+/** One machine replaying the trace from a base (or from setup). */
+class CorePoint final : public SweepPoint
 {
-    CrashPointOutcome out;
-    out.crashPoint = crash_point;
-    const std::string tuple = reproTuple(id, crash_point);
-
-    try {
-        PmSystem sys(systemFor(cfg));
-        std::unique_ptr<Workload> wl;
-        Shadow shadow;
-        std::uint64_t arm_stores = crash_point;
+  public:
+    CorePoint(const CoreTarget &target, const CoreBase *base,
+              std::uint64_t crash_point)
+        : target(target), sys(systemFor(target.cfg)),
+          crashPoint(crash_point)
+    {
         if (base) {
-            const auto &b = static_cast<const CoreBase &>(*base);
-            b.machine.restore(sys);
-            wl = b.workload->clone();
-            shadow = b.shadow;
-            out.committedOps = b.nextOp;
-            arm_stores = crash_point > 0 ? crash_point - b.storesAt : 0;
+            base->machine.restore(sys);
+            wl = base->workload->clone();
+            shadow = base->shadow;
+            nextOp = base->nextOp;
+            armStores = crash_point > 0 ? crash_point - base->storesAt : 0;
         } else {
-            wl = makeWorkload(cfg.workload);
+            wl = makeWorkload(target.cfg.workload);
             wl->setup(sys);
+            armStores = crash_point;
         }
+    }
 
-        if (arm_stores > 0)
-            sys.armCrashAfterStores(arm_stores);
-        for (std::size_t i = out.committedOps; i < trace.size(); ++i) {
+    bool
+    tail(CrashPointOutcome &out) override
+    {
+        out.committedOps = nextOp;
+        if (armStores > 0)
+            sys.armCrashAfterStores(armStores);
+        for (std::size_t i = nextOp; i < target.trace.size(); ++i) {
             try {
-                applyOp(sys, *wl, trace[i], shadow);
+                applyOp(sys, *wl, target.trace[i], shadow);
             } catch (const CrashInjected &) {
                 out.fired = true;
                 break;
@@ -153,53 +155,55 @@ CoreTarget::runPoint(const SweepBase *base, std::uint64_t crash_point) const
         // persistent data still volatile in the caches.
         if (!out.fired)
             sys.crash();
-
-        // Trace keys the shadow lacks must NOT be visible: removed
-        // keys and the interrupted op's fresh insert.
-        auto check = [&](const char *phase) {
-            OracleLines lines(tuple, phase, out.violations);
-            checkShadow(sys, *wl, shadow, keys, "uncommitted or removed",
-                        lines);
-        };
-
-        // Hardware-level recovery (log replay), then the workload's
-        // user-level recovery of log-free and lazy data.
-        if (!cfg.skipHardwareReplay)
-            out.replayedRecords = sys.recoverHardware();
-        if (!cfg.skipUserRecovery)
-            wl->recover(sys);
-        check("post-recovery");
-
-        // Recovery must be idempotent: a second replay finds an empty
-        // log and a second user-level pass changes nothing.
-        if (cfg.checkIdempotence) {
-            const std::size_t again =
-                cfg.skipHardwareReplay ? 0 : sys.recoverHardware();
-            if (again != 0)
-                out.violations.push_back(
-                    tuple + " idempotence: second hardware recovery "
-                            "replayed " +
-                    std::to_string(again) + " records");
-            if (!cfg.skipUserRecovery)
-                wl->recover(sys);
-            check("idempotence");
-        }
-
-        // The recovered structure must keep working.
-        if (cfg.continuationOps > 0) {
-            insertContinuation(*wl, shadow, cfg.mix.seed, crash_point,
-                               cfg.continuationOps, cfg.mix.valueBytes,
-                               [&](std::size_t) -> PmContext & {
-                                   return sys;
-                               });
-            check("continuation");
-        }
-
-        out.stats = sys.stats().snapshot();
-    } catch (const std::exception &e) {
-        out.violations.push_back(tuple + " exception: " + e.what());
+        return true;
     }
-    return out;
+
+    /** Either stage may be skipped by the config's fault injection. */
+    std::size_t
+    recover() override
+    {
+        const std::size_t replayed =
+            target.cfg.skipHardwareReplay ? 0 : sys.recoverHardware();
+        if (!target.cfg.skipUserRecovery)
+            wl->recover(sys);
+        return replayed;
+    }
+
+    /** Trace keys the shadow lacks must NOT be visible: removed keys
+     *  and the interrupted op's fresh insert. */
+    void
+    check(OracleLines &lines) override
+    {
+        checkShadow(sys, *wl, shadow, target.keys,
+                    "uncommitted or removed", lines);
+    }
+
+    void
+    continueRun(std::size_t ops, OracleLines &lines) override
+    {
+        insertContinuation(*wl, shadow, target.cfg.mix.seed, crashPoint,
+                           ops, target.cfg.mix.valueBytes,
+                           [&](std::size_t) -> PmContext & { return sys; });
+        check(lines);
+    }
+
+    StatsSnapshot stats() const override { return sys.stats().snapshot(); }
+
+  private:
+    const CoreTarget &target;
+    PmSystem sys;
+    const std::uint64_t crashPoint;
+    std::unique_ptr<Workload> wl;
+    Shadow shadow;
+    std::size_t nextOp = 0;
+    std::uint64_t armStores = 0;
+};
+
+std::unique_ptr<SweepPoint>
+CoreTarget::fork(const SweepBase *base, std::uint64_t crash_point) const
+{
+    return std::make_unique<CorePoint>(
+        *this, static_cast<const CoreBase *>(base), crash_point);
 }
 
 } // namespace

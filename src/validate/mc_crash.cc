@@ -94,13 +94,19 @@ class McTarget final : public SweepTarget
     explicit McTarget(const McCrashSweepConfig &cfg)
         : SweepTarget(identity(cfg),
                       cfg.run.seed ^ 0xc5a5c5a5c5a5c5a5ULL),
-          cfg(cfg), rc(runConfigFor(cfg)), streams(mcYcsbStreams(rc)),
+          rc(runConfigFor(cfg)), streams(mcYcsbStreams(rc)),
           keys(runKeySet(streams | std::views::join))
     {}
 
     std::uint64_t runMaster(MasterSink &sink) override;
-    CrashPointOutcome runPoint(const SweepBase *base,
-                               std::uint64_t crash_point) const override;
+    std::unique_ptr<SweepPoint>
+    fork(const SweepBase *base, std::uint64_t crash_point) const override;
+
+    const McYcsbConfig rc;
+    const std::vector<std::vector<McOpRecord>> streams;
+
+    /** Every key the streams touch, ascending. */
+    const std::vector<std::uint64_t> keys;
 
   private:
     static SweepIdentity
@@ -112,16 +118,6 @@ class McTarget final : public SweepTarget
         id.shape = cfg.run.numCores;
         return id;
     }
-
-    void finish(Interleaving &run, bool crashed, const std::string &tuple,
-                CrashPointOutcome &out) const;
-
-    const McCrashSweepConfig &cfg;
-    const McYcsbConfig rc;
-    const std::vector<std::vector<McOpRecord>> streams;
-
-    /** Every key the streams touch, ascending. */
-    const std::vector<std::uint64_t> keys;
 };
 
 /** Every quantum boundary (the entry one included) is a fork base
@@ -143,90 +139,86 @@ McTarget::runMaster(MasterSink &sink)
     return run.machine.storesExecuted() - start;
 }
 
-CrashPointOutcome
-McTarget::runPoint(const SweepBase *base, std::uint64_t crash_point) const
+/** One interleaving resumed from a base (or from setup); the shadow is
+ *  the commit log the tail leaves behind. */
+class McPoint final : public SweepPoint
 {
-    CrashPointOutcome out;
-    out.crashPoint = crash_point;
-    const std::string tuple = reproTuple(id, crash_point);
+  public:
+    McPoint(const McTarget &target, const McBase *base,
+            std::uint64_t crash_point)
+        : target(target), base(base), crashPoint(crash_point),
+          run(target.rc, target.streams, base)
+    {}
 
-    try {
-        const auto *b = static_cast<const McBase *>(base);
-        Interleaving run(rc, streams, b);
-        if (crash_point > 0)
-            run.machine.armCrashAfterStores(crash_point -
-                                            (b ? b->storesAt : 0));
+    bool
+    tail(CrashPointOutcome &out) override
+    {
+        McMachine &machine = run.machine;
+        if (crashPoint > 0)
+            machine.armCrashAfterStores(crashPoint -
+                                        (base ? base->storesAt : 0));
         const McScheduleResult res =
-            b ? runInterleavedFrom(run.machine, run.ptrs, rc.sched,
-                                   b->sched)
-              : runInterleaved(run.machine, run.ptrs, rc.sched);
-        run.machine.armCrashAfterStores(0);
-        finish(run, res.crashed, tuple, out);
-    } catch (const std::exception &e) {
-        out.violations.push_back(tuple + " exception: " + e.what());
-    }
-    return out;
-}
+            base ? runInterleavedFrom(machine, run.ptrs, target.rc.sched,
+                                      base->sched)
+                 : runInterleaved(machine, run.ptrs, target.rc.sched);
+        machine.armCrashAfterStores(0);
+        out.fired = res.crashed;
+        out.committedOps = run.commitLog.size();
 
-/**
- * From the crash (or run completion) onward: power off if nothing
- * fired, rebuild the shadow from the commit log, recover, and run the
- * oracle phases.
- */
-void
-McTarget::finish(Interleaving &run, bool crashed, const std::string &tuple,
-                 CrashPointOutcome &out) const
-{
-    McMachine &machine = run.machine;
-    Workload &wl = *run.wl;
-    out.fired = crashed;
-    out.committedOps = run.commitLog.size();
-
-    // Power off after the run when the armed point never fired
-    // (or for the explicit post-completion sentinel).
-    if (!crashed)
-        machine.crash();
-
-    Shadow shadow;
-    for (const auto &op : run.commitLog)
-        shadow[op.key] = op.value;
-
-    auto check = [&](const char *phase) {
-        OracleLines lines(tuple, phase, out.violations);
-        checkShadow(machine.context(0), wl, shadow, keys, "uncommitted",
-                    lines);
-    };
-
-    // Hardware replay of every core's log slice, then the
-    // workload's user-level recovery (runs on core 0 — recovery
-    // is single-threaded kernel/runtime work).
-    out.replayedRecords = machine.recover();
-    wl.recover(machine.context(0));
-    check("post-recovery");
-
-    if (cfg.checkIdempotence) {
-        const std::size_t again = machine.recover();
-        if (again != 0)
-            out.violations.push_back(
-                tuple + " idempotence: second hardware recovery "
-                        "replayed " +
-                std::to_string(again) + " records");
-        wl.recover(machine.context(0));
-        check("idempotence");
+        // Power off after the run when the armed point never fired
+        // (or for the explicit post-completion sentinel).
+        if (!res.crashed)
+            machine.crash();
+        for (const auto &op : run.commitLog)
+            shadow[op.key] = op.value;
+        return true;
     }
 
-    // The structure must keep working: the fresh inserts spread
-    // across the cores.
-    if (cfg.continuationOps > 0) {
-        insertContinuation(wl, shadow, rc.seed, out.crashPoint,
-                           cfg.continuationOps, rc.valueBytes,
+    /** Every core's log slice, then the workload's user-level recovery
+     *  (on core 0: recovery is single-threaded kernel/runtime work). */
+    std::size_t
+    recover() override
+    {
+        const std::size_t replayed = run.machine.recover();
+        run.wl->recover(run.machine.context(0));
+        return replayed;
+    }
+
+    void
+    check(OracleLines &lines) override
+    {
+        checkShadow(run.machine.context(0), *run.wl, shadow, target.keys,
+                    "uncommitted", lines);
+    }
+
+    /** The fresh inserts spread across the cores. */
+    void
+    continueRun(std::size_t ops, OracleLines &lines) override
+    {
+        insertContinuation(*run.wl, shadow, target.rc.seed, crashPoint, ops,
+                           target.rc.valueBytes,
                            [&](std::size_t i) -> PmContext & {
-                               return machine.context(i % rc.numCores);
+                               return run.machine.context(
+                                   i % target.rc.numCores);
                            });
-        check("continuation");
+        check(lines);
     }
 
-    out.stats = machine.snapshot();
+    StatsSnapshot stats() const override { return run.machine.snapshot(); }
+
+  private:
+    const McTarget &target;
+    const McBase *const base;
+    const std::uint64_t crashPoint;
+    Interleaving run;
+    Shadow shadow;
+};
+
+std::unique_ptr<SweepPoint>
+McTarget::fork(const SweepBase *base, std::uint64_t crash_point) const
+{
+    return std::make_unique<McPoint>(
+        *this, static_cast<const McBase *>(base), crash_point);
 }
 
 } // namespace

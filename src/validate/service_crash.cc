@@ -147,10 +147,8 @@ void
 checkState(ShardSet &set, const ShardRouter &router, const SvcShadow &shadow,
            const DispatchOp *interrupted,
            const std::vector<std::uint64_t> &absent_keys,
-           const std::string &tuple, const char *phase,
-           std::vector<std::string> &out)
+           OracleLines &lines)
 {
-    OracleLines lines(tuple, phase, out);
     const bool interrupted_mutation =
         interrupted && interrupted->op.isMutation();
     const std::uint64_t ikey =
@@ -238,11 +236,20 @@ class ServiceTarget final : public SweepTarget
     {}
 
     std::uint64_t runMaster(MasterSink &sink) override;
-    CrashPointOutcome runPoint(const SweepBase *base,
-                               std::uint64_t crash_point) const override;
+    std::unique_ptr<SweepPoint>
+    fork(const SweepBase *base, std::uint64_t crash_point) const override;
 
     const ServiceCrashConfig &cfg;
     const std::vector<DispatchOp> dispatch;
+
+    /**
+     * Global stores completed before dispatch op i, written by the
+     * master; the extra final entry is the whole run's store count.
+     * Sized before the master starts and never reallocated, because a
+     * pipelined sweep's points read the entries published before
+     * their frontier while the master still writes later ones.
+     */
+    std::vector<std::uint64_t> opStart;
 
   private:
     static SweepIdentity
@@ -255,19 +262,6 @@ class ServiceTarget final : public SweepTarget
         id.opsKey = "dispatch_ops";
         return id;
     }
-
-    void finish(ShardSet &set, std::size_t completed_ops,
-                const DispatchOp *interrupted, const std::string &tuple,
-                CrashPointOutcome &out) const;
-
-    /**
-     * Global stores completed before dispatch op i, written by the
-     * master; the extra final entry is the whole run's store count.
-     * Sized before the master starts and never reallocated, because a
-     * pipelined sweep's points read the entries published before
-     * their frontier while the master still writes later ones.
-     */
-    std::vector<std::uint64_t> opStart;
 };
 
 /** The boundary before every dispatch op is a fork base candidate. */
@@ -288,102 +282,83 @@ ServiceTarget::runMaster(MasterSink &sink)
     return opStart.back();
 }
 
-CrashPointOutcome
-ServiceTarget::runPoint(const SweepBase *base,
-                        std::uint64_t crash_point) const
+/**
+ * Every shard replaying the dispatch tail from a base (or from setup).
+ * The tail leaves the oracle's inputs: the completed request prefix,
+ * the request the crash unwound and the keys only later requests
+ * write.
+ */
+class SvcPoint final : public SweepPoint
 {
-    CrashPointOutcome out;
-    out.crashPoint = crash_point;
-    const std::string tuple = reproTuple(id, crash_point);
-
-    try {
-        const auto *b = static_cast<const SvcBase *>(base);
-        ShardSet set = makeShards(cfg, b == nullptr);
-        std::size_t at = 0;
-        std::uint64_t stores_at = 0;
-        if (b) {
-            for (std::size_t s = 0; s < cfg.numShards; ++s) {
-                set.workloads.push_back(b->workloads[s]->clone());
-                b->machines[s].restore(*set.machines[s]);
+  public:
+    SvcPoint(const ServiceTarget &target, const SvcBase *base,
+             std::uint64_t crash_point)
+        : target(target), router(target.cfg.numShards, target.cfg.routerSalt),
+          set(makeShards(target.cfg, base == nullptr)),
+          crashPoint(crash_point)
+    {
+        if (base) {
+            for (std::size_t s = 0; s < target.cfg.numShards; ++s) {
+                set.workloads.push_back(base->workloads[s]->clone());
+                base->machines[s].restore(*set.machines[s]);
             }
-            at = b->opIndex;
-            stores_at = b->storesAt;
+            at = base->opIndex;
         }
+    }
 
-        if (crash_point == 0) {
+    bool
+    tail(CrashPointOutcome &out) override
+    {
+        const std::vector<DispatchOp> &dispatch = target.dispatch;
+        const std::vector<std::uint64_t> &op_start = target.opStart;
+        std::size_t completed = dispatch.size();
+        if (crashPoint == 0) {
             // Post-completion point: run out, then power off with
             // lazy data still volatile.
             set.replay(dispatch, at, dispatch.size());
-            finish(set, dispatch.size(), nullptr, tuple, out);
-            return out;
+        } else {
+            // The dispatch op executing global store crashPoint: the
+            // last one starting below it (zero-store requests can
+            // never hold a point). A point past the run's last store
+            // arms the last op, whose crash then does not fire. The
+            // base starts below the point too, so the scan only reads
+            // entries the master wrote before publishing this point.
+            completed = at;
+            while (completed + 2 < op_start.size() &&
+                   op_start[completed + 1] < crashPoint)
+                ++completed;
+            set.replay(dispatch, at, completed);
+
+            interrupted = &dispatch.at(completed);
+            out.crashShard = interrupted->shard;
+            McMachine &machine = *set.machines[interrupted->shard];
+            machine.armCrashAfterStores(crashPoint - op_start[completed]);
+            try {
+                applyShardOp(machine.context(0),
+                             *set.workloads[interrupted->shard],
+                             interrupted->op);
+            } catch (const CrashInjected &) {
+                out.fired = true;
+            }
+            machine.armCrashAfterStores(0);
+        }
+        out.committedOps = completed;
+
+        // Power failure is service-wide: every shard machine goes down,
+        // the one that fired included (its engine crashed only itself).
+        for (auto &machine : set.machines)
+            machine->crash();
+
+        for (std::size_t i = 0; i < completed; ++i) {
+            const ShardOp &op = dispatch[i].op;
+            if (op.isMutation())
+                shadow[op.key] = {op.valueSalt, op.valueBytes};
         }
 
-        // The dispatch op executing global store crash_point: the last
-        // one starting below it (zero-store requests can never hold a
-        // point). A point past the run's last store arms the last op,
-        // whose crash then does not fire. The base starts below the
-        // point too, so the scan only reads entries the master wrote
-        // before publishing this point.
-        std::size_t target = at;
-        while (target + 2 < opStart.size() &&
-               opStart[target + 1] < crash_point)
-            ++target;
-        set.replay(dispatch, at, target);
-
-        const DispatchOp &victim = dispatch.at(target);
-        out.crashShard = victim.shard;
-        McMachine &machine = *set.machines[victim.shard];
-        machine.armCrashAfterStores(crash_point - opStart[target]);
-        try {
-            applyShardOp(machine.context(0),
-                         *set.workloads[victim.shard], victim.op);
-        } catch (const CrashInjected &) {
-            out.fired = true;
-        }
-        machine.armCrashAfterStores(0);
-        if (!out.fired)
-            out.violations.push_back(
-                tuple + " armed crash did not fire (stores at " +
-                std::to_string(stores_at) + ")");
-        finish(set, target, &victim, tuple, out);
-    } catch (const std::exception &e) {
-        out.violations.push_back(tuple + " exception: " + e.what());
-    }
-    return out;
-}
-
-/**
- * From the crash onward every path is the same: power-fail every
- * shard, recover each, and run the oracle phases against the
- * completed request prefix.
- */
-void
-ServiceTarget::finish(ShardSet &set, std::size_t completed_ops,
-                      const DispatchOp *interrupted,
-                      const std::string &tuple,
-                      CrashPointOutcome &out) const
-{
-    const ShardRouter router(cfg.numShards, cfg.routerSalt);
-    out.committedOps = completed_ops;
-
-    // Power failure is service-wide: every shard machine goes down,
-    // the one that fired included (its engine crashed only itself).
-    for (auto &machine : set.machines)
-        machine->crash();
-
-    SvcShadow shadow;
-    for (std::size_t i = 0; i < completed_ops; ++i) {
-        const ShardOp &op = dispatch[i].op;
-        if (op.isMutation())
-            shadow[op.key] = {op.valueSalt, op.valueBytes};
-    }
-
-    // Keys no completed (or interrupted) request ever wrote must not
-    // surface.
-    std::vector<std::uint64_t> absent;
-    {
+        // Keys no completed (or interrupted) request ever wrote must
+        // not surface.
         std::set<std::uint64_t> future;
-        for (std::size_t i = completed_ops; i < dispatch.size(); ++i)
+        for (std::size_t i = completed; i < dispatch.size(); ++i)
             if (dispatch[i].op.isMutation())
                 future.insert(dispatch[i].op.key);
         for (std::uint64_t key : future) {
@@ -392,55 +367,71 @@ ServiceTarget::finish(ShardSet &set, std::size_t completed_ops,
                   interrupted->op.key == key))
                 absent.push_back(key);
         }
+        return crashPoint == 0 || out.fired;
     }
 
-    // Hardware log replay, then the workload's user-level recovery,
-    // on every shard.
-    for (std::size_t s = 0; s < cfg.numShards; ++s) {
-        out.replayedRecords += set.machines[s]->recover();
-        set.workloads[s]->recover(set.machines[s]->context(0));
-    }
-    checkState(set, router, shadow, interrupted, absent, tuple,
-               "post-recovery", out.violations);
-
-    if (cfg.checkIdempotence) {
-        std::size_t again = 0;
-        for (std::size_t s = 0; s < cfg.numShards; ++s) {
-            again += set.machines[s]->recover();
+    /** Hardware log replay, then the workload's user-level recovery,
+     *  on every shard. */
+    std::size_t
+    recover() override
+    {
+        std::size_t replayed = 0;
+        for (std::size_t s = 0; s < target.cfg.numShards; ++s) {
+            replayed += set.machines[s]->recover();
             set.workloads[s]->recover(set.machines[s]->context(0));
         }
-        if (again != 0)
-            out.violations.push_back(
-                tuple + " idempotence: second hardware recovery "
-                        "replayed " +
-                std::to_string(again) + " records");
-        checkState(set, router, shadow, interrupted, absent, tuple,
-                   "idempotence", out.violations);
+        return replayed;
     }
 
-    // Every shard must keep serving: fresh inserts routed like any
-    // request (generator keys have bit 62 set; continuation keys set
-    // bit 61 instead, so they can never collide).
-    if (cfg.continuationOps > 0) {
-        Rng rng(mix64(cfg.load.seed) ^ (out.crashPoint + 1));
+    void
+    check(OracleLines &lines) override
+    {
+        checkState(set, router, shadow, interrupted, absent, lines);
+    }
+
+    /** Every shard must keep serving: fresh inserts routed like any
+     *  request and read straight back (generator keys have bit 62
+     *  set; these fresh keys set bit 61 instead, so they can never
+     *  collide). */
+    void
+    continueRun(std::size_t ops, OracleLines &lines) override
+    {
+        Rng rng(mix64(target.cfg.load.seed) ^ (crashPoint + 1));
         std::vector<std::uint8_t> got;
-        for (std::size_t i = 0; i < cfg.continuationOps; ++i) {
+        for (std::size_t i = 0; i < ops; ++i) {
             const std::uint64_t key =
                 (std::uint64_t{1} << 61) |
                 (rng.next() & ((std::uint64_t{1} << 61) - 1));
             const std::size_t s = router.shardOf(key);
+            PmContext &ctx = set.machines[s]->context(0);
             const auto value = ycsbValueFor(key, 64);
-            set.workloads[s]->insert(set.machines[s]->context(0), key,
-                                     value);
+            set.workloads[s]->insert(ctx, key, value);
             got.clear();
-            if (!set.workloads[s]->lookup(set.machines[s]->context(0),
-                                          key, &got) ||
-                got != value)
-                out.violations.push_back(
-                    tuple + " continuation: fresh key " + hexKey(key) +
-                    " unreadable on shard " + std::to_string(s));
+            if (!set.workloads[s]->lookup(ctx, key, &got) || got != value)
+                lines.add("fresh key " + hexKey(key) +
+                          " unreadable on shard " + std::to_string(s));
         }
     }
+
+    /** The service report carries no machine counters. */
+    StatsSnapshot stats() const override { return {}; }
+
+  private:
+    const ServiceTarget &target;
+    const ShardRouter router;
+    ShardSet set;
+    const std::uint64_t crashPoint;
+    std::size_t at = 0;  //!< first dispatch op the tail applies
+    const DispatchOp *interrupted = nullptr;
+    SvcShadow shadow;
+    std::vector<std::uint64_t> absent;
+};
+
+std::unique_ptr<SweepPoint>
+ServiceTarget::fork(const SweepBase *base, std::uint64_t crash_point) const
+{
+    return std::make_unique<SvcPoint>(
+        *this, static_cast<const SvcBase *>(base), crash_point);
 }
 
 } // namespace

@@ -327,6 +327,9 @@ class BaseChain final : public MasterSink
     const std::uint64_t interval;
 };
 
+/** Fresh inserts every recovered point must accept. */
+constexpr std::size_t continuationOps = 2;
+
 /**
  * Enumerate the crash points to explore: every store when the budget
  * allows, otherwise one point drawn per stratum (always covering the
@@ -357,8 +360,7 @@ enumeratePoints(std::uint64_t total, const SweepOptions &opts,
                          points.end());
         }
     }
-    if (opts.crashAfterCompletion)
-        points.push_back(0);
+    points.push_back(0);
     return points;
 }
 
@@ -393,8 +395,7 @@ runPipelined(SweepTarget &target, const SweepOptions &opts,
                 if (chain.done && k > chain.traceStores) {
                     // Exactly one ticket past the last store runs the
                     // post-completion point; later tickets are spent.
-                    if (!opts.crashAfterCompletion ||
-                        k != chain.traceStores + 1)
+                    if (k != chain.traceStores + 1)
                         return;
                     point = 0;
                 }
@@ -438,6 +439,46 @@ runPipelined(SweepTarget &target, const SweepOptions &opts,
 }
 
 } // namespace
+
+CrashPointOutcome
+SweepTarget::runPoint(const SweepBase *base, std::uint64_t crash_point) const
+{
+    CrashPointOutcome out;
+    out.crashPoint = crash_point;
+    const std::string tuple = reproTuple(id, crash_point);
+
+    try {
+        const std::unique_ptr<SweepPoint> point = fork(base, crash_point);
+        if (!point->tail(out))
+            out.violations.push_back(
+                tuple + " armed crash did not fire (stores at " +
+                std::to_string(base ? base->storesAt : 0) + ")");
+
+        out.replayedRecords = point->recover();
+        OracleLines post(tuple, "post-recovery", out.violations);
+        point->check(post);
+
+        // Recovery must be idempotent: a second replay finds an empty
+        // log and a second user-level pass changes nothing.
+        const std::size_t again = point->recover();
+        if (again != 0)
+            out.violations.push_back(
+                tuple +
+                " idempotence: second hardware recovery replayed " +
+                std::to_string(again) + " records");
+        OracleLines idem(tuple, "idempotence", out.violations);
+        point->check(idem);
+
+        // The recovered structure must keep working.
+        OracleLines cont(tuple, "continuation", out.violations);
+        point->continueRun(continuationOps, cont);
+
+        out.stats = point->stats();
+    } catch (const std::exception &e) {
+        out.violations.push_back(tuple + " exception: " + e.what());
+    }
+    return out;
+}
 
 CrashSweepReport
 runSweep(SweepTarget &target, const SweepOptions &opts)

@@ -28,12 +28,20 @@
  *    the frontier reaches k, so both paths give identical outcomes;
  *  - the from-scratch audit path (useCheckpoints = false): the master
  *    captures nothing and every point runs with no base;
+ *  - every point's pipeline after its tail run: the engine stamps the
+ *    crash point and its repro tuple, then runs recovery, the
+ *    post-recovery oracle, a second recovery that must replay nothing,
+ *    the idempotence oracle, the continuation inserts and their oracle,
+ *    and the stats snapshot, and turns an exception anywhere in the
+ *    point into a violation line;
  *  - report aggregation, JSON and the summary text.
  *
  * A target supplies only what differs: the master run, which reports
  * its op or quantum boundaries and captures an immutable base when
- * asked; running one point from a base (or from scratch) through the
- * crash, recovery and its oracle; and the fields of its repro tuple.
+ * asked; a fork of one point from a base (or from scratch), whose tail
+ * runs up to and including the power failure; the point's recover,
+ * check, continue and stats primitives; and the fields of its repro
+ * tuple.
  *
  * `workers` is the total thread count on every path, the calling
  * thread included: 1 starts no thread at all, and the pipelined path
@@ -72,15 +80,6 @@ struct SweepOptions
      * including the first and last store.
      */
     std::size_t maxPoints = 0;
-
-    /** Also crash once after the full run (lazy data still cached). */
-    bool crashAfterCompletion = true;
-
-    /** Re-run recovery a second time and re-verify (idempotence). */
-    bool checkIdempotence = true;
-
-    /** Fresh inserts after recovery proving the structure still works. */
-    std::size_t continuationOps = 2;
 
     /** Total sweep threads, the calling thread included (1 = serial). */
     std::size_t workers = 1;
@@ -216,7 +215,7 @@ runKeySet(const Ops &ops)
 }
 
 /**
- * The continuation phase of the core and mc targets: @p ops fresh
+ * The continuation inserts of the core and mc targets: @p ops fresh
  * inserts with per-point deterministic keys (drawn from @p seed and
  * @p crash_point) and @p value_bytes values, the i-th on
  * @p ctx_for(i), each recorded in @p shadow. Run keys are odd and
@@ -293,6 +292,37 @@ class MasterSink
     ~MasterSink() = default;
 };
 
+/**
+ * One crash point forked from a base (or from scratch): the machine
+ * state a target's primitives act on while the engine drives the point
+ * (SweepTarget::runPoint).
+ */
+class SweepPoint
+{
+  public:
+    virtual ~SweepPoint() = default;
+
+    /**
+     * Run the tail up to and including the power failure, recording
+     * fired and committedOps (and crashShard) in @p out. Returns false
+     * when the armed crash should have fired and did not.
+     */
+    virtual bool tail(CrashPointOutcome &out) = 0;
+
+    /** Hardware log replay, then the workload's user-level recovery;
+     *  returns the log records the replay applied. */
+    virtual std::size_t recover() = 0;
+
+    /** The oracle: the recovered state against the committed one. */
+    virtual void check(OracleLines &lines) = 0;
+
+    /** Insert @p ops fresh keys and check the structure serves them. */
+    virtual void continueRun(std::size_t ops, OracleLines &lines) = 0;
+
+    /** The machine counters the report sums. */
+    virtual StatsSnapshot stats() const = 0;
+};
+
 /** What a sweep target supplies to the engine. */
 class SweepTarget
 {
@@ -312,19 +342,21 @@ class SweepTarget
     /**
      * Run the whole trace once, reporting every boundary a point may
      * fork from to @p sink (the first at the run's start). Returns the
-     * run's store count. During a pipelined sweep, runPoint() calls
-     * overlap this one; they may read host state the master wrote
-     * before the boundary that published their point.
+     * run's store count. During a pipelined sweep, the points run
+     * while this call does; they may read host state the master wrote
+     * before the boundary that published them.
      */
     virtual std::uint64_t runMaster(MasterSink &sink) = 0;
 
-    /**
-     * Run crash point @p crash_point forked from @p base (nullptr: from
-     * scratch), through the crash, recovery and the oracle. Called
-     * concurrently from many threads.
-     */
-    virtual CrashPointOutcome runPoint(const SweepBase *base,
-                                       std::uint64_t crash_point) const = 0;
+    /** Fork crash point @p crash_point from @p base (nullptr: from
+     *  scratch). Called concurrently from many threads. */
+    virtual std::unique_ptr<SweepPoint>
+    fork(const SweepBase *base, std::uint64_t crash_point) const = 0;
+
+    /** Run crash point @p crash_point forked from @p base through its
+     *  tail, recovery and every oracle phase. */
+    CrashPointOutcome runPoint(const SweepBase *base,
+                               std::uint64_t crash_point) const;
 };
 
 /** Run a sweep of @p target (dispatch as in the file comment). */

@@ -375,12 +375,20 @@ resealCrc(std::vector<std::uint8_t> &bytes)
 TEST(CheckpointEncoding, VersionMismatchRejected)
 {
     PmSystem sys(tinySystem(SchemeKind::SLPMT, LoggingStyle::Undo));
-    auto bytes = sampleCheckpoint(sys).toBytes();
-    // Bump the format version field (bytes 4..7 after the magic) and
-    // re-seal the CRC so only the version check can object.
-    bytes[4] += 1;
-    resealCrc(bytes);
-    EXPECT_THROW(MachineCheckpoint::fromBytes(bytes), CheckpointError);
+    const auto bytes = sampleCheckpoint(sys).toBytes();
+    ASSERT_EQ(bytes[4], MachineCheckpoint::formatVersion);
+    // Rewrite the format version field (bytes 4..7 after the magic) and
+    // re-seal the CRC so only the version check can object: to the next
+    // version, and to version 1, whose engine state still carried its
+    // own sequence counter and crash countdown.
+    for (const std::uint32_t version :
+         {MachineCheckpoint::formatVersion + 1, std::uint32_t{1}}) {
+        auto edited = bytes;
+        edited[4] = static_cast<std::uint8_t>(version);
+        resealCrc(edited);
+        EXPECT_THROW(MachineCheckpoint::fromBytes(edited), CheckpointError)
+            << "version " << version;
+    }
 }
 
 TEST(CheckpointEncoding, MachineKindMismatchRejected)

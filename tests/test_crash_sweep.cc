@@ -4,11 +4,13 @@
  * sweeps over every scheme family (the recovery guarantee),
  * bit-identical parallel determinism, oracle discrimination against
  * deliberately broken recovery paths, pinned report digests for every
- * target, and the underlying work-stealing queue and JSON writer.
+ * target, the engine's own violation lines under fake targets, and the
+ * underlying work-stealing queue and JSON writer.
  */
 
 #include <atomic>
 #include <fstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -394,6 +396,113 @@ TEST(CrashSweepDigest, ServiceReportsArePinned)
     cfg.maxPoints = 0;
     expectDigest(cfg, runServiceCrashSweep, serviceFields,
                  0x1da8060f006e0126ULL, 97);
+}
+
+// ---------------------------------------------------------------------
+// The engine's own violation lines, driven by fake targets whose
+// primitives misbehave on purpose
+// ---------------------------------------------------------------------
+
+/** A fake point: every armed point fires, and recovery or the oracle
+ *  misbehaves as its target asks. */
+class FakePoint final : public SweepPoint
+{
+  public:
+    FakePoint(bool leaves_records, bool oracle_throws)
+        : leavesRecords(leaves_records), oracleThrows(oracle_throws)
+    {}
+
+    bool
+    tail(CrashPointOutcome &out) override
+    {
+        out.fired = out.crashPoint != 0;
+        return true;
+    }
+
+    /** The first recovery replays 5 records; one that leaves records
+     *  behind replays 2 more the second time. */
+    std::size_t
+    recover() override
+    {
+        return recoveries++ == 0 ? 5 : (leavesRecords ? 2 : 0);
+    }
+
+    void
+    check(OracleLines &) override
+    {
+        if (oracleThrows)
+            throw std::runtime_error("oracle lost its shadow");
+    }
+
+    void continueRun(std::size_t, OracleLines &) override {}
+    StatsSnapshot stats() const override { return {}; }
+
+  private:
+    const bool leavesRecords;
+    const bool oracleThrows;
+    std::size_t recoveries = 0;
+};
+
+/** A three-store fake target with one boundary at the run's start. */
+class FakeTarget final : public SweepTarget
+{
+  public:
+    FakeTarget(bool leaves_records, bool oracle_throws)
+        : SweepTarget(sweepIdentity("fake-sweep", SweepOptions{}, "fake", 9),
+                      7),
+          leavesRecords(leaves_records), oracleThrows(oracle_throws)
+    {}
+
+    std::uint64_t
+    runMaster(MasterSink &sink) override
+    {
+        sink.boundary(0, nullptr);
+        return 3;
+    }
+
+    std::unique_ptr<SweepPoint>
+    fork(const SweepBase *, std::uint64_t) const override
+    {
+        return std::make_unique<FakePoint>(leavesRecords, oracleThrows);
+    }
+
+  private:
+    const bool leavesRecords;
+    const bool oracleThrows;
+};
+
+TEST(SweepEngine, SecondRecoveryThatReplaysIsReported)
+{
+    FakeTarget target(true, false);
+    const CrashSweepReport report = runSweep(target, SweepOptions{});
+    ASSERT_EQ(report.pointsExplored(), 4u);
+    for (const auto &p : report.points) {
+        EXPECT_EQ(p.replayedRecords, 5u);
+        EXPECT_EQ(p.violations,
+                  std::vector<std::string>{
+                      reproTuple(target.id, p.crashPoint) +
+                      " idempotence: second hardware recovery replayed 2 "
+                      "records"});
+    }
+    EXPECT_EQ(report.violationCount(), 4u);
+
+    // A recovery that leaves nothing behind reports nothing.
+    FakeTarget clean(false, false);
+    EXPECT_EQ(runSweep(clean, SweepOptions{}).violationCount(), 0u);
+}
+
+TEST(SweepEngine, ThrowingOracleIsReported)
+{
+    FakeTarget target(false, true);
+    const CrashSweepReport report = runSweep(target, SweepOptions{});
+    ASSERT_EQ(report.pointsExplored(), 4u);
+    for (const auto &p : report.points) {
+        EXPECT_EQ(p.fired, p.crashPoint != 0);
+        EXPECT_EQ(p.violations,
+                  std::vector<std::string>{
+                      reproTuple(target.id, p.crashPoint) +
+                      " exception: oracle lost its shadow"});
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -102,7 +102,10 @@ TEST(Lazy, RemoteWriteForcesPersist)
     sys.txBegin();
     sys.writeT<std::uint64_t>(addr, 0x5678, lazyLogFree);
     sys.txCommit();
-    EXPECT_FALSE(sys.engine().remoteWrite(addr));
+    // A peer's store probe meets the line's signature and owner; it
+    // does not conflict, so this core's copy is invalidated.
+    EXPECT_FALSE(sys.engine().remoteObserve(addr, true));
+    sys.hierarchy().invalidateLineEverywhere(addr);
     EXPECT_EQ(sys.peek<std::uint64_t>(addr), 0x5678u);
 }
 

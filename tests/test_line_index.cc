@@ -95,11 +95,13 @@ fuzzMachine(SchemeKind kind, LoggingStyle style, std::uint64_t seed,
             if (sys.inTransaction())
                 sys.txAbort();
         } else if (pick < 93) {
-            // Remote coherence traffic (may force lazy drains).
-            if (rng.below(2))
-                sys.engine().remoteWrite(lineAddr());
-            else
-                sys.engine().remoteRead(lineAddr());
+            // Remote coherence traffic (may force lazy drains): a
+            // peer's probe, whose non-conflicting store invalidates
+            // this core's copy.
+            const bool is_write = rng.below(2) != 0;
+            const Addr addr = lineAddr();
+            if (!sys.engine().remoteObserve(addr, is_write) && is_write)
+                sys.hierarchy().invalidateLineEverywhere(addr);
         } else if (pick < 96) {
             sys.engine().persistAllLazy();
         } else if (pick < 98) {

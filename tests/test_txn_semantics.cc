@@ -342,9 +342,10 @@ TEST(RemoteCoherence, WriteConflictWithInflightTxnDetected)
     const Addr addr = sys.heap().alloc(64);
     sys.txBegin();
     sys.write<std::uint64_t>(addr, 1);
-    EXPECT_TRUE(sys.engine().remoteWrite(addr));
+    EXPECT_TRUE(sys.engine().remoteObserve(addr, true));
     sys.txCommit();
-    EXPECT_FALSE(sys.engine().remoteWrite(addr));
+    EXPECT_FALSE(sys.engine().remoteObserve(addr, true));
+    sys.hierarchy().invalidateLineEverywhere(addr);
 }
 
 } // namespace
