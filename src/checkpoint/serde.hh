@@ -21,6 +21,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -145,6 +146,19 @@ class BlobReader
                       static_cast<std::size_t>(len));
         cur += len;
         return s;
+    }
+
+    /** Whether the next length-prefixed string equals @p s, compared
+     *  in place (no copy); the string is consumed either way. */
+    bool
+    strEquals(std::string_view s)
+    {
+        const std::uint64_t len = u<std::uint64_t>();
+        need(len);
+        const std::string_view saved(reinterpret_cast<const char *>(cur),
+                                     static_cast<std::size_t>(len));
+        cur += len;
+        return saved == s;
     }
 
     /** A length read from the stream, sanity-bounded to what the

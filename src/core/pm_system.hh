@@ -33,15 +33,21 @@ class SingleCoreStats
   public:
     explicit SingleCoreStats(const McMachine &machine) : machine(machine) {}
 
-    StatsSnapshot
-    snapshot() const
+    /** Walk every flattened value (StatsRegistry::forEachFlat): core
+     *  0's, then the shared ones outside multicore.*. */
+    template <typename Fn>
+    void
+    forEachFlat(Fn &&fn) const
     {
-        StatsSnapshot merged = machine.core(0).stats().snapshot();
-        for (const auto &[name, value] : machine.sharedStats().snapshot())
-            if (!name.starts_with("multicore."))
-                merged.emplace(name, value);
-        return merged;
+        machine.core(0).stats().forEachFlat(fn);
+        machine.sharedStats().forEachFlat(
+            [&](const StatsRegistry::FlatStat &f) {
+                if (!f.name.starts_with("multicore."))
+                    fn(f);
+            });
     }
+
+    StatsSnapshot snapshot() const { return flatSnapshot(*this); }
 
     /** Read one flattened value (0 if it was never registered). */
     std::uint64_t

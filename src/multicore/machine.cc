@@ -206,18 +206,6 @@ McMachine::quiesce()
     eng0.advance(cores.front()->hierarchy().flushShared(eng0.now()));
 }
 
-StatsSnapshot
-McMachine::snapshot() const
-{
-    StatsSnapshot merged = shared.snapshot();
-    for (std::size_t i = 0; i < cores.size(); ++i) {
-        const std::string prefix = "core" + std::to_string(i) + ".";
-        for (const auto &[name, value] : cores[i]->stats().snapshot())
-            merged[prefix + name] = value;
-    }
-    return merged;
-}
-
 Cycles
 McMachine::makespan() const
 {

@@ -210,9 +210,25 @@ class McMachine
     void quiesce();
     /** @} */
 
-    /** Merged statistics: shared counters under their own names,
-     *  per-core counters under a "coreN." prefix. */
-    StatsSnapshot snapshot() const;
+    /** Walk every flattened value (StatsRegistry::forEachFlat): the
+     *  shared counters under their own names, then each core's under a
+     *  "coreN." prefix. */
+    template <typename Fn>
+    void
+    forEachFlat(Fn &&fn) const
+    {
+        shared.forEachFlat(fn);
+        for (std::size_t i = 0; i < cores.size(); ++i) {
+            const std::string prefix = "core" + std::to_string(i) + ".";
+            cores[i]->stats().forEachFlat([&](StatsRegistry::FlatStat f) {
+                f.prefix = prefix;
+                fn(f);
+            });
+        }
+    }
+
+    /** Merged statistics, as forEachFlat() names them. */
+    StatsSnapshot snapshot() const { return flatSnapshot(*this); }
 
     /** Slowest core's clock — the wall time of a parallel phase. */
     Cycles makespan() const;

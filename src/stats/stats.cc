@@ -139,27 +139,25 @@ StatsRegistry::histogram(const std::string &name,
     return Histogram(&entry.hist);
 }
 
+std::string
+StatsRegistry::FlatStat::key() const
+{
+    std::string k(prefix);
+    k += name;
+    if (!hist)
+        return k;
+    const std::size_t bounds = hist->bounds.size();
+    if (slot < bounds)
+        return k + ".le" + std::to_string(hist->bounds[slot]);
+    if (slot == bounds)
+        return k + ".inf";
+    return k + (slot == bounds + 1 ? ".count" : ".sum");
+}
+
 StatsSnapshot
 StatsRegistry::snapshot() const
 {
-    StatsSnapshot snap;
-    for (const auto &[name, entry] : entries) {
-        if (entry.kind != Kind::Histogram) {
-            snap[name] = entry.value;
-            continue;
-        }
-        const HistogramData &h = entry.hist;
-        for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-            const std::string key =
-                b < h.bounds.size()
-                    ? name + ".le" + std::to_string(h.bounds[b])
-                    : name + ".inf";
-            snap[key] = h.buckets[b];
-        }
-        snap[name + ".count"] = h.count;
-        snap[name + ".sum"] = h.sum;
-    }
-    return snap;
+    return flatSnapshot(*this);
 }
 
 void
@@ -234,14 +232,19 @@ StatsRegistry::saveState(BlobWriter &w) const
 void
 StatsRegistry::restoreState(BlobReader &r)
 {
+    // An identically constructed registry saved the same names in the
+    // same (map) order, so each saved name is compared in place.
     const std::size_t n = r.count(1);
-    if (n != entries.size())
-        throw CheckpointError("stat registry shape mismatch");
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::string name = r.str();
-        auto it = entries.find(name);
+    auto it = entries.begin();
+    for (std::size_t i = 0; i < n; ++i, ++it) {
         if (it == entries.end())
-            throw CheckpointError("unknown stat '" + name + "'");
+            throw CheckpointError("stat registry shape mismatch: " +
+                                  std::to_string(n) + " saved, " +
+                                  std::to_string(entries.size()) +
+                                  " registered");
+        const std::string &name = it->first;
+        if (!r.strEquals(name))
+            throw CheckpointError("expected stat '" + name + "'");
         Entry &entry = it->second;
         const std::uint8_t kind = r.u<std::uint8_t>();
         if (kind != static_cast<std::uint8_t>(entry.kind))
@@ -262,6 +265,8 @@ StatsRegistry::restoreState(BlobReader &r)
         h.min = r.u<std::uint64_t>();
         h.max = r.u<std::uint64_t>();
     }
+    if (it != entries.end())
+        throw CheckpointError("expected stat '" + it->first + "'");
 }
 
 } // namespace slpmt

@@ -18,10 +18,13 @@
  * histogram with different bounds — panics, catching component
  * wiring bugs at construction time.
  *
- * The whole registry flattens into a StatsSnapshot (sorted
- * name -> value map; histograms expand into per-bucket keys) for
- * cheap before/after deltas, and dumps as stable-key JSON so two runs
- * of the same simulation produce byte-identical reports.
+ * The whole registry flattens into one walk of values (forEachFlat;
+ * histograms expand into per-bucket keys). Every flat view is built on
+ * that walk: a StatsSnapshot (sorted name -> value map) for
+ * before/after deltas, and the name and value dumps a crash sweep
+ * keeps per point (flatNames, flatValues), which zip to the same
+ * snapshot. The registry also dumps as stable-key JSON so two runs of
+ * the same simulation produce byte-identical reports.
  */
 
 #ifndef SLPMT_STATS_STATS_HH
@@ -31,6 +34,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "checkpoint/serde.hh"
@@ -185,10 +189,46 @@ class StatsRegistry
     }
 
     /**
-     * Flatten every instrument. Counters and gauges keep their name;
-     * a histogram "h" with bounds {1,4} becomes "h.le1", "h.le4",
-     * "h.inf", "h.count" and "h.sum".
+     * One flattened value: a counter or gauge, or one key of a
+     * histogram's expansion. Its key is built only on demand, so a
+     * walk that reads values allocates nothing.
      */
+    struct FlatStat
+    {
+        std::string_view name;             //!< the instrument's name
+        const HistogramData *hist;         //!< nullptr: counter or gauge
+        std::size_t slot;                  //!< histogram key (see key())
+        std::uint64_t value;
+        std::string_view prefix = {};      //!< prepended to the key
+
+        /**
+         * The flattened key. Counters and gauges keep their name; a
+         * histogram "h" with bounds {1,4} expands, slot by slot, into
+         * "h.le1", "h.le4", "h.inf", "h.count" and "h.sum".
+         */
+        std::string key() const;
+    };
+
+    /** Call @p fn(const FlatStat &) for every flattened value, in
+     *  name order, each histogram in its key expansion's order. */
+    template <typename Fn>
+    void
+    forEachFlat(Fn &&fn) const
+    {
+        for (const auto &[name, entry] : entries) {
+            if (entry.kind != Kind::Histogram) {
+                fn(FlatStat{name, nullptr, 0, entry.value});
+                continue;
+            }
+            const HistogramData &h = entry.hist;
+            for (std::size_t b = 0; b < h.buckets.size(); ++b)
+                fn(FlatStat{name, &h, b, h.buckets[b]});
+            fn(FlatStat{name, &h, h.buckets.size(), h.count});
+            fn(FlatStat{name, &h, h.buckets.size() + 1, h.sum});
+        }
+    }
+
+    /** Every flattened value under its key (flatSnapshot()). */
     StatsSnapshot snapshot() const;
 
     /** Difference of two snapshots (after - before, clamped at 0). */
@@ -220,11 +260,12 @@ class StatsRegistry
 
     /** @name Checkpointing
      *
-     * Values are saved by name and restored into the already-registered
-     * entries of an identically constructed machine, so outstanding
-     * handles (pointers into the map nodes) stay valid. A name or kind
-     * mismatch means the blob belongs to a different machine
-     * configuration and is rejected.
+     * Values are saved by name and restored, by position, into the
+     * already-registered entries of an identically constructed
+     * machine, so outstanding handles (pointers into the map nodes)
+     * stay valid. A name or kind mismatch means the blob belongs to a
+     * different machine configuration and is rejected, naming the
+     * stat the registry expected.
      */
     /** @{ */
     void saveState(BlobWriter &w) const;
@@ -251,6 +292,43 @@ class StatsRegistry
     /** Stable node addresses: handles point into map nodes. */
     std::map<std::string, Entry> entries;
 };
+
+/**
+ * @name Flat views
+ *
+ * The views of any source that walks flattened values through
+ * forEachFlat(fn) — a StatsRegistry, SingleCoreStats or McMachine —
+ * so each source writes its walk once. flatNames() and flatValues()
+ * append in walk order and zip to flatSnapshot().
+ */
+/** @{ */
+template <typename Source>
+StatsSnapshot
+flatSnapshot(const Source &source)
+{
+    StatsSnapshot snap;
+    source.forEachFlat([&](const StatsRegistry::FlatStat &f) {
+        snap.emplace(f.key(), f.value);
+    });
+    return snap;
+}
+
+template <typename Source>
+void
+flatNames(const Source &source, std::vector<std::string> &out)
+{
+    source.forEachFlat(
+        [&](const StatsRegistry::FlatStat &f) { out.push_back(f.key()); });
+}
+
+template <typename Source>
+void
+flatValues(const Source &source, std::vector<std::uint64_t> &out)
+{
+    source.forEachFlat(
+        [&](const StatsRegistry::FlatStat &f) { out.push_back(f.value); });
+}
+/** @} */
 
 /**
  * A named slice of a registry: every instrument registered through a

@@ -24,7 +24,6 @@
 #define SLPMT_TXN_SIGNATURE_HH
 
 #include <array>
-#include <bitset>
 #include <cstdint>
 
 #include "checkpoint/serde.hh"
@@ -38,6 +37,8 @@ namespace slpmt
 template <std::size_t NumBits = 2048, std::size_t NumHashes = 4>
 class AddressSignature
 {
+    static_assert(NumBits % 64 == 0, "signature width");
+
   public:
     static constexpr std::size_t bits = NumBits;
     static constexpr std::size_t hashes = NumHashes;
@@ -70,7 +71,7 @@ class AddressSignature
     insert(const Probe &probe)
     {
         for (const std::uint32_t s : probe.slots)
-            filter.set(s);
+            filter[s / 64] |= std::uint64_t{1} << (s % 64);
         count++;
     }
 
@@ -81,7 +82,7 @@ class AddressSignature
     mightContain(const Probe &probe) const
     {
         for (const std::uint32_t s : probe.slots) {
-            if (!filter.test(s))
+            if (((filter[s / 64] >> (s % 64)) & 1) == 0)
                 return false;
         }
         return true;
@@ -90,41 +91,29 @@ class AddressSignature
     void
     clear()
     {
-        filter.reset();
+        filter.fill(0);
         count = 0;
     }
 
     bool empty() const { return count == 0; }
     std::uint64_t insertions() const { return count; }
 
-    /** @name Checkpointing (filter exported as 64-bit words) */
+    /** @name Checkpointing (the filter's 64-bit words, slot s at bit
+     *  s % 64 of word s / 64) */
     /** @{ */
     void
     saveState(BlobWriter &w) const
     {
-        static_assert(NumBits % 64 == 0, "signature width");
-        for (std::size_t word = 0; word < NumBits / 64; ++word) {
-            std::uint64_t v = 0;
-            for (std::size_t bit = 0; bit < 64; ++bit) {
-                if (filter.test(word * 64 + bit))
-                    v |= std::uint64_t{1} << bit;
-            }
-            w.u<std::uint64_t>(v);
-        }
+        for (const std::uint64_t word : filter)
+            w.u<std::uint64_t>(word);
         w.u<std::uint64_t>(count);
     }
 
     void
     restoreState(BlobReader &r)
     {
-        filter.reset();
-        for (std::size_t word = 0; word < NumBits / 64; ++word) {
-            const std::uint64_t v = r.u<std::uint64_t>();
-            for (std::size_t bit = 0; bit < 64; ++bit) {
-                if (v & (std::uint64_t{1} << bit))
-                    filter.set(word * 64 + bit);
-            }
-        }
+        for (std::uint64_t &word : filter)
+            word = r.u<std::uint64_t>();
         count = r.u<std::uint64_t>();
     }
     /** @} */
@@ -144,7 +133,7 @@ class AddressSignature
             mix64Salted(base, salts[i % salts.size()]) % NumBits);
     }
 
-    std::bitset<NumBits> filter;
+    std::array<std::uint64_t, NumBits / 64> filter{};
     std::uint64_t count = 0;
 };
 

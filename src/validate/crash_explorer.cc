@@ -187,7 +187,17 @@ class CorePoint final : public SweepPoint
         check(lines);
     }
 
-    StatsSnapshot stats() const override { return sys.stats().snapshot(); }
+    void
+    statNames(std::vector<std::string> &names) const override
+    {
+        flatNames(sys.stats(), names);
+    }
+
+    void
+    stats(std::vector<std::uint64_t> &values) const override
+    {
+        flatValues(sys.stats(), values);
+    }
 
   private:
     const CoreTarget &target;

@@ -204,7 +204,17 @@ class McPoint final : public SweepPoint
         check(lines);
     }
 
-    StatsSnapshot stats() const override { return run.machine.snapshot(); }
+    void
+    statNames(std::vector<std::string> &names) const override
+    {
+        flatNames(run.machine, names);
+    }
+
+    void
+    stats(std::vector<std::uint64_t> &values) const override
+    {
+        flatValues(run.machine, values);
+    }
 
   private:
     const McTarget &target;

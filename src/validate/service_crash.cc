@@ -414,7 +414,8 @@ class SvcPoint final : public SweepPoint
     }
 
     /** The service report carries no machine counters. */
-    StatsSnapshot stats() const override { return {}; }
+    void statNames(std::vector<std::string> &) const override {}
+    void stats(std::vector<std::uint64_t> &) const override {}
 
   private:
     const ServiceTarget &target;

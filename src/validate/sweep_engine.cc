@@ -8,6 +8,8 @@
 #include <exception>
 #include <iterator>
 #include <mutex>
+#include <numeric>
+#include <string_view>
 #include <thread>
 
 #include "common/rng.hh"
@@ -202,13 +204,25 @@ CrashSweepReport::summaryText() const
 std::string
 CrashSweepReport::toJson() const
 {
-    // Sum the per-point stats into one sweep-level view (addition
-    // commutes, so this is worker-count independent).
-    StatsSnapshot aggregate;
+    // Sum the per-point values by index (addition commutes, so this is
+    // worker-count independent), then name the sums in key order. A
+    // name is reported once some point reported values.
+    std::vector<std::uint64_t> sums;
     for (const auto &p : points) {
-        for (const auto &[name, value] : p.stats)
-            aggregate[name] += value;
+        if (p.stats.empty())
+            continue;
+        panicIfNot(p.stats.size() == statNames.size(),
+                   "point stats do not match the sweep's name table");
+        sums.resize(statNames.size());
+        for (std::size_t i = 0; i < sums.size(); ++i)
+            sums[i] += p.stats[i];
     }
+    std::vector<std::size_t> byName(sums.size());
+    std::iota(byName.begin(), byName.end(), 0);
+    std::sort(byName.begin(), byName.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return statNames[a] < statNames[b];
+              });
 
     const SweepIdentity &id = identity;
     JsonWriter w;
@@ -237,8 +251,8 @@ CrashSweepReport::toJson() const
     w.endArray();
 
     w.key("stats").beginObject();
-    for (const auto &[name, value] : aggregate)
-        w.key(name).value(value);
+    for (std::size_t i : byName)
+        w.key(statNames[i]).value(sums[i]);
     w.endObject();
 
     w.key("points").beginArray();
@@ -473,11 +487,39 @@ SweepTarget::runPoint(const SweepBase *base, std::uint64_t crash_point) const
         OracleLines cont(tuple, "continuation", out.violations);
         point->continueRun(continuationOps, cont);
 
-        out.stats = point->stats();
+        const std::vector<std::string> &table = statTable(*point);
+        out.stats.reserve(table.size());
+        point->stats(out.stats);
+        if (out.stats.size() != table.size())
+            panic("point dumped " + std::to_string(out.stats.size()) +
+                  " stats values for the sweep's " +
+                  std::to_string(table.size()) + " names");
     } catch (const std::exception &e) {
+        out.stats.clear();
         out.violations.push_back(tuple + " exception: " + e.what());
     }
     return out;
+}
+
+const std::vector<std::string> &
+SweepTarget::statTable(const SweepPoint &point) const
+{
+    // Once built, the table never changes, so callers read it unlocked.
+    // A rejected table stays unbuilt: every later point is rejected too.
+    std::lock_guard<std::mutex> lock(namesMtx);
+    if (!namesBuilt) {
+        std::vector<std::string> table;
+        point.statNames(table);
+        std::vector<std::string_view> sorted(table.begin(), table.end());
+        std::sort(sorted.begin(), sorted.end());
+        const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+        if (dup != sorted.end())
+            panic("stat '" + std::string(*dup) +
+                  "' appears twice in the sweep's name table");
+        names = std::move(table);
+        namesBuilt = true;
+    }
+    return names;
 }
 
 CrashSweepReport
@@ -504,6 +546,7 @@ runSweep(SweepTarget &target, const SweepOptions &opts)
         });
     }
     const auto t1 = std::chrono::steady_clock::now();
+    report.statNames = target.statNames();
     report.wallMs =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     return report;

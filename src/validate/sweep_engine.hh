@@ -32,8 +32,10 @@
  *    crash point and its repro tuple, then runs recovery, the
  *    post-recovery oracle, a second recovery that must replay nothing,
  *    the idempotence oracle, the continuation inserts and their oracle,
- *    and the stats snapshot, and turns an exception anywhere in the
- *    point into a violation line;
+ *    and the stats dump, and turns an exception anywhere in the point
+ *    into a violation line;
+ *  - the sweep's one stat-name table, taken from the first point that
+ *    dumps its stats: each point keeps only its values, in table order;
  *  - report aggregation, JSON and the summary text.
  *
  * A target supplies only what differs: the master run, which reports
@@ -56,11 +58,11 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/pm_system.hh"
-#include "stats/stats.hh"
 #include "txn/scheme.hh"
 #include "workloads/workload.hh"
 
@@ -125,9 +127,11 @@ struct CrashPointOutcome
     /** Oracle violations (empty = the point recovered correctly). */
     std::vector<std::string> violations;
 
-    /** The point's machine counters, summed into the JSON report
-     *  (the service target carries none). */
-    StatsSnapshot stats;
+    /** The point's machine counters, in the order of the sweep's
+     *  name table (CrashSweepReport::statNames), summed into the JSON
+     *  report. Empty when the point threw, and for the service target,
+     *  which carries none. */
+    std::vector<std::uint64_t> stats;
 };
 
 /** What names a sweep in its repro tuples, JSON and summary. */
@@ -240,6 +244,10 @@ struct CrashSweepReport
     /** Per-point outcomes, ordered by crash point (deterministic). */
     std::vector<CrashPointOutcome> points;
 
+    /** The names of every point's stats values, by index; no name
+     *  appears twice. */
+    std::vector<std::string> statNames;
+
     /** Wall-clock milliseconds of the (possibly parallel) sweep. Kept
      *  out of toJson() and summaryText() so reports diff cleanly
      *  across modes. */
@@ -319,8 +327,14 @@ class SweepPoint
     /** Insert @p ops fresh keys and check the structure serves them. */
     virtual void continueRun(std::size_t ops, OracleLines &lines) = 0;
 
-    /** The machine counters the report sums. */
-    virtual StatsSnapshot stats() const = 0;
+    /** Append the names of the machine counters stats() dumps, in its
+     *  order. The engine asks only the first point that dumps its
+     *  stats, and keeps the names as the sweep's table. */
+    virtual void statNames(std::vector<std::string> &names) const = 0;
+
+    /** Append the machine counters the report sums, in statNames()
+     *  order. */
+    virtual void stats(std::vector<std::uint64_t> &values) const = 0;
 };
 
 /** What a sweep target supplies to the engine. */
@@ -357,6 +371,20 @@ class SweepTarget
      *  tail, recovery and every oracle phase. */
     CrashPointOutcome runPoint(const SweepBase *base,
                                std::uint64_t crash_point) const;
+
+    /** The sweep's stat-name table, built from the first point that
+     *  reached its stats dump (empty before that). Read it once the
+     *  points have run. */
+    const std::vector<std::string> &statNames() const { return names; }
+
+  private:
+    /** The name table, built from @p point's names on first use;
+     *  panics on a duplicate name. */
+    const std::vector<std::string> &statTable(const SweepPoint &point) const;
+
+    mutable std::mutex namesMtx;
+    mutable bool namesBuilt = false;  //!< guarded by namesMtx
+    mutable std::vector<std::string> names;  //!< written under namesMtx
 };
 
 /** Run a sweep of @p target (dispatch as in the file comment). */

@@ -403,13 +403,23 @@ TEST(CrashSweepDigest, ServiceReportsArePinned)
 // primitives misbehave on purpose
 // ---------------------------------------------------------------------
 
-/** A fake point: every armed point fires, and recovery or the oracle
- *  misbehaves as its target asks. */
+/** How a fake target's points misbehave. */
+struct Misbehaviour
+{
+    bool leavesRecords = false;  //!< the second recovery replays 2 records
+    bool oracleThrows = false;   //!< every oracle phase throws
+    bool raggedStats = false;    //!< point 2 dumps one stats value too many
+    bool repeatedName = false;   //!< the stat names repeat one name
+};
+
+/** A fake point: every armed point fires, and recovery, the oracle or
+ *  the stats dump misbehaves as its target asks. Its two counters are
+ *  named out of key order, so the report must sort them. */
 class FakePoint final : public SweepPoint
 {
   public:
-    FakePoint(bool leaves_records, bool oracle_throws)
-        : leavesRecords(leaves_records), oracleThrows(oracle_throws)
+    FakePoint(const Misbehaviour &mis, std::uint64_t crash_point)
+        : mis(mis), crashPoint(crash_point)
     {}
 
     bool
@@ -424,22 +434,38 @@ class FakePoint final : public SweepPoint
     std::size_t
     recover() override
     {
-        return recoveries++ == 0 ? 5 : (leavesRecords ? 2 : 0);
+        return recoveries++ == 0 ? 5 : (mis.leavesRecords ? 2 : 0);
     }
 
     void
     check(OracleLines &) override
     {
-        if (oracleThrows)
+        if (mis.oracleThrows)
             throw std::runtime_error("oracle lost its shadow");
     }
 
     void continueRun(std::size_t, OracleLines &) override {}
-    StatsSnapshot stats() const override { return {}; }
+
+    void
+    statNames(std::vector<std::string> &names) const override
+    {
+        names.push_back("fake.recoveries");
+        names.push_back(mis.repeatedName ? "fake.recoveries"
+                                         : "fake.crashPoint");
+    }
+
+    void
+    stats(std::vector<std::uint64_t> &values) const override
+    {
+        values.push_back(recoveries);
+        values.push_back(crashPoint);
+        if (mis.raggedStats && crashPoint == 2)
+            values.push_back(0);
+    }
 
   private:
-    const bool leavesRecords;
-    const bool oracleThrows;
+    const Misbehaviour mis;
+    const std::uint64_t crashPoint;
     std::size_t recoveries = 0;
 };
 
@@ -447,10 +473,10 @@ class FakePoint final : public SweepPoint
 class FakeTarget final : public SweepTarget
 {
   public:
-    FakeTarget(bool leaves_records, bool oracle_throws)
+    explicit FakeTarget(const Misbehaviour &mis)
         : SweepTarget(sweepIdentity("fake-sweep", SweepOptions{}, "fake", 9),
                       7),
-          leavesRecords(leaves_records), oracleThrows(oracle_throws)
+          mis(mis)
     {}
 
     std::uint64_t
@@ -461,19 +487,18 @@ class FakeTarget final : public SweepTarget
     }
 
     std::unique_ptr<SweepPoint>
-    fork(const SweepBase *, std::uint64_t) const override
+    fork(const SweepBase *, std::uint64_t crash_point) const override
     {
-        return std::make_unique<FakePoint>(leavesRecords, oracleThrows);
+        return std::make_unique<FakePoint>(mis, crash_point);
     }
 
   private:
-    const bool leavesRecords;
-    const bool oracleThrows;
+    const Misbehaviour mis;
 };
 
 TEST(SweepEngine, SecondRecoveryThatReplaysIsReported)
 {
-    FakeTarget target(true, false);
+    FakeTarget target({.leavesRecords = true});
     const CrashSweepReport report = runSweep(target, SweepOptions{});
     ASSERT_EQ(report.pointsExplored(), 4u);
     for (const auto &p : report.points) {
@@ -487,13 +512,13 @@ TEST(SweepEngine, SecondRecoveryThatReplaysIsReported)
     EXPECT_EQ(report.violationCount(), 4u);
 
     // A recovery that leaves nothing behind reports nothing.
-    FakeTarget clean(false, false);
+    FakeTarget clean({});
     EXPECT_EQ(runSweep(clean, SweepOptions{}).violationCount(), 0u);
 }
 
 TEST(SweepEngine, ThrowingOracleIsReported)
 {
-    FakeTarget target(false, true);
+    FakeTarget target({.oracleThrows = true});
     const CrashSweepReport report = runSweep(target, SweepOptions{});
     ASSERT_EQ(report.pointsExplored(), 4u);
     for (const auto &p : report.points) {
@@ -502,7 +527,51 @@ TEST(SweepEngine, ThrowingOracleIsReported)
                   std::vector<std::string>{
                       reproTuple(target.id, p.crashPoint) +
                       " exception: oracle lost its shadow"});
+        EXPECT_TRUE(p.stats.empty());
     }
+    EXPECT_NE(report.toJson().find("\"stats\":{}"), std::string::npos);
+}
+
+/** Points keep only values against the sweep's one name table; a point
+ *  whose dump does not fit the table, or a table that names one stat
+ *  twice, becomes an exception line. */
+TEST(SweepEngine, StatsThatMissTheNameTableAreReported)
+{
+    FakeTarget target({.raggedStats = true});
+    const CrashSweepReport report = runSweep(target, SweepOptions{});
+    ASSERT_EQ(report.pointsExplored(), 4u);
+    EXPECT_EQ(report.statNames,
+              (std::vector<std::string>{"fake.recoveries",
+                                        "fake.crashPoint"}));
+    for (const auto &p : report.points) {
+        if (p.crashPoint == 2) {
+            EXPECT_TRUE(p.stats.empty());
+            EXPECT_EQ(p.violations,
+                      std::vector<std::string>{
+                          reproTuple(target.id, 2) +
+                          " exception: panic: point dumped 3 stats values "
+                          "for the sweep's 2 names"});
+        } else {
+            EXPECT_EQ(p.stats,
+                      (std::vector<std::uint64_t>{2, p.crashPoint}));
+            EXPECT_TRUE(p.violations.empty());
+        }
+    }
+    // Points 1, 3 and 0 are summed by index, then named in key order.
+    EXPECT_NE(report.toJson().find(
+                  "\"stats\":{\"fake.crashPoint\":4,\"fake.recoveries\":6}"),
+              std::string::npos)
+        << report.toJson();
+
+    FakeTarget repeated({.repeatedName = true});
+    const CrashSweepReport rejected = runSweep(repeated, SweepOptions{});
+    EXPECT_TRUE(rejected.statNames.empty());
+    for (const auto &p : rejected.points)
+        EXPECT_EQ(p.violations,
+                  std::vector<std::string>{
+                      reproTuple(repeated.id, p.crashPoint) +
+                      " exception: panic: stat 'fake.recoveries' appears "
+                      "twice in the sweep's name table"});
 }
 
 // ---------------------------------------------------------------------

@@ -2,7 +2,9 @@
  * @file
  * The stats registry: registration semantics (including the
  * wiring-bug panics), histogram bucket-edge behaviour, reset, the
- * flattened snapshot/delta algebra, and the stable JSON dump.
+ * flattened snapshot/delta algebra, the flat name and value dumps of
+ * a registry and of whole machines, checkpoint restore, and the stable
+ * JSON dump.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "core/pm_system.hh"
 #include "sim/json.hh"
 #include "stats/stats.hh"
 
@@ -145,6 +148,119 @@ TEST(Stats, StatGroupPrefixesAndNests)
     c += 2;
     EXPECT_EQ(reg.get("logbuf.tier0.records"), 2u);
     EXPECT_EQ(tier.prefix(), "logbuf.tier0");
+}
+
+/** The flat name and value dumps of @p source zipped into one map;
+ *  every name must be distinct. */
+template <typename Source>
+StatsSnapshot
+zippedDumps(const Source &source)
+{
+    std::vector<std::string> names;
+    std::vector<std::uint64_t> values;
+    flatNames(source, names);
+    flatValues(source, values);
+    EXPECT_EQ(names.size(), values.size());
+    StatsSnapshot zipped;
+    for (std::size_t i = 0; i < std::min(names.size(), values.size()); ++i)
+        EXPECT_TRUE(zipped.emplace(names[i], values[i]).second)
+            << "stat '" << names[i] << "' dumped twice";
+    return zipped;
+}
+
+TEST(Stats, FlatDumpsExpandHistogramsInWalkOrder)
+{
+    StatsRegistry reg;
+    reg.counter("b") += 3;
+    auto h = reg.histogram("a", {1, 4});
+    h.record(1);
+    h.record(9);
+    std::vector<std::string> names;
+    std::vector<std::uint64_t> values;
+    flatNames(reg, names);
+    flatValues(reg, values);
+    EXPECT_EQ(names, (std::vector<std::string>{"a.le1", "a.le4", "a.inf",
+                                               "a.count", "a.sum", "b"}));
+    EXPECT_EQ(values, (std::vector<std::uint64_t>{1, 0, 1, 2, 10, 3}));
+    EXPECT_EQ(zippedDumps(reg), reg.snapshot());
+}
+
+/** Four committed single-line transactions on @p ctx. */
+void
+commitFew(PmContext &ctx, std::uint64_t salt)
+{
+    const Addr base = ctx.heap().alloc(4 * cacheLineSize);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+        ctx.txBegin();
+        ctx.write<std::uint64_t>(base + i * cacheLineSize, salt + i);
+        ctx.txCommit();
+    }
+}
+
+TEST(Stats, PmSystemFlatDumpsZipToItsSnapshot)
+{
+    PmSystem sys;
+    commitFew(sys, 1);
+    const StatsSnapshot snap = sys.stats().snapshot();
+    EXPECT_EQ(zippedDumps(sys.stats()), snap);
+    EXPECT_EQ(snap.at("txn.committed"), 4u);
+    EXPECT_GT(snap.at("txn.storeBytes.count"), 0u);
+    EXPECT_GT(snap.at("pm.bytesWritten"), 0u);
+    for (const auto &[name, value] : snap)
+        EXPECT_FALSE(name.starts_with("multicore.")) << name;
+}
+
+TEST(Stats, McMachineFlatDumpsZipToItsSnapshot)
+{
+    SystemConfig cfg;
+    cfg.numCores = 2;
+    McMachine machine(cfg);
+    commitFew(machine.context(0), 1);
+    commitFew(machine.context(1), 2);
+    commitFew(machine.context(1), 3);
+    const StatsSnapshot snap = machine.snapshot();
+    EXPECT_EQ(zippedDumps(machine), snap);
+    EXPECT_EQ(snap.at("core0.txn.committed"), 4u);
+    EXPECT_EQ(snap.at("core1.txn.committed"), 8u);
+    EXPECT_GT(snap.at("core1.txn.storeBytes.count"), 0u);
+    EXPECT_TRUE(snap.count("multicore.probes"));
+    EXPECT_GT(snap.at("pm.bytesWritten"), 0u);
+}
+
+/** Restore is by position: a blob whose stats differ from the
+ *  registry's in name or number names the stat the registry expected. */
+TEST(Stats, RestoreNamesTheExpectedStat)
+{
+    StatsRegistry saved;
+    saved.counter("a") += 1;
+    saved.counter("b") += 2;
+    saved.counter("c") += 3;
+    BlobWriter w;
+    saved.saveState(w);
+
+    auto restoreInto = [&](std::initializer_list<const char *> names) {
+        StatsRegistry reg;
+        for (const char *name : names)
+            reg.counter(name);
+        BlobReader r(w.data());
+        try {
+            reg.restoreState(r);
+        } catch (const CheckpointError &e) {
+            return std::string(e.what());
+        }
+        return "restored b=" + std::to_string(reg.get("b"));
+    };
+    EXPECT_EQ(restoreInto({"a", "b", "c"}), "restored b=2");
+    EXPECT_EQ(restoreInto({"a", "renamed", "c"}),
+              "checkpoint: expected stat 'c'");
+    EXPECT_EQ(restoreInto({"a", "b2", "c"}),
+              "checkpoint: expected stat 'b2'");
+    EXPECT_EQ(restoreInto({"a", "c"}), "checkpoint: expected stat 'c'");
+    EXPECT_EQ(restoreInto({"a", "b", "c", "d"}),
+              "checkpoint: expected stat 'd'");
+    EXPECT_EQ(restoreInto({"a", "b"}),
+              "checkpoint: stat registry shape mismatch: 3 saved, 2 "
+              "registered");
 }
 
 TEST(Stats, JsonKeysAreSortedAndStable)

@@ -3,7 +3,8 @@
  * Wall-clock gate on the sweep's worker pool: on a host that really
  * runs four threads at once, the 4-worker sweep must be clearly
  * faster than the serial one. Registered under the perf-smoke label
- * with RUN_SERIAL, so it never shares the machine with other tests.
+ * with RUN_SERIAL, so it never shares the machine with other tests,
+ * and only under `ctest -C perf`, so plain `ctest` never runs it.
  *
  * The reported hardware thread count says nothing about how many
  * cores a (possibly throttled or shared) host actually grants, so a
