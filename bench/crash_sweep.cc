@@ -20,6 +20,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -117,24 +118,43 @@ splitList(const std::string &s)
     return out;
 }
 
+[[noreturn]] void
+badValue(const std::string &arg, const char *why)
+{
+    std::fprintf(stderr, "bad %s: %s\n", arg.c_str(), why);
+    std::exit(2);
+}
+
+/** @p text as a whole number; a usage error (naming @p arg) when it
+ *  is anything else. */
+std::uint64_t
+wholeNumber(const std::string &text, const std::string &arg)
+{
+    errno = 0;
+    const std::uint64_t v = std::strtoull(text.c_str(), nullptr, 10);
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos ||
+        errno == ERANGE)
+        badValue(arg, "not a whole number");
+    return v;
+}
+
 std::vector<std::size_t>
-splitCounts(const std::string &s)
+splitCounts(const std::string &s, const std::string &arg)
 {
     std::vector<std::size_t> out;
     for (const auto &part : splitList(s))
-        out.push_back(std::strtoull(part.c_str(), nullptr, 10));
+        out.push_back(wholeNumber(part, arg));
     return out;
 }
 
 /** Core or shard counts: each must be at least 1. */
 std::vector<std::size_t>
-splitShapes(const std::string &s)
+splitShapes(const std::string &s, const std::string &arg)
 {
-    std::vector<std::size_t> out = splitCounts(s);
-    if (out.empty() || std::find(out.begin(), out.end(), 0u) != out.end()) {
-        std::fprintf(stderr, "core and shard counts must be >= 1\n");
-        std::exit(2);
-    }
+    std::vector<std::size_t> out = splitCounts(s, arg);
+    if (out.empty() || std::find(out.begin(), out.end(), 0u) != out.end())
+        badValue(arg, "core and shard counts must be >= 1");
     return out;
 }
 
@@ -218,6 +238,7 @@ parseArgs(int argc, char **argv)
                 return arg.c_str() + n + 1;
             return nullptr;
         };
+        auto whole = [&](const char *v) { return wholeNumber(v, arg); };
         if (const char *v = val("--target")) {
             const std::string t = v;
             if (t == "core")
@@ -240,33 +261,34 @@ parseArgs(int argc, char **argv)
             else
                 usageError();
         } else if (const char *v = val("--ops")) {
-            opt.numOps = std::strtoull(v, nullptr, 10);
+            opt.numOps = whole(v);
         } else if (const char *v = val("--value-bytes")) {
-            opt.valueBytes = std::strtoull(v, nullptr, 10);
+            opt.valueBytes = whole(v);
         } else if (const char *v = val("--seed")) {
-            opt.seed = std::strtoull(v, nullptr, 10);
+            opt.seed = whole(v);
         } else if (const char *v = val("--mix")) {
-            const auto parts = splitCounts(v);
+            const auto parts = splitCounts(v, arg);
             if (parts.size() != 3)
                 usageError();
+            if (parts[0] + parts[1] + parts[2] != 100)
+                badValue(arg, "the mix must sum to 100");
             opt.insertPct = static_cast<unsigned>(parts[0]);
             opt.updatePct = static_cast<unsigned>(parts[1]);
             opt.removePct = static_cast<unsigned>(parts[2]);
         } else if (const char *v = val("--cores")) {
-            opt.coreCounts = splitShapes(v);
+            opt.coreCounts = splitShapes(v, arg);
         } else if (const char *v = val("--ops-per-core")) {
-            opt.opsPerCore = std::strtoull(v, nullptr, 10);
+            opt.opsPerCore = whole(v);
         } else if (const char *v = val("--shared-pct")) {
-            opt.sharedPct =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            opt.sharedPct = static_cast<unsigned>(whole(v));
         } else if (const char *v = val("--shards")) {
-            opt.shardCounts = splitShapes(v);
+            opt.shardCounts = splitShapes(v, arg);
         } else if (const char *v = val("--max-points")) {
-            opt.maxPoints = std::strtoull(v, nullptr, 10);
+            opt.maxPoints = whole(v);
         } else if (arg == "--full") {
             opt.full = true;
         } else if (const char *v = val("--workers")) {
-            opt.workers = std::strtoull(v, nullptr, 10);
+            opt.workers = whole(v);
         } else if (arg == "--compare-serial") {
             opt.compareSerial = true;
         } else if (arg == "--tiny-cache") {
@@ -274,15 +296,18 @@ parseArgs(int argc, char **argv)
         } else if (const char *v = val("--json")) {
             opt.jsonPath = v;
         } else if (const char *v = val("--crash-point")) {
-            opt.crashPoint = std::strtoll(v, nullptr, 10);
+            opt.crashPoint = static_cast<long long>(whole(v));
         } else if (const char *v = val("--checkpoint-interval")) {
-            opt.checkpointInterval = std::strtoull(v, nullptr, 10);
+            opt.checkpointInterval = whole(v);
         } else if (arg == "--no-checkpoint") {
             opt.useCheckpoints = false;
         } else if (const char *v = val("--profile")) {
             opt.profilePath = v;
         } else if (const char *v = val("--speed-threshold")) {
-            opt.speedThreshold = std::strtod(v, nullptr);
+            char *end = nullptr;
+            opt.speedThreshold = std::strtod(v, &end);
+            if (!*v || *end || !(opt.speedThreshold >= 0.0))
+                badValue(arg, "not a number");
         } else {
             usage();
             std::exit(arg == "--help" ? 0 : 2);
@@ -414,7 +439,7 @@ runCellPoint(const CliOptions &opt, const Cell &c, std::uint64_t k)
  * too small to time reliably).
  */
 int
-runProfile(const CliOptions &opt, const std::vector<Cell> &cells)
+profileSweeps(const CliOptions &opt, const std::vector<Cell> &cells)
 {
     int failures = 0;
     double ckpt_ms = 0.0;
@@ -534,7 +559,7 @@ main(int argc, char **argv)
     }
 
     if (!opt.profilePath.empty() || opt.speedThreshold > 0.0)
-        return runProfile(opt, cells);
+        return profileSweeps(opt, cells);
 
     CliOptions serial_opt = opt;
     serial_opt.workers = 1;

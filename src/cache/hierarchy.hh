@@ -335,11 +335,12 @@ class CacheHierarchy
     std::vector<CacheLine *> walkScratch;
 
     /** Metadata line index audit (see forEachPrivate()): defaults on
-     *  in assertion builds, off in optimised ones. */
-#ifdef NDEBUG
-    bool metaIndexAudit = false;
-#else
+     *  in assertion and ASan/TSan builds, off in optimised ones. */
+#if !defined(NDEBUG) || defined(__SANITIZE_ADDRESS__) ||               \
+    defined(__SANITIZE_THREAD__)
     bool metaIndexAudit = true;
+#else
+    bool metaIndexAudit = false;
 #endif
 
     StatsRegistry::Counter statL1Hits;

@@ -21,21 +21,6 @@
 namespace slpmt
 {
 
-/**
- * Layout self-check policy for the SoA cache arrays: leave the
- * hierarchy's build-type default alone, or force the probe-key and
- * metadata-index audits off/on. The audits recompute the sibling
- * arrays from the architectural lines on every index walk, so a
- * forced-On machine must behave byte-identically to a forced-Off one
- * — the differential the LayoutDiff suite runs.
- */
-enum class LayoutAudit : std::uint8_t
-{
-    Default,
-    Off,
-    On,
-};
-
 /** Everything configurable about the simulated machine. */
 struct SystemConfig
 {
@@ -45,10 +30,6 @@ struct SystemConfig
     PmConfig pm;
     DramConfig dram;
     HierarchyConfig hierarchy;
-
-    /** SoA layout self-check policy (never part of checkpoint
-     *  fingerprints or reports — results must not depend on it). */
-    LayoutAudit layoutAudit = LayoutAudit::Default;
 
     /** Number of logical cores: McMachine accepts 1-16; PmSystem is
      *  the one-core machine and rejects anything else. */

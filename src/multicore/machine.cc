@@ -21,8 +21,6 @@ McCore::McCore(McMachine &machine, std::size_t id,
       ctrRemoteIdObserved(
           coreStats.counter("txn.lazyDrain.remoteIdObserved"))
 {
-    if (cfg.layoutAudit != LayoutAudit::Default)
-        hier.setMetaIndexAudit(cfg.layoutAudit == LayoutAudit::On);
     hier.setRemoteFolder(&machine);
 }
 

@@ -22,7 +22,6 @@ systemConfigFor(const ExperimentConfig &cfg)
     sys.scheme.numTxnIds = cfg.numTxnIds;
     sys.style = cfg.style;
     sys.pm.writeLatencyNs = cfg.pmWriteLatencyNs;
-    sys.layoutAudit = cfg.layoutAudit;
     return sys;
 }
 
@@ -41,32 +40,6 @@ policyFor(AnnotationMode mode)
         return &compiler_policy;
     }
     return &manual_policy;
-}
-
-/**
- * Record a measured-window delta as the result's stats and fill the
- * headline totals from it. A counter appears under its plain name
- * (single-core and shared-device registries) or under a dotted prefix
- * ("coreN.", "shardN.", "shardN.coreM."); summing exact and
- * ".name"-suffixed matches covers every machine shape.
- */
-void
-fillTotals(ExperimentResult &result, const StatsSnapshot &delta)
-{
-    auto sum = [&](const std::string &name) {
-        const std::string dotted = "." + name;
-        std::uint64_t total = 0;
-        for (const auto &[key, value] : delta)
-            if (key == name || key.ends_with(dotted))
-                total += value;
-        return total;
-    };
-    result.pmWriteBytes = sum("pm.bytesWritten");
-    result.pmDataBytes = sum("pm.dataBytesWritten");
-    result.pmLogBytes = sum("pm.logBytesWritten");
-    result.commits = sum("txn.committed");
-    result.logRecords = sum("txn.logRecordsCreated");
-    result.stats = delta;
 }
 
 /**
@@ -145,6 +118,25 @@ runServiceExperiment(const std::string &workload_name,
 }
 
 } // namespace
+
+void
+fillTotals(ExperimentResult &result, const StatsSnapshot &delta)
+{
+    auto sum = [&](const std::string &name) {
+        const std::string dotted = "." + name;
+        std::uint64_t total = 0;
+        for (const auto &[key, value] : delta)
+            if (key == name || key.ends_with(dotted))
+                total += value;
+        return total;
+    };
+    result.pmWriteBytes = sum("pm.bytesWritten");
+    result.pmDataBytes = sum("pm.dataBytesWritten");
+    result.pmLogBytes = sum("pm.logBytesWritten");
+    result.commits = sum("txn.committed");
+    result.logRecords = sum("txn.logRecordsCreated");
+    result.stats = delta;
+}
 
 ExperimentResult
 runExperiment(const std::string &workload_name,

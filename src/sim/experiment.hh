@@ -44,11 +44,6 @@ struct ExperimentConfig
     bool speculativeRounding = false;      //!< Section III-B1 ablation
     std::uint8_t numTxnIds = 4;            //!< lazy-depth ablation
 
-    /** SoA layout self-check policy (see SystemConfig::layoutAudit):
-     *  forced on/off by the LayoutDiff differential suite, which
-     *  asserts both modes produce byte-identical results. */
-    LayoutAudit layoutAudit = LayoutAudit::Default;
-
     /** @name Multicore cells (src/multicore/) */
     /** @{ */
     /** Cores of the simulated machine. > 1 runs the interleaved
@@ -139,6 +134,15 @@ struct ExperimentResult
 /** Run one experiment to completion. */
 ExperimentResult runExperiment(const std::string &workload_name,
                                const ExperimentConfig &cfg);
+
+/**
+ * Record a measured-window delta as @p result's stats and fill the
+ * headline totals from it. A counter appears under its plain name
+ * (single-core and shared-device registries) or under a dotted prefix
+ * ("coreN.", "shardN.", "shardN.coreM."); summing exact and
+ * ".name"-suffixed matches covers every machine shape.
+ */
+void fillTotals(ExperimentResult &result, const StatsSnapshot &delta);
 
 } // namespace slpmt
 

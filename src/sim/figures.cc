@@ -1,15 +1,13 @@
 #include "sim/figures.hh"
 
-#include <sys/resource.h>
-
-#include <chrono>
+#include <algorithm>
+#include <array>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 
 #include "compiler/compiler_policy.hh"
 #include "core/pm_system.hh"
+#include "core/tx.hh"
 #include "sim/report.hh"
 #include "workloads/factory.hh"
 #include "workloads/loadgen.hh"
@@ -18,6 +16,267 @@ namespace slpmt
 {
 namespace
 {
+
+/** A cell's stats entry, 0 when absent. */
+std::uint64_t
+statOf(const ExperimentResult &cell, const std::string &name)
+{
+    auto it = cell.stats.find(name);
+    return it == cell.stats.end() ? 0 : it->second;
+}
+
+// -------------------------------------------------------------------
+// Table I: store/storeT semantics and per-instruction cost
+// -------------------------------------------------------------------
+
+/** One store form: the flags it carries and the persist and log bits
+ *  the hardware must give its line. */
+struct StoreForm
+{
+    const char *name;
+    const char *key;
+    StoreFlags flags;
+    bool expectPersist;
+    bool expectLog;
+};
+
+const StoreForm storeForms[] = {
+    {"store", "store/SLPMT", {false, false}, true, true},
+    {"storeT lazy=0 logfree=0", "storeT/SLPMT/lazy0-logfree0",
+     {false, false}, true, true},
+    {"storeT lazy=0 logfree=1", "storeT/SLPMT/lazy0-logfree1",
+     {false, true}, true, false},
+    {"storeT lazy=1 logfree=1", "storeT/SLPMT/lazy1-logfree1",
+     {true, true}, false, false},
+    {"storeT lazy=1 logfree=0", "storeT/SLPMT/lazy1-logfree0",
+     {true, false}, false, true},
+};
+
+/** The measured window: table1Txns transactions of table1Stores
+ *  stores each over a warm region. */
+constexpr std::size_t table1Txns = 64;
+constexpr std::size_t table1Stores = 64;
+
+std::vector<ExperimentCase>
+table1Cases()
+{
+    std::vector<ExperimentCase> cases;
+    for (const StoreForm &form : storeForms) {
+        ExperimentCase c;
+        c.key = form.key;
+        c.workload = c.key.substr(0, c.key.find('/'));
+        cases.push_back(std::move(c));
+    }
+    return cases;
+}
+
+/**
+ * Check the bits one store of the form sets on its line, then time
+ * the form. The result's cycles cover the whole window; the stats
+ * delta's txn.commitCycles.sum is the commit share of it.
+ */
+ExperimentResult
+table1Run(const ExperimentCase &c)
+{
+    const StoreForm &form = *std::find_if(
+        std::begin(storeForms), std::end(storeForms),
+        [&](const StoreForm &f) { return c.key == f.key; });
+    SystemConfig cfg;
+    cfg.scheme = SchemeConfig::forKind(c.cfg.scheme);
+    PmSystem sys(cfg);
+
+    ExperimentResult res;
+    res.workload = c.workload;
+    res.scheme = c.cfg.scheme;
+
+    const Addr addr = sys.heap().alloc(64);
+    sys.txBegin();
+    sys.writeT<std::uint64_t>(addr, 1, form.flags);
+    const CacheLine *line = sys.hierarchy().findPrivate(addr);
+    res.verified = line && line->persistBit == form.expectPersist &&
+                   (line->logBits != 0) == form.expectLog;
+    if (!res.verified)
+        res.failure = "persist/log bits differ from Table I";
+    sys.txCommit();
+    sys.engine().persistAllLazy();
+
+    const Addr region = sys.heap().alloc(table1Stores * wordSize);
+    for (std::size_t w = 0; w < table1Stores; ++w)
+        sys.write<std::uint64_t>(region + w * wordSize, 0);
+    sys.quiesce();
+
+    const Cycles start = sys.cycles();
+    const StatsSnapshot before = sys.stats().snapshot();
+    for (std::size_t t = 0; t < table1Txns; ++t) {
+        sys.txBegin();
+        for (std::size_t w = 0; w < table1Stores; ++w)
+            sys.writeT<std::uint64_t>(region + w * wordSize, t,
+                                      form.flags);
+        sys.txCommit();
+    }
+    res.cycles = sys.cycles() - start;
+    fillTotals(res, StatsRegistry::delta(before, sys.stats().snapshot()));
+    return res;
+}
+
+void
+table1Print(const MatrixResult &res)
+{
+    TableReport table("Table I: store/storeT semantics and cost");
+    table.header({"instruction", "persist bit", "log bit", "bits ok",
+                  "cycles/store", "commit cycles/txn"});
+    for (const StoreForm &form : storeForms) {
+        const ExperimentResult &cell = res.get(form.key);
+        const Cycles commit = statOf(cell, "txn.commitCycles.sum");
+        table.row({form.name, form.expectPersist ? "1" : "0",
+                   form.expectLog ? "1" : "0",
+                   cell.verified ? "yes" : "NO",
+                   TableReport::num(
+                       static_cast<double>(cell.cycles - commit) /
+                       static_cast<double>(table1Txns * table1Stores)),
+                   TableReport::num(static_cast<double>(commit) /
+                                    static_cast<double>(table1Txns))});
+    }
+    table.print();
+}
+
+// -------------------------------------------------------------------
+// Figure 4: the order a transaction's data and logs reach PM
+// -------------------------------------------------------------------
+
+const LoggingStyle fig4Styles[] = {LoggingStyle::Undo,
+                                   LoggingStyle::Redo};
+
+std::string
+fig4Key(LoggingStyle style)
+{
+    return caseKey("ordering", SchemeKind::SLPMT,
+                   style == LoggingStyle::Undo ? "undo" : "redo");
+}
+
+std::vector<ExperimentCase>
+fig4Cases()
+{
+    std::vector<ExperimentCase> cases;
+    for (LoggingStyle style : fig4Styles) {
+        ExperimentCase c;
+        c.key = fig4Key(style);
+        c.workload = "ordering";
+        c.cfg.style = style;
+        cases.push_back(std::move(c));
+    }
+    return cases;
+}
+
+/**
+ * One transaction of 16 logged and 16 log-free stores under the
+ * persist ledger. The ledger goes into the result's stats as
+ * "ledger.events" plus "ledger.<i>.kind" and "ledger.<i>.addr" per
+ * event, in persist order; verified means the ledger keeps the
+ * style's Figure 4 constraints.
+ */
+ExperimentResult
+fig4Run(const ExperimentCase &c)
+{
+    SystemConfig cfg;
+    cfg.scheme = SchemeConfig::forKind(c.cfg.scheme);
+    cfg.style = c.cfg.style;
+    PmSystem sys(cfg);
+
+    const Addr logged = sys.heap().alloc(128);
+    const Addr log_free = sys.heap().alloc(128);
+
+    const Cycles start = sys.cycles();
+    const StatsSnapshot before = sys.stats().snapshot();
+    sys.tracker().enable();
+    sys.txBegin();
+    for (int i = 0; i < 16; ++i)
+        sys.write<std::uint64_t>(logged + i * 8, i);
+    for (int i = 0; i < 16; ++i)
+        sys.writeT<std::uint64_t>(log_free + i * 8, i,
+                                  {.lazy = false, .logFree = true});
+    sys.txCommit();
+    sys.tracker().disable();
+
+    ExperimentResult res;
+    res.workload = c.workload;
+    res.scheme = c.cfg.scheme;
+    res.cycles = sys.cycles() - start;
+    fillTotals(res, StatsRegistry::delta(before, sys.stats().snapshot()));
+
+    const std::vector<PersistEvent> &ledger = sys.tracker().ledger();
+    std::size_t last_record = 0;
+    std::size_t first_logged = ledger.size();
+    std::size_t last_logfree = 0;
+    res.stats["ledger.events"] = ledger.size();
+    for (std::size_t i = 0; i < ledger.size(); ++i) {
+        const std::string at = "ledger." + std::to_string(i);
+        res.stats[at + ".kind"] = static_cast<std::uint64_t>(ledger[i].kind);
+        res.stats[at + ".addr"] = ledger[i].addr;
+        switch (ledger[i].kind) {
+          case PersistKind::LogRecord:
+            last_record = i;
+            break;
+          case PersistKind::LoggedLine:
+            first_logged = std::min(first_logged, i);
+            break;
+          case PersistKind::LogFreeLine:
+            last_logfree = i;
+            break;
+          default:
+            break;
+        }
+    }
+    // Undo: log records before logged lines; log-free anywhere.
+    // Redo: log-free lines before logged lines too.
+    res.verified = last_record < first_logged &&
+                   (c.cfg.style == LoggingStyle::Undo ||
+                    last_logfree < first_logged);
+    if (!res.verified)
+        res.failure = "persist order violates Figure 4";
+    return res;
+}
+
+const char *
+persistKindName(PersistKind kind)
+{
+    switch (kind) {
+      case PersistKind::LogRecord: return "log record";
+      case PersistKind::LoggedLine: return "logged line";
+      case PersistKind::LogFreeLine: return "log-free line";
+      case PersistKind::LazyLine: return "lazy line";
+      case PersistKind::Writeback: return "writeback";
+      case PersistKind::Marker: return "marker";
+    }
+    return "?";
+}
+
+void
+fig4Print(const MatrixResult &res)
+{
+    for (LoggingStyle style : fig4Styles) {
+        const ExperimentResult &cell = res.get(fig4Key(style));
+        TableReport table(
+            std::string("Figure 4 persist order, ") +
+            (style == LoggingStyle::Undo ? "undo" : "redo") +
+            " logging (constraints " +
+            (cell.verified ? "hold)" : "VIOLATED)"));
+        table.header({"#", "kind", "address"});
+        const std::uint64_t events = statOf(cell, "ledger.events");
+        for (std::uint64_t i = 0; i < events; ++i) {
+            const std::string at = "ledger." + std::to_string(i);
+            char addr[32];
+            std::snprintf(addr, sizeof(addr), "0x%llx",
+                          static_cast<unsigned long long>(
+                              statOf(cell, at + ".addr")));
+            table.row({std::to_string(i),
+                       persistKindName(static_cast<PersistKind>(
+                           statOf(cell, at + ".kind"))),
+                       addr});
+        }
+        table.print();
+    }
+}
 
 // -------------------------------------------------------------------
 // Figure 8: kernel speedups and traffic reduction over FG
@@ -493,6 +752,423 @@ fig14Print(const MatrixResult &res)
 }
 
 // -------------------------------------------------------------------
+// Section V-A: in-place update transactions vs PM write asymmetry
+// -------------------------------------------------------------------
+
+/** A PM device class the Section V-A strategy is measured on. */
+struct DeviceClass
+{
+    const char *name;
+    const char *key;  //!< cell key suffix
+    std::uint64_t writeLatencyNs;
+    std::uint64_t sequentialFactor;
+};
+
+/** Sweep the device's sequential-over-random write advantage: the
+ *  strategy converts random commit-path writes into one sequential
+ *  stream, so its benefit appears once the asymmetry is real. */
+const DeviceClass inplaceDevices[] = {
+    {"Optane-class 500ns, flat", "500ns-seq1", 500, 1},
+    {"CXL-flash 2300ns, seq 8x", "2300ns-seq8", 2300, 8},
+    {"CXL-flash 2300ns, seq 32x", "2300ns-seq32", 2300, 32},
+};
+
+/** Cell workloads: eager undo-logged updates, or the Section V-A
+ *  strategy. */
+const char *const inplaceStrategies[] = {"conventional", "section-va"};
+
+std::string
+inplaceKey(const char *strategy, const DeviceClass &device)
+{
+    return caseKey(strategy, SchemeKind::SLPMT, device.key);
+}
+
+/** A hot set: updates coalesce in the cache. */
+constexpr std::size_t inplaceRecords = 256;
+constexpr Bytes inplaceRecordBytes = 64;
+constexpr std::size_t inplaceTxns = 500;
+constexpr std::size_t inplaceUpdatesPerTxn = 8;
+
+/** A side-array entry: the value, then the record address. */
+constexpr Bytes inplaceEntryBytes = inplaceRecordBytes + 8;
+
+std::vector<ExperimentCase>
+inplaceCases()
+{
+    std::vector<ExperimentCase> cases;
+    for (const DeviceClass &device : inplaceDevices) {
+        for (const char *strategy : inplaceStrategies) {
+            ExperimentCase c;
+            c.key = inplaceKey(strategy, device);
+            c.workload = strategy;
+            c.cfg.pmWriteLatencyNs = device.writeLatencyNs;
+            cases.push_back(std::move(c));
+        }
+    }
+    return cases;
+}
+
+std::array<std::uint8_t, inplaceRecordBytes>
+inplaceValue(std::uint64_t txn, std::uint64_t slot)
+{
+    std::array<std::uint8_t, inplaceRecordBytes> value{};
+    std::uint64_t state = txn * 1315423911ULL + slot;
+    for (auto &b : value)
+        b = static_cast<std::uint8_t>(splitmix64(state));
+    return value;
+}
+
+/**
+ * A random-update workload over a records array, then a power
+ * failure and recovery; verified means every record holds its last
+ * committed value.
+ *
+ * Conventional updates are eager and undo-logged, so commit persists
+ * the records. The Section V-A strategy updates the data with lazy
+ * but *logged* storeT and appends the new value to a sequential side
+ * array of {value, addr} entries with eager log-free storeT: at commit
+ * only the side array is persisted and the updated records stay in
+ * the cache. If a crash interrupts the transaction, the undo records
+ * roll it back; after the commit, recovery replays the side array as
+ * a redo log without address indirection. The entry's address word
+ * doubles as its publish flag (fresh heap memory reads as zero), so
+ * recovery finds the tail by scanning: no durable tail counter puts
+ * the side array into every transaction's working set.
+ */
+ExperimentResult
+inplaceRun(const ExperimentCase &c)
+{
+    const bool section_va = c.workload == "section-va";
+    SystemConfig cfg;
+    cfg.scheme = SchemeConfig::forKind(c.cfg.scheme);
+    cfg.pm.writeLatencyNs = c.cfg.pmWriteLatencyNs;
+    for (const DeviceClass &device : inplaceDevices) {
+        if (c.key == inplaceKey(c.workload.c_str(), device))
+            cfg.pm.sequentialFactor = device.sequentialFactor;
+    }
+    PmSystem sys(cfg);
+    const Addr records = sys.heap().alloc(inplaceRecords * inplaceRecordBytes);
+    const Addr side = sys.heap().alloc(
+        (inplaceTxns * inplaceUpdatesPerTxn + 1) * inplaceEntryBytes);
+    sys.quiesce();
+
+    Rng rng(7);
+    std::vector<std::array<std::uint8_t, inplaceRecordBytes>> expected(
+        inplaceRecords);
+    const Cycles start = sys.cycles();
+    const StatsSnapshot before = sys.stats().snapshot();
+    std::uint64_t tail = 0;
+    for (std::size_t t = 0; t < inplaceTxns; ++t) {
+        DurableTx tx(sys);
+        for (std::size_t u = 0; u < inplaceUpdatesPerTxn; ++u) {
+            const std::uint64_t slot = rng.below(inplaceRecords);
+            const auto value = inplaceValue(t, slot);
+            expected[slot] = value;
+            const Addr target = records + slot * inplaceRecordBytes;
+            if (!section_va) {
+                sys.writeBytes(target, value.data(), inplaceRecordBytes);
+                continue;
+            }
+            sys.writeBytesT(target, value.data(), inplaceRecordBytes,
+                            {.lazy = true, .logFree = false});
+            // The address word is written last and publishes the entry.
+            const Addr entry = side + tail * inplaceEntryBytes;
+            sys.writeBytesT(entry, value.data(), inplaceRecordBytes,
+                            {.lazy = false, .logFree = true});
+            sys.writeT<Addr>(entry + inplaceRecordBytes, target,
+                             {.lazy = false, .logFree = true});
+            ++tail;
+        }
+        tx.commit();
+    }
+
+    ExperimentResult res;
+    res.workload = c.workload;
+    res.scheme = c.cfg.scheme;
+    res.cycles = sys.cycles() - start;
+    fillTotals(res, StatsRegistry::delta(before, sys.stats().snapshot()));
+
+    // Crash with the lazily persistent records still in the cache.
+    sys.crash();
+    sys.recoverHardware();
+    if (section_va) {
+        // Replay the side array up to the first unpublished entry.
+        for (Addr entry = side;; entry += inplaceEntryBytes) {
+            const Addr target =
+                sys.peek<Addr>(entry + inplaceRecordBytes);
+            if (target == 0)
+                break;
+            std::uint8_t value[inplaceRecordBytes];
+            sys.peekBytes(entry, value, inplaceRecordBytes);
+            sys.pm().poke(target, value, inplaceRecordBytes);
+        }
+    }
+    res.verified = true;
+    for (std::size_t slot = 0; slot < inplaceRecords; ++slot) {
+        std::array<std::uint8_t, inplaceRecordBytes> got{};
+        sys.peekBytes(records + slot * inplaceRecordBytes, got.data(),
+                      inplaceRecordBytes);
+        if (got != expected[slot]) {
+            res.verified = false;
+            res.failure = "record " + std::to_string(slot) +
+                          " lost its committed value";
+            break;
+        }
+    }
+    return res;
+}
+
+void
+inplacePrint(const MatrixResult &res)
+{
+    TableReport table(
+        "Section V-A: in-place update transactions — conventional vs "
+        "lazy+sequential-record strategy vs PM write asymmetry");
+    table.header({"device", "conventional cycles",
+                  "Section V-A cycles", "speedup", "recovery"});
+    for (const DeviceClass &device : inplaceDevices) {
+        const auto &conv = res.get(inplaceKey("conventional", device));
+        const auto &opt = res.get(inplaceKey("section-va", device));
+        table.row({device.name, TableReport::integer(conv.cycles),
+                   TableReport::integer(opt.cycles),
+                   TableReport::ratio(opt.speedupOver(conv)),
+                   conv.verified && opt.verified ? "ok" : "FAILED"});
+    }
+    table.print();
+}
+
+// -------------------------------------------------------------------
+// Hardware ablations (Sections III-B1 and III-C2, the log buffer)
+// -------------------------------------------------------------------
+
+/** Transaction-ID counts of the lazy-window ablation; 4 is the
+ *  default, so its cells are the plain workload/SLPMT ones. */
+const std::vector<std::uint8_t> ablationTxnIds = {1, 2, 4, 8};
+const std::vector<std::string> ablationTxnIdWorkloads = {"hashtable",
+                                                         "avl"};
+
+std::string
+txnIdsKey(const std::string &workload, std::uint8_t ids)
+{
+    return caseKey(workload, SchemeKind::SLPMT,
+                   ids == 4 ? "" : "ids" + std::to_string(ids));
+}
+
+std::vector<ExperimentCase>
+ablationCases()
+{
+    MatrixSpec spec;
+    spec.workloads = kernelWorkloads();
+    spec.schemes = {SchemeKind::FG, SchemeKind::SLPMT, SchemeKind::EDE};
+    std::vector<ExperimentCase> cases = expandMatrix(spec);
+    for (const auto &workload : kernelWorkloads()) {
+        ExperimentCase c;
+        c.key = caseKey(workload, SchemeKind::SLPMT, "spec");
+        c.workload = workload;
+        c.cfg.speculativeRounding = true;
+        cases.push_back(std::move(c));
+    }
+    for (const auto &workload : ablationTxnIdWorkloads) {
+        for (std::uint8_t ids : ablationTxnIds) {
+            if (ids == 4)
+                continue;
+            ExperimentCase c;
+            c.key = txnIdsKey(workload, ids);
+            c.workload = workload;
+            c.cfg.numTxnIds = ids;
+            cases.push_back(std::move(c));
+        }
+    }
+    return cases;
+}
+
+void
+ablationPrint(const MatrixResult &res)
+{
+    // Speculative rounding creates records for clean words so the
+    // aggregated L2 log bits stay set, trading extra records against
+    // duplicate logging after a refetch.
+    TableReport spec(
+        "Ablation: speculative log-bit rounding (Section III-B1)");
+    spec.header({"benchmark", "records off", "records on",
+                 "traffic off KB", "traffic on KB", "speedup on/off"});
+    for (const auto &workload : kernelWorkloads()) {
+        const auto &off = res.get(caseKey(workload, SchemeKind::SLPMT));
+        const auto &on =
+            res.get(caseKey(workload, SchemeKind::SLPMT, "spec"));
+        spec.row({workload, TableReport::integer(off.logRecords),
+                  TableReport::integer(on.logRecords),
+                  TableReport::num(
+                      static_cast<double>(off.pmWriteBytes) / 1024.0),
+                  TableReport::num(
+                      static_cast<double>(on.pmWriteBytes) / 1024.0),
+                  TableReport::ratio(on.speedupOver(off))});
+    }
+    spec.print();
+
+    // The ID count sets how deep the lazy window is before the
+    // circular allocator forces persists.
+    TableReport ids(
+        "Ablation: transaction-ID count (lazy window depth)");
+    std::vector<std::string> cols = {"benchmark"};
+    for (auto n : ablationTxnIds)
+        cols.push_back(std::to_string(n) + " IDs");
+    ids.header(cols);
+    for (const auto &workload : ablationTxnIdWorkloads) {
+        const auto &base = res.get(caseKey(workload, SchemeKind::FG));
+        std::vector<std::string> row = {workload};
+        for (auto n : ablationTxnIds)
+            row.push_back(TableReport::ratio(
+                res.get(txnIdsKey(workload, n)).speedupOver(base)));
+        ids.row(row);
+    }
+    ids.print();
+
+    // The without-buffer column runs EDE, which persists each record
+    // as it is created but also pays EDE's software record
+    // construction and fence costs, so the row does not yet isolate
+    // the buffer.
+    TableReport buffer(
+        "Ablation: tiered coalescing log buffer (FG with vs without)");
+    buffer.header({"benchmark", "with buffer KB", "without buffer KB",
+                   "speedup with/without"});
+    for (const auto &workload : kernelWorkloads()) {
+        const auto &with_buf = res.get(caseKey(workload, SchemeKind::FG));
+        const auto &without_buf =
+            res.get(caseKey(workload, SchemeKind::EDE));
+        buffer.row(
+            {workload,
+             TableReport::num(
+                 static_cast<double>(with_buf.pmWriteBytes) / 1024.0),
+             TableReport::num(
+                 static_cast<double>(without_buf.pmWriteBytes) / 1024.0),
+             TableReport::ratio(with_buf.speedupOver(without_buf))});
+    }
+    buffer.print();
+}
+
+// -------------------------------------------------------------------
+// Extension: 50/50 insert/update mix
+// -------------------------------------------------------------------
+
+const std::vector<SchemeKind> updatesSchemes = {
+    SchemeKind::FG, SchemeKind::SLPMT, SchemeKind::ATOM,
+    SchemeKind::EDE};
+
+std::vector<ExperimentCase>
+updatesCases()
+{
+    std::vector<ExperimentCase> cases;
+    for (const auto &workload : allWorkloads()) {
+        for (SchemeKind s : updatesSchemes) {
+            ExperimentCase c;
+            c.key = caseKey(workload, s);
+            c.workload = workload;
+            c.cfg.scheme = s;
+            c.cfg.ycsb = {.numOps = 500, .valueBytes = 256, .seed = 33};
+            cases.push_back(std::move(c));
+        }
+    }
+    return cases;
+}
+
+/**
+ * A YCSB-A-style mix beyond the paper's insert-only load: the first
+ * half of the trace is preloaded, then the measured window alternates
+ * inserting the second half with updating random preloaded keys.
+ * Every update's out-of-place value write is log-free (a fresh blob)
+ * while the small pointer/length fields stay logged, so selective
+ * logging should keep most of its advantage.
+ */
+ExperimentResult
+updatesRun(const ExperimentCase &c)
+{
+    SystemConfig cfg;
+    cfg.scheme = SchemeConfig::forKind(c.cfg.scheme);
+    PmSystem sys(cfg);
+    auto workload = makeWorkload(c.workload);
+    workload->setup(sys);
+
+    const auto ops = ycsbLoad(c.cfg.ycsb);
+    const std::size_t preload = ops.size() / 2;
+    for (std::size_t i = 0; i < preload; ++i)
+        workload->insert(sys, ops[i].key, ops[i].value);
+
+    Rng rng(44);
+    std::vector<std::vector<std::uint8_t>> latest(preload);
+    const Cycles start = sys.cycles();
+    const StatsSnapshot before = sys.stats().snapshot();
+    std::size_t next_insert = preload;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (i % 2 == 0 && next_insert < ops.size()) {
+            workload->insert(sys, ops[next_insert].key,
+                             ops[next_insert].value);
+            ++next_insert;
+        } else {
+            const std::size_t victim = rng.below(preload);
+            auto fresh = ycsbValueFor(ops[victim].key ^ i,
+                                      c.cfg.ycsb.valueBytes);
+            workload->update(sys, ops[victim].key, fresh);
+            latest[victim] = std::move(fresh);
+        }
+    }
+
+    ExperimentResult res;
+    res.workload = c.workload;
+    res.scheme = c.cfg.scheme;
+    res.cycles = sys.cycles() - start;
+    fillTotals(res, StatsRegistry::delta(before, sys.stats().snapshot()));
+
+    std::string why;
+    res.verified = workload->checkConsistency(sys, &why);
+    if (!res.verified)
+        res.failure = "consistency: " + why;
+    std::vector<std::uint8_t> got;
+    for (std::size_t i = 0; i < preload && res.verified; ++i) {
+        const auto &want = latest[i].empty() ? ops[i].value : latest[i];
+        res.verified = workload->lookup(sys, ops[i].key, &got) &&
+                       got == want;
+        if (!res.verified)
+            res.failure = "lookup mismatch";
+    }
+    return res;
+}
+
+void
+updatesPrint(const MatrixResult &res)
+{
+    TableReport table(
+        "Extension: 50/50 insert/update mix (256B values), speedup "
+        "over FG");
+    std::vector<std::string> cols = {"benchmark"};
+    for (SchemeKind s : updatesSchemes)
+        cols.push_back(schemeName(s));
+    cols.push_back("SLPMT traffic cut");
+    table.header(cols);
+
+    std::map<SchemeKind, std::vector<double>> all;
+    for (const auto &workload : allWorkloads()) {
+        const auto &base = res.get(caseKey(workload, SchemeKind::FG));
+        std::vector<std::string> row = {workload};
+        for (SchemeKind s : updatesSchemes) {
+            const double sp =
+                res.get(caseKey(workload, s)).speedupOver(base);
+            all[s].push_back(sp);
+            row.push_back(TableReport::ratio(sp));
+        }
+        row.push_back(TableReport::percent(
+            res.get(caseKey(workload, SchemeKind::SLPMT))
+                .trafficReductionOver(base)));
+        table.row(row);
+    }
+    std::vector<std::string> row = {"geomean"};
+    for (SchemeKind s : updatesSchemes)
+        row.push_back(TableReport::ratio(geomean(all[s])));
+    table.row(row);
+    table.print();
+}
+
+// -------------------------------------------------------------------
 // logfree: software log-freedom vs hardware selective logging
 // -------------------------------------------------------------------
 
@@ -542,11 +1218,6 @@ logfreeCases()
 void
 logfreePrint(const MatrixResult &res)
 {
-    auto stat = [](const ExperimentResult &cell, const char *name) {
-        auto it = cell.stats.find(name);
-        return it == cell.stats.end() ? std::uint64_t{0} : it->second;
-    };
-
     TableReport speedup(
         "logfree: speedup over the FG logging baseline (600 inserts, "
         "64B values)");
@@ -593,16 +1264,16 @@ logfreePrint(const MatrixResult &res)
                             static_cast<double>(base.logRecords)
                 : 0.0;
         const std::uint64_t drains =
-            stat(slpmt, "txn.lazyDrain.eviction") +
-            stat(slpmt, "txn.lazyDrain.explicit") +
-            stat(slpmt, "txn.lazyDrain.sigHit") +
-            stat(slpmt, "txn.lazyDrain.lineOwner") +
-            stat(slpmt, "txn.lazyDrain.idWrap");
+            statOf(slpmt, "txn.lazyDrain.eviction") +
+            statOf(slpmt, "txn.lazyDrain.explicit") +
+            statOf(slpmt, "txn.lazyDrain.sigHit") +
+            statOf(slpmt, "txn.lazyDrain.lineOwner") +
+            statOf(slpmt, "txn.lazyDrain.idWrap");
         records.row({workload, TableReport::integer(base.logRecords),
                      TableReport::integer(slpmt.logRecords),
                      TableReport::percent(cut),
                      TableReport::integer(
-                         stat(slpmt, "txn.logFreeWordsElided")),
+                         statOf(slpmt, "txn.logFreeWordsElided")),
                      TableReport::integer(drains)});
     }
     records.print();
@@ -714,10 +1385,7 @@ mcscalePrint(const MatrixResult &res)
         const auto &cell = res.get(caseKey(
             "hashtable", SchemeKind::SLPMT,
             "c" + std::to_string(cores)));
-        auto get = [&](const char *name) -> std::uint64_t {
-            auto it = cell.stats.find(name);
-            return it == cell.stats.end() ? 0 : it->second;
-        };
+        auto get = [&](const char *name) { return statOf(cell, name); };
         coh.row({std::to_string(cores),
                  TableReport::integer(get("multicore.probes")),
                  TableReport::integer(get("multicore.remoteHits")),
@@ -784,11 +1452,6 @@ serviceCases()
 void
 servicePrint(const MatrixResult &res)
 {
-    auto stat = [](const ExperimentResult &cell, const char *name) {
-        auto it = cell.stats.find(name);
-        return it == cell.stats.end() ? std::uint64_t{0} : it->second;
-    };
-
     for (unsigned mix : serviceMixes) {
         TableReport table(
             "Service scaling (YCSB-" +
@@ -807,21 +1470,21 @@ servicePrint(const MatrixResult &res)
                 table.row(
                     {schemeName(s), std::to_string(shards),
                      TableReport::integer(
-                         stat(uni, "service.opsPerGcycle")),
+                         statOf(uni, "service.opsPerGcycle")),
                      TableReport::integer(
-                         stat(uni, "service.latency.p50")),
+                         statOf(uni, "service.latency.p50")),
                      TableReport::integer(
-                         stat(uni, "service.latency.p99")),
+                         statOf(uni, "service.latency.p99")),
                      TableReport::integer(
-                         stat(uni, "service.latency.p999")),
+                         statOf(uni, "service.latency.p999")),
                      TableReport::integer(
-                         stat(zipf, "service.opsPerGcycle")),
+                         statOf(zipf, "service.opsPerGcycle")),
                      TableReport::integer(
-                         stat(zipf, "service.latency.p50")),
+                         statOf(zipf, "service.latency.p50")),
                      TableReport::integer(
-                         stat(zipf, "service.latency.p99")),
+                         statOf(zipf, "service.latency.p99")),
                      TableReport::integer(
-                         stat(zipf, "service.latency.p999"))});
+                         statOf(zipf, "service.latency.p999"))});
             }
         }
         table.print();
@@ -842,17 +1505,17 @@ servicePrint(const MatrixResult &res)
             commit.row(
                 {schemeName(s), std::to_string(shards),
                  TableReport::integer(
-                     stat(uni, "service.commitLatency.p50")),
+                     statOf(uni, "service.commitLatency.p50")),
                  TableReport::integer(
-                     stat(uni, "service.commitLatency.p99")),
+                     statOf(uni, "service.commitLatency.p99")),
                  TableReport::integer(
-                     stat(uni, "service.commitLatency.p999")),
+                     statOf(uni, "service.commitLatency.p999")),
                  TableReport::integer(
-                     stat(zipf, "service.commitLatency.p50")),
+                     statOf(zipf, "service.commitLatency.p50")),
                  TableReport::integer(
-                     stat(zipf, "service.commitLatency.p99")),
+                     statOf(zipf, "service.commitLatency.p99")),
                  TableReport::integer(
-                     stat(zipf, "service.commitLatency.p999"))});
+                     statOf(zipf, "service.commitLatency.p999"))});
         }
     }
     commit.print();
@@ -864,6 +1527,10 @@ const std::vector<FigureSpec> &
 figureRegistry()
 {
     static const std::vector<FigureSpec> registry = {
+        {"table1", "Table I: store/storeT semantics and cost",
+         table1Cases, table1Print, table1Run},
+        {"fig4", "Figure 4: undo/redo persist order", fig4Cases,
+         fig4Print, fig4Run},
         {"fig8", "kernel speedups / traffic reduction over FG",
          fig8Cases, fig8Print},
         {"fig9", "cache-line-granularity SLPMT vs ATOM baseline",
@@ -878,6 +1545,12 @@ figureRegistry()
          fig13Print},
         {"fig14", "PMKV backends at 256B and 16B values", fig14Cases,
          fig14Print},
+        {"inplace", "Section V-A in-place updates vs PM device class",
+         inplaceCases, inplacePrint, inplaceRun},
+        {"ablation", "speculative rounding, txn-ID count, log buffer",
+         ablationCases, ablationPrint},
+        {"updates", "50/50 insert/update mix across schemes",
+         updatesCases, updatesPrint, updatesRun},
         {"sample", "small pinned sweep for quick CI runs", sampleCases,
          samplePrint},
         {"mcscale", "multi-core YCSB scalability (1/2/4/8 cores)",
@@ -898,425 +1571,6 @@ findFigure(const std::string &name)
             return &fig;
     }
     return nullptr;
-}
-
-int
-parseCommonFlag(const std::string &arg, BenchOptions *opts,
-                std::string *error)
-{
-    auto valueOf = [&arg](const std::string &prefix) {
-        return arg.substr(prefix.size());
-    };
-    auto startsWith = [&arg](const std::string &prefix) {
-        return arg.rfind(prefix, 0) == 0;
-    };
-
-    if (startsWith("--workers=")) {
-        const std::string v = valueOf("--workers=");
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-        if (v.empty() || *end) {
-            *error = "bad --workers value: " + v;
-            return -1;
-        }
-        opts->workers = static_cast<std::size_t>(n);
-        return 1;
-    }
-    if (arg == "--json") {
-        opts->emitJson = true;
-        opts->jsonPath.clear();
-        return 1;
-    }
-    if (startsWith("--json=")) {
-        opts->emitJson = true;
-        opts->jsonPath = valueOf("--json=");
-        return 1;
-    }
-    if (arg == "--stats") {
-        opts->includeStats = true;
-        return 1;
-    }
-    if (startsWith("--baseline=")) {
-        opts->baselinePath = valueOf("--baseline=");
-        return 1;
-    }
-    if (startsWith("--threshold=")) {
-        const std::string v = valueOf("--threshold=");
-        char *end = nullptr;
-        const double t = std::strtod(v.c_str(), &end);
-        if (v.empty() || *end || t < 0) {
-            *error = "bad --threshold value: " + v;
-            return -1;
-        }
-        opts->threshold = t;
-        return 1;
-    }
-    if (arg == "--no-tables") {
-        opts->tables = false;
-        return 1;
-    }
-    if (arg == "--profile") {
-        opts->profile = true;
-        return 1;
-    }
-    if (startsWith("--profile=")) {
-        opts->profile = true;
-        opts->profilePath = valueOf("--profile=");
-        if (opts->profilePath.empty()) {
-            *error = "empty --profile path";
-            return -1;
-        }
-        return 1;
-    }
-    if (startsWith("--speed-baseline=")) {
-        opts->profile = true;
-        opts->speedBaselinePath = valueOf("--speed-baseline=");
-        return 1;
-    }
-    if (startsWith("--speed-threshold=")) {
-        const std::string v = valueOf("--speed-threshold=");
-        char *end = nullptr;
-        const double t = std::strtod(v.c_str(), &end);
-        if (v.empty() || *end || t <= 0) {
-            *error = "bad --speed-threshold value: " + v;
-            return -1;
-        }
-        opts->speedThreshold = t;
-        return 1;
-    }
-    return 0;
-}
-
-namespace
-{
-
-bool
-readFile(const std::string &path, std::string *out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    char buf[4096];
-    std::size_t n;
-    out->clear();
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out->append(buf, n);
-    std::fclose(f);
-    return true;
-}
-
-bool
-writeFile(const std::string &path, const std::string &text)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    std::fputs(text.c_str(), f);
-    std::fclose(f);
-    return true;
-}
-
-/** Process peak resident set size in kilobytes (Linux getrusage). */
-std::uint64_t
-peakRssKb()
-{
-    struct rusage ru{};
-    getrusage(RUSAGE_SELF, &ru);
-    return static_cast<std::uint64_t>(ru.ru_maxrss);
-}
-
-/** Installed host-allocation tally (see setAllocationCounter). */
-std::uint64_t (*allocation_counter)() = nullptr;
-
-std::uint64_t
-allocationsNow()
-{
-    return allocation_counter ? allocation_counter() : 0;
-}
-
-std::uint64_t
-elapsedMicros(std::chrono::steady_clock::time_point start)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-}
-
-/** Wall-clock below which speed regressions are never flagged: tiny
- *  sweeps on a loaded machine jitter by more than any real factor. */
-constexpr std::uint64_t speedNoiseFloorUs = 250'000;
-
-/**
- * The self-profiling harness behind --profile (see runBench() docs).
- * Writes the "slpmt-speed-1" document and diffs wall-clock against a
- * recorded one when requested.
- */
-int
-runProfile(const BenchOptions &opts)
-{
-    JsonValue speed_baseline;
-    const bool have_baseline = !opts.speedBaselinePath.empty();
-    if (have_baseline) {
-        std::string text;
-        std::string error;
-        if (!readFile(opts.speedBaselinePath, &text) ||
-            !parseJson(text, &speed_baseline, &error)) {
-            std::fprintf(stderr, "cannot load speed baseline %s%s%s\n",
-                         opts.speedBaselinePath.c_str(),
-                         error.empty() ? "" : ": ", error.c_str());
-            return 2;
-        }
-    }
-
-    JsonWriter w;
-    w.beginObject();
-    w.key("schema").value("slpmt-speed-1");
-    w.key("figures").beginObject();
-
-    bool all_verified = true;
-    std::size_t regressions = 0;
-
-    for (const std::string &name : opts.figures) {
-        const FigureSpec *fig = findFigure(name);
-        if (!fig) {
-            std::fprintf(stderr, "unknown figure: %s\n", name.c_str());
-            return 2;
-        }
-
-        const std::vector<ExperimentCase> cases = fig->cases();
-
-        const std::uint64_t allocs_before = allocationsNow();
-        const auto start = std::chrono::steady_clock::now();
-        const MatrixResult result = runCases(cases, opts.workers);
-        const std::uint64_t wall_us = elapsedMicros(start);
-        const std::uint64_t figure_allocs =
-            allocationsNow() - allocs_before;
-
-        std::string failures;
-        if (!result.allVerified(&failures)) {
-            all_verified = false;
-            std::fprintf(stderr, "VERIFICATION FAILURES (%s):\n%s",
-                         name.c_str(), failures.c_str());
-        }
-
-        std::uint64_t sim_cycles = 0;
-        for (const ExperimentResult &res : result.results)
-            sim_cycles += res.cycles;
-
-        w.key(name).beginObject();
-        w.key("cells").beginObject();
-        // Sorted cell keys, like the deterministic reports.
-        std::map<std::string, std::size_t> order;
-        for (std::size_t i = 0; i < result.cases.size(); ++i)
-            order.emplace(result.cases[i].key, i);
-        for (const auto &[key, i] : order) {
-            w.key(key).beginObject();
-            w.key("wallUs").value(result.wallMicros[i]);
-            w.key("simCycles").value(result.results[i].cycles);
-            if (result.wallMicros[i] > 0) {
-                w.key("simCyclesPerSec")
-                    .value(result.results[i].cycles * 1'000'000 /
-                           result.wallMicros[i]);
-            }
-            w.endObject();
-        }
-        w.endObject();
-        w.key("totalWallUs").value(wall_us);
-        w.key("totalSimCycles").value(sim_cycles);
-        if (wall_us > 0)
-            w.key("simCyclesPerSec")
-                .value(sim_cycles * 1'000'000 / wall_us);
-        if (allocation_counter)
-            w.key("hostAllocs").value(figure_allocs);
-
-        w.endObject();
-
-        std::fprintf(stderr, "%s: %zu cells, %.1f ms\n", name.c_str(),
-                     result.cases.size(),
-                     static_cast<double>(wall_us) / 1000.0);
-
-        if (have_baseline) {
-            const JsonValue *recorded = nullptr;
-            if (const JsonValue *figs = speed_baseline.find("figures"))
-                if (const JsonValue *f = figs->find(name))
-                    recorded = f->find("totalWallUs");
-            if (!recorded || !recorded->isNumber()) {
-                std::fprintf(stderr,
-                             "speed baseline has no totalWallUs for "
-                             "%s\n",
-                             name.c_str());
-            } else {
-                const double before = recorded->number;
-                const double after = static_cast<double>(wall_us);
-                if (after > before * opts.speedThreshold &&
-                    wall_us > speedNoiseFloorUs) {
-                    std::fprintf(stderr,
-                                 "SPEED REGRESSION %s: %.1f ms -> "
-                                 "%.1f ms (%.2fx, bound %.2fx)\n",
-                                 name.c_str(), before / 1000.0,
-                                 after / 1000.0, after / before,
-                                 opts.speedThreshold);
-                    regressions++;
-                }
-            }
-        }
-    }
-
-    w.endObject();
-    w.key("peakRssKb").value(peakRssKb());
-    if (allocation_counter) {
-        // The PR 10 raw-speed section: peak RSS and the host
-        // allocation total pin the arena work (log records, SoA
-        // frames) as numbers a later regression can be diffed
-        // against, not just a wall-clock that varies by host.
-        w.key("speed").beginObject();
-        w.key("peakRssKb").value(peakRssKb());
-        w.key("hostAllocs").value(allocationsNow());
-        w.endObject();
-    }
-    w.endObject();
-
-    if (!writeFile(opts.profilePath, w.str() + "\n")) {
-        std::fprintf(stderr, "cannot write %s\n",
-                     opts.profilePath.c_str());
-        return 2;
-    }
-    std::fprintf(stderr, "speed profile written to %s\n",
-                 opts.profilePath.c_str());
-
-    if (!all_verified)
-        return 1;
-    if (regressions > 0)
-        return 3;
-    return 0;
-}
-
-} // namespace
-
-void
-setAllocationCounter(std::uint64_t (*fn)())
-{
-    allocation_counter = fn;
-}
-
-int
-runBench(const BenchOptions &opts)
-{
-    if (opts.profile)
-        return runProfile(opts);
-
-    // Load the baseline up front so a bad path fails before the sweep.
-    JsonValue baseline;
-    if (!opts.baselinePath.empty()) {
-        std::string text;
-        if (!readFile(opts.baselinePath, &text)) {
-            std::fprintf(stderr, "cannot read baseline %s\n",
-                         opts.baselinePath.c_str());
-            return 2;
-        }
-        std::string error;
-        if (!parseJson(text, &baseline, &error)) {
-            std::fprintf(stderr, "bad baseline %s: %s\n",
-                         opts.baselinePath.c_str(), error.c_str());
-            return 2;
-        }
-    }
-
-    const bool json_to_stdout = opts.emitJson && opts.jsonPath.empty();
-    const bool print_tables = opts.tables && !json_to_stdout;
-
-    std::vector<std::string> json_reports;
-    bool all_verified = true;
-    std::size_t total_regressions = 0;
-
-    for (const std::string &name : opts.figures) {
-        const FigureSpec *fig = findFigure(name);
-        if (!fig) {
-            std::fprintf(stderr, "unknown figure: %s\n", name.c_str());
-            return 2;
-        }
-
-        const auto start = std::chrono::steady_clock::now();
-        const MatrixResult result = runCases(fig->cases(), opts.workers);
-        const double secs =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        // Timing goes to stderr only: the JSON report must stay
-        // byte-identical across runs and worker counts.
-        std::fprintf(stderr, "%s: %zu cells in %.1fs\n", name.c_str(),
-                     result.cases.size(), secs);
-
-        if (print_tables)
-            fig->print(result);
-
-        std::string failures;
-        if (!result.allVerified(&failures)) {
-            all_verified = false;
-            std::fprintf(stderr, "VERIFICATION FAILURES (%s):\n%s",
-                         name.c_str(), failures.c_str());
-        }
-
-        if (opts.emitJson)
-            json_reports.push_back(
-                reportJson(name, result, opts.includeStats));
-
-        if (!opts.baselinePath.empty()) {
-            const BaselineDiff diff = diffAgainstBaseline(
-                baseline, name, result, opts.threshold);
-            if (diff.cellsCompared == 0) {
-                std::fprintf(stderr,
-                             "baseline has no cells for %s "
-                             "(%zu cells unmatched)\n",
-                             name.c_str(),
-                             diff.cellsMissingInBaseline);
-            }
-            for (const BaselineRegression &reg : diff.regressions) {
-                std::fprintf(stderr,
-                             "REGRESSION %s %s %s: %.0f -> %.0f "
-                             "(%+.1f%%)\n",
-                             name.c_str(), reg.cell.c_str(),
-                             reg.metric.c_str(), reg.before, reg.after,
-                             reg.change() * 100.0);
-            }
-            total_regressions += diff.regressions.size();
-        }
-    }
-
-    if (opts.emitJson) {
-        std::string doc;
-        if (json_reports.size() == 1) {
-            doc = json_reports.front();
-        } else {
-            doc = "{\"schema\":\"slpmt-bench-1\",\"reports\":[";
-            for (std::size_t i = 0; i < json_reports.size(); ++i) {
-                if (i)
-                    doc += ',';
-                doc += json_reports[i];
-            }
-            doc += "]}";
-        }
-        doc += '\n';
-        if (json_to_stdout) {
-            std::fputs(doc.c_str(), stdout);
-        } else {
-            std::FILE *f = std::fopen(opts.jsonPath.c_str(), "wb");
-            if (!f) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             opts.jsonPath.c_str());
-                return 2;
-            }
-            std::fputs(doc.c_str(), f);
-            std::fclose(f);
-        }
-    }
-
-    if (!all_verified)
-        return 1;
-    if (total_regressions > 0)
-        return 3;
-    return 0;
 }
 
 } // namespace slpmt

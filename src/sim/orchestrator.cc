@@ -91,7 +91,8 @@ MatrixResult::allVerified(std::string *failures) const
 }
 
 MatrixResult
-runCases(std::vector<ExperimentCase> cases, std::size_t num_workers)
+runCases(std::vector<ExperimentCase> cases, std::size_t num_workers,
+         const CellRunner &run)
 {
     MatrixResult out;
     out.results.resize(cases.size());
@@ -111,7 +112,8 @@ runCases(std::vector<ExperimentCase> cases, std::size_t num_workers)
         const ExperimentCase &c = out.cases[i];
         const auto start = std::chrono::steady_clock::now();
         try {
-            out.results[i] = runExperiment(c.workload, c.cfg);
+            out.results[i] =
+                run ? run(c) : runExperiment(c.workload, c.cfg);
         } catch (const std::exception &e) {
             ExperimentResult res;
             res.workload = c.workload;

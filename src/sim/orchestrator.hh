@@ -2,15 +2,15 @@
  * @file
  * Parallel experiment orchestrator.
  *
- * Every paper figure is a sweep over the same experiment space
- * (workload x scheme x value size x PM latency),
- * and every cell is one independent simulated machine. The
- * orchestrator expands a declarative MatrixSpec into a flat case
- * list in a fixed enumeration order, runs the cases on a
- * work-stealing pool (one machine per worker item, no shared
- * simulator state), and merges results back in enumeration order —
- * so reports are byte-identical regardless of the worker count or
- * schedule.
+ * Most paper figures are sweeps over the same experiment space
+ * (workload x scheme x value size x PM latency), and every cell is
+ * one independent simulated machine. The orchestrator expands a
+ * declarative MatrixSpec into a flat case list in a fixed enumeration
+ * order, runs the cases on a work-stealing pool (one machine per
+ * worker item, no shared simulator state) through runExperiment() or
+ * a figure's own cell runner, and merges results back in enumeration
+ * order — so reports are byte-identical regardless of the worker
+ * count or schedule.
  *
  * Reports serialise as stable-key JSON (integer metrics only, no
  * wall-clock or host information) and can be diffed against a saved
@@ -21,6 +21,7 @@
 #define SLPMT_SIM_ORCHESTRATOR_HH
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -87,15 +88,19 @@ class MatrixResult
     bool allVerified(std::string *failures) const;
 };
 
+/** Runs one cell on machines of its own (called from any worker). */
+using CellRunner = std::function<ExperimentResult(const ExperimentCase &)>;
+
 /**
  * Run every case on @p num_workers work-stealing threads (0 = one
- * per hardware thread, capped by the case count). Each case owns a
- * private simulated machine; a case that throws is recorded as an
- * unverified result carrying the diagnostic instead of tearing down
- * the sweep.
+ * per hardware thread, capped by the case count) through @p run, or
+ * runExperiment() when @p run is empty. Each case owns a private
+ * simulated machine; a case that throws is recorded as an unverified
+ * result carrying the diagnostic instead of tearing down the sweep.
  */
 MatrixResult runCases(std::vector<ExperimentCase> cases,
-                      std::size_t num_workers);
+                      std::size_t num_workers,
+                      const CellRunner &run = {});
 
 /** expandMatrix() + runCases(). */
 MatrixResult runMatrix(const MatrixSpec &spec, std::size_t num_workers);

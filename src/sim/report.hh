@@ -1,7 +1,7 @@
 /**
  * @file
- * Plain-text table formatting for the benchmark harnesses: every
- * bench binary prints rows in the shape of the paper's figure it
+ * Plain-text table formatting for the figure registry: every figure
+ * prints rows in the shape of the paper's table or figure it
  * regenerates.
  */
 

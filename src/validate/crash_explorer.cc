@@ -15,7 +15,6 @@ systemFor(const CrashSweepConfig &cfg)
 {
     SystemConfig sc;
     applySweepOptions(sc, cfg);
-    sc.layoutAudit = cfg.layoutAudit;
     return sc;
 }
 

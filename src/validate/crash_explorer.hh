@@ -45,14 +45,6 @@ struct CrashSweepConfig : SweepOptions
     YcsbMixConfig mix;
 
     /**
-     * SoA layout self-check policy for every machine the sweep builds
-     * (master, forks, from-scratch replays). Never serialised into
-     * the report: a forced-On sweep must produce a byte-identical
-     * document to a forced-Off one (the LayoutDiff differential).
-     */
-    LayoutAudit layoutAudit = LayoutAudit::Default;
-
-    /**
      * Fault-injection knobs for the explorer's own tests: deliberately
      * skip a recovery stage to prove the oracle discriminates a broken
      * recovery path from a working one. Never set in real sweeps.

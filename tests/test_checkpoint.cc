@@ -18,7 +18,8 @@
  * The CheckpointAudit suite is the cross-mode oracle the
  * checkpoint-audit ctest preset runs: a checkpointed sweep's JSON
  * report must be byte-identical to the --no-checkpoint audit sweep's
- * on every target (core, mc, service), at any worker count.
+ * on every target (core, mc, service), at any worker count, on the
+ * sampled path and on the pipelined exhaustive tail-replay path.
  */
 
 #include <gtest/gtest.h>
@@ -443,9 +444,10 @@ auditSweepConfig()
 }
 
 /** A target's checkpointed sweep against its audit sweep, each at
- *  its own worker count: byte-identical JSON reports. */
+ *  its own worker count: byte-identical JSON reports, and the same
+ *  victim shard at every point. Returns the checkpointed report. */
 template <class Config>
-void
+CrashSweepReport
 expectCheckpointedMatchesAudit(Config cfg,
                                CrashSweepReport (*sweep)(const Config &),
                                std::size_t ckpt_workers,
@@ -453,11 +455,42 @@ expectCheckpointedMatchesAudit(Config cfg,
 {
     cfg.useCheckpoints = true;
     cfg.workers = ckpt_workers;
-    const std::string checkpointed = sweep(cfg).toJson();
+    const CrashSweepReport checkpointed = sweep(cfg);
 
     cfg.useCheckpoints = false;
     cfg.workers = audit_workers;
-    EXPECT_EQ(checkpointed, sweep(cfg).toJson());
+    const CrashSweepReport audit = sweep(cfg);
+
+    EXPECT_EQ(checkpointed.toJson(), audit.toJson());
+    // The victim shard is not part of the JSON report.
+    auto shards = [](const CrashSweepReport &report) {
+        std::vector<std::size_t> out;
+        for (const auto &point : report.points)
+            out.push_back(point.crashShard);
+        return out;
+    };
+    EXPECT_EQ(shards(checkpointed), shards(audit));
+    return checkpointed;
+}
+
+/**
+ * maxPoints == 0 with checkpoints and two or more workers takes the
+ * pipelined tail-replay path: the master publishes bases while tail
+ * threads fork and replay points concurrently. The from-scratch audit
+ * sweep of the same target is the reference.
+ */
+template <class Config>
+void
+expectPipelinedMatchesAudit(Config cfg,
+                            CrashSweepReport (*sweep)(const Config &),
+                            std::size_t workers)
+{
+    cfg.maxPoints = 0;
+    const CrashSweepReport pipelined =
+        expectCheckpointedMatchesAudit(cfg, sweep, workers, workers);
+    EXPECT_EQ(pipelined.violationCount(), 0u)
+        << pipelined.violationsText();
+    EXPECT_GT(pipelined.pointsExplored(), 10u);
 }
 
 TEST(CheckpointAudit, SingleCoreReportMatchesNoCheckpointMode)
@@ -501,6 +534,54 @@ TEST(CheckpointAudit, ServiceReportMatchesNoCheckpointMode)
     cfg.maxPoints = 12;
     cfg.checkpointInterval = 48;
     expectCheckpointedMatchesAudit(cfg, runServiceCrashSweep, 3, 1);
+}
+
+TEST(CheckpointAudit, PipelinedExhaustiveSweepMatchesFromScratch)
+{
+    CrashSweepConfig cfg;
+    cfg.scheme = SchemeKind::SLPMT;
+    cfg.style = LoggingStyle::Undo;
+    cfg.workload = "rbtree";
+    cfg.mix.numOps = 24;
+    cfg.mix.valueBytes = 256;
+    cfg.mix.seed = 42;
+    cfg.mix.insertPct = 80;
+    cfg.mix.updatePct = 12;
+    cfg.mix.removePct = 8;
+    cfg.tinyCache = true;
+    cfg.checkpointInterval = 16;
+    expectPipelinedMatchesAudit(cfg, runCrashSweep, 3);
+}
+
+TEST(CheckpointAudit, McPipelinedExhaustiveSweepMatchesFromScratch)
+{
+    McCrashSweepConfig cfg;
+    cfg.scheme = SchemeKind::SLPMT;
+    cfg.style = LoggingStyle::Undo;
+    cfg.run.workload = "hashtable";
+    cfg.run.numCores = 2;
+    cfg.run.opsPerCore = 12;
+    cfg.run.valueBytes = 128;
+    cfg.run.seed = 42;
+    cfg.run.sharedPct = 25;
+    cfg.tinyCache = true;
+    cfg.checkpointInterval = 16;
+    expectPipelinedMatchesAudit(cfg, runMcCrashSweep, 2);
+}
+
+TEST(CheckpointAudit, ServicePipelinedExhaustiveSweepMatchesFromScratch)
+{
+    ServiceCrashConfig cfg;
+    cfg.numShards = 2;
+    cfg.tinyCache = true;
+    cfg.checkpointInterval = 16;
+    cfg.load.keySpace = std::size_t{1} << 14;
+    cfg.load.preloadRecords = 8;
+    cfg.load.numOps = 16;
+    cfg.load.valueBytesMin = 48;
+    cfg.load.valueBytesMax = 96;
+    cfg.load.seed = 5;
+    expectPipelinedMatchesAudit(cfg, runServiceCrashSweep, 3);
 }
 
 } // namespace

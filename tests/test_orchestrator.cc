@@ -2,14 +2,15 @@
  * @file
  * The experiment orchestrator: matrix expansion and cell keys, the
  * schedule-independence guarantee (byte-identical JSON regardless of
- * worker count), cross-component stats invariants on every scheme,
+ * worker count, for matrix cells and figures' own cell runners alike),
+ * cross-component stats invariants on every scheme,
  * agreement with a direct runExperiment() call, the JSON parser, and
  * baseline regression diffing.
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/orchestrator.hh"
+#include "sim/figures.hh"
 
 namespace slpmt
 {
@@ -76,19 +77,26 @@ TEST(Orchestrator, MissingCellIsFatal)
 
 TEST(Orchestrator, ReportIsIdenticalAcrossWorkerCounts)
 {
-    const auto cases = expandMatrix(smallSpec());
-    const MatrixResult serial = runCases(cases, 1);
-    const MatrixResult parallel = runCases(cases, 4);
+    // A matrix sweep, and figures that bring their own cell runner.
+    const FigureSpec small{"small", "",
+                           [] { return expandMatrix(smallSpec()); }, {}};
+    for (const FigureSpec *fig :
+         {&small, findFigure("table1"), findFigure("fig4")}) {
+        ASSERT_NE(fig, nullptr);
+        const auto cases = fig->cases();
+        const MatrixResult serial = runCases(cases, 1, fig->run);
+        const MatrixResult parallel = runCases(cases, 4, fig->run);
 
-    std::string failures;
-    EXPECT_TRUE(serial.allVerified(&failures)) << failures;
+        std::string failures;
+        EXPECT_TRUE(serial.allVerified(&failures)) << failures;
 
-    // Byte-for-byte: schedule must not leak into the report, with or
-    // without the full stats blocks.
-    EXPECT_EQ(reportJson("small", serial, false),
-              reportJson("small", parallel, false));
-    EXPECT_EQ(reportJson("small", serial, true),
-              reportJson("small", parallel, true));
+        // Byte-for-byte: schedule must not leak into the report, with
+        // or without the full stats blocks.
+        EXPECT_EQ(reportJson(fig->name, serial, false),
+                  reportJson(fig->name, parallel, false));
+        EXPECT_EQ(reportJson(fig->name, serial, true),
+                  reportJson(fig->name, parallel, true));
+    }
 }
 
 TEST(Orchestrator, MatchesDirectRunExperiment)
