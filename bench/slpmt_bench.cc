@@ -404,8 +404,10 @@ run(const Options &opts)
                      fig->name.c_str(), result.cases.size(),
                      static_cast<double>(wall_us) / 1000.0);
 
-        if (print_tables)
-            fig->print(result);
+        if (print_tables) {
+            for (const TableSpec &table : fig->tables(result))
+                std::fputs(renderTable(table, result).c_str(), stdout);
+        }
         std::string failures;
         if (!result.allVerified(&failures)) {
             all_verified = false;

@@ -13,8 +13,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "sim/experiment.hh"
-#include "sim/report.hh"
+#include "sim/figures.hh"
 
 using namespace slpmt;
 
@@ -57,30 +56,33 @@ main(int argc, char **argv)
     }
 
     // Scheme comparison on this backend.
-    TableReport table("scheme comparison (" + backend + ")");
-    table.header({"scheme", "Mcycles", "PM write KB", "speedup vs FG"});
-    ExperimentResult base;
-    for (SchemeKind scheme : {SchemeKind::FG, SchemeKind::ATOM,
-                              SchemeKind::EDE, SchemeKind::SLPMT}) {
-        ExperimentConfig cfg;
-        cfg.scheme = scheme;
-        cfg.ycsb.numOps = ops;
-        cfg.ycsb.valueBytes = value_bytes;
-        const ExperimentResult res = runExperiment(backend, cfg);
-        if (scheme == SchemeKind::FG)
-            base = res;
-        if (!res.verified) {
-            std::printf("verification failed: %s\n",
-                        res.failure.c_str());
-            return 1;
-        }
-        table.row({schemeName(scheme),
-                   TableReport::num(
-                       static_cast<double>(res.cycles) / 1e6),
-                   TableReport::num(
-                       static_cast<double>(res.pmWriteBytes) / 1024.0),
-                   TableReport::ratio(res.speedupOver(base))});
+    MatrixSpec spec;
+    spec.workloads = {backend};
+    spec.schemes = {SchemeKind::FG, SchemeKind::ATOM, SchemeKind::EDE,
+                    SchemeKind::SLPMT};
+    spec.valueSizes = {value_bytes};
+    spec.numOps = ops;
+    const MatrixResult result = runMatrix(spec, 0);
+    std::string failures;
+    if (!result.allVerified(&failures)) {
+        std::printf("verification failed: %s", failures.c_str());
+        return 1;
     }
-    table.print();
+
+    const Metric mcycles{[](const ExperimentResult &c,
+                            const ExperimentResult &) {
+                             return static_cast<double>(c.cycles) / 1e6;
+                         },
+                         NumberFormat::Decimal};
+    TableSpec table{"scheme comparison (" + backend + ")",
+                    {"scheme"},
+                    {},
+                    {{"Mcycles", "{}", "", mcycles},
+                     {"PM write KB", "{}", "", kilobytes()},
+                     {"speedup vs FG", "{}",
+                      caseKey(backend, SchemeKind::FG), speedup()}}};
+    for (SchemeKind scheme : spec.schemes)
+        table.rows.push_back({{schemeName(scheme)}, caseKey(backend, scheme)});
+    std::fputs(renderTable(table, result).c_str(), stdout);
     return 0;
 }

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
-#include <map>
+#include <numeric>
 
 #include "compiler/compiler_policy.hh"
 #include "core/pm_system.hh"
 #include "core/tx.hh"
-#include "sim/report.hh"
 #include "workloads/factory.hh"
 #include "workloads/loadgen.hh"
 
@@ -17,12 +17,204 @@ namespace slpmt
 namespace
 {
 
-/** A cell's stats entry, 0 when absent. */
+using Cell = ExperimentResult;
+
+/** The cell's stats entry @p name. A name the cell lacks is fatal(),
+ *  so a renamed or misspelled counter cannot print as zeros. */
 std::uint64_t
-statOf(const ExperimentResult &cell, const std::string &name)
+cellStat(const Cell &cell, const std::string &name)
 {
     auto it = cell.stats.find(name);
-    return it == cell.stats.end() ? 0 : it->second;
+    if (it == cell.stats.end())
+        fatal("cell " + cell.workload + "/" + schemeName(cell.scheme) +
+              " has no stat " + name);
+    return it->second;
+}
+
+std::string
+formatValue(double v, NumberFormat format)
+{
+    if (format == NumberFormat::Check)
+        return v != 0 ? "ok" : "FAILED";
+    if (format == NumberFormat::Integer)
+        return std::to_string(static_cast<unsigned long long>(v));
+    char buf[32];
+    std::snprintf(buf, sizeof(buf),
+                  format == NumberFormat::Ratio     ? "%.2fx"
+                  : format == NumberFormat::Percent ? "%.1f%%"
+                                                    : "%.3f",
+                  format == NumberFormat::Percent ? v * 100.0 : v);
+    return buf;
+}
+
+/** Geometric mean of a list of ratios (the paper's summary metric). */
+double
+geomean(const std::vector<double> &values)
+{
+    if (values.empty())
+        return 0.0;
+    double log_sum = 0.0;
+    for (double v : values)
+        log_sum += std::log(v);
+    return std::exp(log_sum / static_cast<double>(values.size()));
+}
+
+/** A column key with the row's key in place of its "{}". */
+std::string
+withRowKey(std::string key, const std::string &row_key)
+{
+    const std::size_t at = key.find("{}");
+    return at == std::string::npos ? key : key.replace(at, 2, row_key);
+}
+
+} // namespace
+
+Metric
+speedup()
+{
+    return {[](const Cell &c, const Cell &b) { return c.speedupOver(b); },
+            NumberFormat::Ratio};
+}
+
+Metric
+trafficCut()
+{
+    return {[](const Cell &c, const Cell &b) {
+                return c.trafficReductionOver(b);
+            },
+            NumberFormat::Percent};
+}
+
+Metric
+kilobytes()
+{
+    return {[](const Cell &c, const Cell &) { return c.pmWriteBytes / 1024.0; },
+            NumberFormat::Decimal};
+}
+
+Metric
+cycleCount()
+{
+    return {[](const Cell &c, const Cell &) { return c.cycles; }};
+}
+
+Metric
+logRecords()
+{
+    return {[](const Cell &c, const Cell &) { return c.logRecords; }};
+}
+
+Metric
+statSum(std::vector<std::string> names)
+{
+    return {[names = std::move(names)](const Cell &c, const Cell &) {
+        std::uint64_t sum = 0;
+        for (const std::string &name : names)
+            sum += cellStat(c, name);
+        return sum;
+    }};
+}
+
+std::string
+renderTable(const TableSpec &spec, const MatrixResult &result)
+{
+    // The cells as text: the header, the rows, then the footer.
+    std::vector<std::vector<std::string>> text = {spec.labelHeaders};
+    for (const TableRow &row : spec.rows) {
+        if (row.labels.size() != spec.labelHeaders.size())
+            panic("table \"" + spec.title + "\": a row has " +
+                  std::to_string(row.labels.size()) + " labels for " +
+                  std::to_string(spec.labelHeaders.size()) + " headers");
+        text.push_back(row.labels);
+    }
+    std::vector<std::string> footer(spec.labelHeaders.size());
+    bool geo_footer = false;
+    bool mean_footer = false;
+    for (const TableColumn &col : spec.columns) {
+        text[0].push_back(col.header);
+        std::vector<double> values;
+        for (std::size_t r = 0; r < spec.rows.size(); ++r) {
+            const std::string &row_key = spec.rows[r].key;
+            const Cell &cell = result.get(withRowKey(col.key, row_key));
+            values.push_back(col.metric.value(
+                cell, col.baseKey.empty()
+                          ? cell
+                          : result.get(withRowKey(col.baseKey, row_key))));
+            text[r + 1].push_back(
+                formatValue(values.back(), col.metric.format));
+        }
+        geo_footer |= col.footer == Footer::Geomean;
+        mean_footer |= col.footer == Footer::Mean;
+        const double summary =
+            col.footer == Footer::Geomean
+                ? geomean(values)
+                : std::accumulate(values.begin(), values.end(), 0.0) /
+                      static_cast<double>(values.size());
+        footer.push_back(col.footer == Footer::None
+                             ? ""
+                             : formatValue(summary, col.metric.format));
+    }
+    if (geo_footer || mean_footer) {
+        footer.at(0) = geo_footer && mean_footer ? "geomean/mean"
+                       : geo_footer              ? "geomean"
+                                                 : "mean";
+        text.push_back(std::move(footer));
+    }
+
+    std::vector<std::size_t> widths(text[0].size());
+    for (const auto &cells : text) {
+        for (std::size_t c = 0; c < cells.size(); ++c)
+            widths[c] = std::max(widths[c], cells[c].size());
+    }
+    std::size_t rule = 0;
+    for (std::size_t w : widths)
+        rule += w + 2;
+    std::string out = "\n== " + spec.title + " ==\n";
+    for (std::size_t r = 0; r < text.size(); ++r) {
+        for (std::size_t c = 0; c < widths.size(); ++c)
+            out += text[r][c] +
+                   std::string(widths[c] + 2 - text[r][c].size(), ' ');
+        out += r == 0 ? "\n" + std::string(rule, '-') + "\n" : "\n";
+    }
+    return out;
+}
+
+namespace
+{
+
+/** One row per workload, labelled and keyed by its name. */
+std::vector<TableRow>
+workloadRows(const std::vector<std::string> &workloads)
+{
+    std::vector<TableRow> rows;
+    for (const std::string &workload : workloads)
+        rows.push_back({{workload}, workload});
+    return rows;
+}
+
+/** @p metric of the row's @p scheme cell over its FG cell, both with
+ *  key suffix @p suffix. */
+TableColumn
+overFG(std::string header, SchemeKind scheme, const std::string &suffix,
+       const Metric &metric, Footer footer = Footer::None)
+{
+    return {std::move(header), caseKey("{}", scheme, suffix),
+            caseKey("{}", SchemeKind::FG, suffix), metric, footer};
+}
+
+/** One row per workload and one overFG() column per scheme. */
+TableSpec
+schemeTable(std::string title, const std::vector<std::string> &workloads,
+            const std::vector<SchemeKind> &schemes, const Metric &metric,
+            Footer footer = Footer::None, const std::string &suffix = "")
+{
+    TableSpec table{std::move(title), {"benchmark"},
+                    workloadRows(workloads)};
+    for (SchemeKind s : schemes) {
+        table.columns.push_back(
+            overFG(schemeName(s), s, suffix, metric, footer));
+    }
+    return table;
 }
 
 // -------------------------------------------------------------------
@@ -119,25 +311,34 @@ table1Run(const ExperimentCase &c)
     return res;
 }
 
-void
-table1Print(const MatrixResult &res)
+std::vector<TableSpec>
+table1Tables(const MatrixResult &res)
 {
-    TableReport table("Table I: store/storeT semantics and cost");
-    table.header({"instruction", "persist bit", "log bit", "bits ok",
-                  "cycles/store", "commit cycles/txn"});
+    TableSpec table{"Table I: store/storeT semantics and cost",
+                    {"instruction", "persist bit", "log bit", "bits ok"}};
     for (const StoreForm &form : storeForms) {
-        const ExperimentResult &cell = res.get(form.key);
-        const Cycles commit = statOf(cell, "txn.commitCycles.sum");
-        table.row({form.name, form.expectPersist ? "1" : "0",
-                   form.expectLog ? "1" : "0",
-                   cell.verified ? "yes" : "NO",
-                   TableReport::num(
-                       static_cast<double>(cell.cycles - commit) /
-                       static_cast<double>(table1Txns * table1Stores)),
-                   TableReport::num(static_cast<double>(commit) /
-                                    static_cast<double>(table1Txns))});
+        table.rows.push_back({{form.name, form.expectPersist ? "1" : "0",
+                               form.expectLog ? "1" : "0",
+                               res.get(form.key).verified ? "yes" : "NO"},
+                              form.key});
     }
-    table.print();
+    const Metric per_store{
+        [](const Cell &c, const Cell &) {
+            return static_cast<double>(
+                       c.cycles - cellStat(c, "txn.commitCycles.sum")) /
+                   static_cast<double>(table1Txns * table1Stores);
+        },
+        NumberFormat::Decimal};
+    const Metric commit_per_txn{
+        [](const Cell &c, const Cell &) {
+            return static_cast<double>(
+                       cellStat(c, "txn.commitCycles.sum")) /
+                   static_cast<double>(table1Txns);
+        },
+        NumberFormat::Decimal};
+    table.columns = {{"cycles/store", "{}", "", per_store},
+                     {"commit cycles/txn", "{}", "", commit_per_txn}};
+    return {table};
 }
 
 // -------------------------------------------------------------------
@@ -251,31 +452,33 @@ persistKindName(PersistKind kind)
     return "?";
 }
 
-void
-fig4Print(const MatrixResult &res)
+std::vector<TableSpec>
+fig4Tables(const MatrixResult &res)
 {
+    std::vector<TableSpec> tables;
     for (LoggingStyle style : fig4Styles) {
-        const ExperimentResult &cell = res.get(fig4Key(style));
-        TableReport table(
+        const Cell &cell = res.get(fig4Key(style));
+        TableSpec &table = tables.emplace_back(TableSpec{
             std::string("Figure 4 persist order, ") +
-            (style == LoggingStyle::Undo ? "undo" : "redo") +
-            " logging (constraints " +
-            (cell.verified ? "hold)" : "VIOLATED)"));
-        table.header({"#", "kind", "address"});
-        const std::uint64_t events = statOf(cell, "ledger.events");
+                (style == LoggingStyle::Undo ? "undo" : "redo") +
+                " logging (constraints " +
+                (cell.verified ? "hold)" : "VIOLATED)"),
+            {"#", "kind", "address"}});
+        const std::uint64_t events = cellStat(cell, "ledger.events");
         for (std::uint64_t i = 0; i < events; ++i) {
             const std::string at = "ledger." + std::to_string(i);
             char addr[32];
             std::snprintf(addr, sizeof(addr), "0x%llx",
                           static_cast<unsigned long long>(
-                              statOf(cell, at + ".addr")));
-            table.row({std::to_string(i),
-                       persistKindName(static_cast<PersistKind>(
-                           statOf(cell, at + ".kind"))),
-                       addr});
+                              cellStat(cell, at + ".addr")));
+            table.rows.push_back(
+                {{std::to_string(i),
+                  persistKindName(static_cast<PersistKind>(
+                      cellStat(cell, at + ".kind"))),
+                  addr}});
         }
-        table.print();
     }
+    return tables;
 }
 
 // -------------------------------------------------------------------
@@ -296,73 +499,32 @@ fig8Cases()
     return expandMatrix(spec);
 }
 
-void
-fig8Print(const MatrixResult &res)
+std::vector<TableSpec>
+fig8Tables(const MatrixResult &res)
 {
-    TableReport speedup("Figure 8 (left): speedup over FG baseline");
-    TableReport traffic(
-        "Figure 8 (right): PM write-traffic reduction over FG baseline");
-    std::vector<std::string> cols = {"benchmark"};
-    for (SchemeKind s : fig8Schemes)
-        cols.push_back(schemeName(s));
-    speedup.header(cols);
-    traffic.header(cols);
-
-    std::map<SchemeKind, std::vector<double>> all_speedups;
-    std::map<SchemeKind, std::vector<double>> all_traffic;
-
-    for (const auto &workload : kernelWorkloads()) {
-        const auto &base = res.get(caseKey(workload, SchemeKind::FG));
-        std::vector<std::string> srow = {workload};
-        std::vector<std::string> trow = {workload};
-        for (SchemeKind s : fig8Schemes) {
-            const auto &cell = res.get(caseKey(workload, s));
-            const double sp = cell.cycles
-                                  ? static_cast<double>(base.cycles) /
-                                        static_cast<double>(cell.cycles)
-                                  : 0;
-            const double tr = cell.trafficReductionOver(base);
-            srow.push_back(TableReport::ratio(sp));
-            trow.push_back(TableReport::percent(tr));
-            all_speedups[s].push_back(sp);
-            all_traffic[s].push_back(tr);
-        }
-        speedup.row(srow);
-        traffic.row(trow);
-    }
-
-    std::vector<std::string> srow = {"geomean"};
-    std::vector<std::string> trow = {"mean"};
-    for (SchemeKind s : fig8Schemes) {
-        srow.push_back(TableReport::ratio(geomean(all_speedups[s])));
-        double sum = 0;
-        for (double v : all_traffic[s])
-            sum += v;
-        trow.push_back(TableReport::percent(
-            sum / static_cast<double>(all_traffic[s].size())));
-    }
-    speedup.row(srow);
-    traffic.row(trow);
-    speedup.print();
-    traffic.print();
-
     // Headline cross-scheme ratios (Section VI-D).
-    TableReport headline("Section VI-D headline: SLPMT vs prior designs");
-    headline.header({"comparison", "geomean speedup"});
+    TableSpec headline{"Section VI-D headline: SLPMT vs prior designs",
+                       {"comparison", "geomean speedup"}};
     for (SchemeKind other :
          {SchemeKind::FG, SchemeKind::ATOM, SchemeKind::EDE}) {
         std::vector<double> ratios;
         for (const auto &workload : kernelWorkloads()) {
-            const auto &slpmt =
-                res.get(caseKey(workload, SchemeKind::SLPMT));
-            const auto &o = res.get(caseKey(workload, other));
-            ratios.push_back(static_cast<double>(o.cycles) /
-                             static_cast<double>(slpmt.cycles));
+            ratios.push_back(
+                res.get(caseKey(workload, SchemeKind::SLPMT))
+                    .speedupOver(res.get(caseKey(workload, other))));
         }
-        headline.row({"SLPMT vs " + schemeName(other),
-                      TableReport::ratio(geomean(ratios))});
+        headline.rows.push_back(
+            {{"SLPMT vs " + schemeName(other),
+              formatValue(geomean(ratios), NumberFormat::Ratio)}});
     }
-    headline.print();
+    return {schemeTable("Figure 8 (left): speedup over FG baseline",
+                        kernelWorkloads(), fig8Schemes, speedup(),
+                        Footer::Geomean),
+            schemeTable("Figure 8 (right): PM write-traffic reduction "
+                        "over FG baseline",
+                        kernelWorkloads(), fig8Schemes, trafficCut(),
+                        Footer::Mean),
+            headline};
 }
 
 // -------------------------------------------------------------------
@@ -378,39 +540,28 @@ fig9Cases()
     return expandMatrix(spec);
 }
 
-void
-fig9Print(const MatrixResult &res)
+std::vector<TableSpec>
+fig9Tables(const MatrixResult &)
 {
-    TableReport table(
-        "Figure 9: cache-line-granularity SLPMT vs featureless "
-        "line-granularity baseline");
-    table.header({"benchmark", "SLPMT-CL speedup",
-                  "extra traffic without features"});
-    std::vector<double> speedups;
-    std::vector<double> extra;
-    for (const auto &workload : kernelWorkloads()) {
-        const auto &base = res.get(caseKey(workload, SchemeKind::ATOM));
-        const auto &cl =
-            res.get(caseKey(workload, SchemeKind::SLPMT_CL));
-        const double sp = cl.speedupOver(base);
-        const double ex =
-            cl.pmWriteBytes
-                ? static_cast<double>(base.pmWriteBytes) /
-                          static_cast<double>(cl.pmWriteBytes) -
-                      1.0
-                : 0;
-        speedups.push_back(sp);
-        extra.push_back(ex);
-        table.row({workload, TableReport::ratio(sp),
-                   TableReport::percent(ex)});
-    }
-    double mean_extra = 0;
-    for (double e : extra)
-        mean_extra += e;
-    mean_extra /= static_cast<double>(extra.size());
-    table.row({"geomean/mean", TableReport::ratio(geomean(speedups)),
-               TableReport::percent(mean_extra)});
-    table.print();
+    // The traffic the featureless baseline writes beyond SLPMT-CL.
+    const Metric extra{
+        [](const Cell &c, const Cell &base) {
+            if (c.pmWriteBytes == 0)
+                return 0.0;
+            return static_cast<double>(base.pmWriteBytes) /
+                       static_cast<double>(c.pmWriteBytes) -
+                   1.0;
+        },
+        NumberFormat::Percent};
+    const std::string cl = caseKey("{}", SchemeKind::SLPMT_CL);
+    const std::string atom = caseKey("{}", SchemeKind::ATOM);
+    return {{"Figure 9: cache-line-granularity SLPMT vs featureless "
+             "line-granularity baseline",
+             {"benchmark"},
+             workloadRows(kernelWorkloads()),
+             {{"SLPMT-CL speedup", cl, atom, speedup(), Footer::Geomean},
+              {"extra traffic without features", cl, atom, extra,
+               Footer::Mean}}}};
 }
 
 // -------------------------------------------------------------------
@@ -429,72 +580,48 @@ valueSizeCases()
     return expandMatrix(spec);
 }
 
-void
-fig10Print(const MatrixResult &res)
+/** A kernel table with one column per swept value, whose key suffix
+ *  is the value plus @p unit: @p metric of the row's SLPMT cell over
+ *  its FG cell at that suffix. */
+template <typename T>
+TableSpec
+sweepTable(std::string title, const std::vector<T> &sweep,
+           const char *unit, const Metric &metric,
+           Footer footer = Footer::None)
 {
-    TableReport table("Figure 10: SLPMT speedup over FG vs value size");
-    std::vector<std::string> cols = {"benchmark"};
-    for (std::size_t vs : valueSizeSweep)
-        cols.push_back(std::to_string(vs) + "B");
-    table.header(cols);
-
-    std::map<std::size_t, std::vector<double>> by_size;
-    for (const auto &workload : kernelWorkloads()) {
-        std::vector<std::string> row = {workload};
-        for (std::size_t vs : valueSizeSweep) {
-            const auto suffix = std::to_string(vs) + "B";
-            const auto &base =
-                res.get(caseKey(workload, SchemeKind::FG, suffix));
-            const auto &slpmt =
-                res.get(caseKey(workload, SchemeKind::SLPMT, suffix));
-            const double sp = slpmt.speedupOver(base);
-            by_size[vs].push_back(sp);
-            row.push_back(TableReport::ratio(sp));
-        }
-        table.row(row);
+    TableSpec table{std::move(title), {"benchmark"},
+                    workloadRows(kernelWorkloads())};
+    for (T value : sweep) {
+        const std::string suffix = std::to_string(value) + unit;
+        table.columns.push_back(
+            overFG(suffix, SchemeKind::SLPMT, suffix, metric, footer));
     }
-    std::vector<std::string> row = {"geomean"};
-    for (std::size_t vs : valueSizeSweep)
-        row.push_back(TableReport::ratio(geomean(by_size[vs])));
-    table.row(row);
-    table.print();
+    return table;
 }
 
-void
-fig11Print(const MatrixResult &res)
+std::vector<TableSpec>
+fig10Tables(const MatrixResult &)
 {
-    TableReport rel(
-        "Figure 11: write-traffic reduction (relative) vs value size");
-    TableReport abs(
-        "Figure 11: write-traffic reduction (KB saved) vs value size");
-    std::vector<std::string> cols = {"benchmark"};
-    for (std::size_t vs : valueSizeSweep)
-        cols.push_back(std::to_string(vs) + "B");
-    rel.header(cols);
-    abs.header(cols);
+    return {sweepTable("Figure 10: SLPMT speedup over FG vs value size",
+                       valueSizeSweep, "B", speedup(), Footer::Geomean)};
+}
 
-    for (const auto &workload : kernelWorkloads()) {
-        std::vector<std::string> rrow = {workload};
-        std::vector<std::string> arow = {workload};
-        for (std::size_t vs : valueSizeSweep) {
-            const auto suffix = std::to_string(vs) + "B";
-            const auto &base =
-                res.get(caseKey(workload, SchemeKind::FG, suffix));
-            const auto &slpmt =
-                res.get(caseKey(workload, SchemeKind::SLPMT, suffix));
-            rrow.push_back(
-                TableReport::percent(slpmt.trafficReductionOver(base)));
-            const double saved_kb =
-                (static_cast<double>(base.pmWriteBytes) -
-                 static_cast<double>(slpmt.pmWriteBytes)) /
-                1024.0;
-            arow.push_back(TableReport::num(saved_kb));
-        }
-        rel.row(rrow);
-        abs.row(arow);
-    }
-    rel.print();
-    abs.print();
+std::vector<TableSpec>
+fig11Tables(const MatrixResult &)
+{
+    const Metric saved_kb{
+        [](const Cell &c, const Cell &base) {
+            return (static_cast<double>(base.pmWriteBytes) -
+                    static_cast<double>(c.pmWriteBytes)) /
+                   1024.0;
+        },
+        NumberFormat::Decimal};
+    return {sweepTable(
+                "Figure 11: write-traffic reduction (relative) vs value size",
+                valueSizeSweep, "B", trafficCut()),
+            sweepTable(
+                "Figure 11: write-traffic reduction (KB saved) vs value size",
+                valueSizeSweep, "B", saved_kb)};
 }
 
 // -------------------------------------------------------------------
@@ -514,36 +641,11 @@ fig12Cases()
     return expandMatrix(spec);
 }
 
-void
-fig12Print(const MatrixResult &res)
+std::vector<TableSpec>
+fig12Tables(const MatrixResult &)
 {
-    TableReport table(
-        "Figure 12: SLPMT speedup over FG vs PM write latency");
-    std::vector<std::string> cols = {"benchmark"};
-    for (std::uint64_t lat : latencySweepNs)
-        cols.push_back(std::to_string(lat) + "ns");
-    table.header(cols);
-
-    std::map<std::uint64_t, std::vector<double>> by_lat;
-    for (const auto &workload : kernelWorkloads()) {
-        std::vector<std::string> row = {workload};
-        for (std::uint64_t lat : latencySweepNs) {
-            const auto suffix = std::to_string(lat) + "ns";
-            const auto &base =
-                res.get(caseKey(workload, SchemeKind::FG, suffix));
-            const auto &slpmt =
-                res.get(caseKey(workload, SchemeKind::SLPMT, suffix));
-            const double sp = slpmt.speedupOver(base);
-            by_lat[lat].push_back(sp);
-            row.push_back(TableReport::ratio(sp));
-        }
-        table.row(row);
-    }
-    std::vector<std::string> row = {"geomean"};
-    for (std::uint64_t lat : latencySweepNs)
-        row.push_back(TableReport::ratio(geomean(by_lat[lat])));
-    table.row(row);
-    table.print();
+    return {sweepTable("Figure 12: SLPMT speedup over FG vs PM write latency",
+                       latencySweepNs, "ns", speedup(), Footer::Geomean)};
 }
 
 // -------------------------------------------------------------------
@@ -573,103 +675,94 @@ baselineCompileSec(const std::string &workload)
     return 1.8;  // avl
 }
 
+/**
+ * The cells of the annotation figures (fig13, logfree). Not a full
+ * cross product: per workload, the FG logging baseline runs once (tag
+ * "base"; manual annotations are inert under FG), then SLPMT once per
+ * annotation source in @p slpmt, tagged as given.
+ */
 std::vector<ExperimentCase>
-fig13Cases()
+annotationCases(
+    const std::vector<std::string> &workloads,
+    const std::vector<std::pair<AnnotationMode, const char *>> &slpmt,
+    const YcsbConfig &ycsb)
 {
-    // Not a full cross product: the FG baseline runs once (manual
-    // annotations are inert under FG) and SLPMT runs per mode.
-    struct Mode
-    {
-        AnnotationMode mode;
-        SchemeKind scheme;
-        const char *tag;
-    };
-    const Mode modes[] = {
-        {AnnotationMode::Manual, SchemeKind::FG, "base"},
-        {AnnotationMode::Manual, SchemeKind::SLPMT, "manual"},
-        {AnnotationMode::Compiler, SchemeKind::SLPMT, "compiler"},
-    };
     std::vector<ExperimentCase> cases;
-    for (const auto &workload : fig13Workloads()) {
-        for (const Mode &m : modes) {
-            ExperimentCase c;
-            c.workload = workload;
-            c.cfg.scheme = m.scheme;
-            c.cfg.annotations = m.mode;
-            c.key = caseKey(workload, m.scheme, m.tag);
-            cases.push_back(std::move(c));
+    for (const auto &workload : workloads) {
+        ExperimentCase c;
+        c.workload = workload;
+        c.cfg.ycsb = ycsb;
+        c.cfg.scheme = SchemeKind::FG;
+        c.key = caseKey(workload, SchemeKind::FG, "base");
+        cases.push_back(c);
+        c.cfg.scheme = SchemeKind::SLPMT;
+        for (const auto &[mode, tag] : slpmt) {
+            c.cfg.annotations = mode;
+            c.key = caseKey(workload, SchemeKind::SLPMT, tag);
+            cases.push_back(c);
         }
     }
     return cases;
 }
 
-void
-fig13Print(const MatrixResult &res)
+std::vector<ExperimentCase>
+fig13Cases()
 {
-    TableReport speedup(
-        "Figure 13 (left): speedup over FG, manual vs compiler "
-        "annotations");
-    speedup.header({"benchmark", "manual", "compiler"});
-    std::vector<double> manual_all;
-    std::vector<double> compiler_all;
-    for (const auto &workload : fig13Workloads()) {
-        const auto &base =
-            res.get(caseKey(workload, SchemeKind::FG, "base"));
-        const auto &manual =
-            res.get(caseKey(workload, SchemeKind::SLPMT, "manual"));
-        const auto &compiler =
-            res.get(caseKey(workload, SchemeKind::SLPMT, "compiler"));
-        const double sm = manual.speedupOver(base);
-        const double sc = compiler.speedupOver(base);
-        manual_all.push_back(sm);
-        compiler_all.push_back(sc);
-        speedup.row({workload, TableReport::ratio(sm),
-                     TableReport::ratio(sc)});
-    }
-    speedup.row({"geomean", TableReport::ratio(geomean(manual_all)),
-                 TableReport::ratio(geomean(compiler_all))});
-    speedup.print();
+    return annotationCases(fig13Workloads(),
+                           {{AnnotationMode::Manual, "manual"},
+                            {AnnotationMode::Compiler, "compiler"}},
+                           {});
+}
 
-    // Annotation coverage (the 16-of-26 observation).
-    TableReport coverage("Figure 13: compiler annotation coverage");
-    coverage.header({"benchmark", "manual sites", "compiler found",
-                     "missed (deep semantics)"});
+std::vector<TableSpec>
+fig13Tables(const MatrixResult &)
+{
+    const std::string base = caseKey("{}", SchemeKind::FG, "base");
+    TableSpec speedups{
+        "Figure 13 (left): speedup over FG, manual vs compiler "
+        "annotations",
+        {"benchmark"},
+        workloadRows(fig13Workloads()),
+        {{"manual", caseKey("{}", SchemeKind::SLPMT, "manual"), base,
+          speedup(), Footer::Geomean},
+         {"compiler", caseKey("{}", SchemeKind::SLPMT, "compiler"), base,
+          speedup(), Footer::Geomean}}};
+
+    // Annotation coverage (the 16-of-26 observation) over the kernels,
+    // and compile time (Figure 13 right), from each structure's sites.
+    TableSpec coverage{"Figure 13: compiler annotation coverage",
+                       {"benchmark", "manual sites", "compiler found",
+                        "missed (deep semantics)"}};
+    TableSpec compile{
+        "Figure 13 (right): compile time with the storeT pass",
+        {"benchmark", "baseline (s)", "with pass (s)", "overhead"}};
     std::size_t total_manual = 0;
     std::size_t total_found = 0;
-    for (const auto &workload : kernelWorkloads()) {
-        PmSystem sys{SystemConfig{}};
-        auto w = makeWorkload(workload);
-        w->setup(sys);
-        const AnnotationReport report = compareAnnotations(sys.sites());
-        total_manual += report.manualAnnotated;
-        total_found += report.compilerFound;
-        coverage.row({workload,
-                      TableReport::integer(report.manualAnnotated),
-                      TableReport::integer(report.compilerFound),
-                      TableReport::integer(report.missed)});
-    }
-    coverage.row({"total (paper: 16 of 26)",
-                  TableReport::integer(total_manual),
-                  TableReport::integer(total_found),
-                  TableReport::integer(total_manual - total_found)});
-    coverage.print();
-
-    // Compile time (Figure 13 right).
-    TableReport compile(
-        "Figure 13 (right): compile time with the storeT pass");
-    compile.header({"benchmark", "baseline (s)", "with pass (s)",
-                    "overhead"});
     for (const auto &workload : fig13Workloads()) {
         PmSystem sys{SystemConfig{}};
         auto w = makeWorkload(workload);
         w->setup(sys);
         const CompileTimeEstimate est = estimateCompileTime(
             sys.sites(), baselineCompileSec(workload));
-        compile.row({workload, TableReport::num(est.baselineSec),
-                     TableReport::num(est.withAnalysisSec),
-                     TableReport::percent(est.overheadFraction())});
+        compile.rows.push_back(
+            {{workload, formatValue(est.baselineSec, NumberFormat::Decimal),
+              formatValue(est.withAnalysisSec, NumberFormat::Decimal),
+              formatValue(est.overheadFraction(), NumberFormat::Percent)}});
+        if (workload == "kv-btree")
+            continue;  // coverage counts the four kernels
+        const AnnotationReport report = compareAnnotations(sys.sites());
+        total_manual += report.manualAnnotated;
+        total_found += report.compilerFound;
+        coverage.rows.push_back({{workload,
+                                  std::to_string(report.manualAnnotated),
+                                  std::to_string(report.compilerFound),
+                                  std::to_string(report.missed)}});
     }
-    compile.print();
+    coverage.rows.push_back({{"total (paper: 16 of 26)",
+                              std::to_string(total_manual),
+                              std::to_string(total_found),
+                              std::to_string(total_manual - total_found)}});
+    return {speedups, coverage, compile};
 }
 
 // -------------------------------------------------------------------
@@ -690,65 +783,31 @@ fig14Cases()
     return expandMatrix(spec);
 }
 
-void
-fig14Print(const MatrixResult &res)
+std::vector<TableSpec>
+fig14Tables(const MatrixResult &)
 {
+    std::vector<TableSpec> tables;
     for (std::size_t vs : {std::size_t(256), std::size_t(16)}) {
         const auto suffix = std::to_string(vs) + "B";
-        TableReport table("Figure 14 (" + suffix +
-                          " values): speedup over FG baseline");
-        std::vector<std::string> cols = {"benchmark"};
-        for (SchemeKind s : fig14Schemes)
-            cols.push_back(schemeName(s));
-        cols.push_back("traffic cut (SLPMT)");
-        table.header(cols);
+        TableSpec &speedups = tables.emplace_back(schemeTable(
+            "Figure 14 (" + suffix + " values): speedup over FG baseline",
+            kvWorkloads(), fig14Schemes, speedup(), Footer::Geomean,
+            suffix));
+        speedups.columns.push_back(overFG("traffic cut (SLPMT)",
+                                          SchemeKind::SLPMT, suffix,
+                                          trafficCut()));
 
-        std::map<SchemeKind, std::vector<double>> all;
-        for (const auto &workload : kvWorkloads()) {
-            const auto &base =
-                res.get(caseKey(workload, SchemeKind::FG, suffix));
-            std::vector<std::string> row = {workload};
-            for (SchemeKind s : fig14Schemes) {
-                const auto &cell = res.get(caseKey(workload, s, suffix));
-                const double sp = cell.speedupOver(base);
-                all[s].push_back(sp);
-                row.push_back(TableReport::ratio(sp));
-            }
-            const auto &slpmt =
-                res.get(caseKey(workload, SchemeKind::SLPMT, suffix));
-            row.push_back(
-                TableReport::percent(slpmt.trafficReductionOver(base)));
-            table.row(row);
-        }
-        std::vector<std::string> row = {"geomean"};
-        for (SchemeKind s : fig14Schemes)
-            row.push_back(TableReport::ratio(geomean(all[s])));
-        table.row(row);
-        table.print();
-
-        TableReport vs_prior("Figure 14 (" + suffix +
-                             "): SLPMT vs prior hardware designs");
-        vs_prior.header({"benchmark", "vs ATOM", "vs EDE"});
-        std::vector<double> vs_atom;
-        std::vector<double> vs_ede;
-        for (const auto &workload : kvWorkloads()) {
-            const auto &slpmt =
-                res.get(caseKey(workload, SchemeKind::SLPMT, suffix));
-            const auto &atom =
-                res.get(caseKey(workload, SchemeKind::ATOM, suffix));
-            const auto &ede =
-                res.get(caseKey(workload, SchemeKind::EDE, suffix));
-            const double a = slpmt.speedupOver(atom);
-            const double e = slpmt.speedupOver(ede);
-            vs_atom.push_back(a);
-            vs_ede.push_back(e);
-            vs_prior.row({workload, TableReport::ratio(a),
-                          TableReport::ratio(e)});
-        }
-        vs_prior.row({"geomean", TableReport::ratio(geomean(vs_atom)),
-                      TableReport::ratio(geomean(vs_ede))});
-        vs_prior.print();
+        const std::string slpmt = caseKey("{}", SchemeKind::SLPMT, suffix);
+        tables.push_back(
+            {"Figure 14 (" + suffix + "): SLPMT vs prior hardware designs",
+             {"benchmark"},
+             workloadRows(kvWorkloads()),
+             {{"vs ATOM", slpmt, caseKey("{}", SchemeKind::ATOM, suffix),
+               speedup(), Footer::Geomean},
+              {"vs EDE", slpmt, caseKey("{}", SchemeKind::EDE, suffix),
+               speedup(), Footer::Geomean}}});
     }
+    return tables;
 }
 
 // -------------------------------------------------------------------
@@ -918,23 +977,27 @@ inplaceRun(const ExperimentCase &c)
     return res;
 }
 
-void
-inplacePrint(const MatrixResult &res)
+std::vector<TableSpec>
+inplaceTables(const MatrixResult &)
 {
-    TableReport table(
+    const Metric recovered{[](const Cell &c, const Cell &base) {
+                               return c.verified && base.verified;
+                           },
+                           NumberFormat::Check};
+    const std::string conv = caseKey("conventional", SchemeKind::SLPMT, "{}");
+    const std::string opt = caseKey("section-va", SchemeKind::SLPMT, "{}");
+    TableSpec table{
         "Section V-A: in-place update transactions — conventional vs "
-        "lazy+sequential-record strategy vs PM write asymmetry");
-    table.header({"device", "conventional cycles",
-                  "Section V-A cycles", "speedup", "recovery"});
-    for (const DeviceClass &device : inplaceDevices) {
-        const auto &conv = res.get(inplaceKey("conventional", device));
-        const auto &opt = res.get(inplaceKey("section-va", device));
-        table.row({device.name, TableReport::integer(conv.cycles),
-                   TableReport::integer(opt.cycles),
-                   TableReport::ratio(opt.speedupOver(conv)),
-                   conv.verified && opt.verified ? "ok" : "FAILED"});
-    }
-    table.print();
+        "lazy+sequential-record strategy vs PM write asymmetry",
+        {"device"},
+        {},
+        {{"conventional cycles", conv, "", cycleCount()},
+         {"Section V-A cycles", opt, "", cycleCount()},
+         {"speedup", opt, conv, speedup()},
+         {"recovery", opt, conv, recovered}}};
+    for (const DeviceClass &device : inplaceDevices)
+        table.rows.push_back({{device.name}, device.key});
+    return {table};
 }
 
 // -------------------------------------------------------------------
@@ -982,69 +1045,47 @@ ablationCases()
     return cases;
 }
 
-void
-ablationPrint(const MatrixResult &res)
+std::vector<TableSpec>
+ablationTables(const MatrixResult &)
 {
     // Speculative rounding creates records for clean words so the
     // aggregated L2 log bits stay set, trading extra records against
     // duplicate logging after a refetch.
-    TableReport spec(
-        "Ablation: speculative log-bit rounding (Section III-B1)");
-    spec.header({"benchmark", "records off", "records on",
-                 "traffic off KB", "traffic on KB", "speedup on/off"});
-    for (const auto &workload : kernelWorkloads()) {
-        const auto &off = res.get(caseKey(workload, SchemeKind::SLPMT));
-        const auto &on =
-            res.get(caseKey(workload, SchemeKind::SLPMT, "spec"));
-        spec.row({workload, TableReport::integer(off.logRecords),
-                  TableReport::integer(on.logRecords),
-                  TableReport::num(
-                      static_cast<double>(off.pmWriteBytes) / 1024.0),
-                  TableReport::num(
-                      static_cast<double>(on.pmWriteBytes) / 1024.0),
-                  TableReport::ratio(on.speedupOver(off))});
-    }
-    spec.print();
+    const std::string off = caseKey("{}", SchemeKind::SLPMT);
+    const std::string on = caseKey("{}", SchemeKind::SLPMT, "spec");
+    TableSpec spec{"Ablation: speculative log-bit rounding (Section III-B1)",
+                   {"benchmark"},
+                   workloadRows(kernelWorkloads()),
+                   {{"records off", off, "", logRecords()},
+                    {"records on", on, "", logRecords()},
+                    {"traffic off KB", off, "", kilobytes()},
+                    {"traffic on KB", on, "", kilobytes()},
+                    {"speedup on/off", on, off, speedup()}}};
 
     // The ID count sets how deep the lazy window is before the
     // circular allocator forces persists.
-    TableReport ids(
-        "Ablation: transaction-ID count (lazy window depth)");
-    std::vector<std::string> cols = {"benchmark"};
-    for (auto n : ablationTxnIds)
-        cols.push_back(std::to_string(n) + " IDs");
-    ids.header(cols);
-    for (const auto &workload : ablationTxnIdWorkloads) {
-        const auto &base = res.get(caseKey(workload, SchemeKind::FG));
-        std::vector<std::string> row = {workload};
-        for (auto n : ablationTxnIds)
-            row.push_back(TableReport::ratio(
-                res.get(txnIdsKey(workload, n)).speedupOver(base)));
-        ids.row(row);
+    TableSpec ids{"Ablation: transaction-ID count (lazy window depth)",
+                  {"benchmark"}, workloadRows(ablationTxnIdWorkloads)};
+    for (auto n : ablationTxnIds) {
+        ids.columns.push_back({std::to_string(n) + " IDs",
+                               txnIdsKey("{}", n),
+                               caseKey("{}", SchemeKind::FG), speedup()});
     }
-    ids.print();
 
     // The without-buffer column runs EDE, which persists each record
     // as it is created but also pays EDE's software record
     // construction and fence costs, so the row does not yet isolate
     // the buffer.
-    TableReport buffer(
-        "Ablation: tiered coalescing log buffer (FG with vs without)");
-    buffer.header({"benchmark", "with buffer KB", "without buffer KB",
-                   "speedup with/without"});
-    for (const auto &workload : kernelWorkloads()) {
-        const auto &with_buf = res.get(caseKey(workload, SchemeKind::FG));
-        const auto &without_buf =
-            res.get(caseKey(workload, SchemeKind::EDE));
-        buffer.row(
-            {workload,
-             TableReport::num(
-                 static_cast<double>(with_buf.pmWriteBytes) / 1024.0),
-             TableReport::num(
-                 static_cast<double>(without_buf.pmWriteBytes) / 1024.0),
-             TableReport::ratio(with_buf.speedupOver(without_buf))});
-    }
-    buffer.print();
+    const std::string with_buf = caseKey("{}", SchemeKind::FG);
+    const std::string without_buf = caseKey("{}", SchemeKind::EDE);
+    TableSpec buffer{
+        "Ablation: tiered coalescing log buffer (FG with vs without)",
+        {"benchmark"},
+        workloadRows(kernelWorkloads()),
+        {{"with buffer KB", with_buf, "", kilobytes()},
+         {"without buffer KB", without_buf, "", kilobytes()},
+         {"speedup with/without", with_buf, without_buf, speedup()}}};
+    return {spec, ids, buffer};
 }
 
 // -------------------------------------------------------------------
@@ -1134,38 +1175,16 @@ updatesRun(const ExperimentCase &c)
     return res;
 }
 
-void
-updatesPrint(const MatrixResult &res)
+std::vector<TableSpec>
+updatesTables(const MatrixResult &)
 {
-    TableReport table(
+    TableSpec table = schemeTable(
         "Extension: 50/50 insert/update mix (256B values), speedup "
-        "over FG");
-    std::vector<std::string> cols = {"benchmark"};
-    for (SchemeKind s : updatesSchemes)
-        cols.push_back(schemeName(s));
-    cols.push_back("SLPMT traffic cut");
-    table.header(cols);
-
-    std::map<SchemeKind, std::vector<double>> all;
-    for (const auto &workload : allWorkloads()) {
-        const auto &base = res.get(caseKey(workload, SchemeKind::FG));
-        std::vector<std::string> row = {workload};
-        for (SchemeKind s : updatesSchemes) {
-            const double sp =
-                res.get(caseKey(workload, s)).speedupOver(base);
-            all[s].push_back(sp);
-            row.push_back(TableReport::ratio(sp));
-        }
-        row.push_back(TableReport::percent(
-            res.get(caseKey(workload, SchemeKind::SLPMT))
-                .trafficReductionOver(base)));
-        table.row(row);
-    }
-    std::vector<std::string> row = {"geomean"};
-    for (SchemeKind s : updatesSchemes)
-        row.push_back(TableReport::ratio(geomean(all[s])));
-    table.row(row);
-    table.print();
+        "over FG",
+        allWorkloads(), updatesSchemes, speedup(), Footer::Geomean);
+    table.columns.push_back(overFG("SLPMT traffic cut", SchemeKind::SLPMT,
+                                   "", trafficCut()));
+    return {table};
 }
 
 // -------------------------------------------------------------------
@@ -1184,99 +1203,53 @@ logfreeWorkloads()
 std::vector<ExperimentCase>
 logfreeCases()
 {
-    // Three regimes per structure: the FG logging baseline (manual
-    // annotations inert), SLPMT hardware with the annotations ignored
-    // (every store logged), and SLPMT with the manual annotations —
-    // where the log-free structures commit with (near) zero records.
-    struct Mode
-    {
-        AnnotationMode mode;
-        SchemeKind scheme;
-        const char *tag;
-    };
-    const Mode modes[] = {
-        {AnnotationMode::Manual, SchemeKind::FG, "base"},
-        {AnnotationMode::None, SchemeKind::SLPMT, "plain"},
-        {AnnotationMode::Manual, SchemeKind::SLPMT, "slpmt"},
-    };
-    std::vector<ExperimentCase> cases;
-    for (const auto &workload : logfreeWorkloads()) {
-        for (const Mode &m : modes) {
-            ExperimentCase c;
-            c.workload = workload;
-            c.cfg.scheme = m.scheme;
-            c.cfg.annotations = m.mode;
-            c.cfg.ycsb.numOps = 600;
-            c.cfg.ycsb.valueBytes = 64;
-            c.key = caseKey(workload, m.scheme, m.tag);
-            cases.push_back(std::move(c));
-        }
-    }
-    return cases;
+    // Besides the FG logging baseline: SLPMT hardware with the
+    // annotations ignored (every store logged), and SLPMT with the
+    // manual annotations — where the log-free structures commit with
+    // (near) zero records.
+    return annotationCases(logfreeWorkloads(),
+                           {{AnnotationMode::None, "plain"},
+                            {AnnotationMode::Manual, "slpmt"}},
+                           {.numOps = 600, .valueBytes = 64});
 }
 
-void
-logfreePrint(const MatrixResult &res)
+std::vector<TableSpec>
+logfreeTables(const MatrixResult &)
 {
-    TableReport speedup(
+    const std::string base = caseKey("{}", SchemeKind::FG, "base");
+    const std::string plain = caseKey("{}", SchemeKind::SLPMT, "plain");
+    const std::string slpmt = caseKey("{}", SchemeKind::SLPMT, "slpmt");
+    TableSpec speedups{
         "logfree: speedup over the FG logging baseline (600 inserts, "
-        "64B values)");
-    speedup.header({"structure", "SLPMT unannotated", "SLPMT annotated",
-                    "traffic cut (annotated)"});
-    std::vector<double> plain_all;
-    std::vector<double> slpmt_all;
-    for (const auto &workload : logfreeWorkloads()) {
-        const auto &base =
-            res.get(caseKey(workload, SchemeKind::FG, "base"));
-        const auto &plain =
-            res.get(caseKey(workload, SchemeKind::SLPMT, "plain"));
-        const auto &slpmt =
-            res.get(caseKey(workload, SchemeKind::SLPMT, "slpmt"));
-        const double sp = plain.speedupOver(base);
-        const double ss = slpmt.speedupOver(base);
-        plain_all.push_back(sp);
-        slpmt_all.push_back(ss);
-        speedup.row({workload, TableReport::ratio(sp),
-                     TableReport::ratio(ss),
-                     TableReport::percent(
-                         slpmt.trafficReductionOver(base))});
-    }
-    speedup.row({"geomean", TableReport::ratio(geomean(plain_all)),
-                 TableReport::ratio(geomean(slpmt_all)), ""});
-    speedup.print();
+        "64B values)",
+        {"structure"},
+        workloadRows(logfreeWorkloads()),
+        {{"SLPMT unannotated", plain, base, speedup(), Footer::Geomean},
+         {"SLPMT annotated", slpmt, base, speedup(), Footer::Geomean},
+         {"traffic cut (annotated)", slpmt, base, trafficCut()}}};
 
     // The structural point of the figure: under the annotations the
     // log-free indexes *eliminate* records (publication stores need
     // none) while the logging-reliant reference merely shrinks or
     // defers its set.
-    TableReport records(
-        "logfree: undo/redo log records and elision per structure");
-    records.header({"structure", "FG records", "SLPMT records",
-                    "eliminated", "words elided", "lazy drains"});
-    for (const auto &workload : logfreeWorkloads()) {
-        const auto &base =
-            res.get(caseKey(workload, SchemeKind::FG, "base"));
-        const auto &slpmt =
-            res.get(caseKey(workload, SchemeKind::SLPMT, "slpmt"));
-        const double cut =
-            base.logRecords
-                ? 1.0 - static_cast<double>(slpmt.logRecords) /
-                            static_cast<double>(base.logRecords)
-                : 0.0;
-        const std::uint64_t drains =
-            statOf(slpmt, "txn.lazyDrain.eviction") +
-            statOf(slpmt, "txn.lazyDrain.explicit") +
-            statOf(slpmt, "txn.lazyDrain.sigHit") +
-            statOf(slpmt, "txn.lazyDrain.lineOwner") +
-            statOf(slpmt, "txn.lazyDrain.idWrap");
-        records.row({workload, TableReport::integer(base.logRecords),
-                     TableReport::integer(slpmt.logRecords),
-                     TableReport::percent(cut),
-                     TableReport::integer(
-                         statOf(slpmt, "txn.logFreeWordsElided")),
-                     TableReport::integer(drains)});
-    }
-    records.print();
+    const Metric records_cut{
+        [](const Cell &c, const Cell &b) {
+            return b.logRecords
+                       ? 1.0 - static_cast<double>(c.logRecords) /
+                                   static_cast<double>(b.logRecords)
+                       : 0.0;
+        },
+        NumberFormat::Percent};
+    TableSpec records{
+        "logfree: undo/redo log records and elision per structure",
+        {"structure"},
+        workloadRows(logfreeWorkloads()),
+        {{"FG records", base, "", logRecords()},
+         {"SLPMT records", slpmt, "", logRecords()},
+         {"eliminated", slpmt, base, records_cut},
+         {"words elided", slpmt, "", statSum({"txn.logFreeWordsElided"})},
+         {"lazy drains", slpmt, "", statSum({"txn.lazyForcedPersists"})}}};
+    return {speedups, records};
 }
 
 // -------------------------------------------------------------------
@@ -1298,25 +1271,12 @@ sampleCases()
     return expandMatrix(spec);
 }
 
-void
-samplePrint(const MatrixResult &res)
+std::vector<TableSpec>
+sampleTables(const MatrixResult &)
 {
-    TableReport table(
-        "Sampled sweep (200 ops, 64B values): speedup over FG");
-    std::vector<std::string> cols = {"benchmark"};
-    for (SchemeKind s : sampleSchemes)
-        cols.push_back(schemeName(s));
-    table.header(cols);
-    for (const auto &workload :
-         {std::string("hashtable"), std::string("avl")}) {
-        const auto &base = res.get(caseKey(workload, SchemeKind::FG));
-        std::vector<std::string> row = {workload};
-        for (SchemeKind s : sampleSchemes)
-            row.push_back(TableReport::ratio(
-                res.get(caseKey(workload, s)).speedupOver(base)));
-        table.row(row);
-    }
-    table.print();
+    return {schemeTable(
+        "Sampled sweep (200 ops, 64B values): speedup over FG",
+        {"hashtable", "avl"}, sampleSchemes, speedup())};
 }
 
 // -------------------------------------------------------------------
@@ -1351,54 +1311,43 @@ mcscaleCases()
     return cases;
 }
 
-void
-mcscalePrint(const MatrixResult &res)
+std::vector<TableSpec>
+mcscaleTables(const MatrixResult &)
 {
-    TableReport speed(
-        "Multi-core scalability: YCSB-upsert makespan, hashtable, "
-        "800 ops split across cores, 25% shared keys");
-    std::vector<std::string> cols = {"scheme"};
-    for (std::size_t cores : mcscaleCores)
-        cols.push_back(std::to_string(cores) + (cores == 1 ? " core"
-                                                           : " cores"));
-    cols.push_back("speedup @8");
-    speed.header(cols);
-    for (SchemeKind s : mcscaleSchemes) {
-        const auto &c1 = res.get(caseKey("hashtable", s, "c1"));
-        std::vector<std::string> row = {schemeName(s)};
-        for (std::size_t cores : mcscaleCores) {
-            const auto &cell = res.get(
-                caseKey("hashtable", s, "c" + std::to_string(cores)));
-            row.push_back(TableReport::integer(cell.cycles));
-        }
-        const auto &c8 = res.get(caseKey("hashtable", s, "c8"));
-        row.push_back(TableReport::ratio(c8.speedupOver(c1)));
-        speed.row(row);
-    }
-    speed.print();
-
-    TableReport coh("Multi-core coherence activity (SLPMT cells)");
-    coh.header({"cores", "probes", "remote hits", "invalidations",
-                "downgrades", "conflict aborts", "remote drains",
-                "ctx-switch drains"});
+    TableSpec speed{"Multi-core scalability: YCSB-upsert makespan, "
+                    "hashtable, 800 ops split across cores, 25% shared "
+                    "keys",
+                    {"scheme"}};
+    for (SchemeKind s : mcscaleSchemes)
+        speed.rows.push_back({{schemeName(s)}, caseKey("hashtable", s)});
     for (std::size_t cores : mcscaleCores) {
-        const auto &cell = res.get(caseKey(
-            "hashtable", SchemeKind::SLPMT,
-            "c" + std::to_string(cores)));
-        auto get = [&](const char *name) { return statOf(cell, name); };
-        coh.row({std::to_string(cores),
-                 TableReport::integer(get("multicore.probes")),
-                 TableReport::integer(get("multicore.remoteHits")),
-                 TableReport::integer(get("multicore.invalidations")),
-                 TableReport::integer(get("multicore.downgrades")),
-                 TableReport::integer(get("multicore.conflictAborts")),
-                 TableReport::integer(
-                     get("multicore.remoteDrains.sigHit") +
-                     get("multicore.remoteDrains.idObserved")),
-                 TableReport::integer(
-                     get("multicore.ctxSwitchDrains"))});
+        speed.columns.push_back(
+            {std::to_string(cores) + (cores == 1 ? " core" : " cores"),
+             "{}/c" + std::to_string(cores), "", cycleCount()});
     }
-    coh.print();
+    speed.columns.push_back({"speedup @8", "{}/c8", "{}/c1", speedup()});
+
+    TableSpec coh{
+        "Multi-core coherence activity (SLPMT cells)",
+        {"cores"},
+        {},
+        {{"probes", "{}", "", statSum({"multicore.probes"})},
+         {"remote hits", "{}", "", statSum({"multicore.remoteHits"})},
+         {"invalidations", "{}", "", statSum({"multicore.invalidations"})},
+         {"downgrades", "{}", "", statSum({"multicore.downgrades"})},
+         {"conflict aborts", "{}", "",
+          statSum({"multicore.conflictAborts"})},
+         {"remote drains", "{}", "",
+          statSum({"multicore.remoteDrains.sigHit",
+                   "multicore.remoteDrains.idObserved"})},
+         {"ctx-switch drains", "{}", "",
+          statSum({"multicore.ctxSwitchDrains"})}}};
+    for (std::size_t cores : mcscaleCores) {
+        coh.rows.push_back({{std::to_string(cores)},
+                            caseKey("hashtable", SchemeKind::SLPMT,
+                                    "c" + std::to_string(cores))});
+    }
+    return {speed, coh};
 }
 
 // -------------------------------------------------------------------
@@ -1410,14 +1359,6 @@ const std::vector<SchemeKind> serviceSchemes = {SchemeKind::FG,
 const std::vector<std::size_t> serviceShards = {1, 2, 4};
 const std::vector<unsigned> serviceMixes = {0, 1, 2};  // YCSB A, B, C
 
-std::string
-serviceSuffix(std::size_t shards, bool zipf, unsigned mix)
-{
-    return "s" + std::to_string(shards) + "/" +
-           (zipf ? "zipf" : "uni") + "/" +
-           ycsbMixName(static_cast<YcsbMix>(mix));
-}
-
 std::vector<ExperimentCase>
 serviceCases()
 {
@@ -1428,8 +1369,11 @@ serviceCases()
                 for (unsigned mix : serviceMixes) {
                     ExperimentCase c;
                     c.workload = "hashtable";
-                    c.key = caseKey(c.workload, s,
-                                    serviceSuffix(shards, zipf, mix));
+                    c.key = caseKey(
+                        c.workload, s,
+                        "s" + std::to_string(shards) + "/" +
+                            (zipf ? "zipf" : "uni") + "/" +
+                            ycsbMixName(static_cast<YcsbMix>(mix)));
                     c.cfg.scheme = s;
                     c.cfg.ycsb.numOps = 2000;
                     c.cfg.ycsb.valueBytes = 256;
@@ -1449,76 +1393,59 @@ serviceCases()
     return cases;
 }
 
-void
-servicePrint(const MatrixResult &res)
+/**
+ * A service table: one row per scheme and shard count, and per request
+ * distribution one column per named stat (headed "<dist> <label>") of
+ * the cells that ran the YCSB mix named @p mix.
+ */
+TableSpec
+serviceTable(std::string title, const std::string &mix,
+             const std::vector<std::pair<std::string, std::string>> &stats)
 {
-    for (unsigned mix : serviceMixes) {
-        TableReport table(
-            "Service scaling (YCSB-" +
-            std::string(ycsbMixName(static_cast<YcsbMix>(mix))) +
-            ", 2000 requests over 1M keys): throughput "
-            "(requests/Gcycle) and request latency (cycles)");
-        table.header({"scheme", "shards", "uni thr", "uni p50",
-                      "uni p99", "uni p999", "zipf thr", "zipf p50",
-                      "zipf p99", "zipf p999"});
-        for (SchemeKind s : serviceSchemes) {
-            for (std::size_t shards : serviceShards) {
-                const auto &uni = res.get(caseKey(
-                    "hashtable", s, serviceSuffix(shards, false, mix)));
-                const auto &zipf = res.get(caseKey(
-                    "hashtable", s, serviceSuffix(shards, true, mix)));
-                table.row(
-                    {schemeName(s), std::to_string(shards),
-                     TableReport::integer(
-                         statOf(uni, "service.opsPerGcycle")),
-                     TableReport::integer(
-                         statOf(uni, "service.latency.p50")),
-                     TableReport::integer(
-                         statOf(uni, "service.latency.p99")),
-                     TableReport::integer(
-                         statOf(uni, "service.latency.p999")),
-                     TableReport::integer(
-                         statOf(zipf, "service.opsPerGcycle")),
-                     TableReport::integer(
-                         statOf(zipf, "service.latency.p50")),
-                     TableReport::integer(
-                         statOf(zipf, "service.latency.p99")),
-                     TableReport::integer(
-                         statOf(zipf, "service.latency.p999"))});
-            }
+    TableSpec table{std::move(title), {"scheme", "shards"}};
+    for (SchemeKind s : serviceSchemes) {
+        for (std::size_t shards : serviceShards) {
+            table.rows.push_back(
+                {{schemeName(s), std::to_string(shards)},
+                 caseKey("hashtable", s, "s" + std::to_string(shards))});
         }
-        table.print();
+    }
+    for (const char *dist : {"uni", "zipf"}) {
+        for (const auto &[label, stat] : stats) {
+            table.columns.push_back(
+                {std::string(dist) + " " + label,
+                 std::string("{}/") + dist + "/" + mix, "",
+                 statSum({stat})});
+        }
+    }
+    return table;
+}
+
+std::vector<TableSpec>
+serviceTables(const MatrixResult &)
+{
+    std::vector<TableSpec> tables;
+    for (unsigned mix : serviceMixes) {
+        const std::string name = ycsbMixName(static_cast<YcsbMix>(mix));
+        tables.push_back(serviceTable(
+            "Service scaling (YCSB-" + name +
+                ", 2000 requests over 1M keys): throughput "
+                "(requests/Gcycle) and request latency (cycles)",
+            name,
+            {{"thr", "service.opsPerGcycle"},
+             {"p50", "service.latency.p50"},
+             {"p99", "service.latency.p99"},
+             {"p999", "service.latency.p999"}}));
     }
 
     // Commit latency on the mutation-heavy mix: the tail the paper's
     // logging schemes move.
-    TableReport commit(
-        "Service commit latency (YCSB-A mutations, cycles)");
-    commit.header({"scheme", "shards", "uni p50", "uni p99",
-                   "uni p999", "zipf p50", "zipf p99", "zipf p999"});
-    for (SchemeKind s : serviceSchemes) {
-        for (std::size_t shards : serviceShards) {
-            const auto &uni = res.get(
-                caseKey("hashtable", s, serviceSuffix(shards, false, 0)));
-            const auto &zipf = res.get(
-                caseKey("hashtable", s, serviceSuffix(shards, true, 0)));
-            commit.row(
-                {schemeName(s), std::to_string(shards),
-                 TableReport::integer(
-                     statOf(uni, "service.commitLatency.p50")),
-                 TableReport::integer(
-                     statOf(uni, "service.commitLatency.p99")),
-                 TableReport::integer(
-                     statOf(uni, "service.commitLatency.p999")),
-                 TableReport::integer(
-                     statOf(zipf, "service.commitLatency.p50")),
-                 TableReport::integer(
-                     statOf(zipf, "service.commitLatency.p99")),
-                 TableReport::integer(
-                     statOf(zipf, "service.commitLatency.p999"))});
-        }
-    }
-    commit.print();
+    tables.push_back(serviceTable(
+        "Service commit latency (YCSB-A mutations, cycles)", "A",
+        {{"p50", "service.commitLatency.p50"},
+         {"p99", "service.commitLatency.p99"},
+         {"p999", "service.commitLatency.p999"}}));
+    return tables;
 }
 
 } // namespace
@@ -1528,37 +1455,37 @@ figureRegistry()
 {
     static const std::vector<FigureSpec> registry = {
         {"table1", "Table I: store/storeT semantics and cost",
-         table1Cases, table1Print, table1Run},
+         table1Cases, table1Tables, table1Run},
         {"fig4", "Figure 4: undo/redo persist order", fig4Cases,
-         fig4Print, fig4Run},
+         fig4Tables, fig4Run},
         {"fig8", "kernel speedups / traffic reduction over FG",
-         fig8Cases, fig8Print},
+         fig8Cases, fig8Tables},
         {"fig9", "cache-line-granularity SLPMT vs ATOM baseline",
-         fig9Cases, fig9Print},
+         fig9Cases, fig9Tables},
         {"fig10", "speedup sensitivity to the value size",
-         valueSizeCases, fig10Print},
+         valueSizeCases, fig10Tables},
         {"fig11", "traffic-reduction sensitivity to the value size",
-         valueSizeCases, fig11Print},
+         valueSizeCases, fig11Tables},
         {"fig12", "speedup sensitivity to the PM write latency",
-         fig12Cases, fig12Print},
+         fig12Cases, fig12Tables},
         {"fig13", "compiler pass vs manual annotations", fig13Cases,
-         fig13Print},
+         fig13Tables},
         {"fig14", "PMKV backends at 256B and 16B values", fig14Cases,
-         fig14Print},
+         fig14Tables},
         {"inplace", "Section V-A in-place updates vs PM device class",
-         inplaceCases, inplacePrint, inplaceRun},
+         inplaceCases, inplaceTables, inplaceRun},
         {"ablation", "speculative rounding, txn-ID count, log buffer",
-         ablationCases, ablationPrint},
+         ablationCases, ablationTables},
         {"updates", "50/50 insert/update mix across schemes",
-         updatesCases, updatesPrint, updatesRun},
+         updatesCases, updatesTables, updatesRun},
         {"sample", "small pinned sweep for quick CI runs", sampleCases,
-         samplePrint},
+         sampleTables},
         {"mcscale", "multi-core YCSB scalability (1/2/4/8 cores)",
-         mcscaleCases, mcscalePrint},
+         mcscaleCases, mcscaleTables},
         {"service", "sharded KV service scaling (shards x skew x mix)",
-         serviceCases, servicePrint},
+         serviceCases, serviceTables},
         {"logfree", "log-free-by-design indexes vs selective logging",
-         logfreeCases, logfreePrint},
+         logfreeCases, logfreeTables},
     };
     return registry;
 }

@@ -4,8 +4,9 @@
  * schedule-independence guarantee (byte-identical JSON regardless of
  * worker count, for matrix cells and figures' own cell runners alike),
  * cross-component stats invariants on every scheme,
- * agreement with a direct runExperiment() call, the JSON parser, and
- * baseline regression diffing.
+ * agreement with a direct runExperiment() call, the JSON parser,
+ * baseline regression diffing, and the figure table renderer
+ * (FigureTable) over a hand-built sweep.
  */
 
 #include <gtest/gtest.h>
@@ -300,6 +301,152 @@ TEST(Orchestrator, BaselineDiffFlagsOnlyRealRegressions)
         diffAgainstBaseline(self, "absent", result, 0.05);
     EXPECT_EQ(unmatched.cellsCompared, 0u);
     EXPECT_EQ(unmatched.cellsMissingInBaseline, result.cases.size());
+}
+
+/**
+ * A hand-built sweep for the table renderer, so every printed number
+ * is known: workloads a and b under FG and SLPMT, plus workload w at
+ * two value sizes. b/SLPMT failed verification.
+ */
+MatrixResult
+tableResult()
+{
+    MatrixResult result;
+    auto add = [&](const std::string &key, Cycles cycles, Bytes bytes,
+                   std::uint64_t records, StatsSnapshot stats,
+                   bool verified = true) {
+        ExperimentResult cell;
+        cell.cycles = cycles;
+        cell.pmWriteBytes = bytes;
+        cell.logRecords = records;
+        cell.stats = std::move(stats);
+        cell.verified = verified;
+        result.cases.push_back({key, key.substr(0, key.find('/')), {}});
+        result.results.push_back(std::move(cell));
+    };
+    add("a/FG", 1000, 4096, 10, {{"x", 3}, {"y", 4}});
+    add("a/SLPMT", 500, 1024, 4, {{"x", 5}, {"y", 6}});
+    add("b/FG", 900, 2048, 8, {{"x", 1}, {"y", 1}});
+    add("b/SLPMT", 600, 1536, 2, {{"x", 0}, {"y", 2}}, false);
+    add("w/FG/16B", 800, 0, 0, {});
+    add("w/SLPMT/16B", 400, 0, 0, {});
+    add("w/FG/32B", 900, 0, 0, {});
+    add("w/SLPMT/32B", 600, 0, 0, {});
+    return result;
+}
+
+/** Rows a and b, labelled and keyed by the workload. */
+const std::vector<TableRow> tableRows = {{{"a"}, "a"}, {{"b"}, "b"}};
+
+TEST(FigureTable, RendersEveryMetricAndFormat)
+{
+    const Metric both_verified{
+        [](const ExperimentResult &c, const ExperimentResult &base) {
+            return c.verified && base.verified;
+        },
+        NumberFormat::Check};
+    const TableSpec spec{
+        "metrics",
+        {"bench"},
+        tableRows,
+        {{"speedup", "{}/SLPMT", "{}/FG", speedup()},
+         {"cut", "{}/SLPMT", "{}/FG", trafficCut()},
+         {"KB", "{}/SLPMT", "", kilobytes()},
+         {"cycles", "{}/SLPMT", "", cycleCount()},
+         {"records", "{}/SLPMT", "", logRecords()},
+         {"x+y", "{}/SLPMT", "", statSum({"x", "y"})},
+         {"ok", "{}/SLPMT", "{}/FG", both_verified}}};
+    EXPECT_EQ(renderTable(spec, tableResult()),
+              "\n== metrics ==\n"
+              "bench  speedup  cut    KB     cycles  records  x+y  ok      \n"
+              "------------------------------------------------------------\n"
+              "a      2.00x    75.0%  1.000  500     4        11   ok      \n"
+              "b      1.50x    25.0%  1.500  600     2        2    FAILED  \n");
+}
+
+TEST(FigureTable, FootersSummarizeTheirColumns)
+{
+    TableSpec spec{"footers",
+                   {"bench"},
+                   tableRows,
+                   {{"geo", "{}/SLPMT", "{}/FG", speedup(), Footer::Geomean},
+                    {"mean", "{}/SLPMT", "{}/FG", trafficCut(), Footer::Mean},
+                    {"none", "{}/SLPMT", "", cycleCount()}}};
+    EXPECT_EQ(renderTable(spec, tableResult()),
+              "\n== footers ==\n"
+              "bench         geo    mean   none  \n"
+              "----------------------------------\n"
+              "a             2.00x  75.0%  500   \n"
+              "b             1.50x  25.0%  600   \n"
+              "geomean/mean  1.73x  50.0%        \n");
+
+    // One footer kind names the last row by itself.
+    auto last_line = [](const std::string &text) {
+        const std::size_t end = text.size() - 1;
+        return text.substr(text.rfind('\n', end - 1) + 1);
+    };
+    spec.columns.pop_back();
+    spec.columns.pop_back();
+    EXPECT_EQ(last_line(renderTable(spec, tableResult())),
+              "geomean  1.73x  \n");
+    spec.columns = {{"mean", "{}/SLPMT", "{}/FG", trafficCut(),
+                     Footer::Mean}};
+    EXPECT_EQ(last_line(renderTable(spec, tableResult())),
+              "mean   50.0%  \n");
+}
+
+TEST(FigureTable, RowKeyFillsTheColumnKeys)
+{
+    // "{}" as a key suffix, beside two label columns; the prefix form
+    // ("{}/SLPMT") is in the tests above.
+    const TableSpec spec{
+        "keys",
+        {"scheme", "size"},
+        {{{"SLPMT", "16B"}, "16B"}, {{"SLPMT", "32B"}, "32B"}},
+        {{"speedup", "w/SLPMT/{}", "w/FG/{}", speedup()}}};
+    EXPECT_EQ(renderTable(spec, tableResult()),
+              "\n== keys ==\n"
+              "scheme  size  speedup  \n"
+              "-----------------------\n"
+              "SLPMT   16B   2.00x    \n"
+              "SLPMT   32B   1.50x    \n");
+}
+
+TEST(FigureTable, LabelOnlyRows)
+{
+    const TableSpec spec{"ledger",
+                         {"#", "kind"},
+                         {{{"0", "log record"}}, {{"1", "marker"}}}};
+    EXPECT_EQ(renderTable(spec, MatrixResult{}),
+              "\n== ledger ==\n"
+              "#  kind        \n"
+              "---------------\n"
+              "0  log record  \n"
+              "1  marker      \n");
+}
+
+TEST(FigureTable, MissingCellOrStatIsFatal)
+{
+    const MatrixResult result = tableResult();
+    const TableSpec no_cell{
+        "t", {"bench"}, tableRows, {{"x", "{}/ATOM", "", cycleCount()}}};
+    EXPECT_THROW(renderTable(no_cell, result), FatalError);
+    const TableSpec no_base{
+        "t", {"bench"}, tableRows, {{"x", "{}/SLPMT", "{}/EDE", speedup()}}};
+    EXPECT_THROW(renderTable(no_base, result), FatalError);
+    const TableSpec no_stat{"t",
+                            {"bench"},
+                            tableRows,
+                            {{"x", "{}/SLPMT", "", statSum({"x", "z"})}}};
+    EXPECT_THROW(renderTable(no_stat, result), FatalError);
+}
+
+TEST(FigureTable, RowWidthMismatchPanics)
+{
+    const TableSpec short_row{"t", {"scheme", "size"}, tableRows};
+    EXPECT_THROW(renderTable(short_row, tableResult()), PanicError);
+    const TableSpec long_row{"t", {}, tableRows};
+    EXPECT_THROW(renderTable(long_row, tableResult()), PanicError);
 }
 
 } // namespace
