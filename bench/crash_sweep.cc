@@ -213,7 +213,8 @@ usage()
         "scratch (O(P*T))\n"
         "  --profile=PATH     time checkpointed vs full-replay "
         "sweeps, verify the reports are byte-identical, write a "
-        "sweep-speed JSON to PATH\n"
+        "sweep-speed JSON (with each cell's time per point step) "
+        "to PATH\n"
         "  --speed-threshold=X  with --profile: fail unless the "
         "checkpointed sweep is at least X times faster (250 ms "
         "noise floor)\n");
@@ -434,7 +435,7 @@ runCellPoint(const CliOptions &opt, const Cell &c, std::uint64_t k)
 /**
  * Profile mode: run every cell twice — checkpointed and full-replay
  * audit — verify the reports are byte-identical, and record the speed
- * ratio. The optional gate compares against --speed-threshold with a
+ * ratio and the checkpointed run's host time per point step. The optional gate compares against --speed-threshold with a
  * 250 ms noise floor (a full replay that finishes under the floor is
  * too small to time reliably).
  */
@@ -481,6 +482,10 @@ profileSweeps(const CliOptions &opt, const std::vector<Cell> &cells)
         w.key("points").value(ckpt.pointsExplored());
         w.key("speedup").value(
             ckpt.wallMs > 0.0 ? replay.wallMs / ckpt.wallMs : 0.0);
+        w.key("checkpointStepsMs").beginObject();
+        for (std::size_t i = 0; i < numPointSteps; ++i)
+            w.key(pointStepNames[i]).value(ckpt.stepMs[i]);
+        w.endObject();
         w.endObject();
     }
     w.endObject();

@@ -178,13 +178,14 @@ class CorePoint final : public SweepPoint
     }
 
     void
-    continueRun(std::size_t ops, OracleLines &lines) override
+    continueRun(std::size_t ops) override
     {
         insertContinuation(*wl, shadow, target.cfg.mix.seed, crashPoint,
                            ops, target.cfg.mix.valueBytes,
                            [&](std::size_t) -> PmContext & { return sys; });
-        check(lines);
     }
+
+    void checkContinuation(OracleLines &lines) override { check(lines); }
 
     void
     statNames(std::vector<std::string> &names) const override

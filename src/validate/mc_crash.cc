@@ -193,7 +193,7 @@ class McPoint final : public SweepPoint
 
     /** The fresh inserts spread across the cores. */
     void
-    continueRun(std::size_t ops, OracleLines &lines) override
+    continueRun(std::size_t ops) override
     {
         insertContinuation(*run.wl, shadow, target.rc.seed, crashPoint, ops,
                            target.rc.valueBytes,
@@ -201,8 +201,9 @@ class McPoint final : public SweepPoint
                                return run.machine.context(
                                    i % target.rc.numCores);
                            });
-        check(lines);
     }
+
+    void checkContinuation(OracleLines &lines) override { check(lines); }
 
     void
     statNames(std::vector<std::string> &names) const override

@@ -390,24 +390,34 @@ class SvcPoint final : public SweepPoint
     }
 
     /** Every shard must keep serving: fresh inserts routed like any
-     *  request and read straight back (generator keys have bit 62
-     *  set; these fresh keys set bit 61 instead, so they can never
-     *  collide). */
+     *  request (generator keys have bit 62 set; these fresh keys set
+     *  bit 61 instead, so they can never collide). */
     void
-    continueRun(std::size_t ops, OracleLines &lines) override
+    continueRun(std::size_t ops) override
     {
         Rng rng(mix64(target.cfg.load.seed) ^ (crashPoint + 1));
-        std::vector<std::uint8_t> got;
         for (std::size_t i = 0; i < ops; ++i) {
             const std::uint64_t key =
                 (std::uint64_t{1} << 61) |
                 (rng.next() & ((std::uint64_t{1} << 61) - 1));
             const std::size_t s = router.shardOf(key);
-            PmContext &ctx = set.machines[s]->context(0);
-            const auto value = ycsbValueFor(key, 64);
-            set.workloads[s]->insert(ctx, key, value);
+            set.workloads[s]->insert(set.machines[s]->context(0), key,
+                                     ycsbValueFor(key, 64));
+            fresh.push_back(key);
+        }
+    }
+
+    /** The fresh keys read back. */
+    void
+    checkContinuation(OracleLines &lines) override
+    {
+        std::vector<std::uint8_t> got;
+        for (std::uint64_t key : fresh) {
+            const std::size_t s = router.shardOf(key);
             got.clear();
-            if (!set.workloads[s]->lookup(ctx, key, &got) || got != value)
+            if (!set.workloads[s]->lookup(set.machines[s]->context(0), key,
+                                          &got) ||
+                got != ycsbValueFor(key, 64))
                 lines.add("fresh key " + hexKey(key) +
                           " unreadable on shard " + std::to_string(s));
         }
@@ -426,6 +436,7 @@ class SvcPoint final : public SweepPoint
     const DispatchOp *interrupted = nullptr;
     SvcShadow shadow;
     std::vector<std::uint64_t> absent;
+    std::vector<std::uint64_t> fresh;  //!< continueRun()'s keys
 };
 
 std::unique_ptr<SweepPoint>

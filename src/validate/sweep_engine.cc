@@ -461,20 +461,39 @@ SweepTarget::runPoint(const SweepBase *base, std::uint64_t crash_point) const
     out.crashPoint = crash_point;
     const std::string tuple = reproTuple(id, crash_point);
 
+    // Each lap charges the time since the previous one to a step.
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point last = Clock::now();
+    auto lap = [&](PointStep step) {
+        const Clock::time_point now = Clock::now();
+        stepNs[static_cast<std::size_t>(step)].fetch_add(
+            static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    now - last)
+                    .count()),
+            std::memory_order_relaxed);
+        last = now;
+    };
+
     try {
-        const std::unique_ptr<SweepPoint> point = fork(base, crash_point);
+        std::unique_ptr<SweepPoint> point = fork(base, crash_point);
+        lap(PointStep::Fork);
         if (!point->tail(out))
             out.violations.push_back(
                 tuple + " armed crash did not fire (stores at " +
                 std::to_string(base ? base->storesAt : 0) + ")");
+        lap(PointStep::Tail);
 
         out.replayedRecords = point->recover();
+        lap(PointStep::Recover);
         OracleLines post(tuple, "post-recovery", out.violations);
         point->check(post);
+        lap(PointStep::Oracle);
 
         // Recovery must be idempotent: a second replay finds an empty
         // log and a second user-level pass changes nothing.
         const std::size_t again = point->recover();
+        lap(PointStep::Recover);
         if (again != 0)
             out.violations.push_back(
                 tuple +
@@ -482,10 +501,14 @@ SweepTarget::runPoint(const SweepBase *base, std::uint64_t crash_point) const
                 std::to_string(again) + " records");
         OracleLines idem(tuple, "idempotence", out.violations);
         point->check(idem);
+        lap(PointStep::Oracle);
 
         // The recovered structure must keep working.
+        point->continueRun(continuationOps);
+        lap(PointStep::Continue);
         OracleLines cont(tuple, "continuation", out.violations);
-        point->continueRun(continuationOps, cont);
+        point->checkContinuation(cont);
+        lap(PointStep::Oracle);
 
         const std::vector<std::string> &table = statTable(*point);
         out.stats.reserve(table.size());
@@ -494,11 +517,26 @@ SweepTarget::runPoint(const SweepBase *base, std::uint64_t crash_point) const
             panic("point dumped " + std::to_string(out.stats.size()) +
                   " stats values for the sweep's " +
                   std::to_string(table.size()) + " names");
+        lap(PointStep::Stats);
+
+        point.reset();
+        lap(PointStep::Teardown);
     } catch (const std::exception &e) {
         out.stats.clear();
         out.violations.push_back(tuple + " exception: " + e.what());
     }
     return out;
+}
+
+std::array<double, numPointSteps>
+SweepTarget::stepMs() const
+{
+    std::array<double, numPointSteps> ms{};
+    for (std::size_t i = 0; i < numPointSteps; ++i)
+        ms[i] = static_cast<double>(
+                    stepNs[i].load(std::memory_order_relaxed)) /
+                1e6;
+    return ms;
 }
 
 const std::vector<std::string> &
@@ -547,6 +585,7 @@ runSweep(SweepTarget &target, const SweepOptions &opts)
     }
     const auto t1 = std::chrono::steady_clock::now();
     report.statNames = target.statNames();
+    report.stepMs = target.stepMs();
     report.wallMs =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     return report;

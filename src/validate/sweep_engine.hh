@@ -34,6 +34,8 @@
  *    the idempotence oracle, the continuation inserts and their oracle,
  *    and the stats dump, and turns an exception anywhere in the point
  *    into a violation line;
+ *  - the host time of each pipeline step, summed over the points
+ *    (PointStep);
  *  - the sweep's one stat-name table, taken from the first point that
  *    dumps its stats: each point keeps only its values, in table order;
  *  - report aggregation, JSON and the summary text.
@@ -54,6 +56,8 @@
 #define SLPMT_VALIDATE_SWEEP_ENGINE_HH
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -103,6 +107,27 @@ struct SweepOptions
      */
     bool tinyCache = false;
 };
+
+/** The steps of one point's pipeline (SweepTarget::runPoint), in
+ *  order. Recover and Oracle run more than once per point: recovery
+ *  twice, the oracle after each recovery and after the continuation
+ *  inserts. */
+enum class PointStep : std::size_t
+{
+    Fork,      //!< build the point's machine from its base
+    Tail,      //!< the run up to and including the power failure
+    Recover,   //!< hardware log replay and user-level recovery
+    Oracle,    //!< the recovered structure against the committed state
+    Continue,  //!< the continuation inserts
+    Stats,     //!< the machine counters' dump
+    Teardown,  //!< destroying the point's machine
+};
+
+inline constexpr std::size_t numPointSteps = 7;
+
+/** Lower-case step names, by PointStep. */
+inline constexpr std::array<const char *, numPointSteps> pointStepNames = {
+    "fork", "tail", "recover", "oracle", "continue", "stats", "teardown"};
 
 /** Outcome of one explored crash point. */
 struct CrashPointOutcome
@@ -253,6 +278,11 @@ struct CrashSweepReport
      *  across modes. */
     double wallMs = 0.0;
 
+    /** Host milliseconds per pipeline step (indexed by PointStep),
+     *  summed over every point and thread; kept out of toJson() and
+     *  summaryText() like wallMs. A step that throws is not counted. */
+    std::array<double, numPointSteps> stepMs{};
+
     std::size_t pointsExplored() const { return points.size(); }
     std::size_t violationCount() const;
     std::uint64_t replayedRecordsTotal() const;
@@ -324,8 +354,12 @@ class SweepPoint
     /** The oracle: the recovered state against the committed one. */
     virtual void check(OracleLines &lines) = 0;
 
-    /** Insert @p ops fresh keys and check the structure serves them. */
-    virtual void continueRun(std::size_t ops, OracleLines &lines) = 0;
+    /** Insert @p ops fresh keys on top of the recovered state. */
+    virtual void continueRun(std::size_t ops) = 0;
+
+    /** The oracle after continueRun(): the structure serves the
+     *  committed keys and the fresh ones. */
+    virtual void checkContinuation(OracleLines &lines) = 0;
 
     /** Append the names of the machine counters stats() dumps, in its
      *  order. The engine asks only the first point that dumps its
@@ -377,6 +411,10 @@ class SweepTarget
      *  points have run. */
     const std::vector<std::string> &statNames() const { return names; }
 
+    /** Host milliseconds per pipeline step, summed over every point
+     *  this target ran (CrashSweepReport::stepMs). */
+    std::array<double, numPointSteps> stepMs() const;
+
   private:
     /** The name table, built from @p point's names on first use;
      *  panics on a duplicate name. */
@@ -385,6 +423,9 @@ class SweepTarget
     mutable std::mutex namesMtx;
     mutable bool namesBuilt = false;  //!< guarded by namesMtx
     mutable std::vector<std::string> names;  //!< written under namesMtx
+
+    /** Nanoseconds per pipeline step, added to by concurrent points. */
+    mutable std::array<std::atomic<std::uint64_t>, numPointSteps> stepNs{};
 };
 
 /** Run a sweep of @p target (dispatch as in the file comment). */

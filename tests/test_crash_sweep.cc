@@ -451,7 +451,9 @@ class FakePoint final : public SweepPoint
             throw std::runtime_error("oracle lost its shadow");
     }
 
-    void continueRun(std::size_t, OracleLines &) override {}
+    void continueRun(std::size_t) override {}
+
+    void checkContinuation(OracleLines &lines) override { check(lines); }
 
     void
     statNames(std::vector<std::string> &names) const override
@@ -537,6 +539,26 @@ TEST(SweepEngine, ThrowingOracleIsReported)
         EXPECT_TRUE(p.stats.empty());
     }
     EXPECT_NE(report.toJson().find("\"stats\":{}"), std::string::npos);
+}
+
+/** The per-step host times are disjoint slices of the points' time,
+ *  so on one worker they fit inside the sweep's wall time, and the
+ *  deterministic report never carries them. */
+TEST(SweepEngine, StepTimesFitTheWallAndStayOutOfTheReport)
+{
+    FakeTarget target({});
+    const CrashSweepReport report = runSweep(target, SweepOptions{});
+    double sum = 0.0;
+    for (double ms : report.stepMs) {
+        EXPECT_GE(ms, 0.0);
+        sum += ms;
+    }
+    EXPECT_LE(sum, report.wallMs);
+
+    CrashSweepReport untimed = report;
+    untimed.stepMs.fill(0.0);
+    EXPECT_EQ(untimed.toJson(), report.toJson());
+    EXPECT_EQ(untimed.summaryText(), report.summaryText());
 }
 
 /** Points keep only values against the sweep's one name table; a point
