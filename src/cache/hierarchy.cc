@@ -315,6 +315,14 @@ CacheHierarchy::findPrivate(Addr addr)
     return l2Cache.find(addr);
 }
 
+const CacheLine *
+CacheHierarchy::findPrivate(Addr addr) const
+{
+    if (const CacheLine *line = l1Cache.find(addr))
+        return line;
+    return l2Cache.find(addr);
+}
+
 void
 CacheHierarchy::auditMetaIndex() const
 {

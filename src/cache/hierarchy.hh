@@ -160,6 +160,7 @@ class CacheHierarchy
 
     /** Find a line in the private caches (L1 preferred), or nullptr. */
     CacheLine *findPrivate(Addr addr);
+    const CacheLine *findPrivate(Addr addr) const;
 
     /**
      * Apply @p fn to every metadata-bearing private line: indexed L1
@@ -335,13 +336,8 @@ class CacheHierarchy
     std::vector<CacheLine *> walkScratch;
 
     /** Metadata line index audit (see forEachPrivate()): defaults on
-     *  in assertion and ASan/TSan builds, off in optimised ones. */
-#if !defined(NDEBUG) || defined(__SANITIZE_ADDRESS__) ||               \
-    defined(__SANITIZE_THREAD__)
-    bool metaIndexAudit = true;
-#else
-    bool metaIndexAudit = false;
-#endif
+     *  in audit builds. */
+    bool metaIndexAudit = auditBuild;
 
     StatsRegistry::Counter statL1Hits;
     StatsRegistry::Counter statL1Misses;

@@ -86,6 +86,20 @@ panicIfNot(bool cond, const Msg &msg)
         panic(msg);
 }
 
+/**
+ * Audit builds (assertion, ASan and TSan builds) cross-check derived
+ * state against a brute-force scan wherever the model keeps some —
+ * the cache layout audits, the oracle view's coherence check.
+ * Optimised builds skip the scans.
+ */
+inline constexpr bool auditBuild =
+#if !defined(NDEBUG) || defined(__SANITIZE_ADDRESS__) ||               \
+    defined(__SANITIZE_THREAD__)
+    true;
+#else
+    false;
+#endif
+
 } // namespace slpmt
 
 #endif // SLPMT_COMMON_LOGGING_HH

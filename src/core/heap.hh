@@ -121,6 +121,15 @@ class PersistentHeap
 
     std::size_t liveCount() const { return live.size(); }
 
+    /** Visit every live allocation as (base, size), by address. */
+    template <typename Fn>
+    void
+    forEachLive(Fn &&fn) const
+    {
+        for (const auto &[addr, info] : live)
+            fn(addr, info.size);
+    }
+
     Bytes
     liveBytes() const
     {

@@ -56,18 +56,29 @@ class PagedMemory
     {
         auto *dst = static_cast<std::uint8_t *>(out);
         while (len > 0) {
-            const Addr page = addr / pageSize;
-            const std::size_t off = addr % pageSize;
-            const std::size_t chunk = std::min(len, pageSize - off);
-            const Page *p = lookup(page);
-            if (!p)
-                std::memset(dst, 0, chunk);
+            const std::size_t chunk =
+                std::min(len, pageSize - addr % pageSize);
+            if (const std::uint8_t *src = bytesAt(addr))
+                std::memcpy(dst, src, chunk);
             else
-                std::memcpy(dst, p->data() + off, chunk);
+                std::memset(dst, 0, chunk);
             addr += chunk;
             dst += chunk;
             len -= chunk;
         }
+    }
+
+    /**
+     * The stored bytes from @p addr to the end of its page, or nullptr
+     * when the page was never written (it reads as zeros). The
+     * pointer stays valid until the next write(), clear() or
+     * restore().
+     */
+    const std::uint8_t *
+    bytesAt(Addr addr) const
+    {
+        const Page *p = lookup(addr / pageSize);
+        return p ? p->data() + addr % pageSize : nullptr;
     }
 
     /** Write @p len bytes from @p src at @p addr. */

@@ -1,5 +1,7 @@
 #include "multicore/machine.hh"
 
+#include "multicore/oracle_view.hh"
+
 namespace slpmt
 {
 
@@ -213,6 +215,31 @@ McMachine::makespan() const
     return max;
 }
 
+const std::uint8_t *
+McMachine::observeLine(Addr line) const
+{
+    const CacheLine *newest = nullptr;
+    for (const auto &core : cores) {
+        const CacheLine *copy = core->hierarchy().findPrivate(line);
+        if (!copy)
+            continue;
+        if (!newest)
+            newest = copy;
+        else if (copy->data != newest->data)
+            panic("two cores hold different private copies of line " +
+                  std::to_string(line));
+        if (!auditBuild)
+            break;
+    }
+    if (newest)
+        return newest->data.data();
+    if (const CacheLine *shared = sharedL3.find(line))
+        return shared->data.data();
+    config.map.checkMapped(line);
+    return config.map.isPm(line) ? pmDev.memory().bytesAt(line)
+                                 : dramDev.memory().bytesAt(line);
+}
+
 Cycles
 McMachine::foldRemotePrivate(CacheHierarchy &evictor, CacheLine &victim,
                              Cycles now)
@@ -224,6 +251,24 @@ McMachine::foldRemotePrivate(CacheHierarchy &evictor, CacheLine &victim,
             latency += hier.foldPrivateInto(victim, now);
     }
     return latency;
+}
+
+// ---------------------------------------------------------------------
+// OracleView
+// ---------------------------------------------------------------------
+
+OracleView::OracleView(McMachine &machine) : machine(machine)
+{
+    for (std::size_t i = 0; i < machine.numCores(); ++i)
+        panicIfNot(!machine.core(i).inTransaction(),
+                   "an oracle view cannot observe a machine with a "
+                   "transaction in flight");
+}
+
+void
+OracleView::refuse(const char *what)
+{
+    panic(std::string("an oracle view refuses ") + what);
 }
 
 } // namespace slpmt

@@ -68,6 +68,7 @@ class McCore final : public PmContext
     TxnEngine &engine() { return eng; }
     const TxnEngine &engine() const { return eng; }
     CacheHierarchy &hierarchy() { return hier; }
+    const CacheHierarchy &hierarchy() const { return hier; }
     StatsRegistry &stats() { return coreStats; }
     const StatsRegistry &stats() const { return coreStats; }
 
@@ -232,6 +233,18 @@ class McMachine
 
     /** Slowest core's clock — the wall time of a parallel phase. */
     Cycles makespan() const;
+
+    /**
+     * The 64 bytes of the newest copy of the line at @p line: a core's
+     * L1, else that core's L2, else the shared L3, else the PM or DRAM
+     * image; nullptr for an untouched page, which reads as zeros. No
+     * fill, LRU update, clock advance, statistic, lazy drain or
+     * coherence probe: the machine is only observed (OracleView).
+     * Under the single-writer rule at most one core holds a dirty
+     * copy; audit builds panic if two cores' private copies differ.
+     * An unmapped line no cache holds panics as a timed access does.
+     */
+    const std::uint8_t *observeLine(Addr line) const;
 
     /** Remote-folder hook (CacheHierarchy::setRemoteFolder): fold
      *  other cores' private copies into a shared-L3 victim being

@@ -5,6 +5,7 @@
 
 #include "common/rng.hh"
 #include "core/pm_system.hh"
+#include "multicore/oracle_view.hh"
 #include "workloads/ycsb.hh"
 
 namespace slpmt
@@ -68,21 +69,23 @@ mcYcsbStreams(const McYcsbConfig &cfg)
 namespace
 {
 
-/** Verify a structure against the last-write-wins image of a log. */
+/** Verify a structure against the last-write-wins image of a log,
+ *  reading it through an OracleView of @p machine. */
 bool
-verifyAgainstLog(Workload &wl, PmContext &ctx,
+verifyAgainstLog(Workload &wl, McMachine &machine,
                  const std::vector<McOpRecord> &log, std::string *why)
 {
     std::map<std::uint64_t, const std::vector<std::uint8_t> *> expected;
     for (const auto &op : log)
         expected[op.key] = &op.value;
 
+    OracleView view(machine);
     std::string inner;
-    if (!wl.checkConsistency(ctx, &inner))
+    if (!wl.checkConsistency(view, &inner))
         return failCheck(why, "consistency: " + inner);
     std::vector<std::uint8_t> got;
     for (const auto &[key, value] : expected) {
-        if (!wl.lookup(ctx, key, &got))
+        if (!wl.lookup(view, key, &got))
             return failCheck(why,
                              "missing key " + std::to_string(key));
         if (got != *value)
@@ -90,7 +93,7 @@ verifyAgainstLog(Workload &wl, PmContext &ctx,
                              "value mismatch at key " +
                                  std::to_string(key));
     }
-    if (wl.count(ctx) != expected.size())
+    if (wl.count(view) != expected.size())
         return failCheck(why, "count mismatch");
     return true;
 }
@@ -144,10 +147,8 @@ runMcYcsb(const McYcsbConfig &cfg)
         return result;
     }
 
-    // Verification (outside the measured window). Lazy data stays
-    // volatile — exactly as the single-core runner leaves it.
-    result.verified = verifyAgainstLog(*workload, machine.context(0),
-                                       result.commitLog,
+    // Verification (outside the measured window).
+    result.verified = verifyAgainstLog(*workload, machine, result.commitLog,
                                        &result.failure);
     return result;
 }

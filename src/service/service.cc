@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "mem/paged_memory.hh"
+#include "multicore/oracle_view.hh"
 #include "workloads/factory.hh"
 
 namespace slpmt
@@ -274,8 +275,6 @@ runService(const ServiceConfig &cfg)
                          machine.core(c).engine().now() - start[c]);
         res.makespan = std::max(res.makespan, res.shardCycles[s]);
 
-        // Capture the bit-for-bit identities before verification
-        // perturbs caches and clocks.
         res.shardSnapshots.push_back(machine.snapshot());
         res.shardImageFp.push_back(pmImageFingerprint(machine));
     }
@@ -321,20 +320,20 @@ runService(const ServiceConfig &cfg)
 
     res.verified = true;
     for (std::size_t s = 0; s < cfg.numShards && res.verified; ++s) {
-        PmContext &ctx = shards[s]->context(0);
+        OracleView view(*shards[s]);
         Workload &wl = *workloads[s];
         std::string why;
-        if (!wl.checkConsistency(ctx, &why)) {
+        if (!wl.checkConsistency(view, &why)) {
             res.verified = false;
             res.failure =
                 "shard " + std::to_string(s) + " consistency: " + why;
             break;
         }
-        if (wl.count(ctx) != expected_counts[s]) {
+        if (wl.count(view) != expected_counts[s]) {
             res.verified = false;
             res.failure = "shard " + std::to_string(s) +
                           " count mismatch: holds " +
-                          std::to_string(wl.count(ctx)) +
+                          std::to_string(wl.count(view)) +
                           ", oracle expects " +
                           std::to_string(expected_counts[s]);
             break;
@@ -343,7 +342,7 @@ runService(const ServiceConfig &cfg)
         for (const auto &[key, value] : expected) {
             if (router.shardOf(key) != s)
                 continue;
-            if (!wl.lookup(ctx, key, &got) ||
+            if (!wl.lookup(view, key, &got) ||
                 got != svcValueFor(key, value.valueSalt,
                                    value.valueBytes)) {
                 res.verified = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "multicore/mc_ycsb.hh"
+#include "multicore/oracle_view.hh"
 #include "service/service.hh"
 
 namespace slpmt
@@ -175,22 +176,23 @@ runExperiment(const std::string &workload_name,
     fillTotals(result, StatsRegistry::delta(before, after));
 
     // Verification phase (outside the measured window).
+    OracleView view(sys);
     result.verified = true;
     std::string why;
-    if (!workload->checkConsistency(sys, &why)) {
+    if (!workload->checkConsistency(view, &why)) {
         result.verified = false;
         result.failure = "consistency: " + why;
         return result;
     }
     std::vector<std::uint8_t> got;
     for (const auto &op : ops) {
-        if (!workload->lookup(sys, op.key, &got) || got != op.value) {
+        if (!workload->lookup(view, op.key, &got) || got != op.value) {
             result.verified = false;
             result.failure = "lookup mismatch";
             return result;
         }
     }
-    if (workload->count(sys) != ops.size()) {
+    if (workload->count(view) != ops.size()) {
         result.verified = false;
         result.failure = "count mismatch";
     }

@@ -9,6 +9,7 @@
 #include "compiler/compiler_policy.hh"
 #include "core/pm_system.hh"
 #include "core/tx.hh"
+#include "multicore/oracle_view.hh"
 #include "workloads/factory.hh"
 #include "workloads/loadgen.hh"
 
@@ -1160,14 +1161,15 @@ updatesRun(const ExperimentCase &c)
     res.cycles = sys.cycles() - start;
     fillTotals(res, StatsRegistry::delta(before, sys.stats().snapshot()));
 
+    OracleView view(sys);
     std::string why;
-    res.verified = workload->checkConsistency(sys, &why);
+    res.verified = workload->checkConsistency(view, &why);
     if (!res.verified)
         res.failure = "consistency: " + why;
     std::vector<std::uint8_t> got;
     for (std::size_t i = 0; i < preload && res.verified; ++i) {
         const auto &want = latest[i].empty() ? ops[i].value : latest[i];
-        res.verified = workload->lookup(sys, ops[i].key, &got) &&
+        res.verified = workload->lookup(view, ops[i].key, &got) &&
                        got == want;
         if (!res.verified)
             res.failure = "lookup mismatch";

@@ -187,7 +187,7 @@ class McPoint final : public SweepPoint
     void
     check(OracleLines &lines) override
     {
-        checkShadow(run.machine.context(0), *run.wl, shadow, target.keys,
+        checkShadow(run.machine, *run.wl, shadow, target.keys,
                     "uncommitted", lines);
     }
 

@@ -5,6 +5,7 @@
 
 #include "checkpoint/checkpoint.hh"
 #include "common/rng.hh"
+#include "multicore/oracle_view.hh"
 #include "workloads/factory.hh"
 #include "workloads/ycsb.hh"
 
@@ -159,16 +160,16 @@ checkState(ShardSet &set, const ShardRouter &router, const SvcShadow &shadow,
         expected_counts[router.shardOf(key)]++;
 
     for (std::size_t s = 0; s < router.numShards(); ++s) {
-        PmContext &ctx = set.machines[s]->context(0);
+        OracleView view(*set.machines[s]);
         Workload &wl = *set.workloads[s];
         const std::string where = "shard " + std::to_string(s) + " ";
 
         std::string why;
-        if (!wl.checkConsistency(ctx, &why))
+        if (!wl.checkConsistency(view, &why))
             lines.add(where + "structure invariant violated: " + why);
 
         // The interrupted request may atomically add one key.
-        const std::size_t n = wl.count(ctx);
+        const std::size_t n = wl.count(view);
         const bool slack = interrupted_mutation &&
                            !shadow.count(ikey) &&
                            router.shardOf(ikey) == s;
@@ -186,7 +187,7 @@ checkState(ShardSet &set, const ShardRouter &router, const SvcShadow &shadow,
             got.clear();
             if (interrupted_mutation && key == ikey) {
                 // Old-or-new, never torn.
-                if (!wl.lookup(ctx, key, &got)) {
+                if (!wl.lookup(view, key, &got)) {
                     lines.add(where + "interrupted key " + hexKey(key) +
                               " lost its committed value");
                 } else if (got != svcValueFor(key, value.valueSalt,
@@ -199,7 +200,7 @@ checkState(ShardSet &set, const ShardRouter &router, const SvcShadow &shadow,
                 }
                 continue;
             }
-            if (!wl.lookup(ctx, key, &got))
+            if (!wl.lookup(view, key, &got))
                 lines.add(where + "committed key " + hexKey(key) +
                           " missing");
             else if (got != svcValueFor(key, value.valueSalt,
@@ -210,7 +211,7 @@ checkState(ShardSet &set, const ShardRouter &router, const SvcShadow &shadow,
 
         // A fresh interrupted insert is allowed fully in or fully
         // out — but never torn.
-        if (slack && wl.lookup(ctx, ikey, &got) &&
+        if (slack && wl.lookup(view, ikey, &got) &&
             got != svcValueFor(ikey, interrupted->op.valueSalt,
                                interrupted->op.valueBytes))
             lines.add(where + "interrupted fresh key " + hexKey(ikey) +
@@ -218,11 +219,11 @@ checkState(ShardSet &set, const ShardRouter &router, const SvcShadow &shadow,
     }
 
     for (std::uint64_t key : absent_keys) {
-        if (set.workloads[router.shardOf(key)]->lookup(
-                set.machines[router.shardOf(key)]->context(0), key,
-                nullptr))
+        const std::size_t s = router.shardOf(key);
+        OracleView view(*set.machines[s]);
+        if (set.workloads[s]->lookup(view, key, nullptr))
             lines.add("future key " + hexKey(key) + " visible on shard " +
-                      std::to_string(router.shardOf(key)));
+                      std::to_string(s));
     }
 }
 
@@ -414,9 +415,9 @@ class SvcPoint final : public SweepPoint
         std::vector<std::uint8_t> got;
         for (std::uint64_t key : fresh) {
             const std::size_t s = router.shardOf(key);
+            OracleView view(*set.machines[s]);
             got.clear();
-            if (!set.workloads[s]->lookup(set.machines[s]->context(0), key,
-                                          &got) ||
+            if (!set.workloads[s]->lookup(view, key, &got) ||
                 got != ycsbValueFor(key, 64))
                 lines.add("fresh key " + hexKey(key) +
                           " unreadable on shard " + std::to_string(s));

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "common/rng.hh"
+#include "multicore/oracle_view.hh"
 #include "sim/json.hh"
 #include "validate/work_queue.hh"
 #include "workloads/ycsb.hh"
@@ -88,15 +89,16 @@ OracleLines::add(const std::string &msg)
 }
 
 void
-checkShadow(PmContext &ctx, Workload &wl, const Shadow &shadow,
+checkShadow(McMachine &machine, Workload &wl, const Shadow &shadow,
             const std::vector<std::uint64_t> &run_keys,
             const char *absent_label, OracleLines &lines)
 {
+    OracleView view(machine);
     std::string why;
-    if (!wl.checkConsistency(ctx, &why))
+    if (!wl.checkConsistency(view, &why))
         lines.add("structure invariant violated: " + why);
 
-    const std::size_t n = wl.count(ctx);
+    const std::size_t n = wl.count(view);
     if (n != shadow.size())
         lines.add("count mismatch: structure holds " + std::to_string(n) +
                   ", oracle expects " + std::to_string(shadow.size()));
@@ -104,14 +106,14 @@ checkShadow(PmContext &ctx, Workload &wl, const Shadow &shadow,
     std::vector<std::uint8_t> got;
     for (const auto &[key, value] : shadow) {
         got.clear();
-        if (!wl.lookup(ctx, key, &got))
+        if (!wl.lookup(view, key, &got))
             lines.add("committed key " + hexKey(key) + " missing");
         else if (got != value)
             lines.add("value mismatch for committed key " + hexKey(key));
     }
 
     for (std::uint64_t key : run_keys) {
-        if (!shadow.count(key) && wl.lookup(ctx, key, nullptr))
+        if (!shadow.count(key) && wl.lookup(view, key, nullptr))
             lines.add(std::string(absent_label) + " key " + hexKey(key) +
                       " visible");
     }

@@ -220,12 +220,13 @@ class OracleLines
 using Shadow = std::map<std::uint64_t, std::vector<std::uint8_t>>;
 
 /**
- * The shadow-map oracle of the core and mc targets: invariants hold,
- * the count matches, every committed key reads back its value, and
- * every key of @p run_keys (ascending) the shadow lacks is invisible
- * (@p absent_label names those keys in violation lines).
+ * The shadow-map oracle of the core and mc targets, read through an
+ * OracleView of @p machine: invariants hold, the count matches, every
+ * committed key reads back its value, and every key of @p run_keys
+ * (ascending) the shadow lacks is invisible (@p absent_label names
+ * those keys in violation lines).
  */
-void checkShadow(PmContext &ctx, Workload &wl, const Shadow &shadow,
+void checkShadow(McMachine &machine, Workload &wl, const Shadow &shadow,
                  const std::vector<std::uint64_t> &run_keys,
                  const char *absent_label, OracleLines &lines);
 

@@ -329,7 +329,7 @@ TEST(CrashSweepDigest, CoreReportsArePinned)
     cfg.mix.numOps = 40;
     cfg.maxPoints = 30;
     expectDigest(cfg, runCrashSweep, 0x6c39f46d8e6d33eeULL,
-                 0xcd68298f61b4c468ULL, 31);
+                 0x55053321d36a21fcULL, 31);
 
     cfg.scheme = SchemeKind::FG;
     cfg.workload = "hashtable";
@@ -339,7 +339,7 @@ TEST(CrashSweepDigest, CoreReportsArePinned)
     cfg.mix.removePct = 10;
     cfg.maxPoints = 0;
     expectDigest(cfg, runCrashSweep, 0xfa763219f93f64c8ULL,
-                 0xbdeebe896e355936ULL, 147);
+                 0xd781d45e4457b941ULL, 147);
 
     // A sweep that reports violations pins the violation lines too.
     CrashSweepConfig broken;
@@ -352,7 +352,7 @@ TEST(CrashSweepDigest, CoreReportsArePinned)
     broken.maxPoints = 100;
     broken.skipHardwareReplay = true;
     expectDigest(broken, runCrashSweep, 0x852d07d798ed2731ULL,
-                 0x35ad053b48a7c3e2ULL, 101);
+                 0x8d71f8cbb982215cULL, 101);
 }
 
 TEST(CrashSweepDigest, McReportsArePinned)
@@ -368,7 +368,7 @@ TEST(CrashSweepDigest, McReportsArePinned)
     cfg.maxPoints = 12;
     cfg.checkpointInterval = 24;
     expectDigest(cfg, runMcCrashSweep, 0x3746779dd01e4999ULL,
-                 0x653cfe77d3aebbc6ULL, 13);
+                 0xad93b98220b12febULL, 13);
 
     cfg.style = LoggingStyle::Redo;
     cfg.run.opsPerCore = 6;
@@ -376,7 +376,7 @@ TEST(CrashSweepDigest, McReportsArePinned)
     cfg.maxPoints = 0;
     cfg.checkpointInterval = 16;
     expectDigest(cfg, runMcCrashSweep, 0x2edd749918812d08ULL,
-                 0xd750be011cdd0c21ULL, 93);
+                 0x9e729ff78110f700ULL, 93);
 }
 
 TEST(CrashSweepDigest, ServiceReportsArePinned)

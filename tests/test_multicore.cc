@@ -3,20 +3,26 @@
  * The multicore machine: topology validation, the coherence directory
  * (invalidations, downgrades, remote-forced lazy drains, conflict
  * aborts), the Section V-C context-switch drain, scheduler
- * determinism, and the merged per-core statistics namespace.
+ * determinism, the merged per-core statistics namespace, and the
+ * oracle view (newest copies, no side effects, refused mutations).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "checkpoint/checkpoint.hh"
 #include "core/pm_system.hh"
 #include "multicore/machine.hh"
 #include "multicore/mc_ycsb.hh"
+#include "multicore/oracle_view.hh"
 #include "multicore/scheduler.hh"
 #include "test_util.hh"
 
@@ -434,6 +440,201 @@ TEST(McStreams, PrivateKeysAreGloballyDisjoint)
     // A 30% shared fraction over 200 ops lands well inside (0, 200).
     EXPECT_GT(shared_ops, 0u);
     EXPECT_LT(shared_ops, 4 * cfg.opsPerCore);
+}
+
+// ---------------------------------------------------------------------
+// OracleView: the newest copy of every line, and no side effects
+// ---------------------------------------------------------------------
+
+/** The sweeps' tiny geometry: dirty lines overflow mid-transaction. */
+void
+shrinkCaches(SystemConfig &cfg)
+{
+    cfg.hierarchy.l1 = CacheConfig{"L1", 1024, 2, 4};
+    cfg.hierarchy.l2 = CacheConfig{"L2", 2048, 2, 12};
+    cfg.hierarchy.l3 = CacheConfig{"L3", 4096, 4, 40};
+}
+
+/** One interleaved upsert run on a machine the test keeps. */
+struct ViewRun
+{
+    explicit ViewRun(const McYcsbConfig &cfg)
+        : machine(cfg.sys), wl(makeWorkload(cfg.workload))
+    {
+        wl->setup(machine.context(0));
+        streams = mcYcsbStreams(cfg);
+        for (std::size_t i = 0; i < cfg.numCores; ++i) {
+            drivers.push_back(std::make_unique<McYcsbDriver>(
+                machine.context(i), *wl, streams[i], log));
+            ptrs.push_back(drivers.back().get());
+        }
+    }
+
+    McMachine machine;
+    std::unique_ptr<Workload> wl;
+    std::vector<std::vector<McOpRecord>> streams;
+    std::vector<McOpRecord> log;
+    std::vector<std::unique_ptr<McYcsbDriver>> drivers;
+    std::vector<McCoreDriver *> ptrs;
+};
+
+/**
+ * The root directory and every live allocation of @p m read through a
+ * view must equal timed reads, spread over the cores, on a
+ * checkpoint-restored clone.
+ */
+void
+expectNewestCopies(McMachine &m, const SystemConfig &cfg)
+{
+    McMachine clone(cfg);
+    MachineCheckpoint::capture(m).restore(clone);
+    OracleView view(m);
+    std::vector<std::uint8_t> seen;
+    std::vector<std::uint8_t> timed;
+    std::size_t n = 0;
+    auto compare = [&](Addr base, Bytes size) {
+        seen.assign(size, 0xa5);
+        timed.assign(size, 0x5a);
+        view.readBytes(base, seen.data(), size);
+        clone.context(n++ % clone.numCores())
+            .readBytes(base, timed.data(), size);
+        EXPECT_EQ(seen, timed) << "allocation at " << base;
+    };
+    compare(m.map().heapBase(), numRootSlots * wordSize);
+    m.heap().forEachLive(compare);
+    EXPECT_GT(n, 1u);
+}
+
+/** Everything the machine would serialize or count. */
+std::pair<std::vector<std::uint8_t>, StatsSnapshot>
+machineState(McMachine &m)
+{
+    return {MachineCheckpoint::capture(m).toBytes(), m.snapshot()};
+}
+
+/**
+ * The view's checker calls leave @p m bit-for-bit as they found it,
+ * and they see the committed state of @p log.
+ */
+void
+expectUntouched(McMachine &m, Workload &wl,
+                const std::vector<McOpRecord> &log)
+{
+    std::map<std::uint64_t, std::vector<std::uint8_t>> expected;
+    for (const auto &op : log)
+        expected[op.key] = op.value;
+
+    const auto before = machineState(m);
+    OracleView view(m);
+    std::string why;
+    EXPECT_TRUE(wl.checkConsistency(view, &why)) << why;
+    EXPECT_EQ(wl.count(view), expected.size());
+    std::vector<std::uint8_t> got;
+    for (const auto &[key, value] : expected) {
+        got.clear();
+        EXPECT_TRUE(wl.lookup(view, key, &got) && got == value) << key;
+    }
+    EXPECT_FALSE(wl.lookup(view, 2, nullptr));  // streams' keys are odd
+    EXPECT_TRUE(machineState(m) == before);
+}
+
+class OracleViewCase : public ::testing::TestWithParam<const char *>
+{};
+
+/** Every scheme family, logging style, core count and geometry: after
+ *  a run, and after a crash at half the run's stores and recovery. */
+TEST_P(OracleViewCase, ReadsTheNewestCopyAndTouchesNothing)
+{
+    for (SchemeKind scheme : {SchemeKind::SLPMT, SchemeKind::FG})
+        for (LoggingStyle style : {LoggingStyle::Undo, LoggingStyle::Redo})
+            for (std::size_t cores : {1u, 2u, 4u})
+                for (bool tiny : {false, true}) {
+                    McYcsbConfig cfg;
+                    cfg.workload = GetParam();
+                    cfg.numCores = cores;
+                    cfg.opsPerCore = 16;
+                    cfg.valueBytes = 96;
+                    cfg.sys = mcConfig(cores, scheme, style);
+                    if (tiny)
+                        shrinkCaches(cfg.sys);
+                    SCOPED_TRACE(schemeName(scheme) +
+                                 (style == LoggingStyle::Undo ? " undo"
+                                                              : " redo") +
+                                 " cores=" + std::to_string(cores) +
+                                 (tiny ? " tiny" : " table3"));
+
+                    ViewRun run(cfg);
+                    const std::uint64_t start =
+                        run.machine.storesExecuted();
+                    runInterleaved(run.machine, run.ptrs, cfg.sched);
+                    expectNewestCopies(run.machine, cfg.sys);
+                    expectUntouched(run.machine, *run.wl, run.log);
+
+                    ViewRun crashed(cfg);
+                    crashed.machine.armCrashAfterStores(
+                        (run.machine.storesExecuted() - start) / 2);
+                    ASSERT_TRUE(runInterleaved(crashed.machine,
+                                               crashed.ptrs, cfg.sched)
+                                    .crashed);
+                    crashed.machine.armCrashAfterStores(0);
+                    crashed.machine.recover();
+                    crashed.wl->recover(crashed.machine.context(0));
+                    expectNewestCopies(crashed.machine, cfg.sys);
+                }
+}
+
+INSTANTIATE_TEST_SUITE_P(Structures, OracleViewCase,
+                         ::testing::Values("hashtable", "rbtree",
+                                           "skiplist", "kv-btree"),
+                         [](const auto &info) {
+                             std::string name = info.param;
+                             std::replace(name.begin(), name.end(), '-',
+                                          '_');
+                             return name;
+                         });
+
+TEST(OracleView, RefusesEveryMutation)
+{
+    McMachine m(mcConfig(2));
+    OracleView view(m);
+    const Addr root = view.rootSlotAddr(0);
+    EXPECT_THROW(view.write<std::uint64_t>(root, 1), PanicError);
+    EXPECT_THROW(view.writeT<std::uint64_t>(root, 1, {}), PanicError);
+    EXPECT_THROW(view.txBegin(), PanicError);
+    EXPECT_THROW(view.txCommit(), PanicError);
+    EXPECT_THROW(view.txAbort(), PanicError);
+    EXPECT_THROW(view.quiesce(), PanicError);
+}
+
+TEST(OracleView, RefusesAMachineWithATransactionInFlight)
+{
+    McMachine m(mcConfig(2));
+    m.context(1).txBegin();
+    EXPECT_THROW(OracleView view(m), PanicError);
+    m.context(1).txCommit();
+    EXPECT_NO_THROW(OracleView view(m));
+}
+
+/** A dirty line in one core's L1 is the newest copy even though the
+ *  L3 and PM hold older data, and an untouched page reads as zeros. */
+TEST(OracleView, PrivateDirtyCopyWinsOverSharedAndDurable)
+{
+    McMachine m(mcConfig(2));
+    const Addr line = m.heap().alloc(cacheLineSize);
+    commitLines(m.context(0), line, 1, 7);
+    m.quiesce();
+    m.context(1).write<std::uint64_t>(line, 0xfeed);
+    ASSERT_NE(m.core(1).hierarchy().findPrivate(line), nullptr);
+    std::uint64_t durable = 0;
+    m.pm().peek(line, &durable, sizeof(durable));
+    ASSERT_NE(durable, 0xfeedu);
+
+    OracleView view(m);
+    EXPECT_EQ(view.read<std::uint64_t>(line), 0xfeedu);
+    EXPECT_EQ(view.peek<std::uint64_t>(line), durable);
+    EXPECT_EQ(view.read<std::uint64_t>(m.map().heapBase() +
+                                       m.map().heapSize() - cacheLineSize),
+              0u);
 }
 
 } // namespace
