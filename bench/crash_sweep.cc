@@ -435,9 +435,10 @@ runCellPoint(const CliOptions &opt, const Cell &c, std::uint64_t k)
 /**
  * Profile mode: run every cell twice — checkpointed and full-replay
  * audit — verify the reports are byte-identical, and record the speed
- * ratio and the checkpointed run's host time per point step. The optional gate compares against --speed-threshold with a
- * 250 ms noise floor (a full replay that finishes under the floor is
- * too small to time reliably).
+ * ratio and the checkpointed run's host time per point step. The
+ * optional gate compares against --speed-threshold with a 250 ms noise
+ * floor (a full replay that finishes under the floor is too small to
+ * time reliably).
  */
 int
 profileSweeps(const CliOptions &opt, const std::vector<Cell> &cells)

@@ -468,12 +468,9 @@ SweepTarget::runPoint(const SweepBase *base, std::uint64_t crash_point) const
     Clock::time_point last = Clock::now();
     auto lap = [&](PointStep step) {
         const Clock::time_point now = Clock::now();
-        stepNs[static_cast<std::size_t>(step)].fetch_add(
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    now - last)
-                    .count()),
-            std::memory_order_relaxed);
+        stepNs[static_cast<std::size_t>(step)] += static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(now - last)
+                .count());
         last = now;
     };
 
@@ -535,9 +532,7 @@ SweepTarget::stepMs() const
 {
     std::array<double, numPointSteps> ms{};
     for (std::size_t i = 0; i < numPointSteps; ++i)
-        ms[i] = static_cast<double>(
-                    stepNs[i].load(std::memory_order_relaxed)) /
-                1e6;
+        ms[i] = static_cast<double>(stepNs[i].load()) / 1e6;
     return ms;
 }
 
