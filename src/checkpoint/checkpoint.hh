@@ -15,13 +15,15 @@
  * checkpoints of a trace cost K page tables plus only the pages that
  * diverge between them (a shared-prefix chain), not K full heaps.
  *
- * The contract is bit-exactness: restoring a checkpoint into a
- * freshly constructed machine of the identical configuration and
- * continuing the run produces byte-identical PM images, stats
- * snapshots, and reports to a run that never checkpointed. The
- * in-memory form is what the crash sweeps fork from; toBytes() /
- * fromBytes() add a versioned, fingerprinted, CRC-protected portable
- * encoding used by the round-trip and rejection tests.
+ * The contract is bit-exactness: restoring a checkpoint into any
+ * machine of the identical configuration, freshly constructed or used
+ * (run on, crashed, left mid-transaction), and continuing the run
+ * produces byte-identical PM images, stats snapshots, and reports to
+ * a run that never checkpointed; each sweep thread restores every
+ * point it runs into its one machine. The in-memory form is what the
+ * crash sweeps fork from; toBytes() / fromBytes() add a versioned,
+ * fingerprinted, CRC-protected portable encoding used by the
+ * round-trip and rejection tests.
  *
  * A checkpoint is immutable after capture; shared_ptr page refcounts
  * are atomic, so any number of sweep workers may restore from the
@@ -57,9 +59,10 @@ class MachineCheckpoint
      * Restore into @p machine, which must be constructed with the
      * same SystemConfig the checkpoint was captured from (the
      * construction re-wires every sink/client pointer; restore only
-     * rewrites state). Throws CheckpointError on a
-     * configuration-fingerprint mismatch. The checkpoint remains
-     * valid and reusable.
+     * rewrites state) and may have run since: restore overwrites all
+     * of its state and keeps nothing of its past. Throws
+     * CheckpointError on a configuration-fingerprint mismatch. The
+     * checkpoint remains valid and reusable.
      */
     void restore(McMachine &machine) const;
 

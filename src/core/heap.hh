@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <iterator>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "checkpoint/serde.hh"
@@ -160,12 +159,16 @@ class PersistentHeap
     std::size_t
     rebuild(const std::vector<Addr> &reachable)
     {
-        std::unordered_map<Addr, bool> keep;
-        for (Addr a : reachable)
-            keep[a] = true;
+        // The table is in address order, so a sorted copy of the bases
+        // is walked beside it.
+        std::vector<Addr> keep(reachable);
+        std::sort(keep.begin(), keep.end());
+        auto k = keep.begin();
         std::size_t reclaimed = 0;
         for (auto it = live.begin(); it != live.end();) {
-            if (keep.count(it->first)) {
+            while (k != keep.end() && *k < it->first)
+                ++k;
+            if (k != keep.end() && *k == it->first) {
                 ++it;
             } else {
                 releaseRange(it->first, it->second.size);

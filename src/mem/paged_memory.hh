@@ -139,15 +139,20 @@ class PagedMemory
         return snap;
     }
 
-    /** Replace the contents with @p snap (pages shared, CoW). */
+    /**
+     * Replace the contents with @p snap (pages shared, CoW), whatever
+     * the store held before: the store of a used machine as well as a
+     * fresh one. Every snapshot page replaces the page it finds, and
+     * the clear drops the pages the snapshot lacks.
+     */
     void
     restore(const Snapshot &snap)
     {
         pages.clear();
         pages.reserve(snap.size());
         for (const auto &kv : snap)
-            pages.emplace(kv.first,
-                          std::const_pointer_cast<Page>(kv.second));
+            pages.insert_or_assign(kv.first,
+                                   std::const_pointer_cast<Page>(kv.second));
         dropCache();
     }
 

@@ -10,7 +10,8 @@
  * shard machines, counting store/storeT instructions in one *global*
  * ordinal space (the sum over shards). Its fork bases sit at request
  * boundaries and hold one MachineCheckpoint plus one workload clone
- * per shard. Each point replays the dispatch tail, arms the
+ * per shard, and the oracle's shadow of the requests before the
+ * boundary. Each point replays the dispatch tail, arms the
  * store-level crash on the shard executing the interrupted request,
  * and power-fails the *whole service* — every shard machine — at
  * exactly that store.

@@ -1373,7 +1373,8 @@ serviceCases()
                     c.workload = "hashtable";
                     c.key = caseKey(
                         c.workload, s,
-                        "s" + std::to_string(shards) + "/" +
+                        std::string("s").append(std::to_string(shards)) +
+                            "/" +
                             (zipf ? "zipf" : "uni") + "/" +
                             ycsbMixName(static_cast<YcsbMix>(mix)));
                     c.cfg.scheme = s;

@@ -44,9 +44,11 @@ expandMatrix(const MatrixSpec &spec)
                     std::string suffix;
                     if (spec.valueSizes.size() > 1)
                         suffix = std::to_string(vs) + "B";
-                    if (spec.pmWriteLatenciesNs.size() > 1)
-                        suffix += (suffix.empty() ? "" : "/") +
-                                  std::to_string(lat) + "ns";
+                    if (spec.pmWriteLatenciesNs.size() > 1) {
+                        if (!suffix.empty())
+                            suffix += "/";
+                        suffix += std::to_string(lat) + "ns";
+                    }
                     c.key = caseKey(workload, scheme, suffix);
                     cases.push_back(std::move(c));
                 }
@@ -108,7 +110,8 @@ runCases(std::vector<ExperimentCase> cases, std::size_t num_workers,
     // Each item writes only its own caller-owned slot, so the merged
     // result vector depends on the enumeration order alone, never on
     // the schedule.
-    runWorkStealing(num_workers, out.cases.size(), [&](std::size_t i) {
+    runWorkStealing(num_workers, out.cases.size(),
+                    [&](std::size_t, std::size_t i) {
         const ExperimentCase &c = out.cases[i];
         const auto start = std::chrono::steady_clock::now();
         try {

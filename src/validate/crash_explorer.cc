@@ -1,6 +1,7 @@
 #include "validate/crash_explorer.hh"
 
 #include <memory>
+#include <optional>
 
 #include "checkpoint/checkpoint.hh"
 #include "workloads/factory.hh"
@@ -69,8 +70,7 @@ class CoreTarget final : public SweepTarget
     {}
 
     std::uint64_t runMaster(MasterSink &sink) override;
-    std::unique_ptr<SweepPoint>
-    fork(const SweepBase *base, std::uint64_t crash_point) const override;
+    std::unique_ptr<SweepPoint> newPoint() const override;
 
     const CrashSweepConfig &cfg;
     const std::vector<YcsbMixedOp> trace;
@@ -114,20 +114,28 @@ CoreTarget::runMaster(MasterSink &sink)
 class CorePoint final : public SweepPoint
 {
   public:
-    CorePoint(const CoreTarget &target, const CoreBase *base,
-              std::uint64_t crash_point)
-        : target(target), sys(systemFor(target.cfg)),
-          crashPoint(crash_point)
+    explicit CorePoint(const CoreTarget &target) : target(target) {}
+
+    void
+    fork(const SweepBase *from, std::uint64_t crash_point) override
     {
+        crashPoint = crash_point;
+        const auto *base = static_cast<const CoreBase *>(from);
+        // A point with no base is the from-scratch reference: it runs
+        // on a fresh machine.
+        if (!base || !machine)
+            machine.emplace(systemFor(target.cfg));
         if (base) {
-            base->machine.restore(sys);
+            base->machine.restore(*machine);
             wl = base->workload->clone();
             shadow = base->shadow;
             nextOp = base->nextOp;
             armStores = crash_point > 0 ? crash_point - base->storesAt : 0;
         } else {
             wl = makeWorkload(target.cfg.workload);
-            wl->setup(sys);
+            wl->setup(*machine);
+            shadow.clear();
+            nextOp = 0;
             armStores = crash_point;
         }
     }
@@ -135,6 +143,7 @@ class CorePoint final : public SweepPoint
     bool
     tail(CrashPointOutcome &out) override
     {
+        PmSystem &sys = *machine;
         out.committedOps = nextOp;
         if (armStores > 0)
             sys.armCrashAfterStores(armStores);
@@ -162,9 +171,9 @@ class CorePoint final : public SweepPoint
     recover() override
     {
         const std::size_t replayed =
-            target.cfg.skipHardwareReplay ? 0 : sys.recoverHardware();
+            target.cfg.skipHardwareReplay ? 0 : machine->recoverHardware();
         if (!target.cfg.skipUserRecovery)
-            wl->recover(sys);
+            wl->recover(*machine);
         return replayed;
     }
 
@@ -173,7 +182,7 @@ class CorePoint final : public SweepPoint
     void
     check(OracleLines &lines) override
     {
-        checkShadow(sys, *wl, shadow, target.keys,
+        checkShadow(*machine, *wl, shadow, target.keys,
                     "uncommitted or removed", lines);
     }
 
@@ -182,7 +191,9 @@ class CorePoint final : public SweepPoint
     {
         insertContinuation(*wl, shadow, target.cfg.mix.seed, crashPoint,
                            ops, target.cfg.mix.valueBytes,
-                           [&](std::size_t) -> PmContext & { return sys; });
+                           [&](std::size_t) -> PmContext & {
+                               return *machine;
+                           });
     }
 
     void checkContinuation(OracleLines &lines) override { check(lines); }
@@ -190,30 +201,29 @@ class CorePoint final : public SweepPoint
     void
     statNames(std::vector<std::string> &names) const override
     {
-        flatNames(sys.stats(), names);
+        flatNames(machine->stats(), names);
     }
 
     void
     stats(std::vector<std::uint64_t> &values) const override
     {
-        flatValues(sys.stats(), values);
+        flatValues(machine->stats(), values);
     }
 
   private:
     const CoreTarget &target;
-    PmSystem sys;
-    const std::uint64_t crashPoint;
+    std::optional<PmSystem> machine;  //!< built by the first fork
     std::unique_ptr<Workload> wl;
     Shadow shadow;
+    std::uint64_t crashPoint = 0;
     std::size_t nextOp = 0;
     std::uint64_t armStores = 0;
 };
 
 std::unique_ptr<SweepPoint>
-CoreTarget::fork(const SweepBase *base, std::uint64_t crash_point) const
+CoreTarget::newPoint() const
 {
-    return std::make_unique<CorePoint>(
-        *this, static_cast<const CoreBase *>(base), crash_point);
+    return std::make_unique<CorePoint>(*this);
 }
 
 } // namespace
@@ -228,7 +238,8 @@ countTraceStores(const CrashSweepConfig &cfg)
 CrashPointOutcome
 runCrashPoint(const CrashSweepConfig &cfg, std::uint64_t crash_point)
 {
-    return CoreTarget(cfg).runPoint(nullptr, crash_point);
+    const CoreTarget target(cfg);
+    return target.runPoint(*target.newPoint(), nullptr, crash_point);
 }
 
 CrashSweepReport

@@ -1,6 +1,7 @@
 #include "multicore/mc_crash.hh"
 
 #include <memory>
+#include <optional>
 #include <ranges>
 
 #include "checkpoint/checkpoint.hh"
@@ -23,19 +24,28 @@ runConfigFor(const McCrashSweepConfig &cfg)
 struct McBase;
 
 /**
- * One interleaved run: a machine fresh from setup (or restored from
- * @p base) and one driver per core, all appending to one commit log.
+ * One interleaved run: a machine and one driver per core, all
+ * appending to one commit log.
  */
 struct Interleaving
 {
-    Interleaving(const McYcsbConfig &rc,
-                 const std::vector<std::vector<McOpRecord>> &streams,
-                 const McBase *base);
+    explicit Interleaving(const McYcsbConfig &rc) : machine(rc.sys)
+    {
+        if (rc.policy)
+            machine.setAnnotationPolicy(rc.policy);
+    }
+
+    /** Put the run at @p base, restored into this machine, or (with
+     *  nullptr) at its start: setup on this machine, which must then
+     *  be fresh. */
+    void start(const McYcsbConfig &rc,
+               const std::vector<std::vector<McOpRecord>> &streams,
+               const McBase *base);
 
     McMachine machine;
     std::unique_ptr<Workload> wl;
     std::vector<McOpRecord> commitLog;
-    std::vector<std::unique_ptr<McYcsbDriver>> drivers;
+    std::vector<McYcsbDriver> drivers;  //!< reserved: ptrs stay valid
     std::vector<McCoreDriver *> ptrs;
 };
 
@@ -50,7 +60,7 @@ struct McBase final : SweepBase
           sched(sched)
     {
         for (const auto &d : run.drivers)
-            cursors.push_back(d->position());
+            cursors.push_back(d.position());
     }
 
     const MachineCheckpoint machine;
@@ -60,14 +70,11 @@ struct McBase final : SweepBase
     const McScheduleState sched;
 };
 
-Interleaving::Interleaving(
-    const McYcsbConfig &rc,
-    const std::vector<std::vector<McOpRecord>> &streams,
-    const McBase *base)
-    : machine(rc.sys)
+void
+Interleaving::start(const McYcsbConfig &rc,
+                    const std::vector<std::vector<McOpRecord>> &streams,
+                    const McBase *base)
 {
-    if (rc.policy)
-        machine.setAnnotationPolicy(rc.policy);
     if (base) {
         // No setup(): the restore rewrites the whole machine (site
         // registry included) and the cloned workload carries the
@@ -78,13 +85,17 @@ Interleaving::Interleaving(
     } else {
         wl = makeWorkload(rc.workload);
         wl->setup(machine.context(0));
+        commitLog.clear();
     }
+    drivers.clear();
+    drivers.reserve(rc.numCores);
+    ptrs.clear();
     for (std::size_t i = 0; i < rc.numCores; ++i) {
-        drivers.push_back(std::make_unique<McYcsbDriver>(
-            machine.context(i), *wl, streams[i], commitLog));
+        drivers.emplace_back(machine.context(i), *wl, streams[i],
+                             commitLog);
         if (base)
-            drivers.back()->resumeAt(base->cursors[i]);
-        ptrs.push_back(drivers.back().get());
+            drivers.back().resumeAt(base->cursors[i]);
+        ptrs.push_back(&drivers.back());
     }
 }
 
@@ -99,8 +110,7 @@ class McTarget final : public SweepTarget
     {}
 
     std::uint64_t runMaster(MasterSink &sink) override;
-    std::unique_ptr<SweepPoint>
-    fork(const SweepBase *base, std::uint64_t crash_point) const override;
+    std::unique_ptr<SweepPoint> newPoint() const override;
 
     const McYcsbConfig rc;
     const std::vector<std::vector<McOpRecord>> streams;
@@ -125,7 +135,8 @@ class McTarget final : public SweepTarget
 std::uint64_t
 McTarget::runMaster(MasterSink &sink)
 {
-    Interleaving run(rc, streams, nullptr);
+    Interleaving run(rc);
+    run.start(rc, streams, nullptr);
     const std::uint64_t start = run.machine.storesExecuted();
     runInterleaved(run.machine, run.ptrs, rc.sched,
                    [&](const McScheduleState &st) {
@@ -144,32 +155,41 @@ McTarget::runMaster(MasterSink &sink)
 class McPoint final : public SweepPoint
 {
   public:
-    McPoint(const McTarget &target, const McBase *base,
-            std::uint64_t crash_point)
-        : target(target), base(base), crashPoint(crash_point),
-          run(target.rc, target.streams, base)
-    {}
+    explicit McPoint(const McTarget &target) : target(target) {}
+
+    void
+    fork(const SweepBase *from, std::uint64_t crash_point) override
+    {
+        base = static_cast<const McBase *>(from);
+        crashPoint = crash_point;
+        // A point with no base is the from-scratch reference: it runs
+        // on a fresh machine.
+        if (!base || !run)
+            run.emplace(target.rc);
+        run->start(target.rc, target.streams, base);
+        shadow.clear();
+    }
 
     bool
     tail(CrashPointOutcome &out) override
     {
-        McMachine &machine = run.machine;
+        McMachine &machine = run->machine;
         if (crashPoint > 0)
             machine.armCrashAfterStores(crashPoint -
                                         (base ? base->storesAt : 0));
         const McScheduleResult res =
-            base ? runInterleavedFrom(machine, run.ptrs, target.rc.sched,
+            base ? runInterleavedFrom(machine, run->ptrs, target.rc.sched,
                                       base->sched)
-                 : runInterleaved(machine, run.ptrs, target.rc.sched);
+                 : runInterleaved(machine, run->ptrs, target.rc.sched);
         machine.armCrashAfterStores(0);
         out.fired = res.crashed;
-        out.committedOps = run.commitLog.size();
+        out.committedOps = run->commitLog.size();
 
         // Power off after the run when the armed point never fired
         // (or for the explicit post-completion sentinel).
         if (!res.crashed)
             machine.crash();
-        for (const auto &op : run.commitLog)
+        for (const auto &op : run->commitLog)
             shadow[op.key] = op.value;
         return true;
     }
@@ -179,15 +199,15 @@ class McPoint final : public SweepPoint
     std::size_t
     recover() override
     {
-        const std::size_t replayed = run.machine.recover();
-        run.wl->recover(run.machine.context(0));
+        const std::size_t replayed = run->machine.recover();
+        run->wl->recover(run->machine.context(0));
         return replayed;
     }
 
     void
     check(OracleLines &lines) override
     {
-        checkShadow(run.machine, *run.wl, shadow, target.keys,
+        checkShadow(run->machine, *run->wl, shadow, target.keys,
                     "uncommitted", lines);
     }
 
@@ -195,10 +215,10 @@ class McPoint final : public SweepPoint
     void
     continueRun(std::size_t ops) override
     {
-        insertContinuation(*run.wl, shadow, target.rc.seed, crashPoint, ops,
+        insertContinuation(*run->wl, shadow, target.rc.seed, crashPoint, ops,
                            target.rc.valueBytes,
                            [&](std::size_t i) -> PmContext & {
-                               return run.machine.context(
+                               return run->machine.context(
                                    i % target.rc.numCores);
                            });
     }
@@ -208,28 +228,27 @@ class McPoint final : public SweepPoint
     void
     statNames(std::vector<std::string> &names) const override
     {
-        flatNames(run.machine, names);
+        flatNames(run->machine, names);
     }
 
     void
     stats(std::vector<std::uint64_t> &values) const override
     {
-        flatValues(run.machine, values);
+        flatValues(run->machine, values);
     }
 
   private:
     const McTarget &target;
-    const McBase *const base;
-    const std::uint64_t crashPoint;
-    Interleaving run;
+    const McBase *base = nullptr;
+    std::uint64_t crashPoint = 0;
+    std::optional<Interleaving> run;  //!< built by the first fork
     Shadow shadow;
 };
 
 std::unique_ptr<SweepPoint>
-McTarget::fork(const SweepBase *base, std::uint64_t crash_point) const
+McTarget::newPoint() const
 {
-    return std::make_unique<McPoint>(
-        *this, static_cast<const McBase *>(base), crash_point);
+    return std::make_unique<McPoint>(*this);
 }
 
 } // namespace
@@ -244,7 +263,8 @@ countMcTraceStores(const McCrashSweepConfig &cfg)
 McCrashPointOutcome
 runMcCrashPoint(const McCrashSweepConfig &cfg, std::uint64_t crash_point)
 {
-    return McTarget(cfg).runPoint(nullptr, crash_point);
+    const McTarget target(cfg);
+    return target.runPoint(*target.newPoint(), nullptr, crash_point);
 }
 
 McCrashSweepReport

@@ -1,7 +1,8 @@
 #include "service/service_crash.hh"
 
+#include <algorithm>
 #include <memory>
-#include <set>
+#include <unordered_set>
 
 #include "checkpoint/checkpoint.hh"
 #include "common/rng.hh"
@@ -28,7 +29,62 @@ struct ShadowValue
     std::uint32_t valueBytes = 0;
 };
 
-using SvcShadow = std::map<std::uint64_t, ShadowValue>;
+/** The committed keys with their value recipes, in key order: a flat
+ *  array, so a base holds it compactly and a fork copies it in one
+ *  block. */
+using SvcShadow = std::vector<std::pair<std::uint64_t, ShadowValue>>;
+
+/** Where @p key sits in @p shadow: the first entry not below it. */
+template <typename Shadow>
+auto
+shadowSlot(Shadow &shadow, std::uint64_t key)
+{
+    return std::lower_bound(
+        shadow.begin(), shadow.end(), key,
+        [](const auto &entry, std::uint64_t k) { return entry.first < k; });
+}
+
+bool
+inShadow(const SvcShadow &shadow, std::uint64_t key)
+{
+    const auto it = shadowSlot(shadow, key);
+    return it != shadow.end() && it->first == key;
+}
+
+/** Record a completed dispatch op in @p shadow. */
+void
+commitToShadow(SvcShadow &shadow, const ShardOp &op)
+{
+    if (!op.isMutation())
+        return;
+    const ShadowValue value{op.valueSalt, op.valueBytes};
+    const auto it = shadowSlot(shadow, op.key);
+    if (it != shadow.end() && it->first == op.key)
+        it->second = value;
+    else
+        shadow.insert(it, {op.key, value});
+}
+
+/** One key's first mutating dispatch op. */
+struct FirstWrite
+{
+    std::size_t index = 0;
+    std::uint64_t key = 0;
+};
+
+/** Every mutated key's first mutating dispatch op, in dispatch order. */
+std::vector<FirstWrite>
+firstWritesOf(const std::vector<DispatchOp> &dispatch)
+{
+    std::vector<FirstWrite> first;
+    std::unordered_set<std::uint64_t> seen;
+    for (std::size_t i = 0; i < dispatch.size(); ++i) {
+        const ShardOp &op = dispatch[i].op;
+        if (op.isMutation() && seen.insert(op.key).second)
+            first.push_back({i, op.key});
+    }
+    return first;
+}
 
 SystemConfig
 shardSysConfig(const ServiceCrashConfig &cfg)
@@ -106,17 +162,18 @@ struct ShardSet
 
 /** Fresh machines; setup() runs when @p with_setup (restores skip it:
  *  the checkpoint rewrites the whole machine and the cloned workload
- *  carries the roots). */
+ *  carries the roots, so the workload slots stay empty). */
 ShardSet
 makeShards(const ServiceCrashConfig &cfg, bool with_setup)
 {
     ShardSet set;
     const SystemConfig sys = shardSysConfig(cfg);
+    set.workloads.resize(cfg.numShards);
     for (std::size_t s = 0; s < cfg.numShards; ++s) {
         set.machines.push_back(std::make_unique<McMachine>(sys));
         if (with_setup) {
-            set.workloads.push_back(makeWorkload(cfg.workload));
-            set.workloads.back()->setup(set.machines[s]->context(0));
+            set.workloads[s] = makeWorkload(cfg.workload);
+            set.workloads[s]->setup(set.machines[s]->context(0));
         }
     }
     set.baseStores = set.rawStores();
@@ -124,10 +181,13 @@ makeShards(const ServiceCrashConfig &cfg, bool with_setup)
 }
 
 /** A base at a request boundary: every shard machine and workload
- *  captured before dispatch op opIndex. */
+ *  captured before dispatch op opIndex, and the shadow of the ops
+ *  before it. */
 struct SvcBase final : SweepBase
 {
-    SvcBase(const ShardSet &set, std::size_t op_index) : opIndex(op_index)
+    SvcBase(const ShardSet &set, const SvcShadow &shadow,
+            std::size_t op_index)
+        : shadow(shadow), opIndex(op_index)
     {
         for (std::size_t s = 0; s < set.machines.size(); ++s) {
             machines.push_back(MachineCheckpoint::capture(*set.machines[s]));
@@ -137,6 +197,7 @@ struct SvcBase final : SweepBase
 
     std::vector<MachineCheckpoint> machines;
     std::vector<std::unique_ptr<const Workload>> workloads;
+    const SvcShadow shadow;
     const std::size_t opIndex;
 };
 
@@ -171,7 +232,7 @@ checkState(ShardSet &set, const ShardRouter &router, const SvcShadow &shadow,
         // The interrupted request may atomically add one key.
         const std::size_t n = wl.count(view);
         const bool slack = interrupted_mutation &&
-                           !shadow.count(ikey) &&
+                           !inShadow(shadow, ikey) &&
                            router.shardOf(ikey) == s;
         if (n != expected_counts[s] &&
             !(slack && n == expected_counts[s] + 1))
@@ -233,15 +294,20 @@ class ServiceTarget final : public SweepTarget
     explicit ServiceTarget(const ServiceCrashConfig &cfg)
         : SweepTarget(identity(cfg),
                       cfg.load.seed ^ 0x5e4'71ce'c4a5'4f1eULL),
-          cfg(cfg), dispatch(buildDispatch(cfg, svcGenerate(cfg.load)))
+          cfg(cfg), dispatch(buildDispatch(cfg, svcGenerate(cfg.load))),
+          firstWrites(firstWritesOf(dispatch))
     {}
 
     std::uint64_t runMaster(MasterSink &sink) override;
-    std::unique_ptr<SweepPoint>
-    fork(const SweepBase *base, std::uint64_t crash_point) const override;
+    std::unique_ptr<SweepPoint> newPoint() const override;
 
     const ServiceCrashConfig &cfg;
     const std::vector<DispatchOp> dispatch;
+
+    /** Every mutated key's first write, by dispatch index: a point's
+     *  absent keys are the ones first written at or after its
+     *  completed prefix. */
+    const std::vector<FirstWrite> firstWrites;
 
     /**
      * Global stores completed before dispatch op i, written by the
@@ -270,14 +336,16 @@ std::uint64_t
 ServiceTarget::runMaster(MasterSink &sink)
 {
     ShardSet set = makeShards(cfg, true);
+    SvcShadow shadow;
     opStart.assign(dispatch.size() + 1, 0);
     for (std::size_t i = 0; i < dispatch.size(); ++i) {
         const std::uint64_t stores = set.globalStores();
         opStart[i] = stores;
         sink.boundary(stores, sink.wantsBase(stores)
-                                  ? std::make_unique<SvcBase>(set, i)
+                                  ? std::make_unique<SvcBase>(set, shadow, i)
                                   : nullptr);
         set.replay(dispatch, i, i + 1);
+        commitToShadow(shadow, dispatch[i].op);
     }
     opStart.back() = set.globalStores();
     return opStart.back();
@@ -292,19 +360,33 @@ ServiceTarget::runMaster(MasterSink &sink)
 class SvcPoint final : public SweepPoint
 {
   public:
-    SvcPoint(const ServiceTarget &target, const SvcBase *base,
-             std::uint64_t crash_point)
-        : target(target), router(target.cfg.numShards, target.cfg.routerSalt),
-          set(makeShards(target.cfg, base == nullptr)),
-          crashPoint(crash_point)
+    explicit SvcPoint(const ServiceTarget &target)
+        : target(target), router(target.cfg.numShards, target.cfg.routerSalt)
+    {}
+
+    void
+    fork(const SweepBase *from, std::uint64_t crash_point) override
     {
+        const auto *base = static_cast<const SvcBase *>(from);
+        crashPoint = crash_point;
+        // A point with no base is the from-scratch reference: it runs
+        // on fresh machines.
+        if (!base || set.machines.empty())
+            set = makeShards(target.cfg, base == nullptr);
         if (base) {
             for (std::size_t s = 0; s < target.cfg.numShards; ++s) {
-                set.workloads.push_back(base->workloads[s]->clone());
+                set.workloads[s] = base->workloads[s]->clone();
                 base->machines[s].restore(*set.machines[s]);
             }
+            shadow = base->shadow;
             at = base->opIndex;
+        } else {
+            shadow.clear();
+            at = 0;
         }
+        interrupted = nullptr;
+        absent.clear();
+        fresh.clear();
     }
 
     bool
@@ -350,24 +432,23 @@ class SvcPoint final : public SweepPoint
         for (auto &machine : set.machines)
             machine->crash();
 
-        for (std::size_t i = 0; i < completed; ++i) {
-            const ShardOp &op = dispatch[i].op;
-            if (op.isMutation())
-                shadow[op.key] = {op.valueSalt, op.valueBytes};
-        }
+        for (std::size_t i = at; i < completed; ++i)
+            commitToShadow(shadow, dispatch[i].op);
 
         // Keys no completed (or interrupted) request ever wrote must
-        // not surface.
-        std::set<std::uint64_t> future;
-        for (std::size_t i = completed; i < dispatch.size(); ++i)
-            if (dispatch[i].op.isMutation())
-                future.insert(dispatch[i].op.key);
-        for (std::uint64_t key : future) {
-            if (!shadow.count(key) &&
-                !(interrupted && interrupted->op.isMutation() &&
-                  interrupted->op.key == key))
-                absent.push_back(key);
+        // not surface: those first written at or after the completed
+        // prefix, but for the interrupted request's own key. Ascending,
+        // like the violation lines.
+        const auto &first = target.firstWrites;
+        for (auto it = std::partition_point(
+                 first.begin(), first.end(),
+                 [&](const FirstWrite &w) { return w.index < completed; });
+             it != first.end(); ++it) {
+            if (!(interrupted && interrupted->op.isMutation() &&
+                  interrupted->op.key == it->key))
+                absent.push_back(it->key);
         }
+        std::sort(absent.begin(), absent.end());
         return crashPoint == 0 || out.fired;
     }
 
@@ -431,8 +512,8 @@ class SvcPoint final : public SweepPoint
   private:
     const ServiceTarget &target;
     const ShardRouter router;
-    ShardSet set;
-    const std::uint64_t crashPoint;
+    ShardSet set;  //!< machines built by the first fork
+    std::uint64_t crashPoint = 0;
     std::size_t at = 0;  //!< first dispatch op the tail applies
     const DispatchOp *interrupted = nullptr;
     SvcShadow shadow;
@@ -441,10 +522,9 @@ class SvcPoint final : public SweepPoint
 };
 
 std::unique_ptr<SweepPoint>
-ServiceTarget::fork(const SweepBase *base, std::uint64_t crash_point) const
+ServiceTarget::newPoint() const
 {
-    return std::make_unique<SvcPoint>(
-        *this, static_cast<const SvcBase *>(base), crash_point);
+    return std::make_unique<SvcPoint>(*this);
 }
 
 } // namespace
@@ -456,7 +536,7 @@ runServiceCrashPoint(const ServiceCrashConfig &cfg,
     // The from-scratch point needs the master's op boundaries.
     ServiceTarget target(cfg);
     countStores(target);
-    return target.runPoint(nullptr, crash_point);
+    return target.runPoint(*target.newPoint(), nullptr, crash_point);
 }
 
 ServiceCrashSweepReport

@@ -396,7 +396,9 @@ runPipelined(SweepTarget &target, const SweepOptions &opts,
     std::map<std::uint64_t, CrashPointOutcome> results;
     std::atomic<std::uint64_t> ticket{1};
 
+    // Each call is one thread's tail loop, with that thread's point.
     auto tail = [&]() {
+        const std::unique_ptr<SweepPoint> own = target.newPoint();
         for (;;) {
             const std::uint64_t k = ticket.fetch_add(1);
             std::uint64_t point = k;
@@ -417,7 +419,7 @@ runPipelined(SweepTarget &target, const SweepOptions &opts,
                 }
                 base = chain.baseFor(point);
             }
-            CrashPointOutcome out = target.runPoint(base, point);
+            CrashPointOutcome out = target.runPoint(*own, base, point);
             std::lock_guard<std::mutex> lock(results_mtx);
             results[point] = std::move(out);
             if (point == 0)
@@ -457,7 +459,8 @@ runPipelined(SweepTarget &target, const SweepOptions &opts,
 } // namespace
 
 CrashPointOutcome
-SweepTarget::runPoint(const SweepBase *base, std::uint64_t crash_point) const
+SweepTarget::runPoint(SweepPoint &point, const SweepBase *base,
+                      std::uint64_t crash_point) const
 {
     CrashPointOutcome out;
     out.crashPoint = crash_point;
@@ -475,23 +478,23 @@ SweepTarget::runPoint(const SweepBase *base, std::uint64_t crash_point) const
     };
 
     try {
-        std::unique_ptr<SweepPoint> point = fork(base, crash_point);
+        point.fork(base, crash_point);
         lap(PointStep::Fork);
-        if (!point->tail(out))
+        if (!point.tail(out))
             out.violations.push_back(
                 tuple + " armed crash did not fire (stores at " +
                 std::to_string(base ? base->storesAt : 0) + ")");
         lap(PointStep::Tail);
 
-        out.replayedRecords = point->recover();
+        out.replayedRecords = point.recover();
         lap(PointStep::Recover);
         OracleLines post(tuple, "post-recovery", out.violations);
-        point->check(post);
+        point.check(post);
         lap(PointStep::Oracle);
 
         // Recovery must be idempotent: a second replay finds an empty
         // log and a second user-level pass changes nothing.
-        const std::size_t again = point->recover();
+        const std::size_t again = point.recover();
         lap(PointStep::Recover);
         if (again != 0)
             out.violations.push_back(
@@ -499,27 +502,24 @@ SweepTarget::runPoint(const SweepBase *base, std::uint64_t crash_point) const
                 " idempotence: second hardware recovery replayed " +
                 std::to_string(again) + " records");
         OracleLines idem(tuple, "idempotence", out.violations);
-        point->check(idem);
+        point.check(idem);
         lap(PointStep::Oracle);
 
         // The recovered structure must keep working.
-        point->continueRun(continuationOps);
+        point.continueRun(continuationOps);
         lap(PointStep::Continue);
         OracleLines cont(tuple, "continuation", out.violations);
-        point->checkContinuation(cont);
+        point.checkContinuation(cont);
         lap(PointStep::Oracle);
 
-        const std::vector<std::string> &table = statTable(*point);
+        const std::vector<std::string> &table = statTable(point);
         out.stats.reserve(table.size());
-        point->stats(out.stats);
+        point.stats(out.stats);
         if (out.stats.size() != table.size())
             panic("point dumped " + std::to_string(out.stats.size()) +
                   " stats values for the sweep's " +
                   std::to_string(table.size()) + " names");
         lap(PointStep::Stats);
-
-        point.reset();
-        lap(PointStep::Teardown);
     } catch (const std::exception &e) {
         out.stats.clear();
         out.violations.push_back(tuple + " exception: " + e.what());
@@ -575,10 +575,16 @@ runSweep(SweepTarget &target, const SweepOptions &opts)
         const auto points =
             enumeratePoints(report.traceStores, opts, target.pointSeed);
         report.points.resize(points.size());
-        runWorkStealing(workers, points.size(), [&](std::size_t i) {
-            report.points[i] =
-                target.runPoint(chain.baseFor(points[i]), points[i]);
-        });
+        // One point per worker, built by the worker on first use.
+        std::vector<std::unique_ptr<SweepPoint>> own(workers);
+        runWorkStealing(workers, points.size(),
+                        [&](std::size_t worker, std::size_t i) {
+                            if (!own[worker])
+                                own[worker] = target.newPoint();
+                            report.points[i] = target.runPoint(
+                                *own[worker], chain.baseFor(points[i]),
+                                points[i]);
+                        });
     }
     const auto t1 = std::chrono::steady_clock::now();
     report.statNames = target.statNames();

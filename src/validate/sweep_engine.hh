@@ -28,6 +28,11 @@
  *    the frontier reaches k, so both paths give identical outcomes;
  *  - the from-scratch audit path (useCheckpoints = false): the master
  *    captures nothing and every point runs with no base;
+ *  - the points themselves: one per thread on every path (the calling
+ *    thread, each work-stealing worker, each pipelined tail thread),
+ *    re-forked in place for every crash point the thread runs, so a
+ *    point costs only the work it does and no machine is built or torn
+ *    down per point once a thread has its first;
  *  - every point's pipeline after its tail run: the engine stamps the
  *    crash point and its repro tuple, then runs recovery, the
  *    post-recovery oracle, a second recovery that must replay nothing,
@@ -42,10 +47,10 @@
  *
  * A target supplies only what differs: the master run, which reports
  * its op or quantum boundaries and captures an immutable base when
- * asked; a fork of one point from a base (or from scratch), whose tail
- * runs up to and including the power failure; the point's recover,
- * check, continue and stats primitives; and the fields of its repro
- * tuple.
+ * asked; a point that re-forks itself from a base (or from scratch),
+ * whose tail runs up to and including the power failure; the point's
+ * recover, check, continue and stats primitives; and the fields of its
+ * repro tuple.
  *
  * `workers` is the total thread count on every path, the calling
  * thread included: 1 starts no thread at all, and the pipelined path
@@ -114,20 +119,19 @@ struct SweepOptions
  *  inserts. */
 enum class PointStep : std::size_t
 {
-    Fork,      //!< build the point's machine from its base
+    Fork,      //!< re-fork the thread's point from its base
     Tail,      //!< the run up to and including the power failure
     Recover,   //!< hardware log replay and user-level recovery
     Oracle,    //!< the recovered structure against the committed state
     Continue,  //!< the continuation inserts
     Stats,     //!< the machine counters' dump
-    Teardown,  //!< destroying the point's machine
 };
 
-inline constexpr std::size_t numPointSteps = 7;
+inline constexpr std::size_t numPointSteps = 6;
 
 /** Lower-case step names, by PointStep. */
 inline constexpr std::array<const char *, numPointSteps> pointStepNames = {
-    "fork", "tail", "recover", "oracle", "continue", "stats", "teardown"};
+    "fork", "tail", "recover", "oracle", "continue", "stats"};
 
 /** Outcome of one explored crash point. */
 struct CrashPointOutcome
@@ -332,14 +336,27 @@ class MasterSink
 };
 
 /**
- * One crash point forked from a base (or from scratch): the machine
- * state a target's primitives act on while the engine drives the point
- * (SweepTarget::runPoint).
+ * One sweep thread's crash point: its machine(s), the cloned workload,
+ * the shadow and its per-point scratch, which a target's primitives
+ * act on while the engine drives the point (SweepTarget::runPoint).
+ * The engine keeps one per thread and re-forks it for every crash
+ * point the thread runs.
  */
 class SweepPoint
 {
   public:
     virtual ~SweepPoint() = default;
+
+    /**
+     * Become crash point @p crash_point forked from @p base: restore
+     * the base into the machines the point already has (building them
+     * on first use), copy the base's host state into the point's
+     * containers and reset every per-point field, so nothing a
+     * previous point left behind, even one that threw mid-tail, is
+     * seen. With no base (nullptr) the point builds fresh machines and
+     * runs setup, as a from-scratch reference must.
+     */
+    virtual void fork(const SweepBase *base, std::uint64_t crash_point) = 0;
 
     /**
      * Run the tail up to and including the power failure, recording
@@ -397,14 +414,15 @@ class SweepTarget
      */
     virtual std::uint64_t runMaster(MasterSink &sink) = 0;
 
-    /** Fork crash point @p crash_point from @p base (nullptr: from
-     *  scratch). Called concurrently from many threads. */
-    virtual std::unique_ptr<SweepPoint>
-    fork(const SweepBase *base, std::uint64_t crash_point) const = 0;
+    /** A new point, not yet forked; building it must be cheap (its
+     *  machines come with its first fork). Called concurrently from
+     *  many threads, once per sweep thread. */
+    virtual std::unique_ptr<SweepPoint> newPoint() const = 0;
 
-    /** Run crash point @p crash_point forked from @p base through its
-     *  tail, recovery and every oracle phase. */
-    CrashPointOutcome runPoint(const SweepBase *base,
+    /** Re-fork @p point as crash point @p crash_point from @p base
+     *  (nullptr: from scratch) and run it through its tail, recovery
+     *  and every oracle phase. */
+    CrashPointOutcome runPoint(SweepPoint &point, const SweepBase *base,
                                std::uint64_t crash_point) const;
 
     /** The sweep's stat-name table, built from the first point that

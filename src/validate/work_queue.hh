@@ -2,8 +2,9 @@
  * @file
  * Work-stealing thread pool for the crash-point sweep.
  *
- * Crash points are fully independent — each owns its own simulated
- * machine — so the sweep is embarrassingly parallel, but per-point
+ * Crash points are fully independent — each worker re-forks its own
+ * simulated machine for every point it runs, and no point reads
+ * another's — so the sweep is embarrassingly parallel, but per-point
  * runtime varies by an order of magnitude (a crash at store #3 replays
  * almost nothing; one at store #900 replays the whole trace). Static
  * partitioning would leave late-point workers dominating the wall
@@ -74,18 +75,21 @@ class StealableQueue
 };
 
 /**
- * Run @p fn(item) for every item in [0, num_items) on @p num_workers
- * threads with work stealing. Blocks until all items complete. The
- * callable must be thread-safe across distinct items and must not
- * throw (wrap and record failures per item instead).
+ * Run @p fn(worker, item) for every item in [0, num_items) on
+ * @p num_workers threads with work stealing; @p worker names the
+ * thread running the item (0 when the items run on the calling
+ * thread, else an index below num_workers), so per-worker state needs
+ * no lock. Blocks until all items complete. The callable must be
+ * thread-safe across distinct workers and must not throw (wrap and
+ * record failures per item instead).
  */
 inline void
 runWorkStealing(std::size_t num_workers, std::size_t num_items,
-                const std::function<void(std::size_t)> &fn)
+                const std::function<void(std::size_t, std::size_t)> &fn)
 {
     if (num_workers <= 1 || num_items <= 1) {
         for (std::size_t i = 0; i < num_items; ++i)
-            fn(i);
+            fn(0, i);
         return;
     }
 
@@ -97,7 +101,7 @@ runWorkStealing(std::size_t num_workers, std::size_t num_items,
         std::size_t item;
         for (;;) {
             if (queues[self].popBack(&item)) {
-                fn(item);
+                fn(self, item);
                 continue;
             }
             // Steal from the victim with the most pending work.
@@ -118,7 +122,7 @@ runWorkStealing(std::size_t num_workers, std::size_t num_items,
                 break;
             // A lost race against another thief: rescan for a victim.
             if (queues[victim].stealFront(&item))
-                fn(item);
+                fn(self, item);
         }
     };
 

@@ -3,17 +3,18 @@
  * Machine checkpoint/restore correctness.
  *
  * The contract under test is bit-exactness: restoring a checkpoint
- * into a freshly constructed machine and continuing the run must be
- * indistinguishable — byte-identical PM and DRAM images, identical
- * stats registries — from the run that never checkpointed. The fuzz
- * crosses all seven schemes with both logging styles on the
- * one-core PmSystem, and 1/2/4-core interleaved runs on the
- * McMachine (checkpointed at a scheduler quantum boundary and resumed
- * through runInterleavedFrom; a PmSystem master must resume on a
- * plain one-core McMachine). The portable encoding must round-trip
- * through bytes and through a file, and reject corruption,
- * truncation, version skew, configuration mismatches, and the retired
- * single-core blob tag.
+ * into a freshly constructed machine, or into a used one, and
+ * continuing the run must be indistinguishable — byte-identical PM
+ * and DRAM images, identical stats registries — from the run that
+ * never checkpointed. The fuzz crosses all seven schemes with both
+ * logging styles on the one-core PmSystem, and 1/2/4-core interleaved
+ * runs on the McMachine (checkpointed at scheduler quantum boundaries
+ * and resumed through runInterleavedFrom; a PmSystem master must
+ * resume on a plain one-core McMachine). Every mark is restored into a
+ * fresh machine and into one used machine (usedHistory()). The
+ * portable encoding must round-trip through bytes and through a file,
+ * and reject corruption, truncation, version skew, configuration
+ * mismatches, and the retired single-core blob tag.
  *
  * The CheckpointAudit suite is the cross-mode oracle the
  * checkpoint-audit ctest preset runs: a checkpointed sweep's JSON
@@ -96,10 +97,40 @@ const std::pair<SchemeKind, const char *> schemeWorkloads[] = {
 };
 
 /**
+ * What a sweep point leaves in its machine, finished on @p machine
+ * after a tail that crashed mid-transaction (the armed countdown
+ * fired): recovery and a fresh insert on core @p core; junk made
+ * durable in a PM page no run touches (the heap's last line); then one
+ * more transaction, left open with a logged store in flight. A
+ * restore into this machine must leave none of it behind.
+ */
+void
+usedHistory(McMachine &machine, Workload &wl, std::size_t core)
+{
+    machine.armCrashAfterStores(0);
+    machine.recover();
+    wl.recover(machine.context(core));
+    PmContext &ctx = machine.context(core);
+    wl.insert(ctx, 2 * 0x5eed, std::vector<std::uint8_t>(40, 0xa5));
+
+    const std::vector<std::uint8_t> junk(cacheLineSize, 0x3c);
+    const PersistentHeap &heap = machine.heap();
+    ctx.txBegin();
+    ctx.writeBytes(heap.base() + heap.size() - cacheLineSize, junk.data(),
+                   junk.size());
+    ctx.txCommit();
+    machine.quiesce();
+    ctx.txBegin();
+    ctx.writeBytes(heap.base(), junk.data(), junk.size());
+}
+
+/**
  * One single-core fuzz round: run a mixed trace, checkpointing at
  * one third and two thirds; continue to the end for the reference
  * state; then restore each checkpoint into a fresh machine, replay
- * its tail, and demand identical final images and stats.
+ * its tail, and demand identical final images and stats. Then restore
+ * each checkpoint again into one used machine (usedHistory()) and
+ * demand the same.
  */
 void
 fuzzSingleCore(SchemeKind scheme, const std::string &workload,
@@ -124,45 +155,72 @@ fuzzSingleCore(SchemeKind scheme, const std::string &workload,
         MachineCheckpoint ckpt;
         std::unique_ptr<Workload> wl;
         std::size_t nextOp;
+        std::uint64_t stores;  //!< stores executed at capture
     };
     std::vector<Mark> marks;
 
     for (std::size_t i = 0; i < trace.size(); ++i) {
         if (i == trace.size() / 3 || i == 2 * trace.size() / 3)
             marks.push_back(Mark{MachineCheckpoint::capture(master),
-                                 wl->clone(), i});
+                                 wl->clone(), i,
+                                 master.engine().storesExecuted()});
         applyOp(master, *wl, trace[i]);
     }
 
     const Image ref_pm = imageOf(master.pm().memory());
     const Image ref_dram = imageOf(master.dram().memory());
     const StatsSnapshot ref_stats = master.stats().snapshot();
+    const std::uint64_t ref_stores = master.engine().storesExecuted();
     ASSERT_FALSE(ref_pm.empty());
+
+    // Restore @p mark into @p machine, replay its tail and compare.
+    auto expectTail = [&](PmSystem &machine, const Mark &mark,
+                          const char *into) {
+        mark.ckpt.restore(machine);
+        auto fwl = mark.wl->clone();
+        for (std::size_t i = mark.nextOp; i < trace.size(); ++i)
+            applyOp(machine, *fwl, trace[i]);
+
+        EXPECT_TRUE(imageOf(machine.pm().memory()) == ref_pm)
+            << "PM image diverged after restore at op " << mark.nextOp
+            << " into a " << into << " machine";
+        EXPECT_TRUE(imageOf(machine.dram().memory()) == ref_dram)
+            << "DRAM image diverged after restore at op " << mark.nextOp
+            << " into a " << into << " machine";
+        EXPECT_EQ(machine.stats().snapshot(), ref_stats) << into;
+    };
 
     for (const Mark &mark : marks) {
         PmSystem forked(sc);
-        mark.ckpt.restore(forked);
-        auto fwl = mark.wl->clone();
-        for (std::size_t i = mark.nextOp; i < trace.size(); ++i)
-            applyOp(forked, *fwl, trace[i]);
+        expectTail(forked, mark, "fresh");
+    }
 
-        EXPECT_TRUE(imageOf(forked.pm().memory()) == ref_pm)
-            << "PM image diverged after restore at op " << mark.nextOp;
-        EXPECT_TRUE(imageOf(forked.dram().memory()) == ref_dram)
-            << "DRAM image diverged after restore at op "
-            << mark.nextOp;
-        EXPECT_EQ(forked.stats().snapshot(), ref_stats);
+    PmSystem used(sc);
+    for (std::size_t m = 0; m < marks.size(); ++m) {
+        const Mark &other = marks[(m + 1) % marks.size()];
+        other.ckpt.restore(used);
+        auto owl = other.wl->clone();
+        used.armCrashAfterStores((ref_stores - other.stores) / 2 + 1);
+        try {
+            for (std::size_t i = other.nextOp; i < trace.size(); ++i)
+                applyOp(used, *owl, trace[i]);
+        } catch (const CrashInjected &) {
+        }
+        usedHistory(used, *owl, 0);
+        expectTail(used, marks[m], "used");
     }
 }
 
 /**
  * One multicore fuzz round: interleave per-core YCSB streams,
  * checkpointing (machine + cursors + commit log + scheduler
- * registers) at a quantum boundary; run the master out for the
- * reference; then restore into a fresh McMachine, resume with
+ * registers) at two quantum boundaries; run the master out for the
+ * reference; then restore each into a fresh McMachine, resume with
  * runInterleavedFrom, and demand identical final images and merged
- * stats. With @p pm_system_master the one-core master is a PmSystem,
- * whose checkpoint must resume on the plain McMachine.
+ * stats. Then restore each again into one used machine
+ * (usedHistory()) and demand the same. With @p pm_system_master the
+ * one-core master is a PmSystem, whose checkpoint must resume on the
+ * plain McMachine.
  */
 void
 fuzzMultiCore(SchemeKind scheme, LoggingStyle style,
@@ -205,51 +263,79 @@ fuzzMultiCore(SchemeKind scheme, LoggingStyle style,
         std::vector<std::size_t> cursors;
         std::size_t logSize = 0;
         McScheduleState sched;
+        std::uint64_t stores = 0;  //!< stores executed at capture
     };
     std::vector<Mark> marks;
 
     runInterleaved(master, ptrs, rc.sched,
                    [&](const McScheduleState &st) {
-                       if (st.quanta != 2)
+                       if (st.quanta != 1 && st.quanta != 2)
                            return;
                        Mark m{MachineCheckpoint::capture(master),
                               wl->clone(),
                               {},
                               commit_log.size(),
-                              st};
+                              st,
+                              master.storesExecuted()};
                        for (const auto &d : drivers)
                            m.cursors.push_back(d->position());
                        marks.push_back(std::move(m));
                    });
-    ASSERT_EQ(marks.size(), 1u) << "run too short to hit quantum 2";
+    ASSERT_EQ(marks.size(), 2u) << "run too short to hit quantum 2";
 
     const Image ref_pm = imageOf(master.pm().memory());
+    const Image ref_dram = imageOf(master.dram().memory());
     const StatsSnapshot ref_stats = master.snapshot();
     const std::size_t ref_log = commit_log.size();
+    const std::uint64_t ref_stores = master.storesExecuted();
 
-    const Mark &mark = marks.front();
-    McMachine forked(sys_cfg);
-    auto fwl = mark.wl->clone();
-    mark.ckpt.restore(forked);
+    // Restore @p mark into @p machine and resume its interleaving with
+    // @p arm stores to go (0: none); returns the workload clone.
+    std::vector<McOpRecord> flog;
+    auto resume = [&](McMachine &machine, const Mark &mark,
+                      std::uint64_t arm) {
+        auto fwl = mark.wl->clone();
+        mark.ckpt.restore(machine);
+        flog.assign(commit_log.begin(),
+                    commit_log.begin() +
+                        static_cast<std::ptrdiff_t>(mark.logSize));
+        std::vector<std::unique_ptr<McYcsbDriver>> fdrivers;
+        std::vector<McCoreDriver *> fptrs;
+        for (std::size_t i = 0; i < cores; ++i) {
+            fdrivers.push_back(std::make_unique<McYcsbDriver>(
+                machine.context(i), *fwl, streams[i], flog));
+            fdrivers.back()->resumeAt(mark.cursors[i]);
+            fptrs.push_back(fdrivers.back().get());
+        }
+        machine.armCrashAfterStores(arm);
+        runInterleavedFrom(machine, fptrs, rc.sched, mark.sched);
+        return fwl;
+    };
+    auto expectSame = [&](McMachine &machine, const char *into) {
+        EXPECT_EQ(flog.size(), ref_log) << into;
+        EXPECT_TRUE(imageOf(machine.pm().memory()) == ref_pm)
+            << "PM image diverged after multicore resume into a " << into
+            << " machine";
+        EXPECT_TRUE(imageOf(machine.dram().memory()) == ref_dram)
+            << "DRAM image diverged after multicore resume into a "
+            << into << " machine";
+        EXPECT_EQ(machine.snapshot(), ref_stats) << into;
+    };
 
-    std::vector<McOpRecord> flog(commit_log.begin(),
-                                 commit_log.begin() +
-                                     static_cast<std::ptrdiff_t>(
-                                         mark.logSize));
-    std::vector<std::unique_ptr<McYcsbDriver>> fdrivers;
-    std::vector<McCoreDriver *> fptrs;
-    for (std::size_t i = 0; i < cores; ++i) {
-        fdrivers.push_back(std::make_unique<McYcsbDriver>(
-            forked.context(i), *fwl, streams[i], flog));
-        fdrivers.back()->resumeAt(mark.cursors[i]);
-        fptrs.push_back(fdrivers.back().get());
+    for (const Mark &mark : marks) {
+        McMachine forked(sys_cfg);
+        resume(forked, mark, 0);
+        expectSame(forked, "fresh");
     }
-    runInterleavedFrom(forked, fptrs, rc.sched, mark.sched);
 
-    EXPECT_EQ(flog.size(), ref_log);
-    EXPECT_TRUE(imageOf(forked.pm().memory()) == ref_pm)
-        << "PM image diverged after multicore resume";
-    EXPECT_EQ(forked.snapshot(), ref_stats);
+    McMachine used(sys_cfg);
+    for (std::size_t m = 0; m < marks.size(); ++m) {
+        const Mark &other = marks[(m + 1) % marks.size()];
+        auto owl = resume(used, other, (ref_stores - other.stores) / 2 + 1);
+        usedHistory(used, *owl, cores - 1);
+        resume(used, marks[m], 0);
+        expectSame(used, "used");
+    }
 }
 
 TEST(CheckpointFuzz, AllSchemesUndoRestoreBitExact)

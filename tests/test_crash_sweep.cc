@@ -417,6 +417,7 @@ struct Misbehaviour
     bool oracleThrows = false;   //!< every oracle phase throws
     bool raggedStats = false;    //!< point 2 dumps one stats value too many
     bool repeatedName = false;   //!< the stat names repeat one name
+    bool tailThrows = false;     //!< point 2 throws mid-tail
 };
 
 /** A fake point: every armed point fires, and recovery, the oracle or
@@ -425,14 +426,26 @@ struct Misbehaviour
 class FakePoint final : public SweepPoint
 {
   public:
-    FakePoint(const Misbehaviour &mis, std::uint64_t crash_point)
-        : mis(mis), crashPoint(crash_point)
-    {}
+    explicit FakePoint(const Misbehaviour &mis) : mis(mis) {}
 
+    void
+    fork(const SweepBase *, std::uint64_t crash_point) override
+    {
+        crashPoint = crash_point;
+        recoveries = 0;
+    }
+
+    /** A throwing tail leaves the point dirty (a recovery already
+     *  counted), as a point that fails part way leaves its machine;
+     *  the next fork must clean it. */
     bool
     tail(CrashPointOutcome &out) override
     {
         out.fired = out.crashPoint != 0;
+        if (mis.tailThrows && crashPoint == 2) {
+            ++recoveries;
+            throw std::runtime_error("tail lost its trace");
+        }
         return true;
     }
 
@@ -474,7 +487,7 @@ class FakePoint final : public SweepPoint
 
   private:
     const Misbehaviour mis;
-    const std::uint64_t crashPoint;
+    std::uint64_t crashPoint = 0;
     std::size_t recoveries = 0;
 };
 
@@ -496,10 +509,14 @@ class FakeTarget final : public SweepTarget
     }
 
     std::unique_ptr<SweepPoint>
-    fork(const SweepBase *, std::uint64_t crash_point) const override
+    newPoint() const override
     {
-        return std::make_unique<FakePoint>(mis, crash_point);
+        ++pointsBuilt;
+        return std::make_unique<FakePoint>(mis);
     }
+
+    /** Points newPoint() built. */
+    mutable std::atomic<std::size_t> pointsBuilt{0};
 
   private:
     const Misbehaviour mis;
@@ -539,6 +556,44 @@ TEST(SweepEngine, ThrowingOracleIsReported)
         EXPECT_TRUE(p.stats.empty());
     }
     EXPECT_NE(report.toJson().find("\"stats\":{}"), std::string::npos);
+}
+
+/** Each sweep thread re-forks one point for every crash point it runs.
+ *  A point that throws mid-tail leaves that point mid-run, and the
+ *  next point the thread runs on it still matches its isolated run, on
+ *  the serial, the work-stealing and the pipelined path. */
+TEST(SweepEngine, PointAfterAThrowingTailMatchesItsIsolatedRun)
+{
+    SweepOptions serial;
+    SweepOptions stealing;
+    stealing.workers = 3;
+    stealing.maxPoints = 3;  // every store, on the two-phase path
+    SweepOptions pipelined;
+    pipelined.workers = 3;
+    for (const SweepOptions &opts : {serial, stealing, pipelined}) {
+        FakeTarget target({.tailThrows = true});
+        const CrashSweepReport report = runSweep(target, opts);
+        EXPECT_LE(target.pointsBuilt.load(), opts.workers);
+        if (opts.workers == 1) {
+            EXPECT_EQ(target.pointsBuilt.load(), 1u);
+        }
+        for (const auto &p : report.points) {
+            if (p.crashPoint == 2) {
+                EXPECT_EQ(p.violations,
+                          std::vector<std::string>{
+                              reproTuple(target.id, 2) +
+                              " exception: tail lost its trace"});
+                continue;
+            }
+            const CrashPointOutcome alone =
+                target.runPoint(*target.newPoint(), nullptr, p.crashPoint);
+            EXPECT_TRUE(p.violations.empty()) << p.crashPoint;
+            EXPECT_EQ(p.fired, alone.fired);
+            EXPECT_EQ(p.replayedRecords, alone.replayedRecords);
+            EXPECT_EQ(p.violations, alone.violations);
+            EXPECT_EQ(p.stats, alone.stats);
+        }
+    }
 }
 
 /** The per-step host times are disjoint slices of the points' time,
@@ -615,10 +670,36 @@ TEST(WorkQueue, EveryItemRunsExactlyOnce)
         for (auto &h : hits)
             h = 0;
         runWorkStealing(workers, n,
-                        [&](std::size_t i) { hits[i]++; });
+                        [&](std::size_t, std::size_t i) { hits[i]++; });
         for (std::size_t i = 0; i < n; ++i)
             ASSERT_EQ(hits[i].load(), 1)
                 << "item " << i << " with " << workers << " workers";
+    }
+}
+
+/** A worker index names one thread: it is below the worker count and
+ *  never runs two items at once, so per-worker state (the sweep
+ *  engine's points) needs no lock. */
+TEST(WorkQueue, WorkerIndexNamesOneThread)
+{
+    for (std::size_t workers : {1u, 3u, 4u}) {
+        std::vector<std::atomic<int>> busy(workers);
+        for (auto &b : busy)
+            b = 0;
+        std::atomic<std::size_t> clashes{0};
+        std::atomic<std::size_t> outOfRange{0};
+        runWorkStealing(workers, 200, [&](std::size_t w, std::size_t) {
+            if (w >= workers) {
+                outOfRange++;
+                return;
+            }
+            if (busy[w]++ != 0)
+                clashes++;
+            std::this_thread::yield();
+            busy[w]--;
+        });
+        EXPECT_EQ(outOfRange.load(), 0u) << workers << " workers";
+        EXPECT_EQ(clashes.load(), 0u) << workers << " workers";
     }
 }
 
@@ -626,11 +707,11 @@ TEST(WorkQueue, UnevenItemCostsStillComplete)
 {
     constexpr std::size_t n = 64;
     std::atomic<std::size_t> done{0};
-    runWorkStealing(4, n, [&](std::size_t i) {
+    runWorkStealing(4, n, [&](std::size_t, std::size_t i) {
         // Front-loaded cost: stealing from the busy worker matters.
         volatile std::uint64_t x = 0;
         for (std::size_t k = 0; k < (i < 4 ? 200000u : 100u); ++k)
-            x += k;
+            x = x + k;
         done++;
     });
     EXPECT_EQ(done.load(), n);
@@ -639,9 +720,9 @@ TEST(WorkQueue, UnevenItemCostsStillComplete)
 TEST(WorkQueue, ZeroAndSingleItemEdgeCases)
 {
     std::atomic<std::size_t> done{0};
-    runWorkStealing(4, 0, [&](std::size_t) { done++; });
+    runWorkStealing(4, 0, [&](std::size_t, std::size_t) { done++; });
     EXPECT_EQ(done.load(), 0u);
-    runWorkStealing(4, 1, [&](std::size_t) { done++; });
+    runWorkStealing(4, 1, [&](std::size_t, std::size_t) { done++; });
     EXPECT_EQ(done.load(), 1u);
 }
 

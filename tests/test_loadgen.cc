@@ -109,9 +109,10 @@ TEST(LoadGen, KeysAreDistinctNonzeroAndBounded)
         EXPECT_NE(op.key, 0u);
         EXPECT_LT(op.key, std::uint64_t{1} << 63);
         EXPECT_EQ(op.key, svcKeyForRecord(op.record, load.keySalt));
-        if (op.kind == SvcOpKind::Insert)
+        if (op.kind == SvcOpKind::Insert) {
             EXPECT_TRUE(keys.insert(op.key).second)
                 << "duplicate inserted key " << op.key;
+        }
     };
     for (const SvcOp &op : load.preload)
         check(op);
@@ -119,9 +120,10 @@ TEST(LoadGen, KeysAreDistinctNonzeroAndBounded)
         check(op);
     // Non-insert ops only touch already-inserted records.
     for (const SvcOp &op : load.ops) {
-        if (op.kind != SvcOpKind::Insert)
+        if (op.kind != SvcOpKind::Insert) {
             EXPECT_TRUE(keys.count(op.key))
                 << "op targets a never-inserted record " << op.record;
+        }
     }
 }
 

@@ -425,10 +425,11 @@ TEST(HistogramPercentile, WithinBucketBoundOnRandomizedInputs)
             // Geometric ~1.25x buckets: the bound itself stays within
             // ~30% of the estimated value (width/lo <= 0.27 for
             // interior buckets; clamping only shrinks it).
-            if (est >= 64)
+            if (est >= 64) {
                 EXPECT_LE(static_cast<double>(bound),
                           0.30 * static_cast<double>(est))
                     << "seed " << seed << ", " << num << "/" << den;
+            }
         }
     }
 }
