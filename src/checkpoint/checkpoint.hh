@@ -50,7 +50,7 @@ class MachineCheckpoint
 {
   public:
     /** Bumped on any change to the serialized layout. */
-    static constexpr std::uint32_t formatVersion = 2;
+    static constexpr std::uint32_t formatVersion = 3;
 
     /** Capture the complete state of a machine. */
     static MachineCheckpoint capture(McMachine &machine);

@@ -9,6 +9,8 @@
  * (Section IV-B, Pattern 1), so after a crash the structure-specific
  * recovery walks its roots, reports the set of reachable allocations,
  * and rebuild() reconstitutes the allocator state — leaking nothing.
+ * It knows nothing of transactions: a transaction frees through
+ * DurableTx::free (core/tx.hh), which releases blocks after the commit.
  *
  * The address an allocation gets decides which cache lines its stores
  * touch, so placement is part of every simulated result: alloc() is
@@ -35,13 +37,6 @@
 namespace slpmt
 {
 
-/** One live allocation. */
-struct AllocInfo
-{
-    Bytes size = 0;
-    std::uint64_t txnSeq = 0;  //!< transaction that allocated it
-};
-
 /** Volatile-metadata first-fit allocator over the PM heap range. */
 class PersistentHeap
 {
@@ -59,7 +54,7 @@ class PersistentHeap
     /** Allocate @p size bytes, 8-byte aligned, at the lowest address
      *  that fits. */
     Addr
-    alloc(Bytes size, std::uint64_t txn_seq = 0)
+    alloc(Bytes size)
     {
         const Bytes need = roundUp(size);
         const auto it = firstFit(need);
@@ -79,7 +74,7 @@ class PersistentHeap
         } else if (remaining == 0 && !freeRanges.empty()) {
             reindex(std::prev(freeRanges.end())->first);
         }
-        live[addr] = {need, txn_seq};
+        live[addr] = need;
         statAllocs++;
         return addr;
     }
@@ -90,7 +85,7 @@ class PersistentHeap
     {
         auto it = live.find(addr);
         panicIfNot(it != live.end(), "free of unknown allocation");
-        releaseRange(addr, it->second.size);
+        releaseRange(addr, it->second);
         live.erase(it);
         statFrees++;
     }
@@ -103,7 +98,7 @@ class PersistentHeap
         if (it == live.begin())
             return false;
         --it;
-        return addr < it->first + it->second.size;
+        return addr < it->first + it->second;
     }
 
     /** Base address of the live allocation containing @p addr. */
@@ -113,7 +108,7 @@ class PersistentHeap
         auto it = live.upper_bound(addr);
         panicIfNot(it != live.begin(), "address outside any allocation");
         --it;
-        panicIfNot(addr < it->first + it->second.size,
+        panicIfNot(addr < it->first + it->second,
                    "address outside any allocation");
         return it->first;
     }
@@ -125,29 +120,17 @@ class PersistentHeap
     void
     forEachLive(Fn &&fn) const
     {
-        for (const auto &[addr, info] : live)
-            fn(addr, info.size);
+        for (const auto &[addr, len] : live)
+            fn(addr, len);
     }
 
     Bytes
     liveBytes() const
     {
         Bytes total = 0;
-        for (const auto &[addr, info] : live)
-            total += info.size;
+        for (const auto &[addr, len] : live)
+            total += len;
         return total;
-    }
-
-    /** Allocations created by transactions with seq > @p since. */
-    std::vector<Addr>
-    allocationsSince(std::uint64_t since) const
-    {
-        std::vector<Addr> out;
-        for (const auto &[addr, info] : live) {
-            if (info.txnSeq > since)
-                out.push_back(addr);
-        }
-        return out;
     }
 
     /**
@@ -171,7 +154,7 @@ class PersistentHeap
             if (k != keep.end() && *k == it->first) {
                 ++it;
             } else {
-                releaseRange(it->first, it->second.size);
+                releaseRange(it->first, it->second);
                 it = live.erase(it);
                 ++reclaimed;
             }
@@ -204,43 +187,33 @@ class PersistentHeap
     void
     saveState(BlobWriter &w) const
     {
-        w.u<std::uint64_t>(freeRanges.size());
-        for (const auto &[addr, len] : freeRanges) {
-            w.u<Addr>(addr);
-            w.u<Bytes>(len);
-        }
-        w.u<std::uint64_t>(live.size());
-        for (const auto &[addr, info] : live) {
-            w.u<Addr>(addr);
-            w.u<Bytes>(info.size);
-            w.u<std::uint64_t>(info.txnSeq);
+        for (const RangeMap *table : {&freeRanges, &live}) {
+            w.u<std::uint64_t>(table->size());
+            for (const auto &[addr, len] : *table) {
+                w.u<Addr>(addr);
+                w.u<Bytes>(len);
+            }
         }
     }
 
     void
     restoreState(BlobReader &r)
     {
-        freeRanges.clear();
-        live.clear();
-        const std::size_t nfree = r.count(2 * sizeof(Addr));
-        for (std::size_t i = 0; i < nfree; ++i) {
-            const Addr addr = r.u<Addr>();
-            freeRanges[addr] = r.u<Bytes>();
-        }
-        const std::size_t nlive = r.count(3 * sizeof(Addr));
-        for (std::size_t i = 0; i < nlive; ++i) {
-            const Addr addr = r.u<Addr>();
-            AllocInfo info;
-            info.size = r.u<Bytes>();
-            info.txnSeq = r.u<std::uint64_t>();
-            live[addr] = info;
+        for (RangeMap *table : {&freeRanges, &live}) {
+            table->clear();
+            const std::size_t n = r.count(2 * sizeof(Addr));
+            for (std::size_t i = 0; i < n; ++i) {
+                const Addr addr = r.u<Addr>();
+                (*table)[addr] = r.u<Bytes>();
+            }
         }
         rebuildIndex();
     }
     /** @} */
 
   private:
-    using FreeMap = std::map<Addr, Bytes>;
+    /** Base -> length: the free ranges, and the live allocations. */
+    using RangeMap = std::map<Addr, Bytes>;
 
     /** Index granularity: one segment-tree leaf per 4 KB of heap. */
     static constexpr Bytes blockBytes = 4096;
@@ -263,7 +236,7 @@ class PersistentHeap
      * of that block's ranges picks it. If no indexed range fits, only
      * the highest range, which the tree leaves out, can.
      */
-    FreeMap::iterator
+    RangeMap::iterator
     firstFit(Bytes need)
     {
         // Every range is non-empty, so a zero-byte request wants the
@@ -398,8 +371,8 @@ class PersistentHeap
 
     Addr heapBase;
     Bytes heapSize;
-    FreeMap freeRanges;                 //!< base -> length
-    std::map<Addr, AllocInfo> live;     //!< base -> info
+    RangeMap freeRanges;
+    RangeMap live;
     /**
      * Max-length segment tree, 1-based: leaf b (at fitTree.size()/2 + b)
      * holds the longest free range starting in heap block b, inner

@@ -43,10 +43,6 @@ class PmContext
     virtual void txCommit() = 0;
     virtual void txAbort() = 0;
     virtual bool inTransaction() const = 0;
-
-    /** Global sequence number of the running transaction (tags heap
-     *  allocations for leak detection during recovery). */
-    virtual std::uint64_t currentTxnSeq() const = 0;
     /** @} */
 
     /** @name Byte data path */

@@ -87,10 +87,6 @@ class PmSystem : public McMachine, public PmContext
     void txCommit() override { core(0).txCommit(); }
     void txAbort() override { core(0).txAbort(); }
     bool inTransaction() const override { return core(0).inTransaction(); }
-    std::uint64_t currentTxnSeq() const override
-    {
-        return core(0).currentTxnSeq();
-    }
     /** @} */
 
     /** @name Byte data path */

@@ -7,10 +7,17 @@
  * (e.g. an exception unwound the scope) the transaction aborts,
  * replaying the undo log — the software analogue of tx_begin/tx_end
  * in Figure 1.
+ *
+ * Frees belong to the transaction, as with PMDK's pmemobj_tx_free:
+ * free() records a block, commit() releases it after the commit, and
+ * an abort or a crash drops it. A rollback may still point at the
+ * block, so it must not be reused before the commit (Section IV-B).
  */
 
 #ifndef SLPMT_CORE_TX_HH
 #define SLPMT_CORE_TX_HH
+
+#include <vector>
 
 #include "core/pm_context.hh"
 
@@ -32,16 +39,27 @@ class DurableTx
             sys.txAbort();
     }
 
-    /** Commit; the handle becomes inert. */
+    /** Free the allocation at @p base when this transaction commits. */
+    void
+    free(Addr base)
+    {
+        panicIfNot(!done, "transaction already finished");
+        frees.push_back(base);
+    }
+
+    /** Commit, then release the recorded frees in order; the handle
+     *  becomes inert. */
     void
     commit()
     {
         panicIfNot(!done, "transaction already finished");
         sys.txCommit();
         done = true;
+        for (Addr base : frees)
+            sys.heap().free(base);
     }
 
-    /** Abort explicitly; the handle becomes inert. */
+    /** Abort explicitly, dropping the frees; the handle becomes inert. */
     void
     abort()
     {
@@ -50,10 +68,9 @@ class DurableTx
         done = true;
     }
 
-    bool finished() const { return done; }
-
   private:
     PmContext &sys;
+    std::vector<Addr> frees;
     bool done = false;
 };
 

@@ -153,10 +153,8 @@ McMachine::beforeLineAccess(std::size_t requester, Addr line_addr,
 }
 
 void
-McMachine::noteQuantumExpiry(std::size_t core, bool drain)
+McMachine::noteQuantumExpiry(std::size_t core)
 {
-    if (!drain)
-        return;
     statCtxSwitchDrains++;
     cores[core]->engine().contextSwitch();
 }

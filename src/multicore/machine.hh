@@ -78,10 +78,6 @@ class McCore final : public PmContext
     void txCommit() override { eng.txCommit(); }
     void txAbort() override { eng.txAbort(); }
     bool inTransaction() const override { return eng.inTransaction(); }
-    std::uint64_t currentTxnSeq() const override
-    {
-        return eng.currentTxnSeq();
-    }
 
     void readBytes(Addr addr, void *out, std::size_t len) override;
     void writeBytes(Addr addr, const void *src, std::size_t len) override;
@@ -195,7 +191,7 @@ class McMachine
      * thread out, so the §V-C context-switch rule drains that core's
      * log buffer (and only that core's — the others keep batching).
      */
-    void noteQuantumExpiry(std::size_t core, bool drain);
+    void noteQuantumExpiry(std::size_t core);
 
     /** @name Machine-wide crash, recovery, quiesce */
     /** @{ */

@@ -59,10 +59,6 @@ class OracleView final : public PmContext
     /** @} */
 
     bool inTransaction() const override { return false; }
-    std::uint64_t currentTxnSeq() const override
-    {
-        return machine.core(0).currentTxnSeq();
-    }
 
     void
     readBytes(Addr addr, void *out, std::size_t len) override

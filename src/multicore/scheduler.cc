@@ -26,6 +26,13 @@ runLoop(McMachine &machine, const std::vector<McCoreDriver *> &drivers,
     machine.setConflictHandler([&](std::size_t core) {
         drivers[core]->onConflictAbort();
     });
+    // The handler refers to the caller's drivers, so it goes on every
+    // way out of the loop, a throwing driver or hook included.
+    struct ClearHandler
+    {
+        McMachine &machine;
+        ~ClearHandler() { machine.setConflictHandler(nullptr); }
+    } clear_handler{machine};
 
     McScheduleResult result;
     result.quanta = quanta;
@@ -66,7 +73,7 @@ runLoop(McMachine &machine, const std::vector<McCoreDriver *> &drivers,
                  op < cfg.quantumOps && !drivers[core]->done(); ++op)
                 drivers[core]->step();
             ++result.quanta;
-            machine.noteQuantumExpiry(core, true);
+            machine.noteQuantumExpiry(core);
             // Everything the next pick() reads is in {rng, rr,
             // quanta}; drivers are between transactions. Report the
             // boundary so sweeps can checkpoint here.
@@ -80,8 +87,6 @@ runLoop(McMachine &machine, const std::vector<McCoreDriver *> &drivers,
         result.crashed = true;
         machine.crash();
     }
-
-    machine.setConflictHandler(nullptr);
     return result;
 }
 

@@ -42,8 +42,7 @@ AvlTreeWorkload::setup(PmContext &sys)
                            .defUseDepth = 3});
 
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
-    headerAddr = sys.heap().alloc(HdrOff::size, seq);
+    headerAddr = sys.heap().alloc(HdrOff::size);
     sys.write<Addr>(headerAddr + HdrOff::root, 0);
     sys.write<std::uint64_t>(headerAddr + HdrOff::count, 0);
     sys.writeRoot(headerRootSlot, headerAddr);
@@ -125,8 +124,7 @@ AvlTreeWorkload::insertRec(PmContext &sys, Addr node, std::uint64_t key,
                            Addr val_ptr, std::uint64_t val_len)
 {
     if (!node) {
-        const Addr fresh = sys.heap().alloc(
-            NodeOff::size, sys.currentTxnSeq());
+        const Addr fresh = sys.heap().alloc(NodeOff::size);
         sys.writeSite<std::uint64_t>(fresh + NodeOff::key, key,
                                      siteNodeInit);
         sys.writeSite<Addr>(fresh + NodeOff::left, 0, siteNodeInit);
@@ -154,12 +152,9 @@ AvlTreeWorkload::insert(PmContext &sys, std::uint64_t key,
                         const std::vector<std::uint8_t> &value)
 {
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
     sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
 
-    const Addr val_ptr = sys.heap().alloc(value.size(), seq);
-    sys.writeBytesSite(val_ptr, value.data(), value.size(),
-                       siteValueInit);
+    const Addr val_ptr = writeFreshValue(sys, value, siteValueInit);
 
     const Addr root = sys.read<Addr>(headerAddr + HdrOff::root);
     const Addr new_root =
@@ -183,13 +178,8 @@ AvlTreeWorkload::lookup(PmContext &sys, std::uint64_t key,
         sys.compute(opcost::perLevel);
         const auto ck = sys.read<std::uint64_t>(cursor + NodeOff::key);
         if (ck == key) {
-            if (out) {
-                const Addr vp = sys.read<Addr>(cursor + NodeOff::valPtr);
-                const auto vl =
-                    sys.read<std::uint64_t>(cursor + NodeOff::valLen);
-                out->resize(vl);
-                sys.readBytes(vp, out->data(), vl);
-            }
+            readValue(sys, cursor + NodeOff::valPtr, cursor + NodeOff::valLen,
+                      out);
             return true;
         }
         cursor = sys.read<Addr>(
@@ -302,18 +292,8 @@ AvlTreeWorkload::update(PmContext &sys, std::uint64_t key,
     if (!node)
         return false;
 
-    DurableTx tx(sys);
-    sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
-    const std::uint64_t seq = sys.currentTxnSeq();
-    const Addr new_blob = sys.heap().alloc(value.size(), seq);
-    sys.writeBytesSite(new_blob, value.data(), value.size(),
-                       siteValueInit);
-    const Addr old_blob = sys.read<Addr>(node + NodeOff::valPtr);
-    sys.writeSite<Addr>(node + NodeOff::valPtr, new_blob, siteChild);
-    sys.writeSite<std::uint64_t>(node + NodeOff::valLen, value.size(),
-                                 siteChild);
-    tx.commit();
-    sys.heap().free(old_blob);
+    replaceValue(sys, node + NodeOff::valPtr, node + NodeOff::valLen, value,
+                 siteValueInit, siteChild);
     return true;
 }
 

@@ -92,8 +92,7 @@ BlinkTreeWorkload::setup(PmContext &sys)
                            .defUseDepth = 3});
 
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
-    headerAddr = sys.heap().alloc(HdrOff::size, seq);
+    headerAddr = sys.heap().alloc(HdrOff::size);
     const Addr root = allocNode(sys, tagLeaf);
     sys.write<Addr>(headerAddr + HdrOff::root, root);
     sys.write<std::uint64_t>(headerAddr + HdrOff::count, 0);
@@ -105,8 +104,7 @@ BlinkTreeWorkload::setup(PmContext &sys)
 Addr
 BlinkTreeWorkload::allocNode(PmContext &sys, std::uint64_t tag)
 {
-    const Addr node =
-        sys.heap().alloc(NodeOff::size, sys.currentTxnSeq());
+    const Addr node = sys.heap().alloc(NodeOff::size);
     sys.writeSite<std::uint64_t>(node + NodeOff::tag, tag,
                                  siteFreshNode);
     sys.writeSite<std::uint64_t>(node + NodeOff::meta, 0, siteFreshNode);
@@ -114,19 +112,6 @@ BlinkTreeWorkload::allocNode(PmContext &sys, std::uint64_t tag)
                                  siteFreshNode);
     sys.writeSite<Addr>(node + NodeOff::next, 0, siteFreshNode);
     return node;
-}
-
-Addr
-BlinkTreeWorkload::makeBlob(PmContext &sys,
-                            const std::vector<std::uint8_t> &value)
-{
-    const Addr blob =
-        sys.heap().alloc(8 + value.size(), sys.currentTxnSeq());
-    sys.writeSite<std::uint64_t>(blob, value.size(), siteValueInit);
-    if (!value.empty())
-        sys.writeBytesSite(blob + 8, value.data(), value.size(),
-                           siteValueInit);
-    return blob;
 }
 
 BlinkTreeWorkload::Descent
@@ -310,7 +295,7 @@ BlinkTreeWorkload::splitLeaf(PmContext &sys, const Descent &d)
     {
         DurableTx tx(sys);
         sys.compute(opcost::insertBase / 2);
-        sib = sys.heap().alloc(NodeOff::size, sys.currentTxnSeq());
+        sib = sys.heap().alloc(NodeOff::size);
         sys.writeSite<std::uint64_t>(sib + NodeOff::tag, tagLeaf,
                                      siteFreshNode);
         sys.writeSite<std::uint64_t>(
@@ -394,7 +379,7 @@ BlinkTreeWorkload::insert(PmContext &sys, std::uint64_t key,
         DurableTx tx(sys);
         sys.compute(opcost::insertBase +
                     opcost::valueWork(value.size()));
-        const Addr blob = makeBlob(sys, value);
+        const Addr blob = writeFreshBlob(sys, value, siteValueInit);
         // The slot is dead until its bitmap bit flips: these stores
         // are invisible whatever the crash outcome.
         sys.writeSite<std::uint64_t>(keyAddr(leaf, j), key, siteSlot);
@@ -427,14 +412,9 @@ BlinkTreeWorkload::update(PmContext &sys, std::uint64_t key,
     if (j == leafSlots)
         return false;
 
-    DurableTx tx(sys);
-    sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
-    const Addr blob = makeBlob(sys, value);
-    const Addr old = sys.read<Addr>(valPtrAddr(leaf, j));
     // Single-word publication of the fresh blob (final store).
-    sys.writeSite<Addr>(valPtrAddr(leaf, j), blob, siteValSwing);
-    tx.commit();
-    sys.heap().free(old);
+    replaceBlob(sys, valPtrAddr(leaf, j), value, siteValueInit,
+                siteValSwing);
     return true;
 }
 
@@ -451,13 +431,7 @@ BlinkTreeWorkload::lookup(PmContext &sys, std::uint64_t key,
     const auto j = findSlot(sys, leaf, key);
     if (j == leafSlots)
         return false;
-    if (out) {
-        const Addr blob = sys.read<Addr>(valPtrAddr(leaf, j));
-        const auto len = sys.read<std::uint64_t>(blob);
-        out->resize(len);
-        if (len)
-            sys.readBytes(blob + 8, out->data(), len);
-    }
+    readBlob(sys, valPtrAddr(leaf, j), out);
     return true;
 }
 
@@ -493,7 +467,7 @@ BlinkTreeWorkload::remove(PmContext &sys, std::uint64_t key)
             sys.read<std::uint64_t>(headerAddr + HdrOff::count);
         sys.writeSite<std::uint64_t>(headerAddr + HdrOff::count,
                                      cnt - 1, siteCount);
-        const Addr blob = sys.read<Addr>(valPtrAddr(leaf, j));
+        tx.free(sys.read<Addr>(valPtrAddr(leaf, j)));
         const auto meta = sys.read<std::uint64_t>(leaf + NodeOff::meta);
         // Unpublish: clear the bit — final store, then commit. The
         // slot data stays behind as dead space.
@@ -501,7 +475,6 @@ BlinkTreeWorkload::remove(PmContext &sys, std::uint64_t key)
                                      meta & ~(1ULL << j),
                                      siteUnpublish);
         tx.commit();
-        sys.heap().free(blob);
         return true;
     }
 }

@@ -140,8 +140,6 @@ class BlinkTreeWorkload : public Workload
     std::uint64_t findSlot(PmContext &sys, Addr leaf, std::uint64_t key);
 
     Addr allocNode(PmContext &sys, std::uint64_t tag);
-    Addr makeBlob(PmContext &sys,
-                  const std::vector<std::uint8_t> &value);
 
     /**
      * Insert separator @p sep with right child @p child into the

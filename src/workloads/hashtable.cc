@@ -57,11 +57,9 @@ HashTableWorkload::setup(PmContext &sys)
                                 .defUseDepth = 1});
 
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
-    headerAddr = sys.heap().alloc(HdrOff::size, seq);
-    journalAddr = sys.heap().alloc(JnlOff::size, seq);
-    const Addr buckets =
-        sys.heap().alloc(initialBuckets * wordSize, seq);
+    headerAddr = sys.heap().alloc(HdrOff::size);
+    journalAddr = sys.heap().alloc(JnlOff::size);
+    const Addr buckets = sys.heap().alloc(initialBuckets * wordSize);
 
     for (std::uint64_t b = 0; b < initialBuckets; ++b)
         sys.write<Addr>(buckets + b * wordSize, 0);
@@ -82,8 +80,7 @@ HashTableWorkload::writeFreshNode(PmContext &sys, std::uint64_t key,
                                   std::uint64_t val_len, bool as_copy)
 {
     const SiteId site = as_copy ? siteCopyInit : siteNodeInit;
-    const Addr node =
-        sys.heap().alloc(NodeOff::size, sys.currentTxnSeq());
+    const Addr node = sys.heap().alloc(NodeOff::size);
     sys.writeSite<std::uint64_t>(node + NodeOff::key, key, site);
     sys.writeSite<Addr>(node + NodeOff::next, next, site);
     sys.writeSite<Addr>(node + NodeOff::valPtr, val_ptr, site);
@@ -99,14 +96,11 @@ HashTableWorkload::insert(PmContext &sys, std::uint64_t key,
                           const std::vector<std::uint8_t> &value)
 {
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
 
     // Hash computation and control flow.
     sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
 
-    const Addr val_ptr = sys.heap().alloc(value.size(), seq);
-    sys.writeBytesSite(val_ptr, value.data(), value.size(),
-                       siteValueInit);
+    const Addr val_ptr = writeFreshValue(sys, value, siteValueInit);
 
     const std::uint64_t num =
         sys.read<std::uint64_t>(headerAddr + HdrOff::numBuckets);
@@ -126,27 +120,21 @@ HashTableWorkload::insert(PmContext &sys, std::uint64_t key,
                                  siteCount);
 
     if (cnt + 1 > loadFactor * num)
-        resize(sys, num * 2);
+        resize(sys, tx, num * 2);
 
     tx.commit();
-
-    // Deferred reclamation of replaced table storage (see the header
-    // comment on deferredFrees for why this must follow the commit).
-    for (Addr stale : deferredFrees)
-        sys.heap().free(stale);
-    deferredFrees.clear();
 }
 
 void
-HashTableWorkload::resize(PmContext &sys, std::uint64_t new_num)
+HashTableWorkload::resize(PmContext &sys, DurableTx &tx,
+                          std::uint64_t new_num)
 {
-    const std::uint64_t seq = sys.currentTxnSeq();
     const std::uint64_t old_num =
         sys.read<std::uint64_t>(headerAddr + HdrOff::numBuckets);
     const Addr old_buckets =
         sys.read<Addr>(headerAddr + HdrOff::bucketsPtr);
 
-    const Addr new_buckets = sys.heap().alloc(new_num * wordSize, seq);
+    const Addr new_buckets = sys.heap().alloc(new_num * wordSize);
 
     // Journal first (logged + eager): recovery learns both locations.
     sys.writeSite<Addr>(journalAddr + JnlOff::oldBuckets, old_buckets,
@@ -180,7 +168,7 @@ HashTableWorkload::resize(PmContext &sys, std::uint64_t new_num)
             const std::uint64_t nb = bucketOf(key, new_num);
             heads[nb] = writeFreshNode(sys, key, heads[nb], val_ptr,
                                        val_len, true);
-            deferredFrees.push_back(cursor);
+            tx.free(cursor);
             cursor = next;
         }
     }
@@ -189,13 +177,13 @@ HashTableWorkload::resize(PmContext &sys, std::uint64_t new_num)
         sys.writeSite<Addr>(new_buckets + b * wordSize, heads[b],
                             siteNewBuckets);
 
-    // Swing the header (logged + eager); the old array is reclaimed
-    // after commit with the old nodes.
+    // Swing the header (logged + eager); the old array is freed with
+    // the commit, after the old nodes.
     sys.writeSite<std::uint64_t>(headerAddr + HdrOff::numBuckets,
                                  new_num, siteHeaderSwing);
     sys.writeSite<Addr>(headerAddr + HdrOff::bucketsPtr, new_buckets,
                         siteHeaderSwing);
-    deferredFrees.push_back(old_buckets);
+    tx.free(old_buckets);
     resizeCount++;
 }
 
@@ -211,14 +199,8 @@ HashTableWorkload::lookup(PmContext &sys, std::uint64_t key,
     while (cursor != 0) {
         sys.compute(opcost::perLevel);
         if (sys.read<std::uint64_t>(cursor + NodeOff::key) == key) {
-            if (out) {
-                const Addr val_ptr =
-                    sys.read<Addr>(cursor + NodeOff::valPtr);
-                const auto val_len =
-                    sys.read<std::uint64_t>(cursor + NodeOff::valLen);
-                out->resize(val_len);
-                sys.readBytes(val_ptr, out->data(), val_len);
-            }
+            readValue(sys, cursor + NodeOff::valPtr,
+                      cursor + NodeOff::valLen, out);
             return true;
         }
         cursor = sys.read<Addr>(cursor + NodeOff::next);
@@ -281,10 +263,7 @@ void
 HashTableWorkload::recover(PmContext &sys)
 {
     // Hardware replay already ran; re-derive volatile state from the
-    // durable roots. A crash inside a resize leaves stale entries in
-    // the deferred-free list: after rollback the old table is still
-    // live, so those frees must never happen.
-    deferredFrees.clear();
+    // durable roots.
     headerAddr = sys.peek<Addr>(sys.rootSlotAddr(headerRootSlot));
     journalAddr = sys.peek<Addr>(sys.rootSlotAddr(journalRootSlot));
 
@@ -331,13 +310,12 @@ HashTableWorkload::recover(PmContext &sys)
         // is rebuilt below, so reset it first to a blank slate.
         sys.heap().reset();
         DurableTx tx(sys);
-        const std::uint64_t seq = sys.currentTxnSeq();
-        headerAddr = sys.heap().alloc(HdrOff::size, seq);
-        journalAddr = sys.heap().alloc(JnlOff::size, seq);
+        headerAddr = sys.heap().alloc(HdrOff::size);
+        journalAddr = sys.heap().alloc(JnlOff::size);
         std::uint64_t num = initialBuckets;
         while (num * loadFactor < merged.size())
             num *= 2;
-        const Addr buckets = sys.heap().alloc(num * wordSize, seq);
+        const Addr buckets = sys.heap().alloc(num * wordSize);
         for (std::uint64_t b = 0; b < num; ++b)
             sys.write<Addr>(buckets + b * wordSize, 0);
 
@@ -346,12 +324,12 @@ HashTableWorkload::recover(PmContext &sys)
             // Value blobs were written eagerly by the original insert
             // and never moved: copy their captured durable contents.
             const std::vector<std::uint8_t> &value = values[key];
-            const Addr val_ptr = sys.heap().alloc(s.valLen, seq);
+            const Addr val_ptr = sys.heap().alloc(s.valLen);
             sys.writeBytes(val_ptr, value.data(), s.valLen);
 
             const Addr slot = buckets + bucketOf(key, num) * wordSize;
             const Addr head = sys.read<Addr>(slot);
-            const Addr node = sys.heap().alloc(NodeOff::size, seq);
+            const Addr node = sys.heap().alloc(NodeOff::size);
             sys.write<std::uint64_t>(node + NodeOff::key, key);
             sys.write<Addr>(node + NodeOff::next, head);
             sys.write<Addr>(node + NodeOff::valPtr, val_ptr);
@@ -459,11 +437,8 @@ HashTableWorkload::update(PmContext &sys, std::uint64_t key,
 
     DurableTx tx(sys);
     sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
-    const std::uint64_t seq = sys.currentTxnSeq();
-    const Addr new_blob = sys.heap().alloc(value.size(), seq);
-    sys.writeBytesSite(new_blob, value.data(), value.size(),
-                       siteValueInit);
-    const Addr old_blob = sys.read<Addr>(node + NodeOff::valPtr);
+    const Addr new_blob = writeFreshValue(sys, value, siteValueInit);
+    tx.free(sys.read<Addr>(node + NodeOff::valPtr));
     const Addr next = sys.read<Addr>(node + NodeOff::next);
     sys.writeSite<Addr>(node + NodeOff::valPtr, new_blob,
                         siteBucketHead);
@@ -473,7 +448,6 @@ HashTableWorkload::update(PmContext &sys, std::uint64_t key,
         node + NodeOff::chk,
         nodeChecksum(key, next, new_blob, value.size()), siteBucketHead);
     tx.commit();
-    sys.heap().free(old_blob);  // deferred past the commit
     return true;
 }
 
@@ -515,10 +489,9 @@ HashTableWorkload::remove(PmContext &sys, std::uint64_t key)
     // Pattern 1b: the node dies with this transaction — poisoning its
     // checksum needs neither logging nor persistence.
     sys.writeSite<std::uint64_t>(node + NodeOff::chk, 0, siteDeadPoison);
-    const Addr blob = sys.read<Addr>(node + NodeOff::valPtr);
+    tx.free(node);
+    tx.free(sys.read<Addr>(node + NodeOff::valPtr));
     tx.commit();
-    sys.heap().free(node);
-    sys.heap().free(blob);
     return true;
 }
 

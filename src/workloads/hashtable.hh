@@ -116,8 +116,16 @@ class HashTableWorkload : public Workload
         return mix64(key) % num_buckets;
     }
 
-    /** Rehash into a table twice the size (inside the caller's txn). */
-    void resize(PmContext &sys, std::uint64_t new_num);
+    /**
+     * Rehash into @p new_num buckets inside @p tx, which frees the old
+     * nodes and array with its commit. An earlier free could hand an
+     * old node's storage to a lazy copy whose line still carries the
+     * persist bit of an earlier eager store, and the commit would
+     * overwrite old-table data the journal recovery reads. A later
+     * transaction's reuse is safe: the working-set signature forces
+     * the lazy copies to PM first (Section III-C).
+     */
+    void resize(PmContext &sys, DurableTx &tx, std::uint64_t new_num);
 
     /** Write one fresh node (log-free sites). */
     Addr writeFreshNode(PmContext &sys, std::uint64_t key, Addr next,
@@ -154,19 +162,6 @@ class HashTableWorkload : public Workload
     Addr headerAddr = 0;   //!< cached from the root slot
     Addr journalAddr = 0;
     std::uint64_t resizeCount = 0;
-
-    /**
-     * Old-table storage released only *after* the resize transaction
-     * commits (deferred reclamation). Freeing inside the transaction
-     * would let the allocator hand an old node's storage to a lazy
-     * copy whose line still carries the persist bit from earlier
-     * eager stores of the same transaction — the commit would then
-     * overwrite durable old-table data the journal recovery depends
-     * on. Deferring the free moves any reuse into later transactions,
-     * where the working-set signature forces the lazy copies to PM
-     * before the old data can be overwritten (Section III-C).
-     */
-    std::vector<Addr> deferredFrees;
 };
 
 } // namespace slpmt

@@ -35,8 +35,7 @@ KvBtreeWorkload::setup(PmContext &sys)
                            .defUseDepth = 3});
 
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
-    headerAddr = sys.heap().alloc(HdrOff::size, seq);
+    headerAddr = sys.heap().alloc(HdrOff::size);
     const Addr root = allocNode(sys, tagLeaf);
     sys.write<Addr>(headerAddr + HdrOff::root, root);
     sys.write<std::uint64_t>(headerAddr + HdrOff::count, 0);
@@ -48,8 +47,7 @@ KvBtreeWorkload::setup(PmContext &sys)
 Addr
 KvBtreeWorkload::allocNode(PmContext &sys, std::uint64_t tag)
 {
-    const Addr node =
-        sys.heap().alloc(NodeOff::size, sys.currentTxnSeq());
+    const Addr node = sys.heap().alloc(NodeOff::size);
     sys.writeSite<std::uint64_t>(node + NodeOff::tag, tag,
                                  siteFreshNode);
     sys.writeSite<std::uint64_t>(node + NodeOff::numKeys, 0,
@@ -181,12 +179,9 @@ KvBtreeWorkload::insert(PmContext &sys, std::uint64_t key,
                         const std::vector<std::uint8_t> &value)
 {
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
     sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
 
-    const Addr val_ptr = sys.heap().alloc(value.size(), seq);
-    sys.writeBytesSite(val_ptr, value.data(), value.size(),
-                       siteValueInit);
+    const Addr val_ptr = writeFreshValue(sys, value, siteValueInit);
 
     Addr root = sys.read<Addr>(headerAddr + HdrOff::root);
     if (sys.read<std::uint64_t>(root + NodeOff::numKeys) == maxKeys) {
@@ -217,14 +212,8 @@ KvBtreeWorkload::lookup(PmContext &sys, std::uint64_t key,
         if (tag == tagLeaf) {
             for (std::uint64_t i = 0; i < n; ++i) {
                 if (sys.read<std::uint64_t>(keyAddr(node, i)) == key) {
-                    if (out) {
-                        const Addr vp =
-                            sys.read<Addr>(valPtrAddr(node, i));
-                        const auto vl = sys.read<std::uint64_t>(
-                            valLenAddr(node, i));
-                        out->resize(vl);
-                        sys.readBytes(vp, out->data(), vl);
-                    }
+                    readValue(sys, valPtrAddr(node, i), valLenAddr(node, i),
+                              out);
                     return true;
                 }
             }
@@ -359,18 +348,8 @@ KvBtreeWorkload::update(PmContext &sys, std::uint64_t key,
     if (idx == n)
         return false;
 
-    DurableTx tx(sys);
-    sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
-    const std::uint64_t seq = sys.currentTxnSeq();
-    const Addr new_blob = sys.heap().alloc(value.size(), seq);
-    sys.writeBytesSite(new_blob, value.data(), value.size(),
-                       siteValueInit);
-    const Addr old_blob = sys.read<Addr>(valPtrAddr(node, idx));
-    sys.writeSite<Addr>(valPtrAddr(node, idx), new_blob, siteEntry);
-    sys.writeSite<std::uint64_t>(valLenAddr(node, idx), value.size(),
-                                 siteEntry);
-    tx.commit();
-    sys.heap().free(old_blob);
+    replaceValue(sys, valPtrAddr(node, idx), valLenAddr(node, idx), value,
+                 siteValueInit, siteEntry);
     return true;
 }
 

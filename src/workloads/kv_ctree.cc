@@ -42,8 +42,7 @@ KvCtreeWorkload::setup(PmContext &sys)
                            .defUseDepth = 3});
 
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
-    headerAddr = sys.heap().alloc(HdrOff::size, seq);
+    headerAddr = sys.heap().alloc(HdrOff::size);
     sys.write<Addr>(headerAddr + HdrOff::root, 0);
     sys.write<std::uint64_t>(headerAddr + HdrOff::count, 0);
     sys.writeRoot(headerRootSlot, headerAddr);
@@ -55,8 +54,7 @@ Addr
 KvCtreeWorkload::makeLeaf(PmContext &sys, std::uint64_t key, Addr val_ptr,
                           std::uint64_t val_len)
 {
-    const Addr leaf =
-        sys.heap().alloc(NodeOff::size, sys.currentTxnSeq());
+    const Addr leaf = sys.heap().alloc(NodeOff::size);
     sys.writeSite<std::uint64_t>(leaf + NodeOff::tag, tagLeaf,
                                  siteLeafInit);
     sys.writeSite<std::uint64_t>(leaf + NodeOff::key, key, siteLeafInit);
@@ -87,12 +85,9 @@ KvCtreeWorkload::insert(PmContext &sys, std::uint64_t key,
                         const std::vector<std::uint8_t> &value)
 {
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
     sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
 
-    const Addr val_ptr = sys.heap().alloc(value.size(), seq);
-    sys.writeBytesSite(val_ptr, value.data(), value.size(),
-                       siteValueInit);
+    const Addr val_ptr = writeFreshValue(sys, value, siteValueInit);
     const Addr leaf = makeLeaf(sys, key, val_ptr, value.size());
 
     const Addr root = sys.read<Addr>(headerAddr + HdrOff::root);
@@ -108,7 +103,7 @@ KvCtreeWorkload::insert(PmContext &sys, std::uint64_t key,
             static_cast<std::uint64_t>(std::countl_zero(ck ^ key));
 
         // The fresh internal node adopting the new leaf.
-        const Addr inner = sys.heap().alloc(NodeOff::size, seq);
+        const Addr inner = sys.heap().alloc(NodeOff::size);
         sys.writeSite<std::uint64_t>(inner + NodeOff::tag, tagInternal,
                                      siteInternalInit);
         sys.writeSite<std::uint64_t>(inner + NodeOff::bitPos, crit,
@@ -160,12 +155,7 @@ KvCtreeWorkload::lookup(PmContext &sys, std::uint64_t key,
     const Addr leaf = findLeaf(sys, key);
     if (!leaf || sys.read<std::uint64_t>(leaf + NodeOff::key) != key)
         return false;
-    if (out) {
-        const Addr vp = sys.read<Addr>(leaf + NodeOff::valPtr);
-        const auto vl = sys.read<std::uint64_t>(leaf + NodeOff::valLen);
-        out->resize(vl);
-        sys.readBytes(vp, out->data(), vl);
-    }
+    readValue(sys, leaf + NodeOff::valPtr, leaf + NodeOff::valLen, out);
     return true;
 }
 
@@ -265,18 +255,8 @@ KvCtreeWorkload::update(PmContext &sys, std::uint64_t key,
     if (!leaf || sys.read<std::uint64_t>(leaf + NodeOff::key) != key)
         return false;
 
-    DurableTx tx(sys);
-    sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
-    const std::uint64_t seq = sys.currentTxnSeq();
-    const Addr new_blob = sys.heap().alloc(value.size(), seq);
-    sys.writeBytesSite(new_blob, value.data(), value.size(),
-                       siteValueInit);
-    const Addr old_blob = sys.read<Addr>(leaf + NodeOff::valPtr);
-    sys.writeSite<Addr>(leaf + NodeOff::valPtr, new_blob, siteSwing);
-    sys.writeSite<std::uint64_t>(leaf + NodeOff::valLen, value.size(),
-                                 siteSwing);
-    tx.commit();
-    sys.heap().free(old_blob);
+    replaceValue(sys, leaf + NodeOff::valPtr, leaf + NodeOff::valLen, value,
+                 siteValueInit, siteSwing);
     return true;
 }
 
@@ -321,18 +301,16 @@ KvCtreeWorkload::remove(PmContext &sys, std::uint64_t key)
         // Pattern 1b: the parent dies with this transaction.
         sys.writeSite<std::uint64_t>(parent + NodeOff::tag, ~0ULL,
                                      siteDeadPoison);
+        tx.free(parent);
     }
     sys.writeSite<std::uint64_t>(cursor + NodeOff::tag, ~0ULL,
                                  siteDeadPoison);
+    tx.free(cursor);
     const auto cnt = sys.read<std::uint64_t>(headerAddr + HdrOff::count);
     sys.writeSite<std::uint64_t>(headerAddr + HdrOff::count, cnt - 1,
                                  siteCount);
-    const Addr blob = sys.read<Addr>(cursor + NodeOff::valPtr);
+    tx.free(sys.read<Addr>(cursor + NodeOff::valPtr));
     tx.commit();
-    if (parent)
-        sys.heap().free(parent);
-    sys.heap().free(cursor);
-    sys.heap().free(blob);
     return true;
 }
 

@@ -41,8 +41,7 @@ KvRtreeWorkload::setup(PmContext &sys)
                            .defUseDepth = 3});
 
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
-    headerAddr = sys.heap().alloc(HdrOff::size, seq);
+    headerAddr = sys.heap().alloc(HdrOff::size);
     sys.write<Addr>(headerAddr + HdrOff::root, 0);
     sys.write<std::uint64_t>(headerAddr + HdrOff::count, 0);
     sys.writeRoot(headerRootSlot, headerAddr);
@@ -54,8 +53,7 @@ Addr
 KvRtreeWorkload::makeLeaf(PmContext &sys, std::uint64_t key, Addr val_ptr,
                           std::uint64_t val_len)
 {
-    const Addr leaf = sys.heap().alloc(NodeOff::leafSize,
-                                       sys.currentTxnSeq());
+    const Addr leaf = sys.heap().alloc(NodeOff::leafSize);
     sys.writeSite<std::uint64_t>(leaf + NodeOff::tag, tagLeaf,
                                  siteLeafInit);
     sys.writeSite<std::uint64_t>(leaf + NodeOff::key, key, siteLeafInit);
@@ -69,8 +67,7 @@ Addr
 KvRtreeWorkload::makeInternal(PmContext &sys, std::uint64_t prefix_len,
                               std::uint64_t packed_prefix)
 {
-    const Addr node = sys.heap().alloc(NodeOff::internalSize,
-                                       sys.currentTxnSeq());
+    const Addr node = sys.heap().alloc(NodeOff::internalSize);
     sys.writeSite<std::uint64_t>(node + NodeOff::tag, tagInternal,
                                  siteInternalInit);
     sys.writeSite<std::uint64_t>(node + NodeOff::prefixLen, prefix_len,
@@ -95,12 +92,9 @@ KvRtreeWorkload::insert(PmContext &sys, std::uint64_t key,
                         const std::vector<std::uint8_t> &value)
 {
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
     sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
 
-    const Addr val_ptr = sys.heap().alloc(value.size(), seq);
-    sys.writeBytesSite(val_ptr, value.data(), value.size(),
-                       siteValueInit);
+    const Addr val_ptr = writeFreshValue(sys, value, siteValueInit);
     const Addr leaf = makeLeaf(sys, key, val_ptr, value.size());
 
     // slot_addr is the durable location holding the pointer to the
@@ -195,13 +189,8 @@ KvRtreeWorkload::lookup(PmContext &sys, std::uint64_t key,
         if (sys.read<std::uint64_t>(cursor + NodeOff::tag) == tagLeaf) {
             if (sys.read<std::uint64_t>(cursor + NodeOff::key) != key)
                 return false;
-            if (out) {
-                const Addr vp = sys.read<Addr>(cursor + NodeOff::valPtr);
-                const auto vl =
-                    sys.read<std::uint64_t>(cursor + NodeOff::valLen);
-                out->resize(vl);
-                sys.readBytes(vp, out->data(), vl);
-            }
+            readValue(sys, cursor + NodeOff::valPtr, cursor + NodeOff::valLen,
+                      out);
             return true;
         }
         const auto plen =
@@ -341,18 +330,8 @@ KvRtreeWorkload::update(PmContext &sys, std::uint64_t key,
     if (!cursor || sys.read<std::uint64_t>(cursor + NodeOff::key) != key)
         return false;
 
-    DurableTx tx(sys);
-    sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
-    const std::uint64_t seq = sys.currentTxnSeq();
-    const Addr new_blob = sys.heap().alloc(value.size(), seq);
-    sys.writeBytesSite(new_blob, value.data(), value.size(),
-                       siteValueInit);
-    const Addr old_blob = sys.read<Addr>(cursor + NodeOff::valPtr);
-    sys.writeSite<Addr>(cursor + NodeOff::valPtr, new_blob, siteSwing);
-    sys.writeSite<std::uint64_t>(cursor + NodeOff::valLen, value.size(),
-                                 siteSwing);
-    tx.commit();
-    sys.heap().free(old_blob);
+    replaceValue(sys, cursor + NodeOff::valPtr, cursor + NodeOff::valLen,
+                 value, siteValueInit, siteSwing);
     return true;
 }
 

@@ -43,9 +43,8 @@ MaxHeapWorkload::setup(PmContext &sys)
                             .defUseDepth = 2});
 
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
-    headerAddr = sys.heap().alloc(HdrOff::size, seq);
-    const Addr arr = sys.heap().alloc(initialCapacity * entryBytes, seq);
+    headerAddr = sys.heap().alloc(HdrOff::size);
+    const Addr arr = sys.heap().alloc(initialCapacity * entryBytes);
     sys.write<std::uint64_t>(headerAddr + HdrOff::count, 0);
     sys.write<std::uint64_t>(headerAddr + HdrOff::capacity,
                              initialCapacity);
@@ -74,14 +73,13 @@ MaxHeapWorkload::writeEntry(PmContext &sys, Addr arr, std::uint64_t idx,
 }
 
 void
-MaxHeapWorkload::grow(PmContext &sys)
+MaxHeapWorkload::grow(PmContext &sys, DurableTx &tx)
 {
     const auto cap =
         sys.read<std::uint64_t>(headerAddr + HdrOff::capacity);
     const auto cnt = sys.read<std::uint64_t>(headerAddr + HdrOff::count);
     const Addr old_arr = sys.read<Addr>(headerAddr + HdrOff::arrPtr);
-    const Addr new_arr = sys.heap().alloc(cap * 2 * entryBytes,
-                                          sys.currentTxnSeq());
+    const Addr new_arr = sys.heap().alloc(cap * 2 * entryBytes);
     for (std::uint64_t i = 0; i < cnt; ++i) {
         sys.compute(opcost::perMove);
         writeEntry(sys, new_arr, i, readEntry(sys, old_arr, i),
@@ -91,7 +89,9 @@ MaxHeapWorkload::grow(PmContext &sys)
                                  siteHeader);
     sys.writeSite<Addr>(headerAddr + HdrOff::arrPtr, new_arr,
                         siteHeader);
-    sys.heap().free(old_arr);
+    // A rollback swings arrPtr back to the old array: it is freed only
+    // if the insert commits.
+    tx.free(old_arr);
 }
 
 void
@@ -99,18 +99,14 @@ MaxHeapWorkload::insert(PmContext &sys, std::uint64_t key,
                         const std::vector<std::uint8_t> &value)
 {
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
     sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
-
-    const Addr val_ptr = sys.heap().alloc(value.size(), seq);
-    sys.writeBytesSite(val_ptr, value.data(), value.size(),
-                       siteValueInit);
+    const Addr val_ptr = writeFreshValue(sys, value, siteValueInit);
 
     const auto cnt = sys.read<std::uint64_t>(headerAddr + HdrOff::count);
     const auto cap =
         sys.read<std::uint64_t>(headerAddr + HdrOff::capacity);
     if (cnt == cap)
-        grow(sys);
+        grow(sys, tx);
     const Addr arr = sys.read<Addr>(headerAddr + HdrOff::arrPtr);
 
     // Hole bubbling: shift smaller ancestors down the path, then drop
@@ -230,18 +226,9 @@ MaxHeapWorkload::update(PmContext &sys, std::uint64_t key,
     if (idx == cnt)
         return false;
 
-    DurableTx tx(sys);
-    sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
-    const std::uint64_t seq = sys.currentTxnSeq();
-    const Addr new_blob = sys.heap().alloc(value.size(), seq);
-    sys.writeBytesSite(new_blob, value.data(), value.size(),
-                       siteValueInit);
     const Addr entry = arr + idx * entryBytes;
-    const Addr old_blob = sys.read<Addr>(entry + 8);
-    sys.writeSite<Addr>(entry + 8, new_blob, siteShift);
-    sys.writeSite<std::uint64_t>(entry + 16, value.size(), siteShift);
-    tx.commit();
-    sys.heap().free(old_blob);
+    replaceValue(sys, entry + 8, entry + 16, value, siteValueInit,
+                 siteShift);
     return true;
 }
 
@@ -262,7 +249,7 @@ MaxHeapWorkload::remove(PmContext &sys, std::uint64_t key)
 
     DurableTx tx(sys);
     sys.compute(opcost::insertBase / 2);
-    const Addr blob = sys.read<Addr>(arr + idx * entryBytes + 8);
+    tx.free(sys.read<Addr>(arr + idx * entryBytes + 8));
     const std::uint64_t last = cnt - 1;
 
     if (idx != last) {
@@ -307,7 +294,6 @@ MaxHeapWorkload::remove(PmContext &sys, std::uint64_t key)
     sys.writeSite<std::uint64_t>(headerAddr + HdrOff::count, last,
                                  siteCount);
     tx.commit();
-    sys.heap().free(blob);
     return true;
 }
 

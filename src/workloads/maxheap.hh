@@ -13,8 +13,9 @@
  *    logged eager stores — partial persistence of a shift chain would
  *    lose elements, so they must be undo-protected.
  *  - Array growth copies into the fresh doubled array: log-free
- *    (fresh region; the old array stays intact until the header swing
- *    commits).
+ *    (fresh region; the old array stays intact, and allocated, until
+ *    the header swing commits — grow() frees it with the insert's
+ *    transaction).
  *
  * The heap therefore profits mainly from log-free stores, not lazy
  * persistency — matching the paper's per-benchmark spread.
@@ -82,7 +83,8 @@ class MaxHeapWorkload : public Workload
     void writeEntry(PmContext &sys, Addr arr, std::uint64_t idx,
                     const Entry &e, SiteId site);
 
-    void grow(PmContext &sys);
+    /** Double the array inside @p tx, which frees the old one. */
+    void grow(PmContext &sys, DurableTx &tx);
 
     SiteId siteValueInit = 0;
     SiteId siteNewSlot = 0;    //!< arr[count] (dead-beyond-count)

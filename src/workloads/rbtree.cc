@@ -46,8 +46,7 @@ RbTreeWorkload::setup(PmContext &sys)
                            .defUseDepth = 3});
 
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
-    headerAddr = sys.heap().alloc(HdrOff::size, seq);
+    headerAddr = sys.heap().alloc(HdrOff::size);
     sys.write<Addr>(headerAddr + HdrOff::root, 0);
     sys.write<std::uint64_t>(headerAddr + HdrOff::count, 0);
     sys.writeRoot(headerRootSlot, headerAddr);
@@ -59,8 +58,7 @@ Addr
 RbTreeWorkload::allocNode(PmContext &sys, std::uint64_t key, Addr parent,
                           Addr val_ptr, std::uint64_t val_len)
 {
-    const Addr node =
-        sys.heap().alloc(NodeOff::size, sys.currentTxnSeq());
+    const Addr node = sys.heap().alloc(NodeOff::size);
     sys.writeSite<std::uint64_t>(node + NodeOff::key, key, siteNodeInit);
     sys.writeSite<Addr>(node + NodeOff::left, 0, siteNodeInit);
     sys.writeSite<Addr>(node + NodeOff::right, 0, siteNodeInit);
@@ -193,12 +191,9 @@ RbTreeWorkload::insert(PmContext &sys, std::uint64_t key,
                        const std::vector<std::uint8_t> &value)
 {
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
     sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
 
-    const Addr val_ptr = sys.heap().alloc(value.size(), seq);
-    sys.writeBytesSite(val_ptr, value.data(), value.size(),
-                       siteValueInit);
+    const Addr val_ptr = writeFreshValue(sys, value, siteValueInit);
 
     // BST descent.
     Addr parent = 0;
@@ -237,13 +232,8 @@ RbTreeWorkload::lookup(PmContext &sys, std::uint64_t key,
         sys.compute(opcost::perLevel);
         const auto ck = sys.read<std::uint64_t>(cursor + NodeOff::key);
         if (ck == key) {
-            if (out) {
-                const Addr vp = sys.read<Addr>(cursor + NodeOff::valPtr);
-                const auto vl =
-                    sys.read<std::uint64_t>(cursor + NodeOff::valLen);
-                out->resize(vl);
-                sys.readBytes(vp, out->data(), vl);
-            }
+            readValue(sys, cursor + NodeOff::valPtr, cursor + NodeOff::valLen,
+                      out);
             return true;
         }
         cursor = sys.read<Addr>(
@@ -286,12 +276,10 @@ RbTreeWorkload::buildBalanced(PmContext &sys,
         return 0;
     const std::size_t mid = lo + (hi - lo) / 2;
     const Item &item = items[mid];
-    const Addr val_ptr =
-        sys.heap().alloc(item.value.size(), sys.currentTxnSeq());
+    const Addr val_ptr = sys.heap().alloc(item.value.size());
     sys.writeBytes(val_ptr, item.value.data(), item.value.size());
 
-    const Addr node =
-        sys.heap().alloc(NodeOff::size, sys.currentTxnSeq());
+    const Addr node = sys.heap().alloc(NodeOff::size);
     sys.write<std::uint64_t>(node + NodeOff::key, item.key);
     sys.write<Addr>(node + NodeOff::parent, parent);
     // Canonical colouring: only the deepest level is red, which keeps
@@ -323,8 +311,7 @@ RbTreeWorkload::recover(PmContext &sys)
 
     sys.heap().reset();
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
-    headerAddr = sys.heap().alloc(HdrOff::size, seq);
+    headerAddr = sys.heap().alloc(HdrOff::size);
     // red_depth = depth of the deepest level of the balanced tree.
     std::size_t levels = 0;
     while ((1ULL << levels) <= items.size())
@@ -413,18 +400,8 @@ RbTreeWorkload::update(PmContext &sys, std::uint64_t key,
     if (!node)
         return false;
 
-    DurableTx tx(sys);
-    sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
-    const std::uint64_t seq = sys.currentTxnSeq();
-    const Addr new_blob = sys.heap().alloc(value.size(), seq);
-    sys.writeBytesSite(new_blob, value.data(), value.size(),
-                       siteValueInit);
-    const Addr old_blob = sys.read<Addr>(node + NodeOff::valPtr);
-    sys.writeSite<Addr>(node + NodeOff::valPtr, new_blob, siteChild);
-    sys.writeSite<std::uint64_t>(node + NodeOff::valLen, value.size(),
-                                 siteChild);
-    tx.commit();
-    sys.heap().free(old_blob);
+    replaceValue(sys, node + NodeOff::valPtr, node + NodeOff::valLen, value,
+                 siteValueInit, siteChild);
     return true;
 }
 

@@ -69,9 +69,8 @@ SkipListWorkload::setup(PmContext &sys)
                            .defUseDepth = 3});
 
     DurableTx tx(sys);
-    const std::uint64_t seq = sys.currentTxnSeq();
-    headerAddr = sys.heap().alloc(HdrOff::size, seq);
-    const Addr head = sys.heap().alloc(NodeOff::size, seq);
+    headerAddr = sys.heap().alloc(HdrOff::size);
+    const Addr head = sys.heap().alloc(NodeOff::size);
     sys.write<std::uint64_t>(head + NodeOff::key, 0);
     sys.write<std::uint64_t>(head + NodeOff::height, maxHeight);
     sys.write<Addr>(head + NodeOff::valPtr, 0);
@@ -106,19 +105,6 @@ SkipListWorkload::search(PmContext &sys, std::uint64_t key, Addr *preds,
     }
 }
 
-Addr
-SkipListWorkload::makeBlob(PmContext &sys,
-                           const std::vector<std::uint8_t> &value)
-{
-    const Addr blob =
-        sys.heap().alloc(8 + value.size(), sys.currentTxnSeq());
-    sys.writeSite<std::uint64_t>(blob, value.size(), siteValueInit);
-    if (!value.empty())
-        sys.writeBytesSite(blob + 8, value.data(), value.size(),
-                           siteValueInit);
-    return blob;
-}
-
 void
 SkipListWorkload::insert(PmContext &sys, std::uint64_t key,
                          const std::vector<std::uint8_t> &value)
@@ -134,12 +120,11 @@ SkipListWorkload::insert(PmContext &sys, std::uint64_t key,
 
     DurableTx tx(sys);
     sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
-    const std::uint64_t seq = sys.currentTxnSeq();
 
     // Prepare: fresh blob and node, initialised with Pattern-1
     // log-free stores. A crash leaks both; recovery's GC reclaims.
-    const Addr blob = makeBlob(sys, value);
-    const Addr node = sys.heap().alloc(NodeOff::size, seq);
+    const Addr blob = writeFreshBlob(sys, value, siteValueInit);
+    const Addr node = sys.heap().alloc(NodeOff::size);
     sys.writeSite<std::uint64_t>(node + NodeOff::key, key,
                                  siteFreshNode);
     sys.writeSite<std::uint64_t>(node + NodeOff::height, h,
@@ -176,14 +161,9 @@ SkipListWorkload::update(PmContext &sys, std::uint64_t key,
     if (!node || sys.read<std::uint64_t>(node + NodeOff::key) != key)
         return false;
 
-    DurableTx tx(sys);
-    sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
-    const Addr blob = makeBlob(sys, value);
-    const Addr old = sys.read<Addr>(node + NodeOff::valPtr);
     // Single-word publication of the fresh blob (final store).
-    sys.writeSite<Addr>(node + NodeOff::valPtr, blob, sitePublish);
-    tx.commit();
-    sys.heap().free(old);
+    replaceBlob(sys, node + NodeOff::valPtr, value, siteValueInit,
+                sitePublish);
     return true;
 }
 
@@ -197,13 +177,7 @@ SkipListWorkload::lookup(PmContext &sys, std::uint64_t key,
     const Addr node = succs[0];
     if (!node || sys.read<std::uint64_t>(node + NodeOff::key) != key)
         return false;
-    if (out) {
-        const Addr blob = sys.read<Addr>(node + NodeOff::valPtr);
-        const auto len = sys.read<std::uint64_t>(blob);
-        out->resize(len);
-        if (len)
-            sys.readBytes(blob + 8, out->data(), len);
-    }
+    readBlob(sys, node + NodeOff::valPtr, out);
     return true;
 }
 
@@ -235,13 +209,12 @@ SkipListWorkload::remove(PmContext &sys, std::uint64_t key)
     // harmless if it becomes durable while the transaction aborts.
     sys.writeSite<std::uint64_t>(node + NodeOff::deadMark, 1,
                                  siteDeadMark);
-    const Addr blob = sys.read<Addr>(node + NodeOff::valPtr);
+    tx.free(node);
+    tx.free(sys.read<Addr>(node + NodeOff::valPtr));
     const Addr succ0 = sys.read<Addr>(nextAddr(node, 0));
     // Unpublish: single-word final store, then commit.
     sys.writeSite<Addr>(nextAddr(preds[0], 0), succ0, siteUnlink);
     tx.commit();
-    sys.heap().free(node);
-    sys.heap().free(blob);
     return true;
 }
 

@@ -108,10 +108,6 @@ class SkipListWorkload : public Workload
     void search(PmContext &sys, std::uint64_t key, Addr *preds,
                 Addr *succs);
 
-    /** Fresh length-prefixed value blob ([len:8][bytes]). */
-    Addr makeBlob(PmContext &sys,
-                  const std::vector<std::uint8_t> &value);
-
     SiteId siteFreshNode = 0;  //!< node init (Pattern 1a, fresh)
     SiteId siteValueInit = 0;  //!< blob init (Pattern 1a, fresh)
     SiteId siteUpperLink = 0;  //!< tower links > 0 (Pattern 2, lazy)

@@ -97,13 +97,11 @@ class Workload
                         const std::vector<std::uint8_t> &value) = 0;
 
     /**
-     * Replace an existing key's value in one durable transaction.
-     * All workloads use the same out-of-place pattern: the new blob
-     * is a fresh allocation (log-free eager storeT), the pointer and
-     * length fields of the owning node are logged stores, and the old
-     * blob is reclaimed only after the commit (deferred free — a
-     * within-transaction reuse could durably overwrite data the undo
-     * rollback still points at).
+     * Replace an existing key's value out of place in one durable
+     * transaction, through the value protocol below: a fresh value,
+     * a swing of the node's value words, and a free of the old value
+     * that commits with the transaction (a reuse before the commit
+     * could durably overwrite data the rollback still points at).
      *
      * @return false when the key is absent (no transaction runs)
      */
@@ -151,6 +149,97 @@ class Workload
      */
     virtual bool checkConsistency(PmContext &sys, std::string *why) = 0;
 };
+
+/**
+ * @name The value protocol
+ * A value lives out of place, in a fresh heap block its node points
+ * at, in one of two formats: a pointer word and a length word in the
+ * node, or one pointer word to a length-prefixed blob ([len:8][bytes];
+ * skiplist and blinktree), which a single store publishes. A fresh
+ * block is written through a log-free fresh-allocation site (Pattern
+ * 1: a crash leaks it and recovery's heap rebuild reclaims it).
+ */
+/** @{ */
+
+/** A fresh block holding @p value, written through @p site. */
+inline Addr
+writeFreshValue(PmContext &sys, const std::vector<std::uint8_t> &value,
+                SiteId site)
+{
+    const Addr block = sys.heap().alloc(value.size());
+    sys.writeBytesSite(block, value.data(), value.size(), site);
+    return block;
+}
+
+/** A fresh length-prefixed blob holding @p value. */
+inline Addr
+writeFreshBlob(PmContext &sys, const std::vector<std::uint8_t> &value,
+               SiteId site)
+{
+    const Addr blob = sys.heap().alloc(8 + value.size());
+    sys.writeSite<std::uint64_t>(blob, value.size(), site);
+    if (!value.empty())
+        sys.writeBytesSite(blob + 8, value.data(), value.size(), site);
+    return blob;
+}
+
+/** Read the value whose pointer and length words are at @p ptr and
+ *  @p len into @p out, unless @p out is null. */
+inline void
+readValue(PmContext &sys, Addr ptr, Addr len,
+          std::vector<std::uint8_t> *out)
+{
+    if (!out)
+        return;
+    const Addr block = sys.read<Addr>(ptr);
+    out->resize(sys.read<std::uint64_t>(len));
+    sys.readBytes(block, out->data(), out->size());
+}
+
+/** readValue for the blob whose pointer word is at @p ptr. */
+inline void
+readBlob(PmContext &sys, Addr ptr, std::vector<std::uint8_t> *out)
+{
+    if (!out)
+        return;
+    const Addr blob = sys.read<Addr>(ptr);
+    out->resize(sys.read<std::uint64_t>(blob));
+    if (!out->empty())
+        sys.readBytes(blob + 8, out->data(), out->size());
+}
+
+/** Replace the value whose words are at @p ptr and @p len in one
+ *  transaction: write it fresh through @p value_site, swing both words
+ *  through @p swing_site, and free the old block with the commit. */
+inline void
+replaceValue(PmContext &sys, Addr ptr, Addr len,
+             const std::vector<std::uint8_t> &value, SiteId value_site,
+             SiteId swing_site)
+{
+    DurableTx tx(sys);
+    sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
+    const Addr fresh = writeFreshValue(sys, value, value_site);
+    tx.free(sys.read<Addr>(ptr));
+    sys.writeSite<Addr>(ptr, fresh, swing_site);
+    sys.writeSite<std::uint64_t>(len, value.size(), swing_site);
+    tx.commit();
+}
+
+/** replaceValue for a blob: the swing is the one pointer word, the
+ *  transaction's final store. */
+inline void
+replaceBlob(PmContext &sys, Addr ptr,
+            const std::vector<std::uint8_t> &value, SiteId value_site,
+            SiteId swing_site)
+{
+    DurableTx tx(sys);
+    sys.compute(opcost::insertBase + opcost::valueWork(value.size()));
+    const Addr fresh = writeFreshBlob(sys, value, value_site);
+    tx.free(sys.read<Addr>(ptr));
+    sys.writeSite<Addr>(ptr, fresh, swing_site);
+    tx.commit();
+}
+/** @} */
 
 /** Null-terminated diagnostic helper. */
 inline bool

@@ -466,10 +466,12 @@ TEST(CheckpointEncoding, VersionMismatchRejected)
     ASSERT_EQ(bytes[4], MachineCheckpoint::formatVersion);
     // Rewrite the format version field (bytes 4..7 after the magic) and
     // re-seal the CRC so only the version check can object: to the next
-    // version, and to version 1, whose engine state still carried its
-    // own sequence counter and crash countdown.
+    // version; to version 2, whose heap table still tagged every
+    // allocation with its transaction; and to version 1, whose engine
+    // state still carried its own sequence counter and crash countdown.
     for (const std::uint32_t version :
-         {MachineCheckpoint::formatVersion + 1, std::uint32_t{1}}) {
+         {MachineCheckpoint::formatVersion + 1, std::uint32_t{2},
+          std::uint32_t{1}}) {
         auto edited = bytes;
         edited[4] = static_cast<std::uint8_t>(version);
         resealCrc(edited);

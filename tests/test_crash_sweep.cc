@@ -164,6 +164,33 @@ TEST(CrashSweep, PostCompletionCrashRecoversLazyData)
 }
 
 /**
+ * The heap's array growth frees the old array with the insert's
+ * transaction. These points of the census trace (800 ops, 10/85/5,
+ * 256 B values, tiny cache, seed 8) crash inside an insert that grows
+ * the array. An in-transaction free let rollback swing the header back
+ * to an array the allocator no longer held, so recovery's rebuild left
+ * it out and the continuation inserts allocated over live entries.
+ */
+TEST(CrashSweep, HeapGrowthCrashKeepsTheOldArray)
+{
+    for (const SchemeKind scheme : {SchemeKind::SLPMT, SchemeKind::FG}) {
+        CrashSweepConfig cfg;
+        cfg.scheme = scheme;
+        cfg.workload = "heap";
+        cfg.mix = {.numOps = 800, .valueBytes = 256, .seed = 8,
+                   .insertPct = 10, .updatePct = 85, .removePct = 5};
+        cfg.tinyCache = true;
+        for (std::uint64_t k = 3006; k <= 3015; ++k) {
+            const auto out = runCrashPoint(cfg, k);
+            EXPECT_TRUE(out.fired) << schemeName(scheme) << " point " << k;
+            EXPECT_EQ(out.violations.size(), 0u)
+                << schemeName(scheme) << " point " << k << ": "
+                << (out.violations.empty() ? "" : out.violations[0]);
+        }
+    }
+}
+
+/**
  * Same sweep, 1 worker vs 4 workers: the violation report and every
  * per-point outcome must be bit-identical regardless of scheduling.
  * Wall times and speedup land in a JSON report for inspection.

@@ -2,8 +2,10 @@
  * @file
  * Unit tests for the persistent-heap allocator: first-fit behaviour,
  * free-range coalescing, liveness queries, the post-crash GC rebuild
- * that reclaims transactions' leaked allocations, and a differential
- * of the indexed first fit against a reference linear walk.
+ * that reclaims transactions' leaked allocations, a differential of
+ * the indexed first fit against a reference linear walk, and
+ * transactional frees (DurableTx::free: released after the commit,
+ * dropped by an abort, an unwind or a crash).
  */
 
 #include <gtest/gtest.h>
@@ -11,13 +13,16 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "checkpoint/serde.hh"
 #include "common/rng.hh"
-#include "stats/stats.hh"
 #include "core/heap.hh"
+#include "core/pm_system.hh"
+#include "core/tx.hh"
+#include "stats/stats.hh"
 
 namespace slpmt
 {
@@ -91,10 +96,10 @@ TEST_F(HeapTest, ExhaustionIsFatal)
 
 TEST_F(HeapTest, GcReclaimsUnreachable)
 {
-    const Addr keep1 = heap.alloc(40, 1);
-    const Addr leak1 = heap.alloc(40, 2);
-    const Addr keep2 = heap.alloc(40, 2);
-    const Addr leak2 = heap.alloc(40, 3);
+    const Addr keep1 = heap.alloc(40);
+    const Addr leak1 = heap.alloc(40);
+    const Addr keep2 = heap.alloc(40);
+    const Addr leak2 = heap.alloc(40);
     (void)leak1;
     (void)leak2;
     const std::size_t reclaimed = heap.rebuild({keep1, keep2});
@@ -104,15 +109,6 @@ TEST_F(HeapTest, GcReclaimsUnreachable)
     EXPECT_FALSE(heap.isLive(leak1));
     // Reclaimed space is allocatable again.
     heap.alloc(40);
-}
-
-TEST_F(HeapTest, AllocationsSinceFiltersByTxn)
-{
-    heap.alloc(8, 5);
-    const Addr b = heap.alloc(8, 9);
-    const auto since = heap.allocationsSince(5);
-    ASSERT_EQ(since.size(), 1u);
-    EXPECT_EQ(since[0], b);
 }
 
 TEST_F(HeapTest, LiveBytesTracksRoundedSizes)
@@ -243,10 +239,10 @@ runFirstFitDifferential(Bytes heap_size, std::uint64_t seed, int steps)
             const Bytes need = (size + wordSize - 1) / wordSize * wordSize;
             const Addr want = ref.alloc(need);
             if (want == 0) {
-                ASSERT_THROW(heap->alloc(size, step), FatalError);
+                ASSERT_THROW(heap->alloc(size), FatalError);
                 continue;
             }
-            ASSERT_EQ(heap->alloc(size, step), want);
+            ASSERT_EQ(heap->alloc(size), want);
             live[want] = need;
             bases.push_back(want);
         } else if (op < 99750) {
@@ -301,6 +297,91 @@ TEST_F(HeapTest, StressRandomAllocFree)
     runFirstFitDifferential(64u << 10, 11, 10000);
     runFirstFitDifferential(4u << 20, 12, 30000);
     runFirstFitDifferential(64u << 20, 13, 30000);
+}
+
+// ---------------------------------------------------------------------
+// Transactional frees (DurableTx::free)
+// ---------------------------------------------------------------------
+
+/** A one-core machine holding two blocks; the tests free the first. */
+class HeapTxFree : public ::testing::Test
+{
+  protected:
+    HeapTxFree()
+        : sys(SystemConfig{}),
+          victim(sys.heap().alloc(64)),
+          other(sys.heap().alloc(64))
+    {}
+
+    std::uint64_t frees() { return sys.stats().get("heap.frees"); }
+
+    PmSystem sys;
+    Addr victim;
+    Addr other;
+};
+
+TEST_F(HeapTxFree, CommitReleasesTheBlockAfterTheCommit)
+{
+    DurableTx tx(sys);
+    sys.write<std::uint64_t>(other, 1);
+    tx.free(victim);
+    // Still allocated: a fresh block inside the transaction lands
+    // elsewhere, so a rollback could still use the old one.
+    EXPECT_TRUE(sys.heap().isLive(victim));
+    EXPECT_NE(sys.heap().alloc(64), victim);
+    tx.commit();
+    EXPECT_FALSE(sys.heap().isLive(victim));
+    EXPECT_EQ(frees(), 1u);
+    EXPECT_EQ(sys.heap().alloc(64), victim);
+}
+
+TEST_F(HeapTxFree, ExplicitAbortDropsTheFree)
+{
+    DurableTx tx(sys);
+    tx.free(victim);
+    tx.abort();
+    EXPECT_TRUE(sys.heap().isLive(victim));
+    EXPECT_EQ(frees(), 0u);
+}
+
+TEST_F(HeapTxFree, UnwindDropsTheFree)
+{
+    try {
+        DurableTx tx(sys);
+        tx.free(victim);
+        throw std::runtime_error("unwind");
+    } catch (const std::runtime_error &) {
+    }
+    EXPECT_FALSE(sys.inTransaction());
+    EXPECT_TRUE(sys.heap().isLive(victim));
+    EXPECT_EQ(frees(), 0u);
+}
+
+TEST_F(HeapTxFree, CrashDropsTheFree)
+{
+    sys.armCrashAfterStores(2);
+    bool crashed = false;
+    try {
+        DurableTx tx(sys);
+        tx.free(victim);
+        for (std::uint64_t i = 0; i < 4; ++i)
+            sys.write<std::uint64_t>(other + i * wordSize, i);
+        tx.commit();
+    } catch (const CrashInjected &) {
+        crashed = true;
+    }
+    sys.armCrashAfterStores(0);
+    ASSERT_TRUE(crashed);
+    EXPECT_TRUE(sys.heap().isLive(victim));
+    EXPECT_EQ(frees(), 0u);
+}
+
+TEST_F(HeapTxFree, FinishedTransactionRefusesAFree)
+{
+    DurableTx tx(sys);
+    tx.commit();
+    EXPECT_THROW(tx.free(victim), PanicError);
+    EXPECT_TRUE(sys.heap().isLive(victim));
 }
 
 } // namespace

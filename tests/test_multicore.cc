@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -245,7 +246,7 @@ TEST(McContextSwitch, QuantumExpiryDrainMatchesPmSystemOrder)
     const Addr mc_base = m.heap().alloc(8 * cacheLineSize);
     ASSERT_EQ(mc_base, base);
     beginBuffered(m.context(0), mc_base, 5, 0x51);
-    m.noteQuantumExpiry(0, /*drain=*/true);
+    m.noteQuantumExpiry(0);
     const auto got = m.core(0).engine().logArea().scanValid();
 
     // Same records, same log order: the drain order is pinned.
@@ -275,12 +276,8 @@ TEST(McContextSwitch, DrainIsPerCoreOnly)
     ASSERT_GT(peer, 0u);
 
     // Only the departing core drains; the peer keeps batching.
-    m.noteQuantumExpiry(0, /*drain=*/true);
+    m.noteQuantumExpiry(0);
     EXPECT_EQ(m.core(0).engine().buffer().size(), 0u);
-    EXPECT_EQ(m.core(1).engine().buffer().size(), peer);
-
-    // drain=false (the knob tests use) is a no-op.
-    m.noteQuantumExpiry(1, /*drain=*/false);
     EXPECT_EQ(m.core(1).engine().buffer().size(), peer);
     EXPECT_EQ(m.snapshot().at("multicore.ctxSwitchDrains"), 1u);
 
@@ -339,7 +336,7 @@ TEST(McStats, SharedSequenceCounterKeepsTxnTagsGloballyUnique)
         for (std::size_t c = 0; c < 2; ++c) {
             m.context(c).txBegin();
             EXPECT_TRUE(
-                seqs.insert(m.context(c).currentTxnSeq()).second);
+                seqs.insert(m.core(c).engine().currentTxnSeq()).second);
         }
         for (std::size_t c = 0; c < 2; ++c) {
             m.context(c).write<std::uint64_t>(
@@ -411,6 +408,41 @@ TEST(McScheduler, DifferentSeedsChangeTheInterleaving)
         differs = a.commitLog[i].core != b.commitLog[i].core ||
                   a.commitLog[i].key != b.commitLog[i].key;
     EXPECT_TRUE(differs);
+}
+
+TEST(McScheduler, ThrowingDriverLeavesNoConflictHandler)
+{
+    McMachine m(mcConfig(2));
+    const Addr base = m.heap().alloc(4 * cacheLineSize);
+
+    struct Throwing : McCoreDriver
+    {
+        bool done() const override { return false; }
+        void step() override { throw std::runtime_error("driver fault"); }
+    };
+    struct Counting : McCoreDriver
+    {
+        std::size_t heard = 0;
+        bool done() const override { return true; }
+        void step() override {}
+        void onConflictAbort() override { ++heard; }
+    };
+    Throwing thrower;
+    Counting counter;
+    const std::vector<McCoreDriver *> drivers = {&thrower, &counter};
+    EXPECT_THROW(runInterleaved(m, drivers, McSchedConfig{}),
+                 std::runtime_error);
+
+    // Core 0 writes over core 1's in-flight transaction: the run is
+    // over, so no driver of it may hear of the abort.
+    m.context(1).txBegin();
+    m.context(1).write<std::uint64_t>(base, 1u);
+    m.context(0).txBegin();
+    m.context(0).write<std::uint64_t>(base, 2u);
+    m.context(0).txCommit();
+    EXPECT_FALSE(m.context(1).inTransaction());
+    EXPECT_EQ(m.snapshot().at("multicore.conflictAborts"), 1u);
+    EXPECT_EQ(counter.heard, 0u);
 }
 
 // ---------------------------------------------------------------------
