@@ -204,7 +204,8 @@ usage()
         "  --compare-serial   also run 1-worker and report speedup\n"
         "  --tiny-cache       shrink caches so dirty lines overflow\n"
         "                     mid-txn (exercises log replay)\n"
-        "  --json=PATH        write the JSON report to PATH\n"
+        "  --json=PATH        write the JSON report to PATH (with "
+        "each sweep's host ms per point step)\n"
         "  --crash-point=K    reproduce one point (single sweep); K=0 "
         "is the post-completion point\n"
         "  --checkpoint-interval=N  stores between master-run "
@@ -573,10 +574,20 @@ main(int argc, char **argv)
     double serial_ms = 0.0;
     double parallel_ms = 0.0;
     std::vector<std::string> sweep_jsons;
+    std::string step_jsons;
     for (const Cell &c : cells) {
         const CrashSweepReport report = runCell(opt, c);
         parallel_ms += report.wallMs;
         sweep_jsons.push_back(report.toJson());
+        step_jsons += step_jsons.empty() ? "{" : ",{";
+        for (std::size_t i = 0; i < numPointSteps; ++i) {
+            char step[64];
+            std::snprintf(step, sizeof(step), "%s\"%s\":%.3f",
+                          i ? "," : "", pointStepNames[i],
+                          report.stepMs[i]);
+            step_jsons += step;
+        }
+        step_jsons += '}';
 
         if (opt.compareSerial) {
             const CrashSweepReport serial = runCell(serial_opt, c);
@@ -615,6 +626,9 @@ main(int argc, char **argv)
         std::snprintf(buf, sizeof(buf), "],\"parallel_wall_ms\":%.3f",
                       parallel_ms);
         doc += buf;
+        // Host ms per point step, one object per sweep in "sweeps"
+        // order; kept out of "sweeps" so that array stays timing-free.
+        doc += ",\"step_ms\":[" + step_jsons + ']';
         if (opt.compareSerial) {
             std::snprintf(buf, sizeof(buf),
                           ",\"serial_wall_ms\":%.3f,\"speedup\":%.3f",

@@ -18,13 +18,25 @@
  *  - lastUses: the LRU timestamps consulted by victimFor();
  *  - metaPrev/metaNext/metaLinked: the metadata line index as
  *    index-based links (previously pointers threaded through the
- *    frames).
+ *    frames);
+ *  - setValid: each set's occupancy, its number of valid probe keys.
+ *
+ * The probe key is the authority on validity: a frame's fields (and
+ * its timestamp and index links) are defined only while its key marks
+ * it valid. Construction therefore writes no frame — the frames, the
+ * timestamps and the links live in uninitialised storage — and
+ * nothing reads a frame that was never filled or was invalidated.
+ * victimFor() blanks an invalid frame before handing it out. With the
+ * occupancy, every whole-array walk (forEachValid(), countIf(),
+ * invalidateAll(), saveState(), restoreState()) skips empty sets and
+ * costs O(sets + valid lines), not O(capacity); only the audits still
+ * read every probe key.
  *
  * Frames never move, so CacheLine pointers handed out by find() stay
- * stable. The probe keys are derived state: any mutation of a frame's
- * tag or validity must go through fillFrame()/invalidateFrame() (or
- * call syncProbeKey() after the fact) to keep the key array coherent;
- * checkProbeKeys() audits the invariant against a brute-force scan.
+ * stable. The probe keys and the occupancy are derived state: any
+ * mutation of a frame's tag or validity must go through
+ * fillFrame()/invalidateFrame() (or call syncProbeKey() after the
+ * fact) to keep them coherent; checkProbeKeys() audits the invariant.
  *
  * The array also owns the level's metadata line index, linking the
  * frames that currently carry transactional metadata (persist bit,
@@ -40,7 +52,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cache/cache_line.hh"
@@ -63,6 +78,12 @@ struct CacheConfig
 /** Set-associative cache array with true-LRU replacement. */
 class Cache
 {
+    // Frames live in raw storage from operator new and begin their
+    // lifetime implicitly, which needs an implicit-lifetime type.
+    static_assert(std::is_trivially_copy_constructible_v<CacheLine> &&
+                      std::is_trivially_destructible_v<CacheLine>,
+                  "CacheLine must stay an implicit-lifetime type");
+
   public:
     /** find() miss / no-frame marker. */
     static constexpr std::size_t npos =
@@ -78,12 +99,18 @@ class Cache
     explicit Cache(const CacheConfig &cfg)
         : config(cfg),
           numSets(cfg.sizeBytes / cacheLineSize / cfg.ways),
-          lines(numSets * cfg.ways),
-          probeKeys(lines.size(), invalidKey),
-          lastUses(lines.size(), 0),
-          metaPrev(lines.size(), -1),
-          metaNext(lines.size(), -1),
-          metaLinked(lines.size(), 0)
+          numFrames(numSets * cfg.ways),
+          lines(static_cast<CacheLine *>(
+              ::operator new(numFrames * sizeof(CacheLine)))),
+          probeKeys(numFrames, invalidKey),
+          lastUses(std::make_unique_for_overwrite<std::uint64_t[]>(
+              numFrames)),
+          metaPrev(std::make_unique_for_overwrite<std::int32_t[]>(
+              numFrames)),
+          metaNext(std::make_unique_for_overwrite<std::int32_t[]>(
+              numFrames)),
+          metaLinked(numFrames, 0),
+          setValid(numSets, 0)
     {
         panicIfNot(numSets > 0 && (numSets & (numSets - 1)) == 0,
                    config.name + ": set count must be a power of two");
@@ -117,7 +144,9 @@ class Cache
      * the set scan is skipped entirely. Probe keys are unique per
      * resident line, so a matching hint — however stale — names the
      * one frame holding the line; a stale non-matching hint just
-     * falls back to the scan. @p hint must be any in-range frame id.
+     * falls back to the scan. Only the key is read, so a hint left
+     * over from before a crash or a restore is harmless. @p hint
+     * must be any in-range frame id.
      */
     std::size_t
     findFrameHinted(Addr addr, std::size_t hint) const
@@ -146,21 +175,25 @@ class Cache
      * Choose the victim frame for filling @p addr. The tie-break is
      * deterministic so replacement order is stable across refactors:
      * the first (lowest-way) invalid frame of the set wins if any way
-     * is invalid; otherwise the LRU way, and on equal timestamps the
-     * lowest way (strict less-than keeps the earliest scanned). The
-     * caller must handle any valid victim (writeback, metadata
-     * propagation) before reusing the frame.
+     * is invalid, and is handed out blank (invalid, clean, no
+     * transactional metadata); otherwise the LRU way, and on equal
+     * timestamps the lowest way (strict less-than keeps the earliest
+     * scanned). The caller must handle any valid victim (writeback,
+     * metadata propagation) before reusing the frame.
      */
     CacheLine &
     victimFor(Addr addr)
     {
         const std::size_t first = setFirstFrame(lineBase(addr));
         const Addr *keys = probeKeys.data() + first;
-        const std::uint64_t *uses = lastUses.data() + first;
+        const std::uint64_t *uses = lastUses.get() + first;
         std::size_t victim = 0;
         for (std::size_t w = 0; w < config.ways; ++w) {
-            if (keys[w] == invalidKey)
-                return lines[first + w];
+            if (keys[w] == invalidKey) {
+                CacheLine &blank = lines[first + w];
+                blank.invalidate();
+                return blank;
+            }
             if (uses[w] < uses[victim])
                 victim = w;
         }
@@ -177,7 +210,7 @@ class Cache
      *  the caller already holds the findFrame() result. */
     void touchFrame(std::size_t frame) { lastUses[frame] = ++useClock; }
 
-    /** A frame's LRU timestamp (tests / diagnostics). */
+    /** A valid frame's LRU timestamp (tests / diagnostics). */
     std::uint64_t lastUse(const CacheLine &line) const
     {
         return lastUses[frameIndex(line)];
@@ -190,31 +223,35 @@ class Cache
     std::size_t
     frameIndex(const CacheLine &line) const
     {
-        return static_cast<std::size_t>(&line - lines.data());
+        return static_cast<std::size_t>(&line - lines.get());
     }
 
     /**
-     * Re-derive @p line's probe key after a tag or validity change.
-     * fillFrame()/invalidateFrame() call this implicitly; direct field
-     * writes must follow up with it.
+     * Re-derive @p line's probe key and its set's occupancy after a
+     * tag or validity change. fillFrame()/invalidateFrame() do this
+     * implicitly; direct field writes (which must define the frame's
+     * state) must follow up with it.
      */
     void
     syncProbeKey(CacheLine &line)
     {
-        probeKeys[frameIndex(line)] = line.valid() ? line.tag : invalidKey;
+        setKey(frameIndex(line), line.valid() ? line.tag : invalidKey);
     }
 
     /**
      * Begin filling a frame with a new identity: sets the tag and
-     * coherence state and publishes the probe key. The caller fills
-     * dirty/metadata/data afterwards.
+     * coherence state, publishes the probe key and gives the frame a
+     * defined timestamp (the current clock; touch() follows). The
+     * caller fills dirty/metadata/data afterwards.
      */
     void
     fillFrame(CacheLine &line, Addr tag, MesiState state)
     {
+        const std::size_t f = frameIndex(line);
         line.tag = tag;
         line.state = state;
-        probeKeys[frameIndex(line)] = tag;
+        setKey(f, tag);
+        lastUses[f] = useClock;
     }
 
     /**
@@ -228,56 +265,88 @@ class Cache
     invalidateFrame(CacheLine &line)
     {
         line.invalidate();
-        probeKeys[frameIndex(line)] = invalidKey;
+        setKey(frameIndex(line), invalidKey);
     }
 
     /**
-     * Audit the probe-key array against the frames: every key must be
-     * the frame's tag when valid and the sentinel when not. @return
-     * false with a diagnostic in @p why on the first violation.
+     * Audit the probe keys and the occupancy against the frames:
+     * every frame with a valid key must be valid and hold that tag,
+     * and every set's occupancy must equal its number of valid keys.
+     * Frames behind invalid keys are undefined and are not read.
+     * @return false with a diagnostic in @p why on the first
+     * violation.
      */
     bool
     checkProbeKeys(std::string *why) const
     {
-        for (std::size_t i = 0; i < lines.size(); ++i) {
-            const Addr expect =
-                lines[i].valid() ? lines[i].tag : invalidKey;
-            if (probeKeys[i] != expect) {
+        for (std::size_t s = 0; s < numSets; ++s) {
+            std::size_t keys = 0;
+            for (std::size_t f = s * config.ways;
+                 f < (s + 1) * config.ways; ++f) {
+                if (probeKeys[f] == invalidKey)
+                    continue;
+                ++keys;
+                if (!lines[f].valid() || lines[f].tag != probeKeys[f]) {
+                    if (why)
+                        *why = config.name + ": frame " +
+                               std::to_string(f) + " probe key " +
+                               std::to_string(probeKeys[f]) +
+                               " names no valid line with that tag";
+                    return false;
+                }
+            }
+            if (keys != setValid[s]) {
                 if (why)
-                    *why = config.name + ": frame " + std::to_string(i) +
-                           " probe key " + std::to_string(probeKeys[i]) +
-                           " != expected " + std::to_string(expect);
+                    *why = config.name + ": set " + std::to_string(s) +
+                           " occupancy " + std::to_string(setValid[s]) +
+                           " != " + std::to_string(keys) + " valid keys";
                 return false;
             }
         }
         return true;
     }
+
+    /** Test hook: force a set's occupancy count, to exercise the
+     *  audit's divergence detection. */
+    void
+    setOccupancyForTest(std::size_t set, std::uint32_t count)
+    {
+        setValid[set] = count;
+    }
     /** @} */
 
     /**
-     * Apply @p fn to every valid line (full-array scans: flush,
-     * invalidation, audits). Takes any callable directly — the scan
+     * Apply @p fn to every valid line in frame order (flushes,
+     * checkpointing). Empty sets are skipped; within an occupied set
+     * each key is re-read at its turn, so @p fn may invalidate frames
+     * it has not reached yet. Takes any callable directly — the scan
      * is a hot path and must not pay a std::function indirection.
      */
     template <typename Fn>
     void
     forEachValid(Fn &&fn)
     {
-        for (auto &line : lines) {
-            if (line.valid())
-                fn(line);
-        }
+        forEachValidFrame([&](std::size_t f) { fn(lines[f]); });
     }
 
-    /** Invalidate every line (crash simulation). */
+    /**
+     * Invalidate every line (crash simulation): reset the keys of the
+     * occupied sets and unlink the metadata index along its list. The
+     * frames are left as they are — they are undefined once invalid.
+     */
     void
     invalidateAll()
     {
-        for (auto &line : lines)
-            line.invalidate();
-        std::fill(probeKeys.begin(), probeKeys.end(), invalidKey);
-        std::fill(metaLinked.begin(), metaLinked.end(),
-                  static_cast<std::uint8_t>(0));
+        for (std::size_t s = 0; s < numSets; ++s) {
+            if (setValid[s] == 0)
+                continue;
+            std::fill_n(probeKeys.begin() +
+                            static_cast<std::ptrdiff_t>(s * config.ways),
+                        config.ways, invalidKey);
+            setValid[s] = 0;
+        }
+        for (std::int32_t i = metaHead; i >= 0; i = metaNext[i])
+            metaLinked[i] = 0;
         metaHead = -1;
         metaCount = 0;
     }
@@ -288,10 +357,10 @@ class Cache
     countIf(Pred &&pred) const
     {
         std::size_t n = 0;
-        for (const auto &line : lines) {
-            if (line.valid() && pred(line))
-                ++n;
-        }
+        forEachValidFrame([&](std::size_t f) {
+            const CacheLine &line = lines[f];
+            n += pred(line) ? 1 : 0;
+        });
         return n;
     }
 
@@ -302,20 +371,22 @@ class Cache
     bool
     owns(const CacheLine *line) const
     {
-        return line >= lines.data() && line < lines.data() + lines.size();
+        return line >= lines.get() && line < lines.get() + numFrames;
     }
 
     /**
      * Re-evaluate @p line's index membership after a metadata or
-     * validity change: link it when it is valid and carries metadata,
-     * unlink it otherwise. Idempotent; O(1).
+     * validity change: link it when its key is valid and it carries
+     * metadata, unlink it otherwise. Idempotent; O(1).
      */
     void
     syncMetaIndex(CacheLine &line)
     {
         const std::int32_t i =
             static_cast<std::int32_t>(frameIndex(line));
-        const bool should = line.valid() && line.hasTxnMeta();
+        const bool should =
+            probeKeys[static_cast<std::size_t>(i)] != invalidKey &&
+            line.hasTxnMeta();
         if (should == (metaLinked[i] != 0))
             return;
         if (should) {
@@ -333,8 +404,6 @@ class Cache
                 metaHead = metaNext[i];
             if (metaNext[i] >= 0)
                 metaPrev[metaNext[i]] = metaPrev[i];
-            metaPrev[i] = -1;
-            metaNext[i] = -1;
             metaLinked[i] = 0;
             --metaCount;
         }
@@ -359,22 +428,24 @@ class Cache
     }
 
     /**
-     * Audit the index against a brute-force scan: every valid frame's
-     * linked flag matches its metadata state, and the list reaches
-     * exactly the linked frames. @return false with a diagnostic in
-     * @p why on the first violation.
+     * Audit the index against a scan of the probe keys: a frame is
+     * linked exactly when its key is valid and it carries metadata,
+     * and the list reaches exactly the linked frames. @return false
+     * with a diagnostic in @p why on the first violation.
      */
     bool
     checkMetaIndex(std::string *why) const
     {
         std::size_t expect = 0;
-        for (std::size_t i = 0; i < lines.size(); ++i) {
-            const CacheLine &line = lines[i];
-            const bool should = line.valid() && line.hasTxnMeta();
+        for (std::size_t i = 0; i < numFrames; ++i) {
+            const bool valid = probeKeys[i] != invalidKey;
+            const bool should = valid && lines[i].hasTxnMeta();
             if (should != (metaLinked[i] != 0)) {
                 if (why)
-                    *why = config.name + ": frame for tag " +
-                           std::to_string(line.tag) +
+                    *why = config.name + ": frame " + std::to_string(i) +
+                           (valid ? " (tag " +
+                                        std::to_string(probeKeys[i]) + ")"
+                                  : std::string(" (invalid)")) +
                            (should ? " has metadata but is not indexed"
                                    : " is indexed without metadata");
                 return false;
@@ -383,8 +454,8 @@ class Cache
         }
         std::size_t reached = 0;
         for (std::int32_t i = metaHead; i >= 0; i = metaNext[i]) {
-            if (i >= static_cast<std::int32_t>(lines.size()) ||
-                !metaLinked[i] || reached++ > lines.size()) {
+            if (static_cast<std::size_t>(i) >= numFrames ||
+                !metaLinked[i] || reached++ > numFrames) {
                 if (why)
                     *why = config.name + ": corrupt meta list node";
                 return false;
@@ -418,21 +489,20 @@ class Cache
      * frame index + architectural fields). Invalid frames carry no
      * observable state — victimFor() prefers any invalid way before
      * consulting timestamps — so they are omitted. The blob layout is
-     * identical to the array-of-structs era: the probe keys and index
-     * links are derived state and are rebuilt on restore.
+     * identical to the array-of-structs era: the probe keys,
+     * occupancy and index links are derived state and are rebuilt on
+     * restore.
      */
     void
     saveState(BlobWriter &w) const
     {
         w.u<std::uint64_t>(useClock);
         std::uint64_t valid_count = 0;
-        for (const auto &line : lines)
-            valid_count += line.valid() ? 1 : 0;
+        for (std::size_t s = 0; s < numSets; ++s)
+            valid_count += setValid[s];
         w.u<std::uint64_t>(valid_count);
-        for (std::size_t i = 0; i < lines.size(); ++i) {
+        forEachValidFrame([&](std::size_t i) {
             const CacheLine &line = lines[i];
-            if (!line.valid())
-                continue;
             w.u<std::uint64_t>(i);
             w.u<Addr>(line.tag);
             w.u<std::uint8_t>(static_cast<std::uint8_t>(line.state));
@@ -443,13 +513,13 @@ class Cache
             w.u<std::uint64_t>(line.txnSeq);
             w.u<std::uint64_t>(lastUses[i]);
             w.bytes(line.data.data(), line.data.size());
-        }
+        });
     }
 
     /**
      * Restore into this (same-geometry) array: invalidate everything,
-     * then rebuild the saved frames and re-derive the probe keys and
-     * the metadata index.
+     * then rebuild the saved frames and re-derive the probe keys, the
+     * occupancy and the metadata index. O(sets + saved frames).
      */
     void
     restoreState(BlobReader &r)
@@ -459,7 +529,7 @@ class Cache
         const std::size_t n = r.count(1);
         for (std::size_t k = 0; k < n; ++k) {
             const std::uint64_t idx = r.u<std::uint64_t>();
-            if (idx >= lines.size())
+            if (idx >= numFrames)
                 throw CheckpointError(config.name +
                                       ": frame index out of range");
             CacheLine &line = lines[static_cast<std::size_t>(idx)];
@@ -469,6 +539,11 @@ class Cache
                 throw CheckpointError(config.name +
                                       ": bad MESI state");
             line.state = static_cast<MesiState>(st);
+            // The occupancy is kept by the set a valid key names.
+            const std::size_t first = setFirstFrame(line.tag);
+            if (line.valid() && (idx < first || idx >= first + config.ways))
+                throw CheckpointError(config.name +
+                                      ": frame tag outside its set");
             line.dirty = r.b();
             line.persistBit = r.b();
             line.logBits = r.u<std::uint8_t>();
@@ -484,30 +559,82 @@ class Cache
     /** @} */
 
   private:
+    /** Set index of line base @p base. */
+    std::size_t
+    setOf(Addr base) const
+    {
+        return static_cast<std::size_t>(base / cacheLineSize) &
+               (numSets - 1);
+    }
+
     /** First frame id of @p base's set (the probe window start). */
     std::size_t
     setFirstFrame(Addr base) const
     {
-        const std::size_t index =
-            static_cast<std::size_t>(base / cacheLineSize) &
-            (numSets - 1);
-        return index * config.ways;
+        return setOf(base) * config.ways;
     }
+
+    /** The walk behind forEachValid(): @p fn(frame id) for every
+     *  valid frame in frame order, skipping empty sets. */
+    template <typename Fn>
+    void
+    forEachValidFrame(Fn &&fn) const
+    {
+        for (std::size_t s = 0; s < numSets; ++s) {
+            if (setValid[s] == 0)
+                continue;
+            for (std::size_t f = s * config.ways;
+                 f < (s + 1) * config.ways; ++f) {
+                if (probeKeys[f] != invalidKey)
+                    fn(f);
+            }
+        }
+    }
+
+    /**
+     * Publish frame @p f's probe key, keeping its set's occupancy. A
+     * valid key is a line base of the frame's own set, so the set
+     * comes from whichever key is valid, without a division.
+     */
+    void
+    setKey(std::size_t f, Addr key)
+    {
+        const Addr old = probeKeys[f];
+        if (old == invalidKey && key != invalidKey)
+            ++setValid[setOf(key)];
+        else if (old != invalidKey && key == invalidKey)
+            --setValid[setOf(old)];
+        probeKeys[f] = key;
+    }
+
+    /** Releases the raw frame storage (CacheLine is trivially
+     *  destructible, so no destructor runs). */
+    struct FrameStorageDelete
+    {
+        void operator()(CacheLine *p) const { ::operator delete(p); }
+    };
 
     CacheConfig config;
     std::size_t numSets;
+    std::size_t numFrames;
 
-    /** The frames (cold per-line state; stable addresses). */
-    std::vector<CacheLine> lines;
+    /** The frames (cold per-line state; stable addresses), undefined
+     *  while their probe key is invalid. */
+    std::unique_ptr<CacheLine[], FrameStorageDelete> lines;
 
     /** @name Hot sibling arrays, indexed by frame id */
     /** @{ */
     std::vector<Addr> probeKeys;           //!< tag or invalidKey
-    std::vector<std::uint64_t> lastUses;   //!< LRU timestamps
-    std::vector<std::int32_t> metaPrev;    //!< meta index links (-1 end)
-    std::vector<std::int32_t> metaNext;
+    /** LRU timestamps and index links: defined only for valid frames
+     *  and linked frames respectively, so left uninitialised. */
+    std::unique_ptr<std::uint64_t[]> lastUses;
+    std::unique_ptr<std::int32_t[]> metaPrev;  //!< meta links (-1 end)
+    std::unique_ptr<std::int32_t[]> metaNext;
     std::vector<std::uint8_t> metaLinked;  //!< frame is on the list
     /** @} */
+
+    /** Valid probe keys per set, indexed by set. */
+    std::vector<std::uint32_t> setValid;
 
     std::uint64_t useClock = 0;
 

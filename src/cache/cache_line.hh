@@ -17,7 +17,9 @@
  * so the hot loops stride over small contiguous arrays instead of
  * pulling a whole CacheLine per way. Clients keep holding CacheLine
  * pointers and detached CacheLine copies; those stay valid because the
- * frames themselves never move.
+ * frames themselves never move. CacheLine must stay an implicit-
+ * lifetime type (trivially copyable and destructible), since the
+ * frames begin their lifetime in raw storage.
  */
 
 #ifndef SLPMT_CACHE_CACHE_LINE_HH
@@ -57,18 +59,12 @@ struct CacheLine
     std::uint64_t txnSeq = 0;     //!< global sequence of owning txn
 
     /**
-     * Deliberately NOT zero-initialized: an invalid frame's data is
-     * never observed (fills overwrite the whole line, checkpointing
-     * skips invalid frames), and cache arrays are constructed per
-     * simulated machine — crash sweeps build thousands — so the
-     * megabytes of memset were a measurable constructor cost. The
-     * user-provided constructor keeps value-initialization from
-     * zeroing the array while the other members still get their
-     * default member initializers.
+     * No default member initializer: every fill overwrites the whole
+     * line, and a Cache's frames live in raw storage that no
+     * constructor touches (cache.hh) — a frame's fields, these bytes
+     * included, are defined only while its probe key marks it valid.
      */
     std::array<std::uint8_t, cacheLineSize> data;
-
-    CacheLine() {}  // NOLINT: see data
 
     bool valid() const { return state != MesiState::Invalid; }
 

@@ -196,15 +196,31 @@ class PersistentHeap
         }
     }
 
+    /**
+     * Rebuild both tables from @p r, reusing their map nodes: each
+     * saved range takes a node extracted from the old table, has its
+     * key and value rewritten and goes in at the end (the ranges
+     * arrive in address order), so a restore allocates only for the
+     * ranges beyond the old table's size.
+     */
     void
     restoreState(BlobReader &r)
     {
         for (RangeMap *table : {&freeRanges, &live}) {
-            table->clear();
+            RangeMap spare;
+            spare.swap(*table);
             const std::size_t n = r.count(2 * sizeof(Addr));
             for (std::size_t i = 0; i < n; ++i) {
                 const Addr addr = r.u<Addr>();
-                (*table)[addr] = r.u<Bytes>();
+                RangeMap::iterator at;
+                if (spare.empty()) {
+                    at = table->try_emplace(table->end(), addr);
+                } else {
+                    auto node = spare.extract(spare.begin());
+                    node.key() = addr;
+                    at = table->insert(table->end(), std::move(node));
+                }
+                at->second = r.u<Bytes>();
             }
         }
         rebuildIndex();

@@ -12,11 +12,14 @@
  * free() records a block, commit() releases it after the commit, and
  * an abort or a crash drops it. A rollback may still point at the
  * block, so it must not be reused before the commit (Section IV-B).
+ * The first few frees are held in the handle itself (an update records
+ * one, a remove at most three); only a resize spills to the host heap.
  */
 
 #ifndef SLPMT_CORE_TX_HH
 #define SLPMT_CORE_TX_HH
 
+#include <array>
 #include <vector>
 
 #include "core/pm_context.hh"
@@ -44,7 +47,10 @@ class DurableTx
     free(Addr base)
     {
         panicIfNot(!done, "transaction already finished");
-        frees.push_back(base);
+        if (numFirst < firstFrees.size())
+            firstFrees[numFirst++] = base;
+        else
+            moreFrees.push_back(base);
     }
 
     /** Commit, then release the recorded frees in order; the handle
@@ -55,7 +61,9 @@ class DurableTx
         panicIfNot(!done, "transaction already finished");
         sys.txCommit();
         done = true;
-        for (Addr base : frees)
+        for (std::size_t i = 0; i < numFirst; ++i)
+            sys.heap().free(firstFrees[i]);
+        for (Addr base : moreFrees)
             sys.heap().free(base);
     }
 
@@ -70,7 +78,11 @@ class DurableTx
 
   private:
     PmContext &sys;
-    std::vector<Addr> frees;
+    /** The recorded frees in order: the first ones inline, the rest
+     *  (a resize's) in moreFrees. */
+    std::array<Addr, 4> firstFrees{};
+    std::size_t numFirst = 0;
+    std::vector<Addr> moreFrees;
     bool done = false;
 };
 

@@ -3,12 +3,17 @@
  * Unit tests for the cache array and the inclusive three-level
  * hierarchy: geometry, LRU, inclusion, SLPMT metadata aggregation /
  * replication across levels (Figure 5), eviction hooks, and crash
- * behaviour.
+ * behaviour. The array contract — a frame is defined only while its
+ * probe key is valid, and the walks see exactly the valid frames in
+ * frame order — is checked against a reference model of a Table
+ * III-sized array.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <random>
 
 #include "cache/hierarchy.hh"
 #include "stats/stats.hh"
@@ -41,6 +46,18 @@ TEST(CacheLine, AggregateReplicateRoundTripOnFullGroups)
 {
     for (std::uint8_t l2 = 0; l2 < 4; ++l2)
         EXPECT_EQ(aggregateLogBits(replicateLogBits(l2)), l2);
+}
+
+TEST(CacheLine, DetachedLineKeepsItsDefaults)
+{
+    // Only a Cache's frames skip construction; a line built on its own
+    // is invalid, clean and owned by no transaction.
+    CacheLine line;
+    EXPECT_FALSE(line.valid());
+    EXPECT_FALSE(line.dirty);
+    EXPECT_FALSE(line.hasTxnMeta());
+    EXPECT_EQ(line.tag, 0u);
+    EXPECT_EQ(line.txnSeq, 0u);
 }
 
 TEST(Cache, GeometryFromConfig)
@@ -129,6 +146,287 @@ TEST(Cache, ConstFindMatchesMutableFind)
     EXPECT_EQ(cc.find(0x0), nullptr);
     // Offsets within the line resolve to the same frame.
     EXPECT_EQ(cc.find(0x7F), &a);
+}
+
+TEST(Cache, FreshTableIIIArraysHoldNothing)
+{
+    const HierarchyConfig t3;
+    for (const CacheConfig &cfg : {t3.l1, t3.l2, t3.l3}) {
+        Cache c(cfg);
+        for (Addr a : {Addr{0x0}, Addr{0x40}, Addr{0x1234540}})
+            EXPECT_EQ(c.find(a), nullptr) << cfg.name;
+        EXPECT_EQ(c.countIf([](const CacheLine &) { return true; }), 0u);
+        std::size_t visits = 0;
+        c.forEachValid([&](CacheLine &) { ++visits; });
+        EXPECT_EQ(visits, 0u);
+        EXPECT_EQ(c.metaLineCount(), 0u);
+        std::string why;
+        EXPECT_TRUE(c.checkProbeKeys(&why)) << why;
+        EXPECT_TRUE(c.checkMetaIndex(&why)) << why;
+
+        // The first victim is way 0 of its set, handed out blank.
+        CacheLine &v = c.victimFor(0x1234540);
+        EXPECT_EQ(c.frameIndex(v) % cfg.ways, 0u);
+        EXPECT_FALSE(v.valid());
+        EXPECT_FALSE(v.dirty);
+        EXPECT_FALSE(v.hasTxnMeta());
+
+        // Its checkpoint holds the clock and no frame.
+        BlobWriter w;
+        c.saveState(w);
+        BlobReader r(w.data());
+        EXPECT_EQ(r.u<std::uint64_t>(), 0u);
+        EXPECT_EQ(r.u<std::uint64_t>(), 0u);
+        EXPECT_TRUE(r.atEnd());
+    }
+}
+
+/** A valid frame as the reference model sees it. */
+struct ModelLine
+{
+    Addr tag;
+    bool persistBit;
+    std::uint8_t logBits;
+    std::uint8_t txnId;
+    std::uint64_t lastUse;
+};
+
+/**
+ * Drive a Table III L2-sized array (1,024 sets of 4 ways) through a
+ * seeded mix of fills, invalidations, metadata changes and
+ * invalidateAll(), with a reference model beside it: every victim is
+ * the model's (lowest invalid way, else LRU, lowest way on a tie), and
+ * every walk, the checkpoint and a restore see exactly the model's
+ * valid frames in frame order.
+ */
+TEST(Cache, SeededMixMatchesReferenceModel)
+{
+    const CacheConfig cfg{"L2", 256 * 1024, 4, 12};
+    Cache c(cfg);
+    std::map<std::size_t, ModelLine> model;  //!< frame id -> line
+    std::uint64_t clock = 0;
+    std::mt19937_64 rng(26);
+
+    // 48 sets spread over the array, 8 candidate lines each, so sets
+    // fill, evict and empty while most sets stay empty.
+    auto pick = [&] {
+        const Addr set = (rng() % 48) * 21;
+        const Addr way = rng() % 8;
+        return (set + way * 1024) * cacheLineSize;
+    };
+    auto randomValid = [&] {
+        return std::next(model.begin(),
+                         static_cast<std::ptrdiff_t>(rng() % model.size()));
+    };
+    auto expectedVictim = [&](Addr addr) {
+        const std::size_t first =
+            static_cast<std::size_t>(addr / cacheLineSize % c.sets()) *
+            cfg.ways;
+        std::size_t victim = first;
+        for (std::size_t f = first; f < first + cfg.ways; ++f) {
+            if (!model.count(f))
+                return f;
+            if (model.at(f).lastUse < model.at(victim).lastUse)
+                victim = f;
+        }
+        return victim;
+    };
+
+    // Every walk over @p cache must see exactly the model.
+    auto expectModel = [&](Cache &cache, const char *what) {
+        std::vector<std::size_t> walked;
+        cache.forEachValid([&](CacheLine &line) {
+            walked.push_back(cache.frameIndex(line));
+        });
+        std::vector<std::size_t> expect;
+        std::size_t with_meta = 0;
+        for (const auto &[f, m] : model) {
+            expect.push_back(f);
+            const CacheLine &line = cache.lineAt(f);
+            EXPECT_EQ(line.tag, m.tag) << what;
+            EXPECT_EQ(line.persistBit, m.persistBit) << what;
+            EXPECT_EQ(line.logBits, m.logBits) << what;
+            EXPECT_EQ(line.txnId, m.txnId) << what;
+            EXPECT_EQ(cache.lastUse(line), m.lastUse) << what;
+            with_meta += line.hasTxnMeta() ? 1 : 0;
+        }
+        EXPECT_EQ(walked, expect) << what;
+        EXPECT_EQ(cache.countIf([](const CacheLine &) { return true; }),
+                  model.size())
+            << what;
+        EXPECT_EQ(cache.countIf(
+                      [](const CacheLine &l) { return l.hasTxnMeta(); }),
+                  with_meta)
+            << what;
+        EXPECT_EQ(cache.metaLineCount(), with_meta) << what;
+        std::string why;
+        EXPECT_TRUE(cache.checkProbeKeys(&why)) << what << ": " << why;
+        EXPECT_TRUE(cache.checkMetaIndex(&why)) << what << ": " << why;
+    };
+
+    for (int step = 0; step < 6000; ++step) {
+        const std::uint64_t op = rng() % 100;
+        if (op < 55 || model.empty()) {
+            const Addr addr = pick();
+            if (CacheLine *hit = c.find(addr)) {
+                c.touch(*hit);
+                model.at(c.frameIndex(*hit)).lastUse = ++clock;
+                continue;
+            }
+            CacheLine &frame = c.victimFor(addr);
+            const std::size_t f = c.frameIndex(frame);
+            ASSERT_EQ(f, expectedVictim(addr)) << "step " << step;
+            ASSERT_EQ(frame.valid(), model.count(f) == 1);
+            if (frame.valid()) {
+                c.invalidateFrame(frame);
+                c.syncMetaIndex(frame);
+                model.erase(f);
+            } else {
+                EXPECT_FALSE(frame.dirty);
+                EXPECT_FALSE(frame.hasTxnMeta());
+            }
+            c.fillFrame(frame, addr, MesiState::Exclusive);
+            frame.dirty = false;
+            frame.clearTxnMeta();
+            frame.data.fill(static_cast<std::uint8_t>(step));
+            c.touch(frame);
+            model[f] = ModelLine{addr, false, 0, noTxnId, ++clock};
+        } else if (op < 70) {
+            const auto it = randomValid();
+            CacheLine &line = c.lineAt(it->first);
+            c.invalidateFrame(line);
+            c.syncMetaIndex(line);
+            model.erase(it);
+        } else if (op < 99) {
+            const auto it = randomValid();
+            CacheLine &line = c.lineAt(it->first);
+            line.persistBit = rng() % 3 == 0;
+            line.logBits =
+                rng() % 3 == 0 ? static_cast<std::uint8_t>(rng() % 4) : 0;
+            line.txnId = rng() % 3 == 0
+                             ? static_cast<std::uint8_t>(rng() % 4)
+                             : noTxnId;
+            c.syncMetaIndex(line);
+            it->second.persistBit = line.persistBit;
+            it->second.logBits = line.logBits;
+            it->second.txnId = line.txnId;
+        } else {
+            c.invalidateAll();
+            model.clear();
+        }
+        if (step % 1000 == 999)
+            expectModel(c, "mid-mix");
+    }
+    ASSERT_FALSE(model.empty());
+    expectModel(c, "after the mix");
+
+    // The checkpoint holds exactly the model's frames, in frame order.
+    BlobWriter w;
+    c.saveState(w);
+    BlobReader r(w.data());
+    EXPECT_EQ(r.u<std::uint64_t>(), clock);
+    ASSERT_EQ(r.u<std::uint64_t>(), model.size());
+    for (const auto &[f, m] : model) {
+        EXPECT_EQ(r.u<std::uint64_t>(), f);
+        EXPECT_EQ(r.u<Addr>(), m.tag);
+        EXPECT_EQ(r.u<std::uint8_t>(),
+                  static_cast<std::uint8_t>(MesiState::Exclusive));
+        EXPECT_FALSE(r.b());  // dirty
+        EXPECT_EQ(r.b(), m.persistBit);
+        EXPECT_EQ(r.u<std::uint8_t>(), m.logBits);
+        EXPECT_EQ(r.u<std::uint8_t>(), m.txnId);
+        EXPECT_EQ(r.u<std::uint64_t>(), 0u);  // txnSeq
+        EXPECT_EQ(r.u<std::uint64_t>(), m.lastUse);
+        std::array<std::uint8_t, cacheLineSize> data;
+        r.bytes(data.data(), data.size());
+        EXPECT_EQ(data, c.lineAt(f).data);
+    }
+    EXPECT_TRUE(r.atEnd());
+
+    // A restore into a fresh array and into this used one rebuilds
+    // the same frames.
+    Cache fresh(cfg);
+    BlobReader into_fresh(w.data());
+    fresh.restoreState(into_fresh);
+    expectModel(fresh, "restored into a fresh array");
+    BlobReader into_used(w.data());
+    c.restoreState(into_used);
+    expectModel(c, "restored into the used array");
+
+    // Emptied, the used array refills every set exactly as a fresh
+    // array does: fills with touches (LRU order), and fills without
+    // (timestamp ties).
+    c.invalidateAll();
+    Cache blank(cfg);
+    for (Addr set = 0; set < 48 * 21; set += 21) {
+        const bool touched = set % 2 == 0;
+        for (Addr way = 0; way < 2 * cfg.ways + 1; ++way) {
+            const Addr addr = (set + way * 1024) * cacheLineSize;
+            CacheLine &used_v = c.victimFor(addr);
+            CacheLine &fresh_v = blank.victimFor(addr);
+            ASSERT_EQ(c.frameIndex(used_v), blank.frameIndex(fresh_v))
+                << "set " << set << " fill " << way;
+            EXPECT_EQ(used_v.valid(), fresh_v.valid());
+            for (auto [cache, v] : {std::pair{&c, &used_v},
+                                    std::pair{&blank, &fresh_v}}) {
+                if (v->valid())
+                    cache->invalidateFrame(*v);
+                cache->fillFrame(*v, addr, MesiState::Shared);
+                v->dirty = false;
+                v->clearTxnMeta();
+                if (touched)
+                    cache->touch(*v);
+            }
+        }
+    }
+    std::string why;
+    EXPECT_TRUE(c.checkProbeKeys(&why)) << why;
+    EXPECT_TRUE(c.checkMetaIndex(&why)) << why;
+}
+
+TEST(Cache, RestoreRejectsATagOutsideItsSet)
+{
+    // 4 sets of 2 ways: frame 0 is in set 0, and line 0x40 in set 1.
+    const CacheConfig cfg{"c", 8 * cacheLineSize, 2, 1};
+    Cache c(cfg);
+    CacheLine &a = c.victimFor(0x40);
+    c.fillFrame(a, 0x40, MesiState::Exclusive);
+    a.dirty = false;
+    a.clearTxnMeta();
+    a.data.fill(0);
+    BlobWriter w;
+    c.saveState(w);
+    std::vector<std::uint8_t> blob = w.data();
+    // The frame index follows the clock and the count; move the line
+    // from its frame (way 0 of set 1) to frame 0.
+    ASSERT_EQ(blob[16], 2u);
+    blob[16] = 0;
+    Cache fresh(cfg);
+    BlobReader r(blob);
+    EXPECT_THROW(fresh.restoreState(r), CheckpointError);
+}
+
+TEST(Cache, OccupancyAuditCatchesCorruptCount)
+{
+    Cache c(CacheConfig{"c", 8 * cacheLineSize, 2, 1});  // 4 sets
+    CacheLine &a = c.victimFor(0x40);
+    c.fillFrame(a, 0x40, MesiState::Exclusive);
+    std::string why;
+    ASSERT_TRUE(c.checkProbeKeys(&why)) << why;
+
+    // One valid key in set 1: any other count is a divergence.
+    c.setOccupancyForTest(1, 2);
+    EXPECT_FALSE(c.checkProbeKeys(&why));
+    EXPECT_NE(why.find("occupancy"), std::string::npos) << why;
+    c.setOccupancyForTest(1, 0);
+    EXPECT_FALSE(c.checkProbeKeys(&why));
+    // An empty set that claims a line is caught too.
+    c.setOccupancyForTest(1, 1);
+    c.setOccupancyForTest(2, 1);
+    EXPECT_FALSE(c.checkProbeKeys(&why));
+    EXPECT_NE(why.find("set 2"), std::string::npos) << why;
+    c.setOccupancyForTest(2, 0);
+    EXPECT_TRUE(c.checkProbeKeys(&why)) << why;
 }
 
 class HierarchyTest : public ::testing::Test
@@ -341,6 +639,38 @@ TEST_F(HierarchyTest, CrashDropsAllCaches)
     std::uint8_t b = 0;
     pm.peek(pmAddr(), &b, 1);
     EXPECT_EQ(b, 0x00);  // the dirty write never reached PM
+}
+
+TEST_F(HierarchyTest, FormerMruLineMissesAfterCrash)
+{
+    hier.access(pmAddr(), true, 0);
+    hier.access(pmAddr(), false, 0);  // a hit: the L1 MRU hint
+    ASSERT_EQ(stats.get("cache.l1Hits"), 1u);
+    hier.crash();
+    hier.access(pmAddr(), false, 0);
+    EXPECT_EQ(stats.get("cache.l1Hits"), 1u);
+    EXPECT_EQ(stats.get("cache.l1Misses"), 2u);
+    EXPECT_EQ(stats.get("cache.l3Misses"), 2u);
+}
+
+TEST_F(HierarchyTest, FormerMruLineMissesAfterRestore)
+{
+    // Checkpoint the empty levels, make a line the MRU hint, restore:
+    // the restore leaves the hinted frame's fields as they were, and
+    // only its probe key says it is gone.
+    BlobWriter w;
+    for (Cache *c : {&hier.l1(), &hier.l2(), &hier.l3()})
+        c->saveState(w);
+    hier.access(pmAddr(), true, 0);
+    hier.access(pmAddr(), false, 0);
+    ASSERT_EQ(stats.get("cache.l1Hits"), 1u);
+    BlobReader r(w.data());
+    for (Cache *c : {&hier.l1(), &hier.l2(), &hier.l3()})
+        c->restoreState(r);
+    hier.access(pmAddr(), false, 0);
+    EXPECT_EQ(stats.get("cache.l1Hits"), 1u);
+    EXPECT_EQ(stats.get("cache.l1Misses"), 2u);
+    EXPECT_EQ(stats.get("cache.l3Misses"), 2u);
 }
 
 TEST_F(HierarchyTest, ForEachPrivateVisitsEachMetadataLineOnce)

@@ -10,7 +10,8 @@
  * logging styles on the one-core PmSystem, and 1/2/4-core interleaved
  * runs on the McMachine (checkpointed at scheduler quantum boundaries
  * and resumed through runInterleavedFrom; a PmSystem master must
- * resume on a plain one-core McMachine). Every mark is restored into a
+ * resume on a plain one-core McMachine), on tiny caches and on a few
+ * rounds at the Table III geometry. Every mark is restored into a
  * fresh machine and into one used machine (usedHistory()). The
  * portable encoding must round-trip through bytes and through a file,
  * and reject corruption, truncation, version skew, configuration
@@ -47,17 +48,29 @@ namespace slpmt
 namespace
 {
 
+/** A machine of @p scheme and @p style at the Table III geometry,
+ *  whose large arrays stay mostly empty. */
 SystemConfig
-tinySystem(SchemeKind scheme, LoggingStyle style)
+tableIIISystem(SchemeKind scheme, LoggingStyle style)
 {
     SystemConfig sc;
     sc.scheme = SchemeConfig::forKind(scheme);
     sc.style = style;
+    return sc;
+}
+
+SystemConfig
+tinySystem(SchemeKind scheme, LoggingStyle style)
+{
+    SystemConfig sc = tableIIISystem(scheme, style);
     sc.hierarchy.l1 = CacheConfig{"L1", 1024, 2, 4};
     sc.hierarchy.l2 = CacheConfig{"L2", 2048, 2, 12};
     sc.hierarchy.l3 = CacheConfig{"L3", 4096, 4, 40};
     return sc;
 }
+
+/** Builds a round's machine configuration. */
+using Geometry = SystemConfig (*)(SchemeKind, LoggingStyle);
 
 void
 applyOp(PmContext &ctx, Workload &wl, const YcsbMixedOp &op)
@@ -134,7 +147,8 @@ usedHistory(McMachine &machine, Workload &wl, std::size_t core)
  */
 void
 fuzzSingleCore(SchemeKind scheme, const std::string &workload,
-               LoggingStyle style, std::uint64_t seed)
+               LoggingStyle style, std::uint64_t seed,
+               Geometry geometry = tinySystem)
 {
     YcsbMixConfig mix;
     mix.numOps = 18;
@@ -145,7 +159,7 @@ fuzzSingleCore(SchemeKind scheme, const std::string &workload,
     mix.removePct = 10;
     const auto trace = ycsbMixedLoad(mix);
 
-    const SystemConfig sc = tinySystem(scheme, style);
+    const SystemConfig sc = geometry(scheme, style);
     PmSystem master(sc);
     auto wl = makeWorkload(workload);
     wl->setup(master);
@@ -225,7 +239,8 @@ fuzzSingleCore(SchemeKind scheme, const std::string &workload,
 void
 fuzzMultiCore(SchemeKind scheme, LoggingStyle style,
               std::size_t cores, std::uint64_t seed,
-              bool pm_system_master = false)
+              bool pm_system_master = false,
+              Geometry geometry = tinySystem)
 {
     McYcsbConfig rc;
     rc.workload = "hashtable";
@@ -234,7 +249,7 @@ fuzzMultiCore(SchemeKind scheme, LoggingStyle style,
     rc.valueBytes = 32;
     rc.seed = seed;
     rc.sharedPct = 25;
-    rc.sys = tinySystem(scheme, style);
+    rc.sys = geometry(scheme, style);
 
     SystemConfig sys_cfg = rc.sys;
     sys_cfg.numCores = cores;
@@ -362,6 +377,21 @@ TEST(CheckpointFuzz, MultiCoreResumeBitExact)
     }
     fuzzMultiCore(SchemeKind::SLPMT, LoggingStyle::Undo, 1, 5001,
                   /*pm_system_master=*/true);
+}
+
+/**
+ * The same rounds at the Table III geometry: every capture walks
+ * large, mostly empty arrays, and every restore into the used machine
+ * must clear exactly the sets that machine filled.
+ */
+TEST(CheckpointFuzz, TableIIIRestoreBitExact)
+{
+    fuzzSingleCore(SchemeKind::SLPMT, "kv-btree", LoggingStyle::Undo, 6001,
+                   tableIIISystem);
+    fuzzSingleCore(SchemeKind::FG, "hashtable", LoggingStyle::Redo, 6002,
+                   tableIIISystem);
+    fuzzMultiCore(SchemeKind::SLPMT, LoggingStyle::Undo, 2, 6003,
+                  /*pm_system_master=*/false, tableIIISystem);
 }
 
 /** A small machine with known content, for the encoding tests. */
@@ -585,6 +615,17 @@ TEST(CheckpointAudit, SingleCoreReportMatchesNoCheckpointMode)
 {
     expectCheckpointedMatchesAudit(auditSweepConfig(), runCrashSweep, 3,
                                    1);
+}
+
+TEST(CheckpointAudit, TableIIISingleCoreReportMatchesNoCheckpointMode)
+{
+    // Table III geometry: every re-forked point restores, crashes and
+    // flushes arrays far larger than the lines they hold.
+    CrashSweepConfig cfg = auditSweepConfig();
+    cfg.tinyCache = false;
+    cfg.mix.numOps = 200;
+    cfg.maxPoints = 60;
+    expectCheckpointedMatchesAudit(cfg, runCrashSweep, 3, 1);
 }
 
 TEST(CheckpointAudit, SingleCoreRedoReportMatchesNoCheckpointMode)

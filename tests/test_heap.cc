@@ -335,6 +335,33 @@ TEST_F(HeapTxFree, CommitReleasesTheBlockAfterTheCommit)
     EXPECT_EQ(sys.heap().alloc(64), victim);
 }
 
+TEST_F(HeapTxFree, FreesBeyondTheInlineOnesCommitAndAbortToo)
+{
+    // A resize records more frees than the handle holds in place.
+    std::vector<Addr> blocks;
+    for (int i = 0; i < 7; ++i)
+        blocks.push_back(sys.heap().alloc(64));
+    {
+        DurableTx tx(sys);
+        for (Addr b : blocks)
+            tx.free(b);
+        tx.abort();
+    }
+    for (Addr b : blocks)
+        EXPECT_TRUE(sys.heap().isLive(b));
+    EXPECT_EQ(frees(), 0u);
+
+    DurableTx tx(sys);
+    for (Addr b : blocks)
+        tx.free(b);
+    for (Addr b : blocks)
+        EXPECT_TRUE(sys.heap().isLive(b));
+    tx.commit();
+    for (Addr b : blocks)
+        EXPECT_FALSE(sys.heap().isLive(b));
+    EXPECT_EQ(frees(), blocks.size());
+}
+
 TEST_F(HeapTxFree, ExplicitAbortDropsTheFree)
 {
     DurableTx tx(sys);
