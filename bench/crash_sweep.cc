@@ -17,8 +17,6 @@
  *               --crash-point=117           # reproduce one tuple
  */
 
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -32,7 +30,6 @@
 
 #include "multicore/mc_crash.hh"
 #include "service/service_crash.hh"
-#include "sim/json.hh"
 #include "validate/crash_explorer.hh"
 #include "workloads/factory.hh"
 
@@ -67,19 +64,11 @@ struct CliOptions
     std::optional<std::size_t> maxPoints;  //!< unset: the target's default
     bool full = false;
     std::size_t workers = 0;  //!< 0 on the command line: all cores
-    bool compareSerial = false;
     bool tinyCache = false;
     std::string jsonPath;
     long long crashPoint = -1;  //!< >= 0: reproduce a single point
     bool useCheckpoints = true;
     std::optional<std::size_t> checkpointInterval;
-
-    /** Profile mode: time checkpointed vs full-replay sweeps, verify
-     *  their reports match, and write a sweep-speed JSON. */
-    std::string profilePath;
-
-    /** > 0: gate on checkpoint-vs-fullreplay speedup (profile mode). */
-    double speedThreshold = 0.0;
 };
 
 /** One sweep of the matrix. */
@@ -88,17 +77,7 @@ struct Cell
     std::string scheme;
     std::string workload;
     std::size_t shape = 0;  //!< cores (mc) or shards (service)
-    std::string label;      //!< profile key
 };
-
-/** Process peak resident set size in kilobytes. */
-std::uint64_t
-peakRssKb()
-{
-    struct rusage ru{};
-    getrusage(RUSAGE_SELF, &ru);
-    return static_cast<std::uint64_t>(ru.ru_maxrss);
-}
 
 std::vector<std::string>
 splitList(const std::string &s)
@@ -201,7 +180,6 @@ usage()
         "  --full             explore every store (overrides budget)\n"
         "  --workers=N        sweep threads, this one included "
         "(default: all cores; 1 = serial)\n"
-        "  --compare-serial   also run 1-worker and report speedup\n"
         "  --tiny-cache       shrink caches so dirty lines overflow\n"
         "                     mid-txn (exercises log replay)\n"
         "  --json=PATH        write the JSON report to PATH (with "
@@ -211,14 +189,7 @@ usage()
         "  --checkpoint-interval=N  stores between master-run "
         "checkpoints (default 64; service 256)\n"
         "  --no-checkpoint    audit mode: re-run every point from "
-        "scratch (O(P*T))\n"
-        "  --profile=PATH     time checkpointed vs full-replay "
-        "sweeps, verify the reports are byte-identical, write a "
-        "sweep-speed JSON (with each cell's time per point step) "
-        "to PATH\n"
-        "  --speed-threshold=X  with --profile: fail unless the "
-        "checkpointed sweep is at least X times faster (250 ms "
-        "noise floor)\n");
+        "scratch (O(P*T))\n");
 }
 
 [[noreturn]] void
@@ -291,8 +262,6 @@ parseArgs(int argc, char **argv)
             opt.full = true;
         } else if (const char *v = val("--workers")) {
             opt.workers = whole(v);
-        } else if (arg == "--compare-serial") {
-            opt.compareSerial = true;
         } else if (arg == "--tiny-cache") {
             opt.tinyCache = true;
         } else if (const char *v = val("--json")) {
@@ -303,13 +272,6 @@ parseArgs(int argc, char **argv)
             opt.checkpointInterval = whole(v);
         } else if (arg == "--no-checkpoint") {
             opt.useCheckpoints = false;
-        } else if (const char *v = val("--profile")) {
-            opt.profilePath = v;
-        } else if (const char *v = val("--speed-threshold")) {
-            char *end = nullptr;
-            opt.speedThreshold = std::strtod(v, &end);
-            if (!*v || *end || !(opt.speedThreshold >= 0.0))
-                badValue(arg, "not a number");
         } else {
             usage();
             std::exit(arg == "--help" ? 0 : 2);
@@ -333,16 +295,11 @@ cellsFor(const CliOptions &opt)
         opt.target == Target::Mc        ? opt.coreCounts
         : opt.target == Target::Service ? opt.shardCounts
                                         : std::vector<std::size_t>{0};
-    const char *shape_key = opt.target == Target::Mc ? "/cores=" : "/shards=";
     std::vector<Cell> cells;
     for (const auto &scheme : opt.schemes) {
         for (const auto &workload : opt.workloads) {
-            for (std::size_t shape : shapes) {
-                std::string label = workload + "/" + scheme;
-                if (opt.target != Target::Core)
-                    label += shape_key + std::to_string(shape);
-                cells.push_back({scheme, workload, shape, label});
-            }
+            for (std::size_t shape : shapes)
+                cells.push_back({scheme, workload, shape});
         }
     }
     return cells;
@@ -433,101 +390,6 @@ runCellPoint(const CliOptions &opt, const Cell &c, std::uint64_t k)
     return runCrashPoint(coreConfig(opt, c), k);
 }
 
-/**
- * Profile mode: run every cell twice — checkpointed and full-replay
- * audit — verify the reports are byte-identical, and record the speed
- * ratio and the checkpointed run's host time per point step. The
- * optional gate compares against --speed-threshold with a 250 ms noise
- * floor (a full replay that finishes under the floor is too small to
- * time reliably).
- */
-int
-profileSweeps(const CliOptions &opt, const std::vector<Cell> &cells)
-{
-    int failures = 0;
-    double ckpt_ms = 0.0;
-    double replay_ms = 0.0;
-    std::size_t points = 0;
-    std::size_t interval = 0;
-    bool reports_match = true;
-
-    CliOptions checkpointed = opt;
-    checkpointed.useCheckpoints = true;
-    CliOptions full_replay = opt;
-    full_replay.useCheckpoints = false;
-
-    JsonWriter w;
-    w.beginObject();
-    w.key("schema").value("slpmt-sweep-speed-1");
-    w.key("sweep").beginObject();
-    w.key("cells").beginObject();
-    for (const Cell &c : cells) {
-        const CrashSweepReport ckpt = runCell(checkpointed, c);
-        const CrashSweepReport replay = runCell(full_replay, c);
-        if (ckpt.toJson() != replay.toJson()) {
-            std::fprintf(stderr,
-                         "AUDIT BROKEN: checkpointed and full-replay "
-                         "reports differ (%s)\n",
-                         c.label.c_str());
-            reports_match = false;
-            ++failures;
-        }
-        failures += ckpt.violationCount() > 0 ? 1 : 0;
-
-        ckpt_ms += ckpt.wallMs;
-        replay_ms += replay.wallMs;
-        points += ckpt.pointsExplored();
-        interval = ckpt.identity.checkpointInterval;
-        w.key(c.label).beginObject();
-        w.key("checkpointMs").value(ckpt.wallMs);
-        w.key("fullReplayMs").value(replay.wallMs);
-        w.key("points").value(ckpt.pointsExplored());
-        w.key("speedup").value(
-            ckpt.wallMs > 0.0 ? replay.wallMs / ckpt.wallMs : 0.0);
-        w.key("checkpointStepsMs").beginObject();
-        for (std::size_t i = 0; i < numPointSteps; ++i)
-            w.key(pointStepNames[i]).value(ckpt.stepMs[i]);
-        w.endObject();
-        w.endObject();
-    }
-    w.endObject();
-    const double speedup = ckpt_ms > 0.0 ? replay_ms / ckpt_ms : 0.0;
-    w.key("totalCheckpointMs").value(ckpt_ms);
-    w.key("totalFullReplayMs").value(replay_ms);
-    w.key("points").value(points);
-    w.key("pointsPerSecCheckpoint")
-        .value(ckpt_ms > 0.0 ? 1000.0 * points / ckpt_ms : 0.0);
-    w.key("pointsPerSecFullReplay")
-        .value(replay_ms > 0.0 ? 1000.0 * points / replay_ms : 0.0);
-    w.key("speedup").value(speedup);
-    w.key("ckptInterval").value(interval);
-    w.key("reportsMatch").value(reports_match);
-    w.endObject();
-    w.key("peakRssKb").value(peakRssKb());
-    w.endObject();
-
-    std::printf("checkpointed %.0f ms vs full replay %.0f ms -> "
-                "speedup %.2fx over %zu points\n",
-                ckpt_ms, replay_ms, speedup, points);
-
-    if (!opt.profilePath.empty()) {
-        std::ofstream out(opt.profilePath);
-        out << w.str() << '\n';
-    }
-    if (opt.speedThreshold > 0.0) {
-        if (replay_ms < 250.0) {
-            std::printf("speed gate skipped: full replay %.0f ms is "
-                        "under the 250 ms noise floor\n",
-                        replay_ms);
-        } else if (speedup < opt.speedThreshold) {
-            std::fprintf(stderr, "SPEED GATE FAILED: %.2fx < %.2fx\n",
-                         speedup, opt.speedThreshold);
-            ++failures;
-        }
-    }
-    return failures;
-}
-
 } // namespace
 
 int
@@ -565,13 +427,7 @@ main(int argc, char **argv)
         return out.violations.empty() ? 0 : 1;
     }
 
-    if (!opt.profilePath.empty() || opt.speedThreshold > 0.0)
-        return profileSweeps(opt, cells);
-
-    CliOptions serial_opt = opt;
-    serial_opt.workers = 1;
     int failures = 0;
-    double serial_ms = 0.0;
     double parallel_ms = 0.0;
     std::vector<std::string> sweep_jsons;
     std::string step_jsons;
@@ -589,31 +445,12 @@ main(int argc, char **argv)
         }
         step_jsons += '}';
 
-        if (opt.compareSerial) {
-            const CrashSweepReport serial = runCell(serial_opt, c);
-            serial_ms += serial.wallMs;
-            if (serial.toJson() != sweep_jsons.back()) {
-                std::fprintf(stderr,
-                             "DETERMINISM BROKEN: serial and parallel "
-                             "reports differ (%s)\n",
-                             c.label.c_str());
-                ++failures;
-            }
-        }
-
         std::printf("%s", report.summaryText().c_str());
         if (report.violationCount() > 0)
             ++failures;
     }
     std::printf("%zu sweeps in %.0f ms (%zu workers)\n", cells.size(),
                 parallel_ms, opt.workers);
-
-    if (opt.compareSerial && serial_ms > 0.0) {
-        std::printf("parallel %.0f ms vs serial %.0f ms -> speedup "
-                    "%.2fx\n",
-                    parallel_ms, serial_ms,
-                    parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0);
-    }
 
     if (!opt.jsonPath.empty()) {
         std::string doc = "{\"sweeps\":[";
@@ -628,16 +465,7 @@ main(int argc, char **argv)
         doc += buf;
         // Host ms per point step, one object per sweep in "sweeps"
         // order; kept out of "sweeps" so that array stays timing-free.
-        doc += ",\"step_ms\":[" + step_jsons + ']';
-        if (opt.compareSerial) {
-            std::snprintf(buf, sizeof(buf),
-                          ",\"serial_wall_ms\":%.3f,\"speedup\":%.3f",
-                          serial_ms,
-                          parallel_ms > 0.0 ? serial_ms / parallel_ms
-                                            : 0.0);
-            doc += buf;
-        }
-        doc += '}';
+        doc += ",\"step_ms\":[" + step_jsons + "]}";
         std::ofstream out(opt.jsonPath);
         out << doc << '\n';
     }

@@ -1,7 +1,7 @@
 /**
  * @file
  * slpmt_bench: the one measurement CLI. Runs any subset of the figure
- * registry (src/sim/figures.hh) on a work-stealing pool, prints the
+ * registry (src/sim/figures.hh) on the ticket pool, prints the
  * figure tables, and optionally emits a deterministic JSON report,
  * diffs it against a saved baseline, or times every cell into a
  * "slpmt-speed-1" profile.

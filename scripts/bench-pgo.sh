@@ -3,8 +3,9 @@
 #
 # The profile is recorded from a profile-guided release-bench build:
 # the preset's flags (-O3 -DNDEBUG, LTO, -march=native) plus a
-# -fprofile-generate training pass over the same figure set and sweep
-# the profile measures, then a -fprofile-use rebuild. PGO is worth
+# -fprofile-generate training pass over the figure set the profile
+# measures and a checkpointed and an audit crash sweep, then a
+# -fprofile-use rebuild. PGO is worth
 # ~1.3x on the simulator's branchy hot loops (scheme dispatch, tier
 # coalescing, MESI walks) and keeps the committed numbers honest about
 # what the tuned binary can do; the plain `release-bench` preset build
@@ -12,9 +13,9 @@
 # numbers recorded here, so the gate never needs the PGO pass itself.
 #
 # Usage: scripts/bench-pgo.sh          (from the repository root)
-# Output: build-bench/BENCH_speed.json (figures + speed section) and
-#         build-bench/BENCH_sweep_speed.json (sweep section); merge
-#         the sweep object into the committed BENCH_speed.json.
+# Output: build-bench/BENCH_speed.json (figures + speed section). The
+#         committed profile's "sweep" section is a historical record
+#         that this script no longer regenerates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,9 +31,11 @@ echo "== [2/4] training runs =="
 ./build-bench/bench/slpmt_bench \
     --figure=sample,fig8,fig9,mcscale,service,logfree \
     --profile=/dev/null > /dev/null
-./build-bench/bench/crash_sweep --full --scheme=SLPMT \
-    --workload=hashtable --ops=400 --mix=10,85,5 --value-bytes=256 \
-    --tiny-cache --workers=1 --profile=/dev/null > /dev/null
+for audit in "" --no-checkpoint; do
+    ./build-bench/bench/crash_sweep --full --scheme=SLPMT \
+        --workload=hashtable --ops=400 --mix=10,85,5 --value-bytes=256 \
+        --tiny-cache --workers=1 ${audit} > /dev/null
+done
 
 echo "== [3/4] profile-guided rebuild =="
 cmake --preset release-bench \
@@ -40,11 +43,11 @@ cmake --preset release-bench \
 cmake --build build-bench -j"${JOBS}" --target slpmt_bench crash_sweep
 
 echo "== [4/4] recording profiles =="
-cmake --build build-bench --target bench_speed bench_sweep_speed
+cmake --build build-bench --target bench_speed
 
 # Leave the tree configured as the plain preset again so later
 # `cmake --build --preset release-bench` invocations rebuild without
 # stale PGO flags.
 cmake --preset release-bench -DCMAKE_CXX_FLAGS="${PRESET_FLAGS}" > /dev/null
 
-echo "done: build-bench/BENCH_speed.json + BENCH_sweep_speed.json"
+echo "done: build-bench/BENCH_speed.json"

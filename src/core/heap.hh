@@ -52,11 +52,12 @@ class PersistentHeap
     }
 
     /** Allocate @p size bytes, 8-byte aligned, at the lowest address
-     *  that fits. */
+     *  that fits. A zero-byte request takes one word, so every live
+     *  allocation has a base of its own. */
     Addr
     alloc(Bytes size)
     {
-        const Bytes need = roundUp(size);
+        const Bytes need = roundUp(std::max<Bytes>(size, 1));
         const auto it = firstFit(need);
         const Addr addr = it->first;
         const Bytes remaining = it->second - need;

@@ -105,13 +105,12 @@ runCases(std::vector<ExperimentCase> cases, std::size_t num_workers,
         const unsigned hw = std::thread::hardware_concurrency();
         num_workers = hw ? hw : 1;
     }
-    num_workers = std::min(num_workers, out.cases.size());
 
     // Each item writes only its own caller-owned slot, so the merged
     // result vector depends on the enumeration order alone, never on
     // the schedule.
-    runWorkStealing(num_workers, out.cases.size(),
-                    [&](std::size_t, std::size_t i) {
+    parallelFor(num_workers, out.cases.size(),
+                [&](std::size_t, std::size_t i) {
         const ExperimentCase &c = out.cases[i];
         const auto start = std::chrono::steady_clock::now();
         try {

@@ -6,9 +6,9 @@
  * (workload x scheme x value size x PM latency), and every cell is
  * one independent simulated machine. The orchestrator expands a
  * declarative MatrixSpec into a flat case list in a fixed enumeration
- * order, runs the cases on a work-stealing pool (one machine per
- * worker item, no shared simulator state) through runExperiment() or
- * a figure's own cell runner, and merges results back in enumeration
+ * order, runs the cases on the sweep's ticket pool (one machine per
+ * item, no shared simulator state) through runExperiment() or a
+ * figure's own cell runner, and merges results back in enumeration
  * order — so reports are byte-identical regardless of the worker
  * count or schedule.
  *
@@ -92,11 +92,12 @@ class MatrixResult
 using CellRunner = std::function<ExperimentResult(const ExperimentCase &)>;
 
 /**
- * Run every case on @p num_workers work-stealing threads (0 = one
- * per hardware thread, capped by the case count) through @p run, or
- * runExperiment() when @p run is empty. Each case owns a private
- * simulated machine; a case that throws is recorded as an unverified
- * result carrying the diagnostic instead of tearing down the sweep.
+ * Run every case on @p num_workers threads of the ticket pool (0 =
+ * one per hardware thread; never more than the case count) through
+ * @p run, or runExperiment() when @p run is empty. Each case owns a
+ * private simulated machine; a case that throws is recorded as an
+ * unverified result carrying the diagnostic instead of tearing down
+ * the sweep.
  */
 MatrixResult runCases(std::vector<ExperimentCase> cases,
                       std::size_t num_workers,

@@ -312,9 +312,6 @@ class ServiceTarget final : public SweepTarget
     /**
      * Global stores completed before dispatch op i, written by the
      * master; the extra final entry is the whole run's store count.
-     * Sized before the master starts and never reallocated, because a
-     * pipelined sweep's points read the entries published before
-     * their frontier while the master still writes later ones.
      */
     std::vector<std::uint64_t> opStart;
 
@@ -403,9 +400,7 @@ class SvcPoint final : public SweepPoint
             // The dispatch op executing global store crashPoint: the
             // last one starting below it (zero-store requests can
             // never hold a point). A point past the run's last store
-            // arms the last op, whose crash then does not fire. The
-            // base starts below the point too, so the scan only reads
-            // entries the master wrote before publishing this point.
+            // arms the last op, whose crash then does not fire.
             completed = at;
             while (completed + 2 < op_start.size() &&
                    op_start[completed + 1] < crashPoint)

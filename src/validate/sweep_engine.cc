@@ -1,16 +1,12 @@
 #include "validate/sweep_engine.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <exception>
 #include <iterator>
 #include <mutex>
 #include <numeric>
 #include <string_view>
-#include <thread>
 
 #include "common/rng.hh"
 #include "multicore/oracle_view.hh"
@@ -277,12 +273,10 @@ namespace
 {
 
 /**
- * The master run's base chain. Every boundary advances the store
- * frontier; a base lands at the first boundary and then at every one
- * that completes another interval of stores. Bases are immutable and
- * heap-allocated, so tail threads keep plain pointers to them while
- * the master appends more; the chain itself is read under mtx while
- * the master may still run.
+ * The master run's base chain: a base lands at the first boundary and
+ * then at every one that completes another interval of stores. The
+ * master finishes before any point runs, so the points read a chain
+ * that no longer changes.
  */
 class BaseChain final : public MasterSink
 {
@@ -295,7 +289,6 @@ class BaseChain final : public MasterSink
     bool
     wantsBase(std::uint64_t stores) const override
     {
-        // Only the master appends, so its own unlocked read is safe.
         return capture &&
                (bases.empty() ||
                 stores - bases.back()->storesAt >= interval);
@@ -304,15 +297,10 @@ class BaseChain final : public MasterSink
     void
     boundary(std::uint64_t stores, std::unique_ptr<SweepBase> base) override
     {
-        {
-            std::lock_guard<std::mutex> lock(mtx);
-            if (base) {
-                base->storesAt = stores;
-                bases.push_back(std::move(base));
-            }
-            frontier = stores;
+        if (base) {
+            base->storesAt = stores;
+            bases.push_back(std::move(base));
         }
-        cv.notify_all();
     }
 
     /** The base point @p k forks: the last one strictly below k, so
@@ -330,17 +318,10 @@ class BaseChain final : public MasterSink
         return above == bases.begin() ? nullptr : std::prev(above)->get();
     }
 
-    std::mutex mtx;
-    std::condition_variable cv;
-    std::vector<std::unique_ptr<const SweepBase>> bases;
-    std::uint64_t frontier = 0;     //!< run stores the master applied
-    std::uint64_t traceStores = 0;  //!< final count, valid once done
-    bool done = false;
-    std::exception_ptr error;
-
   private:
     const bool capture;
     const std::uint64_t interval;
+    std::vector<std::unique_ptr<const SweepBase>> bases;
 };
 
 /** Fresh inserts every recovered point must accept. */
@@ -378,82 +359,6 @@ enumeratePoints(std::uint64_t total, const SweepOptions &opts,
     }
     points.push_back(0);
     return points;
-}
-
-/**
- * The pipelined exhaustive sweep: the master runs on the calling
- * thread while workers - 1 tail threads claim points 1, 2, ... from an
- * atomic ticket, each blocking only until the frontier reaches its
- * point — an exhaustive sweep needs no store count up front. The
- * finished master then joins the tail threads.
- */
-void
-runPipelined(SweepTarget &target, const SweepOptions &opts,
-             std::size_t workers, CrashSweepReport &report)
-{
-    BaseChain chain(true, opts.checkpointInterval);
-    std::mutex results_mtx;
-    std::map<std::uint64_t, CrashPointOutcome> results;
-    std::atomic<std::uint64_t> ticket{1};
-
-    // Each call is one thread's tail loop, with that thread's point.
-    auto tail = [&]() {
-        const std::unique_ptr<SweepPoint> own = target.newPoint();
-        for (;;) {
-            const std::uint64_t k = ticket.fetch_add(1);
-            std::uint64_t point = k;
-            const SweepBase *base = nullptr;
-            {
-                std::unique_lock<std::mutex> lock(chain.mtx);
-                chain.cv.wait(lock, [&] {
-                    return chain.done || chain.frontier >= k;
-                });
-                if (chain.error)
-                    return;
-                if (chain.done && k > chain.traceStores) {
-                    // Exactly one ticket past the last store runs the
-                    // post-completion point; later tickets are spent.
-                    if (k != chain.traceStores + 1)
-                        return;
-                    point = 0;
-                }
-                base = chain.baseFor(point);
-            }
-            CrashPointOutcome out = target.runPoint(*own, base, point);
-            std::lock_guard<std::mutex> lock(results_mtx);
-            results[point] = std::move(out);
-            if (point == 0)
-                return;
-        }
-    };
-
-    {
-        // Declared after everything the tail threads use, so they join
-        // before it goes away, on every path.
-        std::vector<std::jthread> tails;
-        tails.reserve(workers - 1);
-        for (std::size_t w = 1; w < workers; ++w)
-            tails.emplace_back(tail);
-        try {
-            const std::uint64_t total = target.runMaster(chain);
-            std::lock_guard<std::mutex> lock(chain.mtx);
-            chain.traceStores = total;
-            chain.done = true;
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(chain.mtx);
-            chain.error = std::current_exception();
-            chain.done = true;
-        }
-        chain.cv.notify_all();
-        tail();
-    }
-    if (chain.error)
-        std::rethrow_exception(chain.error);
-
-    report.traceStores = chain.traceStores;
-    for (std::uint64_t p :
-         enumeratePoints(report.traceStores, opts, target.pointSeed))
-        report.points.push_back(std::move(results.at(p)));
 }
 
 } // namespace
@@ -565,27 +470,22 @@ runSweep(SweepTarget &target, const SweepOptions &opts)
     const std::size_t workers = std::max<std::size_t>(opts.workers, 1);
 
     const auto t0 = std::chrono::steady_clock::now();
-    if (opts.useCheckpoints && opts.maxPoints == 0 && workers >= 2) {
-        runPipelined(target, opts, workers, report);
-    } else {
-        // Two-phase: the whole master run first (capturing nothing in
-        // audit mode), then every point against the finished chain.
-        BaseChain chain(opts.useCheckpoints, opts.checkpointInterval);
-        report.traceStores = target.runMaster(chain);
-        const auto points =
-            enumeratePoints(report.traceStores, opts, target.pointSeed);
-        report.points.resize(points.size());
-        // One point per worker, built by the worker on first use.
-        std::vector<std::unique_ptr<SweepPoint>> own(workers);
-        runWorkStealing(workers, points.size(),
-                        [&](std::size_t worker, std::size_t i) {
-                            if (!own[worker])
-                                own[worker] = target.newPoint();
-                            report.points[i] = target.runPoint(
-                                *own[worker], chain.baseFor(points[i]),
-                                points[i]);
-                        });
-    }
+    // The whole master run first (capturing nothing in audit mode),
+    // then every point against the finished chain.
+    BaseChain chain(opts.useCheckpoints, opts.checkpointInterval);
+    report.traceStores = target.runMaster(chain);
+    const auto points =
+        enumeratePoints(report.traceStores, opts, target.pointSeed);
+    report.points.resize(points.size());
+    // One point per worker, built by the worker on first use.
+    std::vector<std::unique_ptr<SweepPoint>> own(workers);
+    parallelFor(workers, points.size(),
+                [&](std::size_t worker, std::size_t i) {
+                    if (!own[worker])
+                        own[worker] = target.newPoint();
+                    report.points[i] = target.runPoint(
+                        *own[worker], chain.baseFor(points[i]), points[i]);
+                });
     const auto t1 = std::chrono::steady_clock::now();
     report.statNames = target.statNames();
     report.stepMs = target.stepMs();

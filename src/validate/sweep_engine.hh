@@ -19,20 +19,15 @@
  *    strictly below store k (the post-completion point 0 forks the
  *    last base);
  *  - stratified point enumeration, seeded from the target's salt;
- *  - the two dispatch paths. Sampled sweeps run the master to the end
- *    (the strata need the store count), then fan the points out over
- *    the work-stealing pool. Exhaustive sweeps (maxPoints == 0) with
- *    two or more workers pipeline instead: the master publishes bases
- *    and its store frontier as it runs, and tail threads start point k
- *    the moment the frontier reaches k. Point k's base is final once
- *    the frontier reaches k, so both paths give identical outcomes;
+ *  - dispatch: every sweep runs its master to the end (the strata
+ *    need the store count), then its points over the ticket pool
+ *    (validate/work_queue.hh);
  *  - the from-scratch audit path (useCheckpoints = false): the master
  *    captures nothing and every point runs with no base;
- *  - the points themselves: one per thread on every path (the calling
- *    thread, each work-stealing worker, each pipelined tail thread),
- *    re-forked in place for every crash point the thread runs, so a
- *    point costs only the work it does and no machine is built or torn
- *    down per point once a thread has its first;
+ *  - the points themselves: one per sweep thread (the calling thread
+ *    is worker 0), re-forked in place for every crash point the thread
+ *    runs, so a point costs only the work it does and no machine is
+ *    built or torn down per point once a thread has its first;
  *  - every point's pipeline after its tail run: the engine stamps the
  *    crash point and its repro tuple, then runs recovery, the
  *    post-recovery oracle, a second recovery that must replay nothing,
@@ -52,9 +47,9 @@
  * recover, check, continue and stats primitives; and the fields of its
  * repro tuple.
  *
- * `workers` is the total thread count on every path, the calling
- * thread included: 1 starts no thread at all, and the pipelined path
- * (master plus workers - 1 tail threads) needs at least 2.
+ * `workers` is the total thread count, the calling thread included:
+ * 1 starts no thread at all, and no sweep starts more threads than it
+ * has points.
  */
 
 #ifndef SLPMT_VALIDATE_SWEEP_ENGINE_HH
@@ -408,9 +403,7 @@ class SweepTarget
     /**
      * Run the whole trace once, reporting every boundary a point may
      * fork from to @p sink (the first at the run's start). Returns the
-     * run's store count. During a pipelined sweep, the points run
-     * while this call does; they may read host state the master wrote
-     * before the boundary that published them.
+     * run's store count. No point runs before this call returns.
      */
     virtual std::uint64_t runMaster(MasterSink &sink) = 0;
 

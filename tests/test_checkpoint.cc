@@ -20,8 +20,8 @@
  * The CheckpointAudit suite is the cross-mode oracle the
  * checkpoint-audit ctest preset runs: a checkpointed sweep's JSON
  * report must be byte-identical to the --no-checkpoint audit sweep's
- * on every target (core, mc, service), at any worker count, on the
- * sampled path and on the pipelined exhaustive tail-replay path.
+ * on every target (core, mc, service), at any worker count, for
+ * sampled and for exhaustive multi-worker sweeps.
  */
 
 #include <gtest/gtest.h>
@@ -592,23 +592,24 @@ expectCheckpointedMatchesAudit(Config cfg,
 }
 
 /**
- * maxPoints == 0 with checkpoints and two or more workers takes the
- * pipelined tail-replay path: the master publishes bases while tail
- * threads fork and replay points concurrently. The from-scratch audit
- * sweep of the same target is the reference.
+ * maxPoints == 0: every store, forked from the finished master's
+ * chain by @p workers threads at once, each re-forking its own point
+ * across the chain's bases. (These tests once covered a path that
+ * overlapped the points with the master run; their names keep it.)
+ * The from-scratch audit sweep of the same target is the reference.
  */
 template <class Config>
 void
-expectPipelinedMatchesAudit(Config cfg,
-                            CrashSweepReport (*sweep)(const Config &),
-                            std::size_t workers)
+expectExhaustiveMatchesAudit(Config cfg,
+                             CrashSweepReport (*sweep)(const Config &),
+                             std::size_t workers)
 {
     cfg.maxPoints = 0;
-    const CrashSweepReport pipelined =
+    const CrashSweepReport exhaustive =
         expectCheckpointedMatchesAudit(cfg, sweep, workers, workers);
-    EXPECT_EQ(pipelined.violationCount(), 0u)
-        << pipelined.violationsText();
-    EXPECT_GT(pipelined.pointsExplored(), 10u);
+    EXPECT_EQ(exhaustive.violationCount(), 0u)
+        << exhaustive.violationsText();
+    EXPECT_GT(exhaustive.pointsExplored(), 10u);
 }
 
 TEST(CheckpointAudit, SingleCoreReportMatchesNoCheckpointMode)
@@ -679,7 +680,7 @@ TEST(CheckpointAudit, PipelinedExhaustiveSweepMatchesFromScratch)
     cfg.mix.removePct = 8;
     cfg.tinyCache = true;
     cfg.checkpointInterval = 16;
-    expectPipelinedMatchesAudit(cfg, runCrashSweep, 3);
+    expectExhaustiveMatchesAudit(cfg, runCrashSweep, 3);
 }
 
 TEST(CheckpointAudit, McPipelinedExhaustiveSweepMatchesFromScratch)
@@ -695,7 +696,7 @@ TEST(CheckpointAudit, McPipelinedExhaustiveSweepMatchesFromScratch)
     cfg.run.sharedPct = 25;
     cfg.tinyCache = true;
     cfg.checkpointInterval = 16;
-    expectPipelinedMatchesAudit(cfg, runMcCrashSweep, 2);
+    expectExhaustiveMatchesAudit(cfg, runMcCrashSweep, 2);
 }
 
 TEST(CheckpointAudit, ServicePipelinedExhaustiveSweepMatchesFromScratch)
@@ -710,7 +711,7 @@ TEST(CheckpointAudit, ServicePipelinedExhaustiveSweepMatchesFromScratch)
     cfg.load.valueBytesMin = 48;
     cfg.load.valueBytesMax = 96;
     cfg.load.seed = 5;
-    expectPipelinedMatchesAudit(cfg, runServiceCrashSweep, 3);
+    expectExhaustiveMatchesAudit(cfg, runServiceCrashSweep, 3);
 }
 
 } // namespace

@@ -5,7 +5,7 @@
  * bit-identical parallel determinism, oracle discrimination against
  * deliberately broken recovery paths, pinned report digests for every
  * target, the engine's own violation lines under fake targets, and the
- * underlying work-stealing queue and JSON writer.
+ * underlying ticket pool and JSON writer.
  */
 
 #include <atomic>
@@ -291,7 +291,7 @@ TEST(CrashSweep, ReportJsonIsWellFormed)
 // point's fields and its violation lines) is pinned on every target;
 // core and mc also pin their JSON report, whose summed machine
 // counters pointFields leaves out. Each sweep runs serially and on
-// three threads, which takes the pipelined path when exhaustive.
+// three threads; both run the finished master's points over the pool.
 // ---------------------------------------------------------------------
 
 std::uint64_t
@@ -379,7 +379,7 @@ TEST(CrashSweepDigest, CoreReportsArePinned)
     broken.maxPoints = 100;
     broken.skipHardwareReplay = true;
     expectDigest(broken, runCrashSweep, 0x852d07d798ed2731ULL,
-                 0x8d71f8cbb982215cULL, 101);
+                 0x6007850b6c6f46d4ULL, 101);
 }
 
 TEST(CrashSweepDigest, McReportsArePinned)
@@ -588,16 +588,17 @@ TEST(SweepEngine, ThrowingOracleIsReported)
 /** Each sweep thread re-forks one point for every crash point it runs.
  *  A point that throws mid-tail leaves that point mid-run, and the
  *  next point the thread runs on it still matches its isolated run, on
- *  the serial, the work-stealing and the pipelined path. */
+ *  one thread and on three, with a budget that covers every store and
+ *  with maxPoints == 0. */
 TEST(SweepEngine, PointAfterAThrowingTailMatchesItsIsolatedRun)
 {
     SweepOptions serial;
-    SweepOptions stealing;
-    stealing.workers = 3;
-    stealing.maxPoints = 3;  // every store, on the two-phase path
-    SweepOptions pipelined;
-    pipelined.workers = 3;
-    for (const SweepOptions &opts : {serial, stealing, pipelined}) {
+    SweepOptions budgeted;
+    budgeted.workers = 3;
+    budgeted.maxPoints = 3;  // every store, through the strata's budget
+    SweepOptions exhaustive;
+    exhaustive.workers = 3;
+    for (const SweepOptions &opts : {serial, budgeted, exhaustive}) {
         FakeTarget target({.tailThrows = true});
         const CrashSweepReport report = runSweep(target, opts);
         EXPECT_LE(target.pointsBuilt.load(), opts.workers);
@@ -686,7 +687,7 @@ TEST(SweepEngine, StatsThatMissTheNameTableAreReported)
 }
 
 // ---------------------------------------------------------------------
-// Work-stealing queue
+// Ticket pool: workers draw item indices from one atomic ticket
 // ---------------------------------------------------------------------
 
 TEST(WorkQueue, EveryItemRunsExactlyOnce)
@@ -696,8 +697,8 @@ TEST(WorkQueue, EveryItemRunsExactlyOnce)
         std::vector<std::atomic<int>> hits(n);
         for (auto &h : hits)
             h = 0;
-        runWorkStealing(workers, n,
-                        [&](std::size_t, std::size_t i) { hits[i]++; });
+        parallelFor(workers, n,
+                    [&](std::size_t, std::size_t i) { hits[i]++; });
         for (std::size_t i = 0; i < n; ++i)
             ASSERT_EQ(hits[i].load(), 1)
                 << "item " << i << " with " << workers << " workers";
@@ -715,7 +716,7 @@ TEST(WorkQueue, WorkerIndexNamesOneThread)
             b = 0;
         std::atomic<std::size_t> clashes{0};
         std::atomic<std::size_t> outOfRange{0};
-        runWorkStealing(workers, 200, [&](std::size_t w, std::size_t) {
+        parallelFor(workers, 200, [&](std::size_t w, std::size_t) {
             if (w >= workers) {
                 outOfRange++;
                 return;
@@ -734,8 +735,8 @@ TEST(WorkQueue, UnevenItemCostsStillComplete)
 {
     constexpr std::size_t n = 64;
     std::atomic<std::size_t> done{0};
-    runWorkStealing(4, n, [&](std::size_t, std::size_t i) {
-        // Front-loaded cost: stealing from the busy worker matters.
+    parallelFor(4, n, [&](std::size_t, std::size_t i) {
+        // Front-loaded cost: the other workers drain the cheap items.
         volatile std::uint64_t x = 0;
         for (std::size_t k = 0; k < (i < 4 ? 200000u : 100u); ++k)
             x = x + k;
@@ -744,12 +745,40 @@ TEST(WorkQueue, UnevenItemCostsStillComplete)
     EXPECT_EQ(done.load(), n);
 }
 
+/** More workers than items: the pool starts one thread per item at
+ *  most, the calling thread included, so every worker index is below
+ *  the item count; one worker runs everything on the caller. */
+TEST(WorkQueue, WorkersBeyondTheItemCountAreNotStarted)
+{
+    constexpr std::size_t n = 3;
+    std::vector<std::atomic<int>> hits(n);
+    for (auto &h : hits)
+        h = 0;
+    std::atomic<std::size_t> outOfRange{0};
+    parallelFor(8, n, [&](std::size_t w, std::size_t i) {
+        if (w >= n)
+            outOfRange++;
+        hits[i]++;
+    });
+    EXPECT_EQ(outOfRange.load(), 0u);
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "item " << i;
+
+    const std::thread::id caller = std::this_thread::get_id();
+    std::size_t elsewhere = 0;
+    parallelFor(1, n, [&](std::size_t w, std::size_t) {
+        if (w != 0 || std::this_thread::get_id() != caller)
+            ++elsewhere;
+    });
+    EXPECT_EQ(elsewhere, 0u);
+}
+
 TEST(WorkQueue, ZeroAndSingleItemEdgeCases)
 {
     std::atomic<std::size_t> done{0};
-    runWorkStealing(4, 0, [&](std::size_t, std::size_t) { done++; });
+    parallelFor(4, 0, [&](std::size_t, std::size_t) { done++; });
     EXPECT_EQ(done.load(), 0u);
-    runWorkStealing(4, 1, [&](std::size_t, std::size_t) { done++; });
+    parallelFor(4, 1, [&](std::size_t, std::size_t) { done++; });
     EXPECT_EQ(done.load(), 1u);
 }
 

@@ -118,6 +118,27 @@ TEST_F(HeapTest, LiveBytesTracksRoundedSizes)
     EXPECT_EQ(heap.liveBytes(), 48u);
 }
 
+/** A zero-byte request takes one word: it gets a base of its own, so
+ *  freeing it cannot free the block allocated after it. */
+TEST_F(HeapTest, ZeroByteAllocationsHaveBasesOfTheirOwn)
+{
+    const Addr a = heap.alloc(0);
+    const Addr b = heap.alloc(0);
+    const Addr c = heap.alloc(0);
+    const Addr d = heap.alloc(8);
+    EXPECT_NE(a, b);
+    EXPECT_NE(c, d);
+    EXPECT_EQ(heap.liveCount(), 4u);
+    EXPECT_EQ(heap.liveBytes(), 4 * wordSize);
+    EXPECT_TRUE(heap.isLive(d));
+
+    for (const Addr base : {a, b, c, d})
+        heap.free(base);
+    EXPECT_EQ(heap.liveCount(), 0u);
+    for (const Addr base : {a, b, c, d})
+        EXPECT_THROW(heap.free(base), PanicError);
+}
+
 TEST_F(HeapTest, ResetReturnsToBlankSlate)
 {
     heap.alloc(1024);
