@@ -127,13 +127,16 @@ splitCounts(const std::string &s, const std::string &arg)
     return out;
 }
 
-/** Core or shard counts: each must be at least 1. */
+/** Core or shard counts: each must be at least 1, and a core count at
+ *  most 16 (McMachine's limit). */
 std::vector<std::size_t>
-splitShapes(const std::string &s, const std::string &arg)
+splitShapes(const std::string &s, const std::string &arg, bool cores)
 {
     std::vector<std::size_t> out = splitCounts(s, arg);
     if (out.empty() || std::find(out.begin(), out.end(), 0u) != out.end())
         badValue(arg, "core and shard counts must be >= 1");
+    if (cores && *std::max_element(out.begin(), out.end()) > 16)
+        badValue(arg, "a machine has at most 16 cores");
     return out;
 }
 
@@ -249,13 +252,13 @@ parseArgs(int argc, char **argv)
             opt.updatePct = static_cast<unsigned>(parts[1]);
             opt.removePct = static_cast<unsigned>(parts[2]);
         } else if (const char *v = val("--cores")) {
-            opt.coreCounts = splitShapes(v, arg);
+            opt.coreCounts = splitShapes(v, arg, true);
         } else if (const char *v = val("--ops-per-core")) {
             opt.opsPerCore = whole(v);
         } else if (const char *v = val("--shared-pct")) {
             opt.sharedPct = static_cast<unsigned>(whole(v));
         } else if (const char *v = val("--shards")) {
-            opt.shardCounts = splitShapes(v, arg);
+            opt.shardCounts = splitShapes(v, arg, false);
         } else if (const char *v = val("--max-points")) {
             opt.maxPoints = whole(v);
         } else if (arg == "--full") {

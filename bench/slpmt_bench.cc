@@ -51,6 +51,16 @@ operator new(std::size_t size)
     throw std::bad_alloc{};
 }
 
+// The nothrow form (std::stable_sort's temporary buffer) is replaced
+// too: a sanitizer runtime brings its own, whose blocks the delete
+// below would then free() as if they came from malloc.
+[[gnu::noinline]] void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    allocation_count.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
+}
+
 [[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
@@ -206,7 +216,6 @@ parseArgs(int argc, char **argv, Options &opts)
                 opts.profilePath = value;
         } else if (flag == "--speed-baseline" &&
                    eq != std::string::npos) {
-            opts.profile = true;
             opts.tables = false;
             opts.speedBaselinePath = value;
         } else if (flag == "--speed-threshold" &&
@@ -449,7 +458,6 @@ run(const Options &opts)
         // (log records, SoA frames) as numbers a later regression can
         // be diffed against, not just a wall-clock that varies by
         // host.
-        speed.key("peakRssKb").value(peakRssKb());
         speed.key("speed").beginObject();
         speed.key("peakRssKb").value(peakRssKb());
         speed.key("hostAllocs").value(allocation_count.load());

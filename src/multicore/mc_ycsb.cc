@@ -1,11 +1,10 @@
 #include "multicore/mc_ycsb.hh"
 
-#include <map>
 #include <unordered_set>
 
 #include "common/rng.hh"
 #include "core/pm_system.hh"
-#include "multicore/oracle_view.hh"
+#include "multicore/verifier.hh"
 #include "workloads/ycsb.hh"
 
 namespace slpmt
@@ -66,39 +65,14 @@ mcYcsbStreams(const McYcsbConfig &cfg)
     return streams;
 }
 
-namespace
+Shadow
+shadowOf(const std::vector<McOpRecord> &log)
 {
-
-/** Verify a structure against the last-write-wins image of a log,
- *  reading it through an OracleView of @p machine. */
-bool
-verifyAgainstLog(Workload &wl, McMachine &machine,
-                 const std::vector<McOpRecord> &log, std::string *why)
-{
-    std::map<std::uint64_t, const std::vector<std::uint8_t> *> expected;
+    Shadow shadow;
     for (const auto &op : log)
-        expected[op.key] = &op.value;
-
-    OracleView view(machine);
-    std::string inner;
-    if (!wl.checkConsistency(view, &inner))
-        return failCheck(why, "consistency: " + inner);
-    std::vector<std::uint8_t> got;
-    for (const auto &[key, value] : expected) {
-        if (!wl.lookup(view, key, &got))
-            return failCheck(why,
-                             "missing key " + std::to_string(key));
-        if (got != *value)
-            return failCheck(why,
-                             "value mismatch at key " +
-                                 std::to_string(key));
-    }
-    if (wl.count(view) != expected.size())
-        return failCheck(why, "count mismatch");
-    return true;
+        shadow[op.key] = op.value;
+    return shadow;
 }
-
-} // namespace
 
 McYcsbResult
 runMcYcsb(const McYcsbConfig &cfg)
@@ -148,8 +122,11 @@ runMcYcsb(const McYcsbConfig &cfg)
     }
 
     // Verification (outside the measured window).
-    result.verified = verifyAgainstLog(*workload, machine, result.commitLog,
-                                       &result.failure);
+    FirstFailure verdict;
+    verifyStructure({machine, *workload}, shadowOf(result.commitLog),
+                    verdict);
+    result.verified = verdict.passed();
+    result.failure = verdict.first;
     return result;
 }
 
@@ -170,7 +147,11 @@ replaySerialOracle(const McYcsbConfig &cfg,
     for (const auto &op : commit_log)
         if (!workload->update(sys, op.key, op.value))
             workload->insert(sys, op.key, op.value);
-    return verifyAgainstLog(*workload, sys, commit_log, why);
+    FirstFailure verdict;
+    verifyStructure({sys, *workload}, shadowOf(commit_log), verdict);
+    if (why)
+        *why = verdict.first;
+    return verdict.passed();
 }
 
 } // namespace slpmt

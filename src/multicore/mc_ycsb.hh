@@ -25,6 +25,7 @@
 
 #include "multicore/machine.hh"
 #include "multicore/scheduler.hh"
+#include "multicore/verifier.hh"
 #include "workloads/factory.hh"
 
 namespace slpmt
@@ -59,6 +60,10 @@ struct McOpRecord
     std::uint64_t key = 0;
     std::vector<std::uint8_t> value;
 };
+
+/** The last-write-wins image of a commit log: the keys and values a
+ *  structure must hold after it. */
+Shadow shadowOf(const std::vector<McOpRecord> &log);
 
 /** Deterministic per-core op streams for a configuration. */
 std::vector<std::vector<McOpRecord>> mcYcsbStreams(const McYcsbConfig &cfg);

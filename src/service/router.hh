@@ -9,8 +9,9 @@
  * stream with the same router moves nothing (the N -> N re-shard
  * no-op the service tests pin).
  *
- * Routing also lowers generator-level requests (SvcOp) into per-shard
- * execution streams: a Scan over a record range scatters into one
+ * Lowering turns generator-level requests (SvcOp) into execution ops
+ * in arrival order (lowerOps), and routing splits them into per-shard
+ * streams (routeOps): a Scan over a record range scatters into one
  * Read-like sub-op per swept record, routed by that record's own key,
  * so every key still lives on exactly one shard and shards never
  * coordinate.
@@ -85,33 +86,39 @@ struct ShardOp
 };
 
 /**
+ * Lower an arrival-ordered request stream to its execution ops, still
+ * in arrival order: a request becomes one op, and a scan scatters into
+ * one Scan-kind op per swept record (needs @p key_salt to derive the
+ * swept records' keys). Each op runs on its own key's shard.
+ */
+inline std::vector<ShardOp>
+lowerOps(const std::vector<SvcOp> &ops, std::uint64_t key_salt)
+{
+    std::vector<ShardOp> lowered;
+    lowered.reserve(ops.size());
+    for (const SvcOp &op : ops) {
+        if (op.kind != SvcOpKind::Scan) {
+            lowered.push_back({op.kind, op.key, op.valueBytes, op.valueSalt});
+            continue;
+        }
+        for (std::uint32_t j = 0; j < op.scanLen; ++j)
+            lowered.push_back(
+                {SvcOpKind::Scan, svcKeyForRecord(op.record + j, key_salt)});
+    }
+    return lowered;
+}
+
+/**
  * Partition an arrival-ordered request stream into per-shard
- * execution streams, preserving arrival order within each shard and
- * scattering scans (needs @p key_salt to derive the swept records'
- * keys).
+ * execution streams: its lowered ops, split by shard in arrival order.
  */
 inline std::vector<std::vector<ShardOp>>
 routeOps(const ShardRouter &router, const std::vector<SvcOp> &ops,
          std::uint64_t key_salt)
 {
     std::vector<std::vector<ShardOp>> streams(router.numShards());
-    for (const SvcOp &op : ops) {
-        if (op.kind == SvcOpKind::Scan) {
-            for (std::uint32_t j = 0; j < op.scanLen; ++j) {
-                ShardOp sub;
-                sub.kind = SvcOpKind::Scan;
-                sub.key = svcKeyForRecord(op.record + j, key_salt);
-                streams[router.shardOf(sub.key)].push_back(sub);
-            }
-            continue;
-        }
-        ShardOp out;
-        out.kind = op.kind;
-        out.key = op.key;
-        out.valueBytes = op.valueBytes;
-        out.valueSalt = op.valueSalt;
-        streams[router.shardOf(out.key)].push_back(out);
-    }
+    for (const ShardOp &op : lowerOps(ops, key_salt))
+        streams[router.shardOf(op.key)].push_back(op);
     return streams;
 }
 

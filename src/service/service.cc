@@ -1,39 +1,16 @@
 #include "service/service.hh"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 
 #include "mem/paged_memory.hh"
-#include "multicore/oracle_view.hh"
+#include "multicore/verifier.hh"
 #include "workloads/factory.hh"
 
 namespace slpmt
 {
 namespace
 {
-
-/** Last-write-wins value identity of one key: the recompute recipe. */
-struct ExpectedValue
-{
-    std::uint64_t valueSalt = 0;
-    std::uint32_t valueBytes = 0;
-};
-
-/** Expected final KV state of the whole service: every mutation of
- *  the arrival-ordered load folded last-write-wins. */
-std::map<std::uint64_t, ExpectedValue>
-expectedState(const SvcLoad &load)
-{
-    std::map<std::uint64_t, ExpectedValue> expected;
-    for (const SvcOp &op : load.preload)
-        expected[op.key] = {op.valueSalt, op.valueBytes};
-    for (const SvcOp &op : load.ops) {
-        if (op.isMutation())
-            expected[op.key] = {op.valueSalt, op.valueBytes};
-    }
-    return expected;
-}
 
 /** Per-op service instrument handles. */
 struct ServiceCounters
@@ -156,6 +133,30 @@ applyShardOp(PmContext &ctx, Workload &wl, const ShardOp &op)
     }
     out.cycles = ctx.cycles() - start;
     return out;
+}
+
+void
+commitToShadow(SvcShadow &shadow, std::span<const ShardOp> ops)
+{
+    const auto old_end = static_cast<std::ptrdiff_t>(shadow.size());
+    for (const ShardOp &op : ops) {
+        if (op.isMutation())
+            shadow.push_back({op.key, {op.valueSalt, op.valueBytes}});
+    }
+    // Both sorts are stable, so each key's entries stay in write order,
+    // and a unique pass from the back keeps each key's last.
+    const auto by_key = [](const auto &a, const auto &b) {
+        return a.first < b.first;
+    };
+    std::stable_sort(shadow.begin() + old_end, shadow.end(), by_key);
+    std::inplace_merge(shadow.begin(), shadow.begin() + old_end,
+                       shadow.end(), by_key);
+    shadow.erase(shadow.begin(),
+                 std::unique(shadow.rbegin(), shadow.rend(),
+                             [](const auto &a, const auto &b) {
+                                 return a.first == b.first;
+                             })
+                     .base());
 }
 
 std::vector<std::uint64_t>
@@ -312,47 +313,18 @@ runService(const ServiceConfig &cfg)
             load.ops.size() * 1'000'000'000ULL / res.makespan;
 
     // Verification (outside the measured window): every shard against
-    // the last-write-wins oracle of the arrival-ordered load.
-    const auto expected = expectedState(load);
-    std::vector<std::size_t> expected_counts(cfg.numShards, 0);
-    for (const auto &[key, value] : expected)
-        expected_counts[router.shardOf(key)]++;
-
-    res.verified = true;
-    for (std::size_t s = 0; s < cfg.numShards && res.verified; ++s) {
-        OracleView view(*shards[s]);
-        Workload &wl = *workloads[s];
-        std::string why;
-        if (!wl.checkConsistency(view, &why)) {
-            res.verified = false;
-            res.failure =
-                "shard " + std::to_string(s) + " consistency: " + why;
-            break;
-        }
-        if (wl.count(view) != expected_counts[s]) {
-            res.verified = false;
-            res.failure = "shard " + std::to_string(s) +
-                          " count mismatch: holds " +
-                          std::to_string(wl.count(view)) +
-                          ", oracle expects " +
-                          std::to_string(expected_counts[s]);
-            break;
-        }
-        std::vector<std::uint8_t> got;
-        for (const auto &[key, value] : expected) {
-            if (router.shardOf(key) != s)
-                continue;
-            if (!wl.lookup(view, key, &got) ||
-                got != svcValueFor(key, value.valueSalt,
-                                   value.valueBytes)) {
-                res.verified = false;
-                res.failure = "shard " + std::to_string(s) +
-                              " lookup mismatch at key " +
-                              std::to_string(key);
-                break;
-            }
-        }
+    // the last-write-wins shadow of the arrival-ordered load.
+    SvcShadow shadow;
+    for (const auto *phase : {&preload, &streams}) {
+        for (const std::vector<ShardOp> &stream : *phase)
+            commitToShadow(shadow, stream);
     }
+    FirstFailure verdict;
+    verifyStructure({shards, workloads,
+                     [&](std::uint64_t key) { return router.shardOf(key); }},
+                    shadow, verdict);
+    res.verified = verdict.passed();
+    res.failure = verdict.first;
     return res;
 }
 

@@ -25,7 +25,9 @@
 #ifndef SLPMT_SERVICE_SERVICE_HH
 #define SLPMT_SERVICE_SERVICE_HH
 
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "multicore/machine.hh"
@@ -79,6 +81,29 @@ struct ShardOpOutcome
 ShardOpOutcome applyShardOp(PmContext &ctx, Workload &wl,
                             const ShardOp &op);
 
+/** A committed key's value, as the recipe svcValueFor() rebuilds. */
+struct SvcValue
+{
+    std::uint64_t valueSalt = 0;
+    std::uint32_t valueBytes = 0;
+};
+
+/** The verifier's bytes for a service shadow entry. */
+inline std::vector<std::uint8_t>
+expectedValue(std::uint64_t key, const SvcValue &value)
+{
+    return svcValueFor(key, value.valueSalt, value.valueBytes);
+}
+
+/** The committed keys with their value recipes, ascending by key: a
+ *  flat array, so a sweep base holds it compactly and a fork copies it
+ *  in one block. */
+using SvcShadow = std::vector<std::pair<std::uint64_t, SvcValue>>;
+
+/** Fold the writes of @p ops, in order, into @p shadow: the last write
+ *  of each key wins. */
+void commitToShadow(SvcShadow &shadow, std::span<const ShardOp> ops);
+
 /**
  * Bucket bounds of the service latency histograms: geometric with
  * ~1.25x steps from 64 cycles to 20M cycles, so percentile extraction
@@ -122,7 +147,7 @@ struct KvServiceResult
 };
 
 /** Run one service load to completion and verify every shard against
- *  the last-write-wins oracle of the request stream. */
+ *  the last-write-wins shadow of the request stream. */
 KvServiceResult runService(const ServiceConfig &cfg);
 
 } // namespace slpmt

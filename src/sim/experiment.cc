@@ -1,9 +1,10 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "multicore/mc_ycsb.hh"
-#include "multicore/oracle_view.hh"
+#include "multicore/verifier.hh"
 #include "service/service.hh"
 
 namespace slpmt
@@ -160,7 +161,7 @@ runExperiment(const std::string &workload_name,
     auto workload = makeWorkload(workload_name);
     workload->setup(sys);
 
-    const auto ops = ycsbLoad(cfg.ycsb);
+    auto ops = ycsbLoad(cfg.ycsb);
 
     // Measured window: the insert phase only.
     const Cycles cycles_before = sys.cycles();
@@ -175,27 +176,15 @@ runExperiment(const std::string &workload_name,
     result.cycles = sys.cycles() - cycles_before;
     fillTotals(result, StatsRegistry::delta(before, after));
 
-    // Verification phase (outside the measured window).
-    OracleView view(sys);
-    result.verified = true;
-    std::string why;
-    if (!workload->checkConsistency(view, &why)) {
-        result.verified = false;
-        result.failure = "consistency: " + why;
-        return result;
-    }
-    std::vector<std::uint8_t> got;
-    for (const auto &op : ops) {
-        if (!workload->lookup(view, op.key, &got) || got != op.value) {
-            result.verified = false;
-            result.failure = "lookup mismatch";
-            return result;
-        }
-    }
-    if (workload->count(view) != ops.size()) {
-        result.verified = false;
-        result.failure = "count mismatch";
-    }
+    // Verification phase (outside the measured window). The values
+    // move into the expected state: the trace is done with them.
+    Shadow want;
+    for (auto &op : ops)
+        want[op.key] = std::move(op.value);
+    FirstFailure verdict;
+    verifyStructure({sys, *workload}, want, verdict);
+    result.verified = verdict.passed();
+    result.failure = verdict.first;
     return result;
 }
 

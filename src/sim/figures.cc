@@ -9,7 +9,7 @@
 #include "compiler/compiler_policy.hh"
 #include "core/pm_system.hh"
 #include "core/tx.hh"
-#include "multicore/oracle_view.hh"
+#include "multicore/verifier.hh"
 #include "workloads/factory.hh"
 #include "workloads/loadgen.hh"
 
@@ -1131,27 +1131,29 @@ updatesRun(const ExperimentCase &c)
     auto workload = makeWorkload(c.workload);
     workload->setup(sys);
 
+    // Every key the run inserts, with its latest value.
+    Shadow want;
     const auto ops = ycsbLoad(c.cfg.ycsb);
     const std::size_t preload = ops.size() / 2;
-    for (std::size_t i = 0; i < preload; ++i)
+    for (std::size_t i = 0; i < preload; ++i) {
         workload->insert(sys, ops[i].key, ops[i].value);
+        want[ops[i].key] = ops[i].value;
+    }
 
     Rng rng(44);
-    std::vector<std::vector<std::uint8_t>> latest(preload);
     const Cycles start = sys.cycles();
     const StatsSnapshot before = sys.stats().snapshot();
     std::size_t next_insert = preload;
     for (std::size_t i = 0; i < ops.size(); ++i) {
         if (i % 2 == 0 && next_insert < ops.size()) {
-            workload->insert(sys, ops[next_insert].key,
-                             ops[next_insert].value);
-            ++next_insert;
+            const YcsbOp &op = ops[next_insert++];
+            workload->insert(sys, op.key, op.value);
+            want[op.key] = op.value;
         } else {
-            const std::size_t victim = rng.below(preload);
-            auto fresh = ycsbValueFor(ops[victim].key ^ i,
-                                      c.cfg.ycsb.valueBytes);
-            workload->update(sys, ops[victim].key, fresh);
-            latest[victim] = std::move(fresh);
+            const std::uint64_t key = ops[rng.below(preload)].key;
+            auto fresh = ycsbValueFor(key ^ i, c.cfg.ycsb.valueBytes);
+            workload->update(sys, key, fresh);
+            want[key] = std::move(fresh);
         }
     }
 
@@ -1161,19 +1163,10 @@ updatesRun(const ExperimentCase &c)
     res.cycles = sys.cycles() - start;
     fillTotals(res, StatsRegistry::delta(before, sys.stats().snapshot()));
 
-    OracleView view(sys);
-    std::string why;
-    res.verified = workload->checkConsistency(view, &why);
-    if (!res.verified)
-        res.failure = "consistency: " + why;
-    std::vector<std::uint8_t> got;
-    for (std::size_t i = 0; i < preload && res.verified; ++i) {
-        const auto &want = latest[i].empty() ? ops[i].value : latest[i];
-        res.verified = workload->lookup(view, ops[i].key, &got) &&
-                       got == want;
-        if (!res.verified)
-            res.failure = "lookup mismatch";
-    }
+    FirstFailure verdict;
+    verifyStructure({sys, *workload}, want, verdict);
+    res.verified = verdict.passed();
+    res.failure = verdict.first;
     return res;
 }
 

@@ -182,8 +182,8 @@ class CorePoint final : public SweepPoint
     void
     check(OracleLines &lines) override
     {
-        checkShadow(*machine, *wl, shadow, target.keys,
-                    "uncommitted or removed", lines);
+        verifyStructure({*machine, *wl}, shadow, lines,
+                        {target.keys, "uncommitted or removed"});
     }
 
     void

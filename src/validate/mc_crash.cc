@@ -189,8 +189,7 @@ class McPoint final : public SweepPoint
         // (or for the explicit post-completion sentinel).
         if (!res.crashed)
             machine.crash();
-        for (const auto &op : run->commitLog)
-            shadow[op.key] = op.value;
+        shadow = shadowOf(run->commitLog);
         return true;
     }
 
@@ -207,8 +206,8 @@ class McPoint final : public SweepPoint
     void
     check(OracleLines &lines) override
     {
-        checkShadow(run->machine, *run->wl, shadow, target.keys,
-                    "uncommitted", lines);
+        verifyStructure({run->machine, *run->wl}, shadow, lines,
+                        {target.keys, "uncommitted"});
     }
 
     /** The fresh inserts spread across the cores. */

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
+#include <optional>
+#include <ranges>
+#include <span>
 
 #include "checkpoint/checkpoint.hh"
 #include "common/rng.hh"
-#include "multicore/oracle_view.hh"
 #include "workloads/factory.hh"
 #include "workloads/ycsb.hh"
 
@@ -14,77 +15,6 @@ namespace slpmt
 {
 namespace
 {
-
-/** One entry of the arrival-ordered (shard, op) dispatch list. */
-struct DispatchOp
-{
-    std::size_t shard = 0;
-    ShardOp op;
-};
-
-/** Last-write-wins value recipe of one committed key. */
-struct ShadowValue
-{
-    std::uint64_t valueSalt = 0;
-    std::uint32_t valueBytes = 0;
-};
-
-/** The committed keys with their value recipes, in key order: a flat
- *  array, so a base holds it compactly and a fork copies it in one
- *  block. */
-using SvcShadow = std::vector<std::pair<std::uint64_t, ShadowValue>>;
-
-/** Where @p key sits in @p shadow: the first entry not below it. */
-template <typename Shadow>
-auto
-shadowSlot(Shadow &shadow, std::uint64_t key)
-{
-    return std::lower_bound(
-        shadow.begin(), shadow.end(), key,
-        [](const auto &entry, std::uint64_t k) { return entry.first < k; });
-}
-
-bool
-inShadow(const SvcShadow &shadow, std::uint64_t key)
-{
-    const auto it = shadowSlot(shadow, key);
-    return it != shadow.end() && it->first == key;
-}
-
-/** Record a completed dispatch op in @p shadow. */
-void
-commitToShadow(SvcShadow &shadow, const ShardOp &op)
-{
-    if (!op.isMutation())
-        return;
-    const ShadowValue value{op.valueSalt, op.valueBytes};
-    const auto it = shadowSlot(shadow, op.key);
-    if (it != shadow.end() && it->first == op.key)
-        it->second = value;
-    else
-        shadow.insert(it, {op.key, value});
-}
-
-/** One key's first mutating dispatch op. */
-struct FirstWrite
-{
-    std::size_t index = 0;
-    std::uint64_t key = 0;
-};
-
-/** Every mutated key's first mutating dispatch op, in dispatch order. */
-std::vector<FirstWrite>
-firstWritesOf(const std::vector<DispatchOp> &dispatch)
-{
-    std::vector<FirstWrite> first;
-    std::unordered_set<std::uint64_t> seen;
-    for (std::size_t i = 0; i < dispatch.size(); ++i) {
-        const ShardOp &op = dispatch[i].op;
-        if (op.isMutation() && seen.insert(op.key).second)
-            first.push_back({i, op.key});
-    }
-    return first;
-}
 
 SystemConfig
 shardSysConfig(const ServiceCrashConfig &cfg)
@@ -95,37 +25,14 @@ shardSysConfig(const ServiceCrashConfig &cfg)
     return sys;
 }
 
-/** Lower the generated load (preload then requests, arrival order)
- *  to the flat dispatch list; per-shard subsequences equal the
- *  routeOps() streams by construction. */
-std::vector<DispatchOp>
-buildDispatch(const ServiceCrashConfig &cfg, const SvcLoad &load)
+/** The generated load lowered to one arrival-ordered dispatch list:
+ *  the preload, then the requests. */
+std::vector<ShardOp>
+buildDispatch(const SvcLoad &load)
 {
-    const ShardRouter router(cfg.numShards, cfg.routerSalt);
-    std::vector<DispatchOp> dispatch;
-    auto lower = [&](const std::vector<SvcOp> &ops) {
-        for (const SvcOp &op : ops) {
-            if (op.kind == SvcOpKind::Scan) {
-                for (std::uint32_t j = 0; j < op.scanLen; ++j) {
-                    ShardOp sub;
-                    sub.kind = SvcOpKind::Scan;
-                    sub.key =
-                        svcKeyForRecord(op.record + j, load.keySalt);
-                    dispatch.push_back(
-                        {router.shardOf(sub.key), sub});
-                }
-                continue;
-            }
-            ShardOp out;
-            out.kind = op.kind;
-            out.key = op.key;
-            out.valueBytes = op.valueBytes;
-            out.valueSalt = op.valueSalt;
-            dispatch.push_back({router.shardOf(out.key), out});
-        }
-    };
-    lower(load.preload);
-    lower(load.ops);
+    std::vector<ShardOp> dispatch = lowerOps(load.preload, load.keySalt);
+    for (const ShardOp &op : lowerOps(load.ops, load.keySalt))
+        dispatch.push_back(op);
     return dispatch;
 }
 
@@ -147,15 +54,14 @@ struct ShardSet
 
     std::uint64_t globalStores() const { return rawStores() - baseStores; }
 
-    /** Apply dispatch ops [from, to). */
+    /** Apply dispatch ops [from, to), each on its key's shard. */
     void
-    replay(const std::vector<DispatchOp> &dispatch, std::size_t from,
-           std::size_t to)
+    replay(const ShardRouter &router, const std::vector<ShardOp> &dispatch,
+           std::size_t from, std::size_t to)
     {
         for (std::size_t i = from; i < to; ++i) {
-            const DispatchOp &d = dispatch[i];
-            applyShardOp(machines[d.shard]->context(0),
-                         *workloads[d.shard], d.op);
+            const std::size_t s = router.shardOf(dispatch[i].key);
+            applyShardOp(machines[s]->context(0), *workloads[s], dispatch[i]);
         }
     }
 };
@@ -201,113 +107,28 @@ struct SvcBase final : SweepBase
     const std::size_t opIndex;
 };
 
-/** Oracle comparison of every recovered shard with the shadow.
- *  @p interrupted is the dispatch op the crash unwound (nullptr for
- *  the post-completion point); its key may atomically hold the old
- *  or the new value. */
-void
-checkState(ShardSet &set, const ShardRouter &router, const SvcShadow &shadow,
-           const DispatchOp *interrupted,
-           const std::vector<std::uint64_t> &absent_keys,
-           OracleLines &lines)
-{
-    const bool interrupted_mutation =
-        interrupted && interrupted->op.isMutation();
-    const std::uint64_t ikey =
-        interrupted_mutation ? interrupted->op.key : 0;
-
-    std::vector<std::size_t> expected_counts(router.numShards(), 0);
-    for (const auto &[key, value] : shadow)
-        expected_counts[router.shardOf(key)]++;
-
-    for (std::size_t s = 0; s < router.numShards(); ++s) {
-        OracleView view(*set.machines[s]);
-        Workload &wl = *set.workloads[s];
-        const std::string where = "shard " + std::to_string(s) + " ";
-
-        std::string why;
-        if (!wl.checkConsistency(view, &why))
-            lines.add(where + "structure invariant violated: " + why);
-
-        // The interrupted request may atomically add one key.
-        const std::size_t n = wl.count(view);
-        const bool slack = interrupted_mutation &&
-                           !inShadow(shadow, ikey) &&
-                           router.shardOf(ikey) == s;
-        if (n != expected_counts[s] &&
-            !(slack && n == expected_counts[s] + 1))
-            lines.add(where + "count mismatch: structure holds " +
-                      std::to_string(n) + ", oracle expects " +
-                      std::to_string(expected_counts[s]) +
-                      (slack ? " (+1 allowed)" : ""));
-
-        std::vector<std::uint8_t> got;
-        for (const auto &[key, value] : shadow) {
-            if (router.shardOf(key) != s)
-                continue;
-            got.clear();
-            if (interrupted_mutation && key == ikey) {
-                // Old-or-new, never torn.
-                if (!wl.lookup(view, key, &got)) {
-                    lines.add(where + "interrupted key " + hexKey(key) +
-                              " lost its committed value");
-                } else if (got != svcValueFor(key, value.valueSalt,
-                                              value.valueBytes) &&
-                           got != svcValueFor(
-                                      key, interrupted->op.valueSalt,
-                                      interrupted->op.valueBytes)) {
-                    lines.add(where + "interrupted key " + hexKey(key) +
-                              " holds neither old nor new value");
-                }
-                continue;
-            }
-            if (!wl.lookup(view, key, &got))
-                lines.add(where + "committed key " + hexKey(key) +
-                          " missing");
-            else if (got != svcValueFor(key, value.valueSalt,
-                                        value.valueBytes))
-                lines.add(where + "value mismatch for committed key " +
-                          hexKey(key));
-        }
-
-        // A fresh interrupted insert is allowed fully in or fully
-        // out — but never torn.
-        if (slack && wl.lookup(view, ikey, &got) &&
-            got != svcValueFor(ikey, interrupted->op.valueSalt,
-                               interrupted->op.valueBytes))
-            lines.add(where + "interrupted fresh key " + hexKey(ikey) +
-                      " visible with a torn value");
-    }
-
-    for (std::uint64_t key : absent_keys) {
-        const std::size_t s = router.shardOf(key);
-        OracleView view(*set.machines[s]);
-        if (set.workloads[s]->lookup(view, key, nullptr))
-            lines.add("future key " + hexKey(key) + " visible on shard " +
-                      std::to_string(s));
-    }
-}
-
 class ServiceTarget final : public SweepTarget
 {
   public:
     explicit ServiceTarget(const ServiceCrashConfig &cfg)
         : SweepTarget(identity(cfg),
                       cfg.load.seed ^ 0x5e4'71ce'c4a5'4f1eULL),
-          cfg(cfg), dispatch(buildDispatch(cfg, svcGenerate(cfg.load))),
-          firstWrites(firstWritesOf(dispatch))
+          cfg(cfg), router(cfg.numShards, cfg.routerSalt),
+          dispatch(buildDispatch(svcGenerate(cfg.load))),
+          writtenKeys(runKeySet(dispatch | std::views::filter(
+                                             &ShardOp::isMutation)))
     {}
 
     std::uint64_t runMaster(MasterSink &sink) override;
     std::unique_ptr<SweepPoint> newPoint() const override;
 
     const ServiceCrashConfig &cfg;
-    const std::vector<DispatchOp> dispatch;
+    const ShardRouter router;
+    const std::vector<ShardOp> dispatch;
 
-    /** Every mutated key's first write, by dispatch index: a point's
-     *  absent keys are the ones first written at or after its
-     *  completed prefix. */
-    const std::vector<FirstWrite> firstWrites;
+    /** Every key a dispatch op writes, ascending: those a point's
+     *  shadow lacks, only later requests write. */
+    const std::vector<std::uint64_t> writtenKeys;
 
     /**
      * Global stores completed before dispatch op i, written by the
@@ -333,16 +154,21 @@ std::uint64_t
 ServiceTarget::runMaster(MasterSink &sink)
 {
     ShardSet set = makeShards(cfg, true);
-    SvcShadow shadow;
+    SvcShadow shadow;  // the ops before `folded`
+    std::size_t folded = 0;
     opStart.assign(dispatch.size() + 1, 0);
     for (std::size_t i = 0; i < dispatch.size(); ++i) {
         const std::uint64_t stores = set.globalStores();
         opStart[i] = stores;
-        sink.boundary(stores, sink.wantsBase(stores)
-                                  ? std::make_unique<SvcBase>(set, shadow, i)
-                                  : nullptr);
-        set.replay(dispatch, i, i + 1);
-        commitToShadow(shadow, dispatch[i].op);
+        std::unique_ptr<SvcBase> base;
+        if (sink.wantsBase(stores)) {
+            commitToShadow(shadow, std::span(dispatch).subspan(
+                                       folded, i - folded));
+            folded = i;
+            base = std::make_unique<SvcBase>(set, shadow, i);
+        }
+        sink.boundary(stores, std::move(base));
+        set.replay(router, dispatch, i, i + 1);
     }
     opStart.back() = set.globalStores();
     return opStart.back();
@@ -350,15 +176,14 @@ ServiceTarget::runMaster(MasterSink &sink)
 
 /**
  * Every shard replaying the dispatch tail from a base (or from setup).
- * The tail leaves the oracle's inputs: the completed request prefix,
- * the request the crash unwound and the keys only later requests
- * write.
+ * The tail leaves the oracle's inputs: the shadow of the completed
+ * request prefix and the write the crash unwound.
  */
 class SvcPoint final : public SweepPoint
 {
   public:
     explicit SvcPoint(const ServiceTarget &target)
-        : target(target), router(target.cfg.numShards, target.cfg.routerSalt)
+        : target(target), router(target.router)
     {}
 
     void
@@ -381,21 +206,20 @@ class SvcPoint final : public SweepPoint
             shadow.clear();
             at = 0;
         }
-        interrupted = nullptr;
-        absent.clear();
+        interrupted.reset();
         fresh.clear();
     }
 
     bool
     tail(CrashPointOutcome &out) override
     {
-        const std::vector<DispatchOp> &dispatch = target.dispatch;
+        const std::vector<ShardOp> &dispatch = target.dispatch;
         const std::vector<std::uint64_t> &op_start = target.opStart;
         std::size_t completed = dispatch.size();
         if (crashPoint == 0) {
             // Post-completion point: run out, then power off with
             // lazy data still volatile.
-            set.replay(dispatch, at, dispatch.size());
+            set.replay(router, dispatch, at, dispatch.size());
         } else {
             // The dispatch op executing global store crashPoint: the
             // last one starting below it (zero-store requests can
@@ -405,16 +229,18 @@ class SvcPoint final : public SweepPoint
             while (completed + 2 < op_start.size() &&
                    op_start[completed + 1] < crashPoint)
                 ++completed;
-            set.replay(dispatch, at, completed);
+            set.replay(router, dispatch, at, completed);
 
-            interrupted = &dispatch.at(completed);
-            out.crashShard = interrupted->shard;
-            McMachine &machine = *set.machines[interrupted->shard];
+            const ShardOp &op = dispatch.at(completed);
+            if (op.isMutation())
+                interrupted = InterruptedWrite{
+                    op.key, svcValueFor(op.key, op.valueSalt, op.valueBytes)};
+            out.crashShard = router.shardOf(op.key);
+            McMachine &machine = *set.machines[out.crashShard];
             machine.armCrashAfterStores(crashPoint - op_start[completed]);
             try {
                 applyShardOp(machine.context(0),
-                             *set.workloads[interrupted->shard],
-                             interrupted->op);
+                             *set.workloads[out.crashShard], op);
             } catch (const CrashInjected &) {
                 out.fired = true;
             }
@@ -427,23 +253,8 @@ class SvcPoint final : public SweepPoint
         for (auto &machine : set.machines)
             machine->crash();
 
-        for (std::size_t i = at; i < completed; ++i)
-            commitToShadow(shadow, dispatch[i].op);
-
-        // Keys no completed (or interrupted) request ever wrote must
-        // not surface: those first written at or after the completed
-        // prefix, but for the interrupted request's own key. Ascending,
-        // like the violation lines.
-        const auto &first = target.firstWrites;
-        for (auto it = std::partition_point(
-                 first.begin(), first.end(),
-                 [&](const FirstWrite &w) { return w.index < completed; });
-             it != first.end(); ++it) {
-            if (!(interrupted && interrupted->op.isMutation() &&
-                  interrupted->op.key == it->key))
-                absent.push_back(it->key);
-        }
-        std::sort(absent.begin(), absent.end());
+        commitToShadow(shadow,
+                       std::span(dispatch).subspan(at, completed - at));
         return crashPoint == 0 || out.fired;
     }
 
@@ -463,7 +274,13 @@ class SvcPoint final : public SweepPoint
     void
     check(OracleLines &lines) override
     {
-        checkState(set, router, shadow, interrupted, absent, lines);
+        // Keys only later requests write must not surface.
+        verifyStructure(
+            {set.machines, set.workloads,
+             [this](std::uint64_t key) { return router.shardOf(key); }},
+            shadow, lines,
+            {target.writtenKeys, "future",
+             interrupted ? &*interrupted : nullptr});
     }
 
     /** Every shard must keep serving: fresh inserts routed like any
@@ -506,13 +323,12 @@ class SvcPoint final : public SweepPoint
 
   private:
     const ServiceTarget &target;
-    const ShardRouter router;
+    const ShardRouter &router;
     ShardSet set;  //!< machines built by the first fork
     std::uint64_t crashPoint = 0;
     std::size_t at = 0;  //!< first dispatch op the tail applies
-    const DispatchOp *interrupted = nullptr;
+    std::optional<InterruptedWrite> interrupted;  //!< a mutation only
     SvcShadow shadow;
-    std::vector<std::uint64_t> absent;
     std::vector<std::uint64_t> fresh;  //!< continueRun()'s keys
 };
 

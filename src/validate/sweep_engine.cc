@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <iterator>
 #include <mutex>
 #include <numeric>
 #include <string_view>
 
 #include "common/rng.hh"
-#include "multicore/oracle_view.hh"
 #include "sim/json.hh"
 #include "validate/work_queue.hh"
 #include "workloads/ycsb.hh"
@@ -36,15 +34,6 @@ std::string
 styleName(LoggingStyle style)
 {
     return style == LoggingStyle::Undo ? "undo" : "redo";
-}
-
-std::string
-hexKey(std::uint64_t key)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "0x%llx",
-                  static_cast<unsigned long long>(key));
-    return buf;
 }
 
 std::string
@@ -82,37 +71,6 @@ OracleLines::add(const std::string &msg)
         out.push_back(tuple + " " + phase +
                       ": further violations suppressed");
     ++added;
-}
-
-void
-checkShadow(McMachine &machine, Workload &wl, const Shadow &shadow,
-            const std::vector<std::uint64_t> &run_keys,
-            const char *absent_label, OracleLines &lines)
-{
-    OracleView view(machine);
-    std::string why;
-    if (!wl.checkConsistency(view, &why))
-        lines.add("structure invariant violated: " + why);
-
-    const std::size_t n = wl.count(view);
-    if (n != shadow.size())
-        lines.add("count mismatch: structure holds " + std::to_string(n) +
-                  ", oracle expects " + std::to_string(shadow.size()));
-
-    std::vector<std::uint8_t> got;
-    for (const auto &[key, value] : shadow) {
-        got.clear();
-        if (!wl.lookup(view, key, &got))
-            lines.add("committed key " + hexKey(key) + " missing");
-        else if (got != value)
-            lines.add("value mismatch for committed key " + hexKey(key));
-    }
-
-    for (std::uint64_t key : run_keys) {
-        if (!shadow.count(key) && wl.lookup(view, key, nullptr))
-            lines.add(std::string(absent_label) + " key " + hexKey(key) +
-                      " visible");
-    }
 }
 
 void

@@ -60,13 +60,13 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/pm_system.hh"
+#include "multicore/verifier.hh"
 #include "txn/scheme.hh"
 #include "workloads/workload.hh"
 
@@ -181,9 +181,6 @@ SweepIdentity sweepIdentity(std::string name, const SweepOptions &opts,
 /** "undo" or "redo". */
 std::string styleName(LoggingStyle style);
 
-/** A key as printed in violation lines. */
-std::string hexKey(std::uint64_t key);
-
 /** The printed handle that reproduces point @p crash_point in
  *  isolation. */
 std::string reproTuple(const SweepIdentity &id, std::uint64_t crash_point);
@@ -196,7 +193,7 @@ void applySweepOptions(SystemConfig &sys, const SweepOptions &opts);
  * One oracle phase's violation lines, capped per phase so one broken
  * point cannot flood the report.
  */
-class OracleLines
+class OracleLines final : public VerifySink
 {
   public:
     OracleLines(const std::string &tuple, const char *phase,
@@ -204,7 +201,7 @@ class OracleLines
         : tuple(tuple), phase(phase), out(out)
     {}
 
-    void add(const std::string &msg);
+    void add(const std::string &msg) override;
 
   private:
     static constexpr std::size_t maxPerPhase = 4;
@@ -215,25 +212,11 @@ class OracleLines
     std::size_t added = 0;
 };
 
-/** Committed state a shadow-map target's structure must match. */
-using Shadow = std::map<std::uint64_t, std::vector<std::uint8_t>>;
-
-/**
- * The shadow-map oracle of the core and mc targets, read through an
- * OracleView of @p machine: invariants hold, the count matches, every
- * committed key reads back its value, and every key of @p run_keys
- * (ascending) the shadow lacks is invisible (@p absent_label names
- * those keys in violation lines).
- */
-void checkShadow(McMachine &machine, Workload &wl, const Shadow &shadow,
-                 const std::vector<std::uint64_t> &run_keys,
-                 const char *absent_label, OracleLines &lines);
-
-/** Every key the ops of @p ops carry, once each, ascending: the
- *  run_keys checkShadow takes. */
+/** Every key the ops of @p ops carry, once each, ascending: the run
+ *  keys a crash point's structure must not show unless committed. */
 template <typename Ops>
 std::vector<std::uint64_t>
-runKeySet(const Ops &ops)
+runKeySet(Ops &&ops)
 {
     std::vector<std::uint64_t> keys;
     for (const auto &op : ops)
