@@ -28,9 +28,9 @@
  * nothing reads a frame that was never filled or was invalidated.
  * victimFor() blanks an invalid frame before handing it out. With the
  * occupancy, every whole-array walk (forEachValid(), countIf(),
- * invalidateAll(), saveState(), restoreState()) skips empty sets and
- * costs O(sets + valid lines), not O(capacity); only the audits still
- * read every probe key.
+ * invalidateAll(), state(), restore()) skips empty sets and costs
+ * O(sets + valid lines), not O(capacity); only the audits still read
+ * every probe key.
  *
  * Frames never move, so CacheLine pointers handed out by find() stay
  * stable. The probe keys and the occupancy are derived state: any
@@ -59,7 +59,6 @@
 #include <vector>
 
 #include "cache/cache_line.hh"
-#include "checkpoint/serde.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -73,6 +72,8 @@ struct CacheConfig
     Bytes sizeBytes;
     std::size_t ways;
     Cycles hitLatency;
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** Set-associative cache array with true-LRU replacement. */
@@ -481,82 +482,62 @@ class Cache
     }
     /** @} */
 
-    /** @name Checkpointing */
-    /** @{ */
-
     /**
-     * Serialize the replacement clock and every valid frame (absolute
-     * frame index + architectural fields). Invalid frames carry no
-     * observable state — victimFor() prefers any invalid way before
-     * consulting timestamps — so they are omitted. The blob layout is
-     * identical to the array-of-structs era: the probe keys,
-     * occupancy and index links are derived state and are rebuilt on
-     * restore.
+     * Everything a checkpoint holds of an array: the replacement clock
+     * and every valid frame (its id, LRU timestamp and line) in frame
+     * order. Invalid frames carry no observable state (victimFor()
+     * prefers any invalid way before consulting timestamps), and the
+     * probe keys, the occupancy and the index links are derived.
      */
-    void
-    saveState(BlobWriter &w) const
+    struct State
     {
-        w.u<std::uint64_t>(useClock);
-        std::uint64_t valid_count = 0;
-        for (std::size_t s = 0; s < numSets; ++s)
-            valid_count += setValid[s];
-        w.u<std::uint64_t>(valid_count);
-        forEachValidFrame([&](std::size_t i) {
-            const CacheLine &line = lines[i];
-            w.u<std::uint64_t>(i);
-            w.u<Addr>(line.tag);
-            w.u<std::uint8_t>(static_cast<std::uint8_t>(line.state));
-            w.b(line.dirty);
-            w.b(line.persistBit);
-            w.u<std::uint8_t>(line.logBits);
-            w.u<std::uint8_t>(line.txnId);
-            w.u<std::uint64_t>(line.txnSeq);
-            w.u<std::uint64_t>(lastUses[i]);
-            w.bytes(line.data.data(), line.data.size());
+        struct Frame
+        {
+            std::size_t frame;
+            std::uint64_t lastUse;
+            CacheLine line;
+
+            bool operator==(const Frame &) const = default;
+        };
+
+        std::uint64_t useClock = 0;
+        std::vector<Frame> frames;
+
+        bool operator==(const State &) const = default;
+    };
+
+    State
+    state() const
+    {
+        State s{useClock, {}};
+        std::size_t valid = 0;
+        for (std::uint32_t n : setValid)
+            valid += n;
+        s.frames.reserve(valid);
+        forEachValidFrame([&](std::size_t f) {
+            s.frames.push_back({f, lastUses[f], lines[f]});
         });
+        return s;
     }
 
     /**
-     * Restore into this (same-geometry) array: invalidate everything,
+     * Restore a state of a same-geometry array: invalidate everything,
      * then rebuild the saved frames and re-derive the probe keys, the
      * occupancy and the metadata index. O(sets + saved frames).
      */
     void
-    restoreState(BlobReader &r)
+    restore(const State &s)
     {
         invalidateAll();
-        useClock = r.u<std::uint64_t>();
-        const std::size_t n = r.count(1);
-        for (std::size_t k = 0; k < n; ++k) {
-            const std::uint64_t idx = r.u<std::uint64_t>();
-            if (idx >= numFrames)
-                throw CheckpointError(config.name +
-                                      ": frame index out of range");
-            CacheLine &line = lines[static_cast<std::size_t>(idx)];
-            line.tag = r.u<Addr>();
-            const std::uint8_t st = r.u<std::uint8_t>();
-            if (st > static_cast<std::uint8_t>(MesiState::Modified))
-                throw CheckpointError(config.name +
-                                      ": bad MESI state");
-            line.state = static_cast<MesiState>(st);
-            // The occupancy is kept by the set a valid key names.
-            const std::size_t first = setFirstFrame(line.tag);
-            if (line.valid() && (idx < first || idx >= first + config.ways))
-                throw CheckpointError(config.name +
-                                      ": frame tag outside its set");
-            line.dirty = r.b();
-            line.persistBit = r.b();
-            line.logBits = r.u<std::uint8_t>();
-            line.txnId = r.u<std::uint8_t>();
-            line.txnSeq = r.u<std::uint64_t>();
-            lastUses[static_cast<std::size_t>(idx)] =
-                r.u<std::uint64_t>();
-            r.bytes(line.data.data(), line.data.size());
+        useClock = s.useClock;
+        for (const State::Frame &f : s.frames) {
+            CacheLine &line = lines[f.frame];
+            line = f.line;
+            lastUses[f.frame] = f.lastUse;
             syncProbeKey(line);
             syncMetaIndex(line);
         }
     }
-    /** @} */
 
   private:
     /** Set index of line base @p base. */

@@ -68,6 +68,8 @@ struct CacheLine
 
     bool valid() const { return state != MesiState::Invalid; }
 
+    bool operator==(const CacheLine &) const = default;
+
     /**
      * The line carries transactional metadata and must be visited by
      * boundary sweeps. Matches the private-eviction hook predicate in

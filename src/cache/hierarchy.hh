@@ -40,6 +40,8 @@ struct HierarchyConfig
     CacheConfig l1{"L1", 32 * 1024, 8, 4};
     CacheConfig l2{"L2", 256 * 1024, 4, 12};
     CacheConfig l3{"L3", 2 * 1024 * 1024, 16, 40};
+
+    bool operator==(const HierarchyConfig &) const = default;
 };
 
 class CacheHierarchy;
@@ -329,7 +331,7 @@ class CacheHierarchy
     bool speculativeRounding = false;
 
     /** access() L1 MRU hint — pure lookup acceleration, validated
-     *  against the probe keys on every use, never serialized. */
+     *  against the probe keys on every use, never checkpointed. */
     std::size_t l1Mru = 0;
 
     /** forEachPrivate() snapshot buffer, reused across walks. */

@@ -55,6 +55,8 @@ struct StoreSiteInfo
                                         //!< MemorySSA-style analysis
     std::size_t defUseDepth = 1;     //!< def-use chain length walked
                                      //!< by the analysis (time model)
+
+    bool operator==(const StoreSiteInfo &) const = default;
 };
 
 /** Registry of the store sites of a program. */
@@ -78,9 +80,8 @@ class StoreSiteRegistry
     std::size_t size() const { return sites.size(); }
     const std::vector<StoreSiteInfo> &all() const { return sites; }
 
-    /** Forget every site (checkpoint restore re-adds them in order,
-     *  reproducing the identical SiteId assignment). */
-    void clear() { sites.clear(); }
+    /** A copy is the registry's whole state (checkpoints hold one). */
+    bool operator==(const StoreSiteRegistry &) const = default;
 
   private:
     std::vector<StoreSiteInfo> sites;

@@ -17,7 +17,7 @@
  * exact first fit (the lowest-address free range that is long enough)
  * and must stay so. A max-length segment tree over fixed-size address
  * blocks finds that range in O(log n) instead of walking the free
- * list; it is derived state, rebuilt on restore and never serialized.
+ * list; it is derived state, rebuilt on restore and never captured.
  */
 
 #ifndef SLPMT_CORE_HEAP_HH
@@ -29,7 +29,6 @@
 #include <map>
 #include <vector>
 
-#include "checkpoint/serde.hh"
 #include "common/logging.hh"
 #include "stats/stats.hh"
 #include "common/types.hh"
@@ -183,55 +182,34 @@ class PersistentHeap
      *  other than the highest one exists). */
     std::size_t indexBytes() const { return fitTree.size() * sizeof(Bytes); }
 
-    /** @name Checkpointing (ordered maps: deterministic iteration) */
-    /** @{ */
-    void
-    saveState(BlobWriter &w) const
-    {
-        for (const RangeMap *table : {&freeRanges, &live}) {
-            w.u<std::uint64_t>(table->size());
-            for (const auto &[addr, len] : *table) {
-                w.u<Addr>(addr);
-                w.u<Bytes>(len);
-            }
-        }
-    }
-
-    /**
-     * Rebuild both tables from @p r, reusing their map nodes: each
-     * saved range takes a node extracted from the old table, has its
-     * key and value rewritten and goes in at the end (the ranges
-     * arrive in address order), so a restore allocates only for the
-     * ranges beyond the old table's size.
-     */
-    void
-    restoreState(BlobReader &r)
-    {
-        for (RangeMap *table : {&freeRanges, &live}) {
-            RangeMap spare;
-            spare.swap(*table);
-            const std::size_t n = r.count(2 * sizeof(Addr));
-            for (std::size_t i = 0; i < n; ++i) {
-                const Addr addr = r.u<Addr>();
-                RangeMap::iterator at;
-                if (spare.empty()) {
-                    at = table->try_emplace(table->end(), addr);
-                } else {
-                    auto node = spare.extract(spare.begin());
-                    node.key() = addr;
-                    at = table->insert(table->end(), std::move(node));
-                }
-                at->second = r.u<Bytes>();
-            }
-        }
-        rebuildIndex();
-    }
-    /** @} */
-
-  private:
     /** Base -> length: the free ranges, and the live allocations. */
     using RangeMap = std::map<Addr, Bytes>;
 
+    /** Everything a checkpoint holds of a heap: both tables. */
+    struct State
+    {
+        RangeMap freeRanges;
+        RangeMap live;
+
+        bool operator==(const State &) const = default;
+    };
+
+    State state() const { return {freeRanges, live}; }
+
+    /**
+     * Restore both tables and rebuild the fit tree. Copy-assigning a
+     * map reuses the nodes the table already holds, so a restore
+     * allocates only for the ranges beyond the old table's size.
+     */
+    void
+    restore(const State &s)
+    {
+        freeRanges = s.freeRanges;
+        live = s.live;
+        rebuildIndex();
+    }
+
+  private:
     /** Index granularity: one segment-tree leaf per 4 KB of heap. */
     static constexpr Bytes blockBytes = 4096;
 

@@ -34,6 +34,10 @@ struct SystemConfig
     /** Number of logical cores: McMachine accepts 1-16; PmSystem is
      *  the one-core machine and rejects anything else. */
     std::size_t numCores = 1;
+
+    /** A checkpoint restores only into a machine whose configuration
+     *  equals the one it was captured from. */
+    bool operator==(const SystemConfig &) const = default;
 };
 
 } // namespace slpmt

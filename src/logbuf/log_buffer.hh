@@ -27,6 +27,7 @@
 #ifndef SLPMT_LOGBUF_LOG_BUFFER_HH
 #define SLPMT_LOGBUF_LOG_BUFFER_HH
 
+#include <algorithm>
 #include <array>
 #include <span>
 
@@ -178,36 +179,6 @@ class LogBuffer
         return {t.slots.data(), t.count};
     }
 
-    /** @name Checkpointing (the sink is rewired by the owner) */
-    /** @{ */
-    void
-    saveState(BlobWriter &w) const
-    {
-        for (const auto &t : tiers) {
-            w.u<std::uint64_t>(t.count);
-            for (std::uint32_t i = 0; i < t.count; ++i)
-                t.slots[i].saveState(w);
-        }
-    }
-
-    void
-    restoreState(BlobReader &r)
-    {
-        for (auto &t : tiers) {
-            t.count = 0;
-            const std::size_t n = r.count(1);
-            if (n > tierCapacity)
-                throw CheckpointError("log buffer tier overflow");
-            for (std::size_t i = 0; i < n; ++i) {
-                LogRecord rec;
-                rec.restoreState(r);
-                t.push(rec);
-            }
-        }
-    }
-    /** @} */
-
-  private:
     /**
      * One tier's bump arena: records live in-place in @c slots[0..
      * count). push() assumes a free slot (callers drain first);
@@ -224,7 +195,7 @@ class LogBuffer
          *  the ~88-byte records. Only base-preserving mutation of a
          *  live record (the redo-refresh data rewrite) may bypass
          *  push()/erase(). */
-        std::array<Addr, tierCapacity> bases;
+        std::array<Addr, tierCapacity> bases{};
         std::uint32_t count = 0;
 
         void
@@ -243,8 +214,25 @@ class LogBuffer
             }
             --count;
         }
+
+        /** Same live records in the same order (slots past count
+         *  hold stale records and are not compared). */
+        bool
+        operator==(const Tier &other) const
+        {
+            return std::equal(slots.begin(), slots.begin() + count,
+                              other.slots.begin(),
+                              other.slots.begin() + other.count);
+        }
     };
 
+    /** The tiers: everything a checkpoint holds of the buffer (the
+     *  sink is wired by the owner). */
+    using State = std::array<Tier, tierCount>;
+    const State &state() const { return tiers; }
+    void restore(const State &s) { tiers = s; }
+
+  private:
     /** Insert into tier @p t, coalescing upward; assumes alignment. */
     /** @p rec must not alias a tier slot (it may be drained/shifted
      *  before the final push); callers pass stack locals only. */
@@ -253,7 +241,7 @@ class LogBuffer
     /** Persist one record through the sink. */
     Cycles persist(const LogRecord &rec, Cycles now);
 
-    std::array<Tier, tierCount> tiers;
+    State tiers;
 
     void *sinkObj = nullptr;
     Cycles (*sinkFn)(void *, const LogRecord &, Cycles) = nullptr;

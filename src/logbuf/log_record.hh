@@ -13,7 +13,6 @@
 #include <array>
 #include <cstdint>
 
-#include "checkpoint/serde.hh"
 #include "common/types.hh"
 
 namespace slpmt
@@ -44,30 +43,7 @@ struct LogRecord
         return line() == lineBase(line_addr);
     }
 
-    /** @name Checkpointing */
-    /** @{ */
-    void
-    saveState(BlobWriter &w) const
-    {
-        w.u<Addr>(base);
-        w.u<std::uint8_t>(words);
-        w.u<std::uint8_t>(txnId);
-        w.u<std::uint64_t>(txnSeq);
-        w.bytes(data.data(), data.size());
-    }
-
-    void
-    restoreState(BlobReader &r)
-    {
-        base = r.u<Addr>();
-        words = r.u<std::uint8_t>();
-        if (words != 1 && words != 2 && words != 4 && words != 8)
-            throw CheckpointError("bad log record span");
-        txnId = r.u<std::uint8_t>();
-        txnSeq = r.u<std::uint64_t>();
-        r.bytes(data.data(), data.size());
-    }
-    /** @} */
+    bool operator==(const LogRecord &) const = default;
 };
 
 } // namespace slpmt

@@ -58,6 +58,8 @@ struct AddressMap
         if (!isPm(addr) && !isDram(addr))
             panic("access to unmapped address");
     }
+
+    bool operator==(const AddressMap &) const = default;
 };
 
 } // namespace slpmt

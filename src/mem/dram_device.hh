@@ -13,7 +13,6 @@
 
 #include <cstdint>
 
-#include "checkpoint/serde.hh"
 #include "stats/stats.hh"
 #include "common/types.hh"
 #include "mem/paged_memory.hh"
@@ -27,6 +26,8 @@ struct DramConfig
     std::uint64_t rowHitNs = 14;    //!< tCL only
     std::uint64_t rowMissNs = 42;   //!< tRP + tRCD + tCL
     Addr rowBytes = 8192;           //!< row-buffer span
+
+    bool operator==(const DramConfig &) const = default;
 };
 
 /** Flat-latency DRAM with a single open-row predictor. */
@@ -66,9 +67,11 @@ class DramDevice
     PagedMemory &memory() { return image; }
     const PagedMemory &memory() const { return image; }
 
-    /** Serialize timing state (image paged out separately). */
-    void saveState(BlobWriter &w) const { w.u<Addr>(openRow); }
-    void restoreState(BlobReader &r) { openRow = r.u<Addr>(); }
+    /** The open row: everything a checkpoint holds of the device
+     *  (the image is snapshotted separately). */
+    using State = Addr;
+    State state() const { return openRow; }
+    void restore(State open_row) { openRow = open_row; }
 
   private:
     static constexpr Addr invalidRow = ~static_cast<Addr>(0);

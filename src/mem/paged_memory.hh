@@ -158,7 +158,7 @@ class PagedMemory
 
     /**
      * Visit every materialised page in ascending page-number order
-     * (deterministic serialization / image comparison). @p fn receives
+     * (deterministic image comparison). @p fn receives
      * (pageNumber, pageData).
      */
     template <typename Fn>

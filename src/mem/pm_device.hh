@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <deque>
 
-#include "checkpoint/serde.hh"
 #include "stats/stats.hh"
 #include "common/types.hh"
 #include "mem/paged_memory.hh"
@@ -56,6 +55,8 @@ struct PmConfig
      * Section V-A ablation sweeps it.
      */
     std::uint64_t sequentialFactor = 1;
+
+    bool operator==(const PmConfig &) const = default;
 };
 
 /** Outcome of one persist operation, for the issuing core's timing. */
@@ -178,15 +179,15 @@ class PmDevice
     void
     crash()
     {
-        pending.clear();
-        lastInitiation = 0;
+        wpq.pending.clear();
+        wpq.lastInitiation = 0;
     }
 
     /** Earliest time at which every queued write has hit the media. */
     Cycles
     drainTime() const
     {
-        return pending.empty() ? 0 : pending.back().completion;
+        return wpq.pending.empty() ? 0 : wpq.pending.back().completion;
     }
 
     const PmConfig &cfg() const { return config; }
@@ -198,43 +199,30 @@ class PmDevice
     PagedMemory &memory() { return image; }
     const PagedMemory &memory() const { return image; }
 
-    /** Serialize WPQ/media timing state (the image is paged out
-     *  separately via PagedMemory snapshots). */
-    void
-    saveState(BlobWriter &w) const
-    {
-        w.u<std::uint64_t>(pending.size());
-        for (const auto &e : pending) {
-            w.u<Cycles>(e.completion);
-            w.u<Addr>(e.line);
-        }
-        w.u<Cycles>(lastInitiation);
-        w.u<Addr>(lastDrainLine);
-    }
-
-    void
-    restoreState(BlobReader &r)
-    {
-        pending.clear();
-        const std::size_t n = r.count(sizeof(Cycles) + sizeof(Addr));
-        for (std::size_t i = 0; i < n; ++i) {
-            WpqEntry e;
-            e.completion = r.u<Cycles>();
-            e.line = r.u<Addr>();
-            pending.push_back(e);
-        }
-        lastInitiation = r.u<Cycles>();
-        lastDrainLine = r.u<Addr>();
-    }
-
-  private:
     /** One pending (not yet drained) WPQ entry. */
     struct WpqEntry
     {
         Cycles completion;
         Addr line;
+
+        bool operator==(const WpqEntry &) const = default;
     };
 
+    /** The WPQ and media timing registers: everything a checkpoint
+     *  holds of the device (the image is snapshotted separately). */
+    struct State
+    {
+        std::deque<WpqEntry> pending;    //!< writes still draining
+        Cycles lastInitiation = 0;       //!< media pipeline state
+        Addr lastDrainLine = ~static_cast<Addr>(0);  //!< locality state
+
+        bool operator==(const State &) const = default;
+    };
+
+    const State &state() const { return wpq; }
+    void restore(const State &s) { wpq = s; }
+
+  private:
     /**
      * Timing for a write of @p lines consecutive cache lines starting
      * at @p first_line entering the WPQ at time @p now. Writes to a
@@ -249,7 +237,7 @@ class PmDevice
     {
         statBytesWritten += traffic_bytes;
         statLineWrites += lines;
-        statWpqOccupancy.record(pending.size());
+        statWpqOccupancy.record(wpq.pending.size());
 
         const Cycles write_lat = nsToCycles(config.writeLatencyNs);
         // The media initiates a new line write every interval (bank
@@ -264,11 +252,12 @@ class PmDevice
         for (std::size_t i = 0; i < lines; ++i) {
             const Addr line = lineBase(first_line) + i * cacheLineSize;
             // Retire entries the media has already drained.
-            while (!pending.empty() && pending.front().completion <= t)
-                pending.pop_front();
+            while (!wpq.pending.empty() &&
+                   wpq.pending.front().completion <= t)
+                wpq.pending.pop_front();
             // Same-line coalescing within the queue.
             bool coalesced = false;
-            for (const auto &entry : pending) {
+            for (const auto &entry : wpq.pending) {
                 if (entry.line == line) {
                     coalesced = true;
                     break;
@@ -282,13 +271,13 @@ class PmDevice
             // A full queue stalls a synchronous issuer until the head
             // drains; background issuers let the queue grow (the
             // backlog delays later synchronous persists instead).
-            if (sync && pending.size() >= wpqSlots()) {
-                stall += pending.front().completion - t;
-                t = pending.front().completion;
-                pending.pop_front();
+            if (sync && wpq.pending.size() >= wpqSlots()) {
+                stall += wpq.pending.front().completion - t;
+                t = wpq.pending.front().completion;
+                wpq.pending.pop_front();
             }
             const bool sequential =
-                line == lastDrainLine + cacheLineSize;
+                line == wpq.lastDrainLine + cacheLineSize;
             const Cycles spacing =
                 sequential ? std::max<Cycles>(
                                  1, interval / std::max<std::uint64_t>(
@@ -296,10 +285,10 @@ class PmDevice
                                                    config.sequentialFactor))
                            : interval;
             const Cycles start =
-                std::max(t, lastInitiation + spacing);
-            lastInitiation = start;
-            lastDrainLine = line;
-            pending.push_back({start + write_lat, line});
+                std::max(t, wpq.lastInitiation + spacing);
+            wpq.lastInitiation = start;
+            wpq.lastDrainLine = line;
+            wpq.pending.push_back({start + write_lat, line});
             t += wpq_lat;
         }
         if (stall) {
@@ -311,9 +300,7 @@ class PmDevice
 
     PmConfig config;
     PagedMemory image;               //!< durable contents (incl. WPQ)
-    std::deque<WpqEntry> pending;    //!< writes still draining
-    Cycles lastInitiation = 0;       //!< media pipeline state
-    Addr lastDrainLine = ~static_cast<Addr>(0);  //!< locality state
+    State wpq;
     PersistTracker &tracker;
 
     StatsRegistry::Counter statBytesWritten;

@@ -1,5 +1,8 @@
 #include "stats/stats.hh"
 
+#include <functional>
+
+#include "common/rng.hh"
 #include "sim/json.hh"
 
 namespace slpmt
@@ -103,6 +106,9 @@ StatsRegistry::entryFor(const std::string &name, Kind kind)
     auto [it, inserted] = entries.try_emplace(name);
     if (inserted) {
         it->second.kind = kind;
+        shape += mix64(std::hash<std::string>{}(name) ^
+                       static_cast<std::uint64_t>(kind));
+        valueCount += kind == Kind::Histogram ? 0 : 1;
     } else if (it->second.kind != kind) {
         panic("stat '" + name + "' already registered as " +
               kindName(it->second.kind) + ", re-registered as " +
@@ -132,6 +138,11 @@ StatsRegistry::histogram(const std::string &name,
     if (entry.hist.buckets.empty()) {
         entry.hist.bounds = bounds;
         entry.hist.buckets.assign(bounds.size() + 1, 0);
+        std::uint64_t h = std::hash<std::string>{}(name);
+        for (std::uint64_t b : bounds)
+            h = mix64(h ^ b);
+        shape += h;
+        valueCount += bounds.size() + 5;  // buckets, count, sum, min, max
     } else if (entry.hist.bounds != bounds) {
         panic("histogram '" + name +
               "' re-registered with different bucket bounds");
@@ -207,66 +218,42 @@ StatsRegistry::toJson() const
     return w.str();
 }
 
-void
-StatsRegistry::saveState(BlobWriter &w) const
+StatsRegistry::State
+StatsRegistry::state() const
 {
-    w.u<std::uint64_t>(entries.size());
+    State s{shape, {}};
+    s.values.reserve(valueCount);
     for (const auto &[name, entry] : entries) {
-        w.str(name);
-        w.u<std::uint8_t>(static_cast<std::uint8_t>(entry.kind));
         if (entry.kind != Kind::Histogram) {
-            w.u<std::uint64_t>(entry.value);
+            s.values.push_back(entry.value);
             continue;
         }
         const HistogramData &h = entry.hist;
-        w.u<std::uint64_t>(h.buckets.size());
-        for (std::uint64_t b : h.buckets)
-            w.u<std::uint64_t>(b);
-        w.u<std::uint64_t>(h.count);
-        w.u<std::uint64_t>(h.sum);
-        w.u<std::uint64_t>(h.min);
-        w.u<std::uint64_t>(h.max);
+        s.values.insert(s.values.end(), h.buckets.begin(), h.buckets.end());
+        s.values.insert(s.values.end(), {h.count, h.sum, h.min, h.max});
     }
+    return s;
 }
 
 void
-StatsRegistry::restoreState(BlobReader &r)
+StatsRegistry::restore(const State &s)
 {
-    // An identically constructed registry saved the same names in the
-    // same (map) order, so each saved name is compared in place.
-    const std::size_t n = r.count(1);
-    auto it = entries.begin();
-    for (std::size_t i = 0; i < n; ++i, ++it) {
-        if (it == entries.end())
-            throw CheckpointError("stat registry shape mismatch: " +
-                                  std::to_string(n) + " saved, " +
-                                  std::to_string(entries.size()) +
-                                  " registered");
-        const std::string &name = it->first;
-        if (!r.strEquals(name))
-            throw CheckpointError("expected stat '" + name + "'");
-        Entry &entry = it->second;
-        const std::uint8_t kind = r.u<std::uint8_t>();
-        if (kind != static_cast<std::uint8_t>(entry.kind))
-            throw CheckpointError("stat '" + name + "' kind mismatch");
+    panicIfNot(s.shape == shape && s.values.size() == valueCount,
+               "stat registry shape mismatch");
+    auto v = s.values.begin();
+    for (auto &[name, entry] : entries) {
         if (entry.kind != Kind::Histogram) {
-            entry.value = r.u<std::uint64_t>();
+            entry.value = *v++;
             continue;
         }
         HistogramData &h = entry.hist;
-        const std::size_t buckets = r.count(sizeof(std::uint64_t));
-        if (buckets != h.buckets.size())
-            throw CheckpointError("stat '" + name +
-                                  "' bucket shape mismatch");
         for (auto &b : h.buckets)
-            b = r.u<std::uint64_t>();
-        h.count = r.u<std::uint64_t>();
-        h.sum = r.u<std::uint64_t>();
-        h.min = r.u<std::uint64_t>();
-        h.max = r.u<std::uint64_t>();
+            b = *v++;
+        h.count = *v++;
+        h.sum = *v++;
+        h.min = *v++;
+        h.max = *v++;
     }
-    if (it != entries.end())
-        throw CheckpointError("expected stat '" + it->first + "'");
 }
 
 } // namespace slpmt

@@ -37,7 +37,6 @@
 #include <string_view>
 #include <vector>
 
-#include "checkpoint/serde.hh"
 #include "common/logging.hh"
 
 namespace slpmt
@@ -258,19 +257,28 @@ class StatsRegistry
     /** dumpJson() into a fresh string. */
     std::string toJson() const;
 
-    /** @name Checkpointing
-     *
-     * Values are saved by name and restored, by position, into the
-     * already-registered entries of an identically constructed
-     * machine, so outstanding handles (pointers into the map nodes)
-     * stay valid. A name or kind mismatch means the blob belongs to a
-     * different machine configuration and is rejected, naming the
-     * stat the registry expected.
+    /**
+     * Everything a checkpoint holds of a registry: every value in name
+     * order (a histogram gives its buckets, count, sum, min and max)
+     * and the shape of the registrations that lay them out, a hash of
+     * their names, kinds and histogram bounds. It holds no names.
      */
-    /** @{ */
-    void saveState(BlobWriter &w) const;
-    void restoreState(BlobReader &r);
-    /** @} */
+    struct State
+    {
+        std::uint64_t shape = 0;
+        std::vector<std::uint64_t> values;
+
+        bool operator==(const State &) const = default;
+    };
+
+    State state() const;
+
+    /**
+     * Overwrite every value from @p s in place, so outstanding handles
+     * (pointers into the map nodes) stay valid. Panics unless @p s was
+     * captured from a registry with the same registrations.
+     */
+    void restore(const State &s);
 
   private:
     enum class Kind : std::uint8_t { Counter, Gauge, Histogram };
@@ -291,6 +299,11 @@ class StatsRegistry
 
     /** Stable node addresses: handles point into map nodes. */
     std::map<std::string, Entry> entries;
+
+    /** Order-independent hash of the registrations, and the number
+     *  of values they lay out (see State). */
+    std::uint64_t shape = 0;
+    std::size_t valueCount = 0;
 };
 
 /**

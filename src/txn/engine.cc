@@ -18,8 +18,6 @@ TxnEngine::TxnEngine(const SchemeConfig &scheme, LoggingStyle style,
       pm(pm),
       logBuf(stats),
       undoLog(pm, log_base, log_size, stats),
-      ids(scheme.numTxnIds),
-      idState(scheme.numTxnIds),
       seqCounter(seq_counter),
       crashCountdown(crash_countdown),
       statTxns(stats.counter("txn.begun")),
@@ -52,6 +50,8 @@ TxnEngine::TxnEngine(const SchemeConfig &scheme, LoggingStyle style,
       statStoreBytes(
           stats.histogram("txn.storeBytes", {8, 16, 64, 256, 1024}))
 {
+    regs.ids = TxnIdAllocator(scheme.numTxnIds);
+    regs.idState.resize(scheme.numTxnIds);
     logBuf.setSink(this);
     hier.setEvictionClient(this);
     hier.setSpeculativeRounding(scheme.speculativeRounding);
@@ -64,42 +64,42 @@ TxnEngine::TxnEngine(const SchemeConfig &scheme, LoggingStyle style,
 void
 TxnEngine::txBegin()
 {
-    panicIfNot(!inTxn, "nested durable transactions are not supported");
+    panicIfNot(!regs.inTxn, "nested durable transactions are not supported");
 
     // The next circle slot is still held: reclaim it, persisting the
     // lazy data of that transaction and all earlier ones first
     // (Section III-C2).
-    if (!ids.hasFree()) {
+    if (!regs.ids.hasFree()) {
         statIdReclaims++;
-        clock += persistLazyThrough(ids.blockingId(), clock,
+        regs.clock += persistLazyThrough(regs.ids.blockingId(), regs.clock,
                                     statLazyDrainIdWrap);
     }
 
-    curId = ids.allocate();
-    curSeq = ++seqCounter;
-    idState[curId].signature.clear();
-    idState[curId].txnSeq = curSeq;
-    idState[curId].lazyOutstanding = false;
-    redoWriteSet.clear();
-    redoEvicted.clear();
-    inTxn = true;
+    regs.curId = regs.ids.allocate();
+    regs.curSeq = ++seqCounter;
+    regs.idState[regs.curId].signature.clear();
+    regs.idState[regs.curId].txnSeq = regs.curSeq;
+    regs.idState[regs.curId].lazyOutstanding = false;
+    regs.redoWriteSet.clear();
+    regs.redoEvicted.clear();
+    regs.inTxn = true;
     statTxns++;
-    clock += costs.txBegin;
+    regs.clock += costs.txBegin;
 }
 
 void
 TxnEngine::txCommit()
 {
-    panicIfNot(inTxn, "commit outside a transaction");
+    panicIfNot(regs.inTxn, "commit outside a transaction");
     Cycles c = costs.txCommit;
     if (loggingStyle == LoggingStyle::Undo)
-        c += commitUndo(clock + c);
+        c += commitUndo(regs.clock + c);
     else
-        c += commitRedo(clock + c);
-    inTxn = false;
+        c += commitRedo(regs.clock + c);
+    regs.inTxn = false;
     statCommits++;
     statCommitCycles.record(c);
-    clock += c;
+    regs.clock += c;
 }
 
 std::vector<Addr>
@@ -109,7 +109,8 @@ TxnEngine::sortedWriteSet() const
     // charges cycles or touches PM must use this ascending-address
     // order — the one the previous std::set produced — so reports
     // stay byte-identical (determinism rule).
-    std::vector<Addr> order(redoWriteSet.begin(), redoWriteSet.end());
+    std::vector<Addr> order(regs.redoWriteSet.begin(),
+                            regs.redoWriteSet.end());
     std::sort(order.begin(), order.end());
     return order;
 }
@@ -125,8 +126,8 @@ TxnEngine::commitUndo(Cycles when)
     if (schemeCfg.allowLazy) {
         logBuf.discardIf([&](Addr line_addr) {
             const CacheLine *line = hier.findPrivate(line_addr);
-            return line && line->txnSeq == curSeq &&
-                   line->txnId == curId && !line->persistBit;
+            return line && line->txnSeq == regs.curSeq &&
+                   line->txnId == regs.curId && !line->persistBit;
         });
     }
 
@@ -138,7 +139,7 @@ TxnEngine::commitUndo(Cycles when)
     // Persist every private line the transaction marked eager.
     bool lazy_left = false;
     hier.forEachPrivate([&](CacheLine &line) {
-        if (line.txnId != curId || line.txnSeq != curSeq)
+        if (line.txnId != regs.curId || line.txnSeq != regs.curSeq)
             return;
         if (line.persistBit) {
             const PersistKind kind = line.logBits
@@ -157,13 +158,13 @@ TxnEngine::commitUndo(Cycles when)
 
     // The transaction's effects are durable (or recoverable): truncate
     // the undo log.
-    c += undoLog.truncate(when + c, curSeq);
+    c += undoLog.truncate(when + c, regs.curSeq);
 
     if (lazy_left) {
-        idState[curId].lazyOutstanding = true;
+        regs.idState[regs.curId].lazyOutstanding = true;
     } else {
-        idState[curId].signature.clear();
-        ids.release(curId);
+        regs.idState[regs.curId].signature.clear();
+        regs.ids.release(regs.curId);
     }
     return c;
 }
@@ -177,7 +178,7 @@ TxnEngine::commitRedo(Cycles when)
     // any logged line is (their recovery may depend on pre-commit
     // values of the logged data).
     hier.forEachPrivate([&](CacheLine &line) {
-        if (line.txnId != curId || line.txnSeq != curSeq)
+        if (line.txnId != regs.curId || line.txnSeq != regs.curSeq)
             return;
         if (line.persistBit && !line.logBits) {
             c += hier.persistPrivateLine(line, PersistKind::LogFreeLine,
@@ -193,7 +194,7 @@ TxnEngine::commitRedo(Cycles when)
     // transaction's final values, then drain them and append the
     // commit marker.
     logBuf.forEachRecord([&](LogRecord &rec) {
-        if (rec.txnSeq != curSeq)
+        if (rec.txnSeq != regs.curSeq)
             return;
         if (const CacheLine *line = hier.findPrivate(rec.base)) {
             std::memcpy(rec.data.data(),
@@ -205,12 +206,12 @@ TxnEngine::commitRedo(Cycles when)
     LogRecord marker;
     marker.base = undoLog.base();  // sentinel: a log never logs itself
     marker.words = 1;
-    c += undoLog.append(marker, when + c, curSeq);
+    c += undoLog.append(marker, when + c, regs.curSeq);
 
     // In-place updates of the logged data (write-back from the log).
     for (Addr line_addr : sortedWriteSet()) {
         CacheLine *line = hier.findPrivate(line_addr);
-        if (line && line->txnId == curId && line->txnSeq == curSeq) {
+        if (line && line->txnId == regs.curId && line->txnSeq == regs.curSeq) {
             c += hier.persistPrivateLine(*line, PersistKind::LoggedLine,
                                          when + c);
             c += costs.commitPersistAck;
@@ -233,58 +234,58 @@ TxnEngine::commitRedo(Cycles when)
         }
     }
 
-    c += undoLog.truncate(when + c, curSeq);
+    c += undoLog.truncate(when + c, regs.curSeq);
 
     // Lazy lines (persist bit unset) stay volatile past the commit and
     // keep the transaction ID live for working-set tracking, exactly
     // as in undo mode.
     bool lazy_left = false;
     hier.forEachPrivate([&](CacheLine &line) {
-        if (line.txnId == curId && line.txnSeq == curSeq)
+        if (line.txnId == regs.curId && line.txnSeq == regs.curSeq)
             lazy_left = true;
     });
     if (lazy_left) {
-        idState[curId].lazyOutstanding = true;
+        regs.idState[regs.curId].lazyOutstanding = true;
     } else {
-        idState[curId].signature.clear();
-        ids.release(curId);
+        regs.idState[regs.curId].signature.clear();
+        regs.ids.release(regs.curId);
     }
-    redoWriteSet.clear();
-    redoEvicted.clear();
+    regs.redoWriteSet.clear();
+    regs.redoEvicted.clear();
     return c;
 }
 
 void
 TxnEngine::restoreRedoEvicted(CacheLine &line)
 {
-    const auto it = redoEvicted.find(line.tag);
-    if (it == redoEvicted.end())
+    const auto it = regs.redoEvicted.find(line.tag);
+    if (it == regs.redoEvicted.end())
         return;
     line.data = it->second;
     line.dirty = true;
     line.state = MesiState::Modified;
-    line.txnId = curId;
-    line.txnSeq = curSeq;
+    line.txnId = regs.curId;
+    line.txnSeq = regs.curSeq;
     line.persistBit = true;
     hier.noteMetaUpdate(line);
-    redoEvicted.erase(it);
+    regs.redoEvicted.erase(it);
 }
 
 void
 TxnEngine::txAbort()
 {
-    panicIfNot(inTxn, "abort outside a transaction");
+    panicIfNot(regs.inTxn, "abort outside a transaction");
     statAborts++;
 
     // (1) Clear the log buffer and the signature.
     logBuf.clear();
-    idState[curId].signature.clear();
+    regs.idState[regs.curId].signature.clear();
 
     // Invalidate the cache lines the transaction updated so the
     // volatile updates disappear (Section V-B).
     std::vector<Addr> to_invalidate;
     hier.forEachPrivate([&](CacheLine &line) {
-        if (line.txnId == curId && line.txnSeq == curSeq)
+        if (line.txnId == regs.curId && line.txnSeq == regs.curSeq)
             to_invalidate.push_back(line.tag);
     });
     for (Addr addr : to_invalidate)
@@ -305,11 +306,11 @@ TxnEngine::txAbort()
 
     // (3) User-specified recovery revokes log-free updates; that is
     // the caller's responsibility after this returns.
-    ids.release(curId);
-    redoWriteSet.clear();
-    redoEvicted.clear();
-    inTxn = false;
-    clock += costs.txCommit;
+    regs.ids.release(regs.curId);
+    regs.redoWriteSet.clear();
+    regs.redoEvicted.clear();
+    regs.inTxn = false;
+    regs.clock += costs.txCommit;
 }
 
 // ---------------------------------------------------------------------
@@ -326,18 +327,18 @@ TxnEngine::load(Addr addr, void *out, std::size_t len)
         const std::size_t off = lineOffset(addr);
         const std::size_t chunk = std::min(len, cacheLineSize - off);
 
-        AccessResult res = hier.access(addr, false, clock + c);
+        AccessResult res = hier.access(addr, false, regs.clock + c);
         c += res.latency;
-        if (loggingStyle == LoggingStyle::Redo && inTxn)
+        if (loggingStyle == LoggingStyle::Redo && regs.inTxn)
             restoreRedoEvicted(*res.line);
 
         if (addrMap.isPm(addr)) {
             // Loads check the line's owning transaction ID: hitting an
             // earlier transaction's lazy line forces its data out
             // (Section III-C3).
-            c += checkLineOwner(*res.line, clock + c);
-            if (inTxn)
-                idState[curId].signature.insert(
+            c += checkLineOwner(*res.line, regs.clock + c);
+            if (regs.inTxn)
+                regs.idState[regs.curId].signature.insert(
                     probeForLine(lineBase(addr)));
         }
 
@@ -346,7 +347,7 @@ TxnEngine::load(Addr addr, void *out, std::size_t len)
         dst += chunk;
         len -= chunk;
     }
-    clock += c;
+    regs.clock += c;
 }
 
 void
@@ -368,8 +369,9 @@ TxnEngine::storeT(Addr addr, const void *src, std::size_t len,
     // A disabled feature turns the operand off (the log-free flag of
     // Figure 2 "disables the semantic of storeT"); outside a durable
     // transaction storeT degenerates to store.
-    const bool lazy = flags.lazy && schemeCfg.allowLazy && inTxn;
-    const bool log_free = flags.logFree && schemeCfg.allowLogFree && inTxn;
+    const bool lazy = flags.lazy && schemeCfg.allowLazy && regs.inTxn;
+    const bool log_free =
+        flags.logFree && schemeCfg.allowLogFree && regs.inTxn;
     if (lazy)
         statLazyStoreBytes += len;
     if (log_free)
@@ -380,12 +382,12 @@ TxnEngine::storeT(Addr addr, const void *src, std::size_t len,
     while (len > 0) {
         const std::size_t off = lineOffset(addr);
         const std::size_t chunk = std::min(len, cacheLineSize - off);
-        c += storeSegment(addr, from, chunk, lazy, log_free, clock + c);
+        c += storeSegment(addr, from, chunk, lazy, log_free, regs.clock + c);
         addr += chunk;
         from += chunk;
         len -= chunk;
     }
-    clock += c;
+    regs.clock += c;
 }
 
 Cycles
@@ -408,14 +410,14 @@ TxnEngine::storeSegment(Addr addr, const void *src, std::size_t len,
     AccessResult res = hier.access(addr, true, when + c);
     c += res.latency;
     CacheLine &line = *res.line;
-    if (loggingStyle == LoggingStyle::Redo && inTxn)
+    if (loggingStyle == LoggingStyle::Redo && regs.inTxn)
         restoreRedoEvicted(line);
 
     // Writing a line owned by an earlier transaction forces that
     // transaction's lazy data out before the update proceeds.
     c += checkLineOwner(line, when + c);
 
-    if (inTxn) {
+    if (regs.inTxn) {
         // Table I: the persist bit is set unless the store is lazy; a
         // lazy store does not clear an already-set persist bit
         // (Section III-C1: stores cancel lazy persistency, not the
@@ -432,9 +434,10 @@ TxnEngine::storeSegment(Addr addr, const void *src, std::size_t len,
                 wordIndex(addr + len - 1) - wordIndex(addr) + 1;
         }
 
-        line.txnId = curId;
-        line.txnSeq = curSeq;
-        idState[curId].signature.insert(probeForLine(lineBase(addr)));
+        line.txnId = regs.curId;
+        line.txnSeq = regs.curSeq;
+        regs.idState[regs.curId].signature.insert(
+            probeForLine(lineBase(addr)));
     }
 
     std::memcpy(line.data.data() + lineOffset(addr), src, len);
@@ -442,12 +445,12 @@ TxnEngine::storeSegment(Addr addr, const void *src, std::size_t len,
     line.state = MesiState::Modified;
 
     // Redo records carry the new values: log after the write.
-    if (inTxn && !log_free && loggingStyle == LoggingStyle::Redo) {
+    if (regs.inTxn && !log_free && loggingStyle == LoggingStyle::Redo) {
         c += redoLogSpan(line, addr, len, when + c);
         c += schemeCfg.storeFenceCycles;
-        redoWriteSet.insert(lineBase(addr));
+        regs.redoWriteSet.insert(lineBase(addr));
     }
-    if (inTxn)
+    if (regs.inTxn)
         hier.noteMetaUpdate(line);
     return c;
 }
@@ -466,17 +469,17 @@ TxnEngine::createLogRecords(CacheLine &line, Addr addr, std::size_t len,
         if (line.logBits == 0) {
             statLogRecords++;
             if (schemeCfg.useLogBuffer) {
-                c += logBuf.insertLine(line.tag, line.data.data(), curId,
-                                       curSeq, when);
+                c += logBuf.insertLine(line.tag, line.data.data(), regs.curId,
+                                       regs.curSeq, when);
             } else {
                 LogRecord rec;
                 rec.base = line.tag;
                 rec.words = wordsPerLine;
-                rec.txnId = curId;
-                rec.txnSeq = curSeq;
+                rec.txnId = regs.curId;
+                rec.txnSeq = regs.curSeq;
                 std::memcpy(rec.data.data(), line.data.data(),
                             cacheLineSize);
-                c += undoLog.append(rec, when, curSeq);
+                c += undoLog.append(rec, when, regs.curSeq);
             }
             line.logBits = 0xFF;
         }
@@ -492,7 +495,7 @@ TxnEngine::createLogRecords(CacheLine &line, Addr addr, std::size_t len,
             statLogRecords++;
             c += logBuf.insertWord(line.tag + w * wordSize,
                                    line.data.data() + w * wordSize,
-                                   curId, curSeq, when + c);
+                                   regs.curId, regs.curSeq, when + c);
             line.logBits |= static_cast<std::uint8_t>(1U << w);
         }
         return c;
@@ -534,12 +537,12 @@ TxnEngine::appendSpanEager(Addr base, std::size_t words,
         LogRecord rec;
         rec.base = base;
         rec.words = static_cast<std::uint8_t>(take);
-        rec.txnId = curId;
-        rec.txnSeq = curSeq;
+        rec.txnId = regs.curId;
+        rec.txnSeq = regs.curSeq;
         std::memcpy(rec.data.data(), data, take * wordSize);
         statLogRecords++;
         c += schemeCfg.softwareLogCycles;
-        c += undoLog.append(rec, when + c, curSeq,
+        c += undoLog.append(rec, when + c, regs.curSeq,
                             schemeCfg.softwareLogHeaderBytes);
         base += take * wordSize;
         data += take * wordSize;
@@ -565,8 +568,8 @@ TxnEngine::redoLogSpan(CacheLine &line, Addr addr, std::size_t len,
             continue;
         statLogRecords++;
         c += logBuf.insertWord(line.tag + w * wordSize,
-                               line.data.data() + w * wordSize, curId,
-                               curSeq, when + c);
+                               line.data.data() + w * wordSize, regs.curId,
+                               regs.curSeq, when + c);
         line.logBits |= static_cast<std::uint8_t>(1U << w);
     }
     return c;
@@ -590,12 +593,12 @@ TxnEngine::checkSignaturesOnWrite(Addr addr, Cycles when)
     bool again = true;
     while (again) {
         again = false;
-        for (std::uint8_t id : ids.live()) {
-            if (inTxn && id == curId)
+        for (std::uint8_t id : regs.ids.live()) {
+            if (regs.inTxn && id == regs.curId)
                 continue;
-            if (!idState[id].lazyOutstanding)
+            if (!regs.idState[id].lazyOutstanding)
                 continue;
-            if (idState[id].signature.mightContain(probe)) {
+            if (regs.idState[id].signature.mightContain(probe)) {
                 statSigHits++;
                 c += costs.lazyScan;
                 c += persistLazyThrough(id, when + c,
@@ -614,10 +617,11 @@ Cycles
 TxnEngine::checkLineOwnerSlow(const CacheLine &line, Cycles when)
 {
     const std::uint8_t owner = line.txnId;
-    if (inTxn && owner == curId && line.txnSeq == curSeq)
+    if (regs.inTxn && owner == regs.curId && line.txnSeq == regs.curSeq)
         return 0;
-    if (owner >= idState.size() || idState[owner].txnSeq != line.txnSeq ||
-        !idState[owner].lazyOutstanding)
+    if (owner >= regs.idState.size() ||
+        regs.idState[owner].txnSeq != line.txnSeq ||
+        !regs.idState[owner].lazyOutstanding)
         return 0;  // stale tag: owner already fully persisted
     return costs.lazyScan +
            persistLazyThrough(owner, when,
@@ -633,9 +637,10 @@ TxnEngine::persistLazyThrough(std::uint8_t id, Cycles when,
     // Persist all data owned by transactions up to and including the
     // target, oldest first (Section III-C2).
     Cycles c = 0;
-    std::vector<std::uint8_t> order(ids.live().begin(), ids.live().end());
+    std::vector<std::uint8_t> order(regs.ids.live().begin(),
+                                    regs.ids.live().end());
     for (std::uint8_t live_id : order) {
-        if (inTxn && live_id == curId)
+        if (regs.inTxn && live_id == regs.curId)
             continue;
         c += persistLazyOf(live_id, when + c, reason);
         if (live_id == id)
@@ -649,7 +654,7 @@ TxnEngine::persistLazyOf(std::uint8_t id, Cycles when,
                          StatsRegistry::Counter &reason)
 {
     Cycles c = 0;
-    const std::uint64_t seq = idState[id].txnSeq;
+    const std::uint64_t seq = regs.idState[id].txnSeq;
     hier.forEachPrivate([&](CacheLine &line) {
         if (line.txnId != id || line.txnSeq != seq)
             return;
@@ -664,9 +669,9 @@ TxnEngine::persistLazyOf(std::uint8_t id, Cycles when,
         line.clearTxnMeta();
         hier.noteMetaUpdate(line);
     });
-    idState[id].signature.clear();
-    idState[id].lazyOutstanding = false;
-    ids.release(id);
+    regs.idState[id].signature.clear();
+    regs.idState[id].lazyOutstanding = false;
+    regs.ids.release(id);
     return c;
 }
 
@@ -674,20 +679,21 @@ void
 TxnEngine::persistAllLazy()
 {
     Cycles c = 0;
-    std::vector<std::uint8_t> order(ids.live().begin(), ids.live().end());
+    std::vector<std::uint8_t> order(regs.ids.live().begin(),
+                                    regs.ids.live().end());
     for (std::uint8_t id : order) {
-        if (inTxn && id == curId)
+        if (regs.inTxn && id == regs.curId)
             continue;
-        c += persistLazyOf(id, clock + c, statLazyDrainExplicit);
+        c += persistLazyOf(id, regs.clock + c, statLazyDrainExplicit);
     }
-    clock += c;
+    regs.clock += c;
 }
 
 std::size_t
 TxnEngine::lazyOutstandingCount() const
 {
     std::size_t n = 0;
-    for (const auto &st : idState)
+    for (const auto &st : regs.idState)
         n += st.lazyOutstanding ? 1 : 0;
     return n;
 }
@@ -704,13 +710,14 @@ TxnEngine::remoteObserve(Addr addr, bool is_write)
     // local one (the directory broadcasts the address); loads only
     // meet the per-line txn-ID tag.
     if (is_write)
-        clock += checkSignaturesOnWrite(addr, clock);
+        regs.clock += checkSignaturesOnWrite(addr, regs.clock);
     bool conflict = false;
     if (CacheLine *line = hier.findPrivate(addr)) {
-        if (inTxn && line->txnId == curId && line->txnSeq == curSeq)
+        if (regs.inTxn && line->txnId == regs.curId &&
+            line->txnSeq == regs.curSeq)
             conflict = true;  // the machine aborts this engine
         else
-            clock += checkLineOwner(*line, clock);
+            regs.clock += checkLineOwner(*line, regs.clock);
     }
     remoteObserving = false;
     return conflict;
@@ -739,10 +746,10 @@ TxnEngine::evictingPrivateLine(CacheLine &line, Cycles when)
     // continues into the shared cache as clean and may be dropped
     // there, so its image is stashed and restored on the next access
     // (a hardware redo design would service such reads from the log).
-    if (loggingStyle == LoggingStyle::Redo && inTxn &&
-        line.txnId == curId && line.txnSeq == curSeq &&
-        redoWriteSet.count(line.tag)) {
-        redoEvicted[line.tag] = line.data;
+    if (loggingStyle == LoggingStyle::Redo && regs.inTxn &&
+        line.txnId == regs.curId && line.txnSeq == regs.curSeq &&
+        regs.redoWriteSet.count(line.tag)) {
+        regs.redoEvicted[line.tag] = line.data;
         line.dirty = false;
         line.clearTxnMeta();
         hier.noteMetaUpdate(line);
@@ -774,8 +781,8 @@ TxnEngine::roundUpLogBits(CacheLine &line, std::uint8_t missing_words,
     // Speculative record creation (Section III-B1): log clean words so
     // the aggregated L2 bit can stay set. Only meaningful for lines of
     // the in-flight transaction in undo mode.
-    if (!inTxn || loggingStyle != LoggingStyle::Undo ||
-        line.txnId != curId || line.txnSeq != curSeq ||
+    if (!regs.inTxn || loggingStyle != LoggingStyle::Undo ||
+        line.txnId != regs.curId || line.txnSeq != regs.curSeq ||
         !schemeCfg.fineGrainLogging || !schemeCfg.useLogBuffer)
         return {0, 0};
 
@@ -786,8 +793,8 @@ TxnEngine::roundUpLogBits(CacheLine &line, std::uint8_t missing_words,
             continue;
         statLogRecords++;
         c += logBuf.insertWord(line.tag + w * wordSize,
-                               line.data.data() + w * wordSize, curId,
-                               curSeq, when + c);
+                               line.data.data() + w * wordSize, regs.curId,
+                               regs.curSeq, when + c);
         rounded |= static_cast<std::uint8_t>(1U << w);
     }
     return {c, rounded};
@@ -796,13 +803,13 @@ TxnEngine::roundUpLogBits(CacheLine &line, std::uint8_t missing_words,
 Cycles
 TxnEngine::persistRecord(const LogRecord &rec, Cycles when)
 {
-    if (loggingStyle == LoggingStyle::Redo && inTxn &&
-        rec.txnSeq == curSeq) {
+    if (loggingStyle == LoggingStyle::Redo && regs.inTxn &&
+        rec.txnSeq == regs.curSeq) {
         // A drained redo record freezes its value in the log; clear
         // the covered log bits so later stores create fresh records
         // (forward replay takes the last).
         if (CacheLine *line = hier.findPrivate(rec.base)) {
-            if (line->txnId == curId && line->txnSeq == curSeq) {
+            if (line->txnId == regs.curId && line->txnSeq == regs.curSeq) {
                 for (std::size_t w = 0; w < rec.words; ++w) {
                     const std::size_t idx = wordIndex(rec.base) + w;
                     line->logBits &=
@@ -825,16 +832,16 @@ TxnEngine::crash()
     hier.crash();
     logBuf.clear();
     undoLog.crash();
-    ids.reset();
-    for (auto &st : idState) {
+    regs.ids.reset();
+    for (auto &st : regs.idState) {
         st.signature.clear();
         st.lazyOutstanding = false;
         st.txnSeq = 0;
     }
-    redoWriteSet.clear();
-    redoEvicted.clear();
-    inTxn = false;
-    curId = noTxnId;
+    regs.redoWriteSet.clear();
+    regs.redoEvicted.clear();
+    regs.inTxn = false;
+    regs.curId = noTxnId;
     pm.crash();
 }
 
@@ -874,79 +881,18 @@ TxnEngine::recover()
 // Checkpointing
 // ---------------------------------------------------------------------
 
-void
-TxnEngine::saveState(BlobWriter &w) const
+TxnEngine::State
+TxnEngine::state() const
 {
-    w.u<Cycles>(clock);
-    w.b(inTxn);
-    w.u<std::uint8_t>(curId);
-    w.u<std::uint64_t>(curSeq);
-
-    w.u<std::uint64_t>(idState.size());
-    for (const auto &st : idState) {
-        st.signature.saveState(w);
-        w.u<std::uint64_t>(st.txnSeq);
-        w.b(st.lazyOutstanding);
-    }
-    ids.saveState(w);
-    logBuf.saveState(w);
-    undoLog.saveState(w);
-
-    // Hash containers: serialize in sorted-address order (the
-    // determinism rule) so identical machine states always produce
-    // identical blobs.
-    std::vector<Addr> write_set(redoWriteSet.begin(),
-                                redoWriteSet.end());
-    std::sort(write_set.begin(), write_set.end());
-    w.u<std::uint64_t>(write_set.size());
-    for (Addr a : write_set)
-        w.u<Addr>(a);
-
-    std::vector<Addr> evicted;
-    evicted.reserve(redoEvicted.size());
-    for (const auto &kv : redoEvicted)
-        evicted.push_back(kv.first);
-    std::sort(evicted.begin(), evicted.end());
-    w.u<std::uint64_t>(evicted.size());
-    for (Addr a : evicted) {
-        w.u<Addr>(a);
-        const auto &img = redoEvicted.at(a);
-        w.bytes(img.data(), img.size());
-    }
+    return {regs, logBuf.state(), undoLog.state()};
 }
 
 void
-TxnEngine::restoreState(BlobReader &r)
+TxnEngine::restore(const State &s)
 {
-    clock = r.u<Cycles>();
-    inTxn = r.b();
-    curId = r.u<std::uint8_t>();
-    curSeq = r.u<std::uint64_t>();
-
-    const std::size_t n_ids = r.count(1);
-    if (n_ids != idState.size())
-        throw CheckpointError("txn ID state count mismatch");
-    for (auto &st : idState) {
-        st.signature.restoreState(r);
-        st.txnSeq = r.u<std::uint64_t>();
-        st.lazyOutstanding = r.b();
-    }
-    ids.restoreState(r);
-    logBuf.restoreState(r);
-    undoLog.restoreState(r);
-
-    redoWriteSet.clear();
-    const std::size_t n_ws = r.count(sizeof(Addr));
-    for (std::size_t i = 0; i < n_ws; ++i)
-        redoWriteSet.insert(r.u<Addr>());
-
-    redoEvicted.clear();
-    const std::size_t n_ev = r.count(sizeof(Addr));
-    for (std::size_t i = 0; i < n_ev; ++i) {
-        const Addr a = r.u<Addr>();
-        auto &img = redoEvicted[a];
-        r.bytes(img.data(), img.size());
-    }
+    regs = s.regs;
+    logBuf.restore(s.logBuf);
+    undoLog.restore(s.undoTail);
 }
 
 } // namespace slpmt

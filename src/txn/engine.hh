@@ -43,6 +43,8 @@ struct StoreFlags
 {
     bool lazy = false;     //!< defer persisting past commit
     bool logFree = false;  //!< create no log record
+
+    bool operator==(const StoreFlags &) const = default;
 };
 
 /** Undo (in-place, default) or redo (out-of-place) logging. */
@@ -123,8 +125,8 @@ class TxnEngine final
      */
     void txAbort();
 
-    bool inTransaction() const { return inTxn; }
-    std::uint64_t currentTxnSeq() const { return curSeq; }
+    bool inTransaction() const { return regs.inTxn; }
+    std::uint64_t currentTxnSeq() const { return regs.curSeq; }
     /** @} */
 
     /** @name Data path (the memory instructions) */
@@ -178,7 +180,7 @@ class TxnEngine final
     void
     contextSwitch()
     {
-        clock += logBuf.drainAll(clock);
+        regs.clock += logBuf.drainAll(regs.clock);
     }
 
     /** @name Lazy persistency control */
@@ -220,8 +222,8 @@ class TxnEngine final
 
     /** @name Timing */
     /** @{ */
-    Cycles now() const { return clock; }
-    void advance(Cycles c) { clock += c; }
+    Cycles now() const { return regs.clock; }
+    void advance(Cycles c) { regs.clock += c; }
     /** @} */
 
     const SchemeConfig &scheme() const { return schemeCfg; }
@@ -229,18 +231,15 @@ class TxnEngine final
     UndoLogArea &logArea() { return undoLog; }
     LogBuffer &buffer() { return logBuf; }
 
-    /** @name Checkpointing
-     *
-     * Serializes every architectural register of the engine: clock,
-     * txn-control state, per-ID signatures, log buffer tiers, the
-     * undo-log tail, and the redo write/evicted sets. The sequence
-     * counter and crash countdown belong to the machine, which
-     * serializes them itself.
+    /**
+     * Everything a checkpoint holds of an engine: its registers, the
+     * log buffer's tiers and the undo log's tail. The sequence counter
+     * and crash countdown belong to the machine, which captures them
+     * itself.
      */
-    /** @{ */
-    void saveState(BlobWriter &w) const;
-    void restoreState(BlobReader &r);
-    /** @} */
+    struct State;
+    State state() const;
+    void restore(const State &s);
 
     /** Eviction-client hooks (CacheHierarchy::setEvictionClient). */
     Cycles evictingPrivateLine(CacheLine &line, Cycles when);
@@ -323,7 +322,6 @@ class TxnEngine final
 
     LogBuffer logBuf;
     UndoLogArea undoLog;
-    TxnIdAllocator ids;
     EngineCosts costs;
 
     /** Per-ID state (index = core-local transaction ID). */
@@ -332,17 +330,54 @@ class TxnEngine final
         Signature signature;          //!< working set of the txn
         std::uint64_t txnSeq = 0;
         bool lazyOutstanding = false; //!< committed w/ volatile lazy data
+
+        bool operator==(const IdState &) const = default;
     };
-    std::vector<IdState> idState;
+
+    /**
+     * The engine's architectural registers, in one member so that a
+     * checkpoint captures and restores them with one copy.
+     */
+    struct Registers
+    {
+        Cycles clock = 0;
+        bool inTxn = false;
+        std::uint8_t curId = noTxnId;
+        std::uint64_t curSeq = 0;
+        TxnIdAllocator ids;
+        std::vector<IdState> idState;
+
+        /**
+         * Redo mode: lines written by the in-flight txn (volatile). A
+         * hash set: the hot path only inserts and membership-tests.
+         * Every walk must go through sortedWriteSet() — the commit
+         * persists and the abort invalidations charge cycles per line,
+         * so iteration order is observable and must stay the
+         * ascending-address order the previous std::set produced
+         * (determinism rule: sort before any ordered output).
+         */
+        std::unordered_set<Addr> redoWriteSet;
+
+        /**
+         * Redo mode (no-steal): images of in-flight logged lines whose
+         * writeback was suppressed on private eviction. The shared
+         * cache holds them as clean lines and may silently drop them,
+         * so the engine restores the image on the next access — the
+         * software stand-in for a hardware redo design servicing such
+         * reads from the log. Volatile; cleared on commit, abort and
+         * crash. A hash map: accessed only by point lookup, never
+         * iterated, so no sort discipline is needed.
+         */
+        std::unordered_map<Addr, std::array<std::uint8_t, cacheLineSize>>
+            redoEvicted;
+
+        bool operator==(const Registers &) const = default;
+    };
+    Registers regs;
 
     /** probeForLine() memo (see the helper above). */
     Addr probeBase = ~Addr{0};
     Signature::Probe probeCache{};
-
-    Cycles clock = 0;
-    bool inTxn = false;
-    std::uint8_t curId = noTxnId;
-    std::uint64_t curSeq = 0;
 
     /** The machine's shared counters (see the constructor). */
     std::uint64_t &seqCounter;
@@ -352,32 +387,8 @@ class TxnEngine final
      *  drains to the cross-core counters. */
     bool remoteObserving = false;
 
-    /**
-     * Redo mode: lines written by the in-flight txn (volatile). A hash
-     * set: the hot path only inserts and membership-tests. Every walk
-     * must go through sortedWriteSet() — the commit persists and the
-     * abort invalidations charge cycles per line, so iteration order
-     * is observable and must stay the ascending-address order the
-     * previous std::set produced (determinism rule: sort before any
-     * ordered output).
-     */
-    std::unordered_set<Addr> redoWriteSet;
-
     /** The write set as a sorted drain order (see redoWriteSet). */
     std::vector<Addr> sortedWriteSet() const;
-
-    /**
-     * Redo mode (no-steal): images of in-flight logged lines whose
-     * writeback was suppressed on private eviction. The shared cache
-     * holds them as clean lines and may silently drop them, so the
-     * engine restores the image on the next access — the software
-     * stand-in for a hardware redo design servicing such reads from
-     * the log. Volatile; cleared on commit, abort and crash. A hash
-     * map: accessed only by point lookup, never iterated, so no sort
-     * discipline is needed.
-     */
-    std::unordered_map<Addr, std::array<std::uint8_t, cacheLineSize>>
-        redoEvicted;
 
     /** Restore @p line's data from redoEvicted if it was stashed. */
     void restoreRedoEvicted(CacheLine &line);
@@ -421,6 +432,15 @@ class TxnEngine final
 
     StatsRegistry::Histogram statCommitCycles;  //!< commit-path latency
     StatsRegistry::Histogram statStoreBytes;    //!< store/storeT sizes
+};
+
+struct TxnEngine::State
+{
+    Registers regs;
+    LogBuffer::State logBuf;
+    UndoLogArea::State undoTail;
+
+    bool operator==(const State &) const = default;
 };
 
 } // namespace slpmt

@@ -80,6 +80,8 @@ struct SchemeConfig
     /** Number of core-local transaction IDs (lazy tracking depth). */
     std::uint8_t numTxnIds = 4;
 
+    bool operator==(const SchemeConfig &) const = default;
+
     /** Build the configuration the paper evaluates for @p kind. */
     static SchemeConfig
     forKind(SchemeKind kind)

@@ -26,7 +26,6 @@
 #include <array>
 #include <cstdint>
 
-#include "checkpoint/serde.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 
@@ -98,25 +97,7 @@ class AddressSignature
     bool empty() const { return count == 0; }
     std::uint64_t insertions() const { return count; }
 
-    /** @name Checkpointing (the filter's 64-bit words, slot s at bit
-     *  s % 64 of word s / 64) */
-    /** @{ */
-    void
-    saveState(BlobWriter &w) const
-    {
-        for (const std::uint64_t word : filter)
-            w.u<std::uint64_t>(word);
-        w.u<std::uint64_t>(count);
-    }
-
-    void
-    restoreState(BlobReader &r)
-    {
-        for (std::uint64_t &word : filter)
-            word = r.u<std::uint64_t>();
-        count = r.u<std::uint64_t>();
-    }
-    /** @} */
+    bool operator==(const AddressSignature &) const = default;
 
   private:
     static std::uint32_t

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <deque>
 
-#include "checkpoint/serde.hh"
 #include "common/logging.hh"
 
 namespace slpmt
@@ -101,35 +100,8 @@ class TxnIdAllocator
 
     std::uint8_t idCount() const { return numIds; }
 
-    /** @name Checkpointing */
-    /** @{ */
-    void
-    saveState(BlobWriter &w) const
-    {
-        w.u<std::uint8_t>(nextAlloc);
-        w.u<std::uint64_t>(liveIds.size());
-        for (std::uint8_t id : liveIds)
-            w.u<std::uint8_t>(id);
-    }
-
-    void
-    restoreState(BlobReader &r)
-    {
-        nextAlloc = r.u<std::uint8_t>();
-        if (nextAlloc >= numIds)
-            throw CheckpointError("bad txn-ID circle pointer");
-        liveIds.clear();
-        const std::size_t n = r.count(1);
-        if (n > numIds)
-            throw CheckpointError("too many live txn IDs");
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint8_t id = r.u<std::uint8_t>();
-            if (id >= numIds)
-                throw CheckpointError("bad live txn ID");
-            liveIds.push_back(id);
-        }
-    }
-    /** @} */
+    /** A copy is the allocator's whole state (checkpoints hold one). */
+    bool operator==(const TxnIdAllocator &) const = default;
 
   private:
     static constexpr std::uint8_t noTxnIdSentinel = 0xFF;

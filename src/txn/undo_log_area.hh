@@ -25,7 +25,6 @@
 
 #include <vector>
 
-#include "checkpoint/serde.hh"
 #include "stats/stats.hh"
 #include "logbuf/log_record.hh"
 #include "mem/pm_device.hh"
@@ -110,22 +109,11 @@ class UndoLogArea
             tail += entryBytes(rec.words);
     }
 
-    /** @name Checkpointing (durable contents ride the PM image) */
-    /** @{ */
-    void
-    saveState(BlobWriter &w) const
-    {
-        w.u<Addr>(tail);
-    }
-
-    void
-    restoreState(BlobReader &r)
-    {
-        tail = r.u<Addr>();
-        if (tail < areaBase || tail > areaBase + areaSize)
-            throw CheckpointError("undo log tail out of range");
-    }
-    /** @} */
+    /** The volatile tail: everything a checkpoint holds of the area
+     *  (its durable contents ride the PM image). */
+    using State = Addr;
+    State state() const { return tail; }
+    void restore(State saved_tail) { tail = saved_tail; }
 
   private:
     static Bytes

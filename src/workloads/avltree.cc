@@ -173,8 +173,13 @@ bool
 AvlTreeWorkload::lookup(PmContext &sys, std::uint64_t key,
                         std::vector<std::uint8_t> *out)
 {
+    // Each node is a live allocation, so only a cyclic (corrupted)
+    // tree makes a search path longer than the heap's allocation count.
+    const std::size_t bound = sys.heap().liveCount();
+    std::size_t visited = 0;
     Addr cursor = sys.read<Addr>(headerAddr + HdrOff::root);
     while (cursor) {
+        panicIfNot(++visited <= bound, "avl: lookup walks a cyclic tree");
         sys.compute(opcost::perLevel);
         const auto ck = sys.read<std::uint64_t>(cursor + NodeOff::key);
         if (ck == key) {
@@ -201,7 +206,10 @@ AvlTreeWorkload::recomputeHeights(PmContext &sys, Addr node,
 {
     if (!node)
         return 0;
-    ++*n;
+    // As in lookup(): only a cyclic tree holds more nodes than the
+    // heap holds allocations.
+    panicIfNot(++*n <= sys.heap().liveCount(),
+               "avl: recovery walks a cyclic tree");
     reachable->push_back(node);
     reachable->push_back(sys.peek<Addr>(node + NodeOff::valPtr));
     const std::uint64_t hl = recomputeHeights(

@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <map>
 #include <random>
+#include <vector>
 
 #include "cache/hierarchy.hh"
 #include "stats/stats.hh"
@@ -171,13 +173,10 @@ TEST(Cache, FreshTableIIIArraysHoldNothing)
         EXPECT_FALSE(v.dirty);
         EXPECT_FALSE(v.hasTxnMeta());
 
-        // Its checkpoint holds the clock and no frame.
-        BlobWriter w;
-        c.saveState(w);
-        BlobReader r(w.data());
-        EXPECT_EQ(r.u<std::uint64_t>(), 0u);
-        EXPECT_EQ(r.u<std::uint64_t>(), 0u);
-        EXPECT_TRUE(r.atEnd());
+        // Its state holds the clock and no frame.
+        const Cache::State s = c.state();
+        EXPECT_EQ(s.useClock, 0u);
+        EXPECT_TRUE(s.frames.empty());
     }
 }
 
@@ -196,7 +195,7 @@ struct ModelLine
  * seeded mix of fills, invalidations, metadata changes and
  * invalidateAll(), with a reference model beside it: every victim is
  * the model's (lowest invalid way, else LRU, lowest way on a tie), and
- * every walk, the checkpoint and a restore see exactly the model's
+ * every walk, the captured state and a restore see exactly the model's
  * valid frames in frame order.
  */
 TEST(Cache, SeededMixMatchesReferenceModel)
@@ -320,37 +319,32 @@ TEST(Cache, SeededMixMatchesReferenceModel)
     ASSERT_FALSE(model.empty());
     expectModel(c, "after the mix");
 
-    // The checkpoint holds exactly the model's frames, in frame order.
-    BlobWriter w;
-    c.saveState(w);
-    BlobReader r(w.data());
-    EXPECT_EQ(r.u<std::uint64_t>(), clock);
-    ASSERT_EQ(r.u<std::uint64_t>(), model.size());
+    // The state holds exactly the model's frames, in frame order.
+    const Cache::State saved = c.state();
+    EXPECT_EQ(saved.useClock, clock);
+    ASSERT_EQ(saved.frames.size(), model.size());
+    auto frame = saved.frames.begin();
     for (const auto &[f, m] : model) {
-        EXPECT_EQ(r.u<std::uint64_t>(), f);
-        EXPECT_EQ(r.u<Addr>(), m.tag);
-        EXPECT_EQ(r.u<std::uint8_t>(),
-                  static_cast<std::uint8_t>(MesiState::Exclusive));
-        EXPECT_FALSE(r.b());  // dirty
-        EXPECT_EQ(r.b(), m.persistBit);
-        EXPECT_EQ(r.u<std::uint8_t>(), m.logBits);
-        EXPECT_EQ(r.u<std::uint8_t>(), m.txnId);
-        EXPECT_EQ(r.u<std::uint64_t>(), 0u);  // txnSeq
-        EXPECT_EQ(r.u<std::uint64_t>(), m.lastUse);
-        std::array<std::uint8_t, cacheLineSize> data;
-        r.bytes(data.data(), data.size());
-        EXPECT_EQ(data, c.lineAt(f).data);
+        const CacheLine &line = frame->line;
+        EXPECT_EQ(frame->frame, f);
+        EXPECT_EQ(line.tag, m.tag);
+        EXPECT_EQ(line.state, MesiState::Exclusive);
+        EXPECT_FALSE(line.dirty);
+        EXPECT_EQ(line.persistBit, m.persistBit);
+        EXPECT_EQ(line.logBits, m.logBits);
+        EXPECT_EQ(line.txnId, m.txnId);
+        EXPECT_EQ(line.txnSeq, 0u);
+        EXPECT_EQ(frame->lastUse, m.lastUse);
+        EXPECT_EQ(line.data, c.lineAt(f).data);
+        ++frame;
     }
-    EXPECT_TRUE(r.atEnd());
 
     // A restore into a fresh array and into this used one rebuilds
     // the same frames.
     Cache fresh(cfg);
-    BlobReader into_fresh(w.data());
-    fresh.restoreState(into_fresh);
+    fresh.restore(saved);
     expectModel(fresh, "restored into a fresh array");
-    BlobReader into_used(w.data());
-    c.restoreState(into_used);
+    c.restore(saved);
     expectModel(c, "restored into the used array");
 
     // Emptied, the used array refills every set exactly as a fresh
@@ -382,28 +376,6 @@ TEST(Cache, SeededMixMatchesReferenceModel)
     std::string why;
     EXPECT_TRUE(c.checkProbeKeys(&why)) << why;
     EXPECT_TRUE(c.checkMetaIndex(&why)) << why;
-}
-
-TEST(Cache, RestoreRejectsATagOutsideItsSet)
-{
-    // 4 sets of 2 ways: frame 0 is in set 0, and line 0x40 in set 1.
-    const CacheConfig cfg{"c", 8 * cacheLineSize, 2, 1};
-    Cache c(cfg);
-    CacheLine &a = c.victimFor(0x40);
-    c.fillFrame(a, 0x40, MesiState::Exclusive);
-    a.dirty = false;
-    a.clearTxnMeta();
-    a.data.fill(0);
-    BlobWriter w;
-    c.saveState(w);
-    std::vector<std::uint8_t> blob = w.data();
-    // The frame index follows the clock and the count; move the line
-    // from its frame (way 0 of set 1) to frame 0.
-    ASSERT_EQ(blob[16], 2u);
-    blob[16] = 0;
-    Cache fresh(cfg);
-    BlobReader r(blob);
-    EXPECT_THROW(fresh.restoreState(r), CheckpointError);
 }
 
 TEST(Cache, OccupancyAuditCatchesCorruptCount)
@@ -655,18 +627,19 @@ TEST_F(HierarchyTest, FormerMruLineMissesAfterCrash)
 
 TEST_F(HierarchyTest, FormerMruLineMissesAfterRestore)
 {
-    // Checkpoint the empty levels, make a line the MRU hint, restore:
+    // Capture the empty levels, make a line the MRU hint, restore:
     // the restore leaves the hinted frame's fields as they were, and
     // only its probe key says it is gone.
-    BlobWriter w;
-    for (Cache *c : {&hier.l1(), &hier.l2(), &hier.l3()})
-        c->saveState(w);
+    const std::array<Cache *, 3> levels = {&hier.l1(), &hier.l2(),
+                                           &hier.l3()};
+    std::vector<Cache::State> saved;
+    for (Cache *c : levels)
+        saved.push_back(c->state());
     hier.access(pmAddr(), true, 0);
     hier.access(pmAddr(), false, 0);
     ASSERT_EQ(stats.get("cache.l1Hits"), 1u);
-    BlobReader r(w.data());
-    for (Cache *c : {&hier.l1(), &hier.l2(), &hier.l3()})
-        c->restoreState(r);
+    for (std::size_t i = 0; i < levels.size(); ++i)
+        levels[i]->restore(saved[i]);
     hier.access(pmAddr(), false, 0);
     EXPECT_EQ(stats.get("cache.l1Hits"), 1u);
     EXPECT_EQ(stats.get("cache.l1Misses"), 2u);

@@ -12,10 +12,10 @@
  * and resumed through runInterleavedFrom; a PmSystem master must
  * resume on a plain one-core McMachine), on tiny caches and on a few
  * rounds at the Table III geometry. Every mark is restored into a
- * fresh machine and into one used machine (usedHistory()). The
- * portable encoding must round-trip through bytes and through a file,
- * and reject corruption, truncation, version skew, configuration
- * mismatches, and the retired single-core blob tag.
+ * fresh machine and into one used machine (usedHistory()), and a
+ * capture of the restored machine must equal the mark's checkpoint. A
+ * checkpoint holds typed state values, not bytes: it must refuse to
+ * restore into a machine of any other configuration.
  *
  * The CheckpointAudit suite is the cross-mode oracle the
  * checkpoint-audit ctest preset runs: a checkpointed sweep's JSON
@@ -26,8 +26,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -191,6 +189,8 @@ fuzzSingleCore(SchemeKind scheme, const std::string &workload,
     auto expectTail = [&](PmSystem &machine, const Mark &mark,
                           const char *into) {
         mark.ckpt.restore(machine);
+        EXPECT_TRUE(MachineCheckpoint::capture(machine) == mark.ckpt)
+            << "restore into a " << into << " machine lost state";
         auto fwl = mark.wl->clone();
         for (std::size_t i = mark.nextOp; i < trace.size(); ++i)
             applyOp(machine, *fwl, trace[i]);
@@ -311,6 +311,7 @@ fuzzMultiCore(SchemeKind scheme, LoggingStyle style,
                       std::uint64_t arm) {
         auto fwl = mark.wl->clone();
         mark.ckpt.restore(machine);
+        EXPECT_TRUE(MachineCheckpoint::capture(machine) == mark.ckpt);
         flog.assign(commit_log.begin(),
                     commit_log.begin() +
                         static_cast<std::ptrdiff_t>(mark.logSize));
@@ -394,7 +395,7 @@ TEST(CheckpointFuzz, TableIIIRestoreBitExact)
                   /*pm_system_master=*/false, tableIIISystem);
 }
 
-/** A small machine with known content, for the encoding tests. */
+/** A small machine with known content, for the configuration test. */
 MachineCheckpoint
 sampleCheckpoint(PmSystem &sys)
 {
@@ -405,141 +406,34 @@ sampleCheckpoint(PmSystem &sys)
     return MachineCheckpoint::capture(sys);
 }
 
-TEST(CheckpointEncoding, ByteRoundTripRestoresIdentically)
+/** A checkpoint restores only into a machine whose configuration
+ *  equals the one it was captured from. */
+TEST(CheckpointRestore, ConfigMismatchRejected)
 {
     const SystemConfig sc =
         tinySystem(SchemeKind::SLPMT, LoggingStyle::Undo);
     PmSystem sys(sc);
     const MachineCheckpoint ckpt = sampleCheckpoint(sys);
+    McMachine same(sc);
+    EXPECT_NO_THROW(ckpt.restore(same));
 
-    const auto bytes = ckpt.toBytes();
-    const MachineCheckpoint back = MachineCheckpoint::fromBytes(bytes);
-    EXPECT_EQ(back.configFingerprint(), ckpt.configFingerprint());
-    EXPECT_EQ(back.pagesHeld(), ckpt.pagesHeld());
-
-    PmSystem a(sc), b(sc);
-    ckpt.restore(a);
-    back.restore(b);
-    EXPECT_TRUE(imageOf(a.pm().memory()) == imageOf(b.pm().memory()));
-    EXPECT_TRUE(imageOf(a.dram().memory()) ==
-                imageOf(b.dram().memory()));
-    EXPECT_EQ(a.stats().snapshot(), b.stats().snapshot());
-}
-
-TEST(CheckpointEncoding, FileRoundTrip)
-{
-    const SystemConfig sc =
-        tinySystem(SchemeKind::SLPMT_CL, LoggingStyle::Redo);
-    PmSystem sys(sc);
-    const MachineCheckpoint ckpt = sampleCheckpoint(sys);
-    const auto bytes = ckpt.toBytes();
-
-    const char *path = "checkpoint_roundtrip.ckpt.tmp";
-    {
-        std::ofstream out(path, std::ios::binary);
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
+    SystemConfig two_cores = sc;
+    two_cores.numCores = 2;
+    SystemConfig wider_l2 = sc;
+    wider_l2.hierarchy.l2.ways = 4;
+    SystemConfig slower_pm = sc;
+    slower_pm.pm.writeLatencyNs = 2300;
+    const std::pair<const char *, SystemConfig> others[] = {
+        {"scheme", tinySystem(SchemeKind::FG, LoggingStyle::Undo)},
+        {"style", tinySystem(SchemeKind::SLPMT, LoggingStyle::Redo)},
+        {"core count", two_cores},
+        {"L2 geometry", wider_l2},
+        {"PM write latency", slower_pm},
+    };
+    for (const auto &[what, cfg] : others) {
+        McMachine other(cfg);
+        EXPECT_THROW(ckpt.restore(other), CheckpointError) << what;
     }
-    std::vector<std::uint8_t> read_back;
-    {
-        std::ifstream in(path, std::ios::binary);
-        read_back.assign(std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>());
-    }
-    std::remove(path);
-    ASSERT_EQ(read_back, bytes);
-
-    PmSystem restored(sc);
-    MachineCheckpoint::fromBytes(read_back).restore(restored);
-    EXPECT_EQ(restored.stats().snapshot(), sys.stats().snapshot());
-}
-
-TEST(CheckpointEncoding, CorruptedBlobRejected)
-{
-    PmSystem sys(tinySystem(SchemeKind::SLPMT, LoggingStyle::Undo));
-    auto bytes = sampleCheckpoint(sys).toBytes();
-    bytes[bytes.size() / 2] ^= 0x5a;
-    EXPECT_THROW(MachineCheckpoint::fromBytes(bytes), CheckpointError);
-}
-
-TEST(CheckpointEncoding, TruncatedBlobRejected)
-{
-    PmSystem sys(tinySystem(SchemeKind::SLPMT, LoggingStyle::Undo));
-    auto bytes = sampleCheckpoint(sys).toBytes();
-    for (const std::size_t keep : {std::size_t{0}, std::size_t{3},
-                                   bytes.size() / 2,
-                                   bytes.size() - 5}) {
-        std::vector<std::uint8_t> cut(bytes.begin(),
-                                      bytes.begin() +
-                                          static_cast<std::ptrdiff_t>(
-                                              keep));
-        EXPECT_THROW(MachineCheckpoint::fromBytes(cut),
-                     CheckpointError);
-    }
-}
-
-/** Recompute the CRC trailer after editing a blob's body. */
-void
-resealCrc(std::vector<std::uint8_t> &bytes)
-{
-    const std::size_t body = bytes.size() - 4;
-    const std::uint32_t crc = crc32c(bytes.data(), body);
-    for (std::size_t i = 0; i < 4; ++i)
-        bytes[body + i] =
-            static_cast<std::uint8_t>((crc >> (8 * i)) & 0xff);
-}
-
-TEST(CheckpointEncoding, VersionMismatchRejected)
-{
-    PmSystem sys(tinySystem(SchemeKind::SLPMT, LoggingStyle::Undo));
-    const auto bytes = sampleCheckpoint(sys).toBytes();
-    ASSERT_EQ(bytes[4], MachineCheckpoint::formatVersion);
-    // Rewrite the format version field (bytes 4..7 after the magic) and
-    // re-seal the CRC so only the version check can object: to the next
-    // version; to version 2, whose heap table still tagged every
-    // allocation with its transaction; and to version 1, whose engine
-    // state still carried its own sequence counter and crash countdown.
-    for (const std::uint32_t version :
-         {MachineCheckpoint::formatVersion + 1, std::uint32_t{2},
-          std::uint32_t{1}}) {
-        auto edited = bytes;
-        edited[4] = static_cast<std::uint8_t>(version);
-        resealCrc(edited);
-        EXPECT_THROW(MachineCheckpoint::fromBytes(edited), CheckpointError)
-            << "version " << version;
-    }
-}
-
-TEST(CheckpointEncoding, MachineKindMismatchRejected)
-{
-    // The state blob opens with the machine tag, right after the
-    // 24-byte header (magic, version, fingerprint, blob length). Tag 1
-    // marked the retired single-core layout: re-sealed, such a blob
-    // decodes but must not restore.
-    const SystemConfig sc =
-        tinySystem(SchemeKind::SLPMT, LoggingStyle::Undo);
-    PmSystem sys(sc);
-    auto bytes = sampleCheckpoint(sys).toBytes();
-    ASSERT_EQ(bytes[24], 2u);
-    bytes[24] = 1;
-    resealCrc(bytes);
-    const MachineCheckpoint old = MachineCheckpoint::fromBytes(bytes);
-    PmSystem target(sc);
-    EXPECT_THROW(old.restore(target), CheckpointError);
-}
-
-TEST(CheckpointEncoding, ConfigFingerprintMismatchRejected)
-{
-    PmSystem sys(tinySystem(SchemeKind::SLPMT, LoggingStyle::Undo));
-    const MachineCheckpoint ckpt = sampleCheckpoint(sys);
-
-    PmSystem other_scheme(
-        tinySystem(SchemeKind::FG, LoggingStyle::Undo));
-    EXPECT_THROW(ckpt.restore(other_scheme), CheckpointError);
-
-    PmSystem other_style(
-        tinySystem(SchemeKind::SLPMT, LoggingStyle::Redo));
-    EXPECT_THROW(ckpt.restore(other_style), CheckpointError);
 }
 
 /** Shared sampled sweep configuration for the audit tests. */

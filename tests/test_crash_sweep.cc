@@ -270,6 +270,43 @@ TEST(CrashSweep, SkippedUserRecoveryIsCaught)
         << "a sweep with user-level recovery disabled reported clean";
 }
 
+/**
+ * A skipped recovery stage leaves structures corrupted in any way a
+ * crash can. One AVL point here holds a cyclic tree, whose height
+ * recomputation once overflowed the stack and whose lookup never
+ * returned; both walks now end in an exception line. Every structure
+ * must end every point under both broken recoveries.
+ */
+TEST(CrashSweep, BrokenRecoveryEndsEveryPointOnEveryStructure)
+{
+    for (const auto &workload : allWorkloads()) {
+        for (const bool skip_user : {false, true}) {
+            CrashSweepConfig cfg;
+            cfg.workload = workload;
+            cfg.tinyCache = true;
+            cfg.mix.numOps = 300;
+            cfg.mix.insertPct = 60;
+            cfg.mix.updatePct = 25;
+            cfg.mix.removePct = 15;
+            cfg.mix.valueBytes = 64;
+            cfg.mix.seed = 1;
+            cfg.maxPoints = 20;
+            cfg.skipHardwareReplay = true;
+            cfg.skipUserRecovery = skip_user;
+            const auto report = runCrashSweep(cfg);
+            EXPECT_EQ(report.pointsExplored(), 21u)
+                << workload << (skip_user ? " (no user recovery)" : "");
+            if (workload == "avl") {
+                EXPECT_NE(report.violationsText().find(
+                              skip_user ? "lookup walks a cyclic tree"
+                                        : "recovery walks a cyclic tree"),
+                          std::string::npos)
+                    << report.violationsText();
+            }
+        }
+    }
+}
+
 TEST(CrashSweep, ReportJsonIsWellFormed)
 {
     CrashSweepConfig cfg = sweepConfig(SchemeKind::SLPMT,

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "checkpoint/serde.hh"
 #include "common/rng.hh"
 #include "core/heap.hh"
 #include "core/pm_system.hh"
@@ -226,7 +225,7 @@ runFirstFitDifferential(Bytes heap_size, std::uint64_t seed, int steps)
 
     struct Saved
     {
-        std::vector<std::uint8_t> blob;
+        PersistentHeap::State state;
         LinearFirstFit ref;
         std::map<Addr, Bytes> live;
     };
@@ -292,19 +291,13 @@ runFirstFitDifferential(Bytes heap_size, std::uint64_t seed, int steps)
         } else {
             // Round-trip the state through the same heap or a fresh
             // one; now and then roll back to the last saved state.
-            if (op >= 99780 || !saved) {
-                BlobWriter w;
-                heap->saveState(w);
-                saved = Saved{w.data(), ref, live};
-            }
+            if (op >= 99780 || !saved)
+                saved = Saved{heap->state(), ref, live};
             if (rng.below(2) == 0)
                 heap = std::make_unique<PersistentHeap>(base, heap_size,
                                                         stats);
-            BlobReader r(saved->blob);
-            heap->restoreState(r);
-            BlobWriter w;
-            heap->saveState(w);
-            ASSERT_EQ(w.data(), saved->blob);
+            heap->restore(saved->state);
+            ASSERT_TRUE(heap->state() == saved->state);
             ref = saved->ref;
             live = saved->live;
             resync();

@@ -208,8 +208,8 @@ TEST(LineIndex, AuditDetectsHandCorruptedIndex)
 }
 
 /** Drive one machine, audits forced on or off, through a seeded
- *  transactional store trace; returns its checkpoint encoding. */
-std::vector<std::uint8_t>
+ *  transactional store trace; returns its checkpoint. */
+MachineCheckpoint
 traceImage(std::uint64_t seed, bool audit)
 {
     PmSystem sys{SystemConfig{}};
@@ -231,19 +231,19 @@ traceImage(std::uint64_t seed, bool audit)
             sys.txCommit();
     }
     sys.quiesce();
-    return MachineCheckpoint::capture(sys).toBytes();
+    return MachineCheckpoint::capture(sys);
 }
 
 TEST(LineIndex, RandomTracesProduceIdenticalCheckpointEncodings)
 {
     // The audits recompute the probe keys and the metadata index from
     // the architectural lines on every walk, so they must not change
-    // what the machine computes. The portable checkpoint encoding
-    // covers every architectural register plus the PM and DRAM page
-    // images and the config fingerprint, so blob equality is
-    // machine-state byte-identity.
+    // what the machine computes. A checkpoint holds every
+    // architectural register plus the PM and DRAM page images and the
+    // configuration, so checkpoint equality (pages compared by
+    // content) is machine-state byte-identity.
     for (const std::uint64_t seed : {7ull, 1234ull, 987654321ull})
-        EXPECT_EQ(traceImage(seed, false), traceImage(seed, true))
+        EXPECT_TRUE(traceImage(seed, false) == traceImage(seed, true))
             << "seed " << seed;
 }
 

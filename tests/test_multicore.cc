@@ -537,11 +537,11 @@ expectNewestCopies(McMachine &m, const SystemConfig &cfg)
     EXPECT_GT(n, 1u);
 }
 
-/** Everything the machine would serialize or count. */
-std::pair<std::vector<std::uint8_t>, StatsSnapshot>
+/** Everything the machine would checkpoint or count. */
+std::pair<MachineCheckpoint, StatsSnapshot>
 machineState(McMachine &m)
 {
-    return {MachineCheckpoint::capture(m).toBytes(), m.snapshot()};
+    return {MachineCheckpoint::capture(m), m.snapshot()};
 }
 
 /**
