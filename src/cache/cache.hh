@@ -19,7 +19,8 @@
  *  - metaPrev/metaNext/metaLinked: the metadata line index as
  *    index-based links (previously pointers threaded through the
  *    frames);
- *  - setValid: each set's occupancy, its number of valid probe keys.
+ *  - setValid: each set's occupancy, its number of valid probe keys,
+ *    beside validLines, the array's total.
  *
  * The probe key is the authority on validity: a frame's fields (and
  * its timestamp and index links) are defined only while its key marks
@@ -29,8 +30,9 @@
  * victimFor() blanks an invalid frame before handing it out. With the
  * occupancy, every whole-array walk (forEachValid(), countIf(),
  * invalidateAll(), state(), restore()) skips empty sets and costs
- * O(sets + valid lines), not O(capacity); only the audits still read
- * every probe key.
+ * O(sets + valid lines), not O(capacity), and an empty array answers
+ * a lookup without probing. Only the audits still read every probe
+ * key.
  *
  * Frames never move, so CacheLine pointers handed out by find() stay
  * stable. The probe keys and the occupancy are derived state: any
@@ -130,6 +132,8 @@ class Cache
     std::size_t
     findFrame(Addr addr) const
     {
+        if (validLines == 0)
+            return npos;
         const Addr base = lineBase(addr);
         const std::size_t first = setFirstFrame(base);
         const Addr *keys = probeKeys.data() + first;
@@ -272,7 +276,8 @@ class Cache
     /**
      * Audit the probe keys and the occupancy against the frames:
      * every frame with a valid key must be valid and hold that tag,
-     * and every set's occupancy must equal its number of valid keys.
+     * every set's occupancy must equal its number of valid keys, and
+     * the array's total must equal their sum.
      * Frames behind invalid keys are undefined and are not read.
      * @return false with a diagnostic in @p why on the first
      * violation.
@@ -280,6 +285,7 @@ class Cache
     bool
     checkProbeKeys(std::string *why) const
     {
+        std::size_t total = 0;
         for (std::size_t s = 0; s < numSets; ++s) {
             std::size_t keys = 0;
             for (std::size_t f = s * config.ways;
@@ -303,6 +309,14 @@ class Cache
                            " != " + std::to_string(keys) + " valid keys";
                 return false;
             }
+            total += keys;
+        }
+        if (total != validLines) {
+            if (why)
+                *why = config.name + ": " + std::to_string(validLines) +
+                       " valid lines counted, " + std::to_string(total) +
+                       " valid keys";
+            return false;
         }
         return true;
     }
@@ -314,6 +328,9 @@ class Cache
     {
         setValid[set] = count;
     }
+
+    /** Test hook: force the array's valid-line total. */
+    void setValidLinesForTest(std::size_t count) { validLines = count; }
     /** @} */
 
     /**
@@ -346,6 +363,7 @@ class Cache
                         config.ways, invalidKey);
             setValid[s] = 0;
         }
+        validLines = 0;
         for (std::int32_t i = metaHead; i >= 0; i = metaNext[i])
             metaLinked[i] = 0;
         metaHead = -1;
@@ -510,10 +528,7 @@ class Cache
     state() const
     {
         State s{useClock, {}};
-        std::size_t valid = 0;
-        for (std::uint32_t n : setValid)
-            valid += n;
-        s.frames.reserve(valid);
+        s.frames.reserve(validLines);
         forEachValidFrame([&](std::size_t f) {
             s.frames.push_back({f, lastUses[f], lines[f]});
         });
@@ -581,10 +596,13 @@ class Cache
     setKey(std::size_t f, Addr key)
     {
         const Addr old = probeKeys[f];
-        if (old == invalidKey && key != invalidKey)
+        if (old == invalidKey && key != invalidKey) {
             ++setValid[setOf(key)];
-        else if (old != invalidKey && key == invalidKey)
+            ++validLines;
+        } else if (old != invalidKey && key == invalidKey) {
             --setValid[setOf(old)];
+            --validLines;
+        }
         probeKeys[f] = key;
     }
 
@@ -614,8 +632,9 @@ class Cache
     std::vector<std::uint8_t> metaLinked;  //!< frame is on the list
     /** @} */
 
-    /** Valid probe keys per set, indexed by set. */
+    /** Valid probe keys per set, indexed by set, and in all sets. */
     std::vector<std::uint32_t> setValid;
+    std::size_t validLines = 0;
 
     std::uint64_t useClock = 0;
 

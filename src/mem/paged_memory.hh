@@ -8,11 +8,15 @@
  * so the host-side footprint tracks the simulated working set.
  *
  * Accesses show heavy page locality (a 64-byte cache-line transfer is
- * 64× smaller than a page, and workloads stride within regions), so a
- * single-entry cache of the last page looked up short-circuits the
- * hash-map probe on the common repeat hit. Page payloads live behind
- * shared_ptr, so the cached pointer stays valid across map rehashes;
- * it is dropped whenever the page set changes.
+ * 64× smaller than a page, and workloads stride within regions), but
+ * they interleave a few streams: undo-log appends, line persists and
+ * recovery's peeks land on different pages. A small direct-mapped
+ * table of recent pages (page number, page pointer and a "known
+ * unshared" bit per slot) short-circuits the hash-map probe for each
+ * of them. Page payloads live behind shared_ptr, so a cached pointer
+ * stays valid across map rehashes. An absent page is never cached, so
+ * a later write materialising it cannot be shadowed; snapshot() drops
+ * every unshared bit, and clear() and restore() drop the table.
  *
  * snapshot() captures the current page table by reference: pages are
  * shared between the live store and any number of snapshots, and a
@@ -49,6 +53,12 @@ class PagedMemory
     /** An immutable capture of the page table (see snapshot()). */
     using Snapshot =
         std::unordered_map<Addr, std::shared_ptr<const Page>>;
+
+    PagedMemory() = default;
+    /** Not copyable: a copied unshared bit would let the copy write a
+     *  page it shares with the original without cloning it. */
+    PagedMemory(const PagedMemory &) = delete;
+    PagedMemory &operator=(const PagedMemory &) = delete;
 
     /** Read @p len bytes at @p addr into @p out. Untouched bytes are 0. */
     void
@@ -90,10 +100,8 @@ class PagedMemory
             const Addr page = addr / pageSize;
             const std::size_t off = addr % pageSize;
             const std::size_t chunk = std::min(len, pageSize - off);
-            Page *p = nullptr;
-            if (lastWritablePage && lastPageNum == page) {
-                p = lastWritablePage;
-            } else {
+            Recent &r = recentSlot(page);
+            if (!r.unshared || r.page != page) {
                 auto &slot = pages[page];
                 if (!slot) {
                     slot = std::make_shared<Page>();
@@ -102,11 +110,9 @@ class PagedMemory
                     // Shared with a snapshot: clone before mutating.
                     slot = std::make_shared<Page>(*slot);
                 }
-                p = slot.get();
-                lastPageNum = page;
-                lastPage = p;
-                lastWritablePage = p;
+                r = {page, slot.get(), true};
             }
+            Page *p = r.data;
             std::memcpy(p->data() + off, from, chunk);
             addr += chunk;
             from += chunk;
@@ -134,8 +140,9 @@ class PagedMemory
         for (const auto &kv : pages)
             snap.emplace(kv.first, kv.second);
         // Every page is now shared: the next write to any of them must
-        // take the clone path, so the writable-page cache is stale.
-        lastWritablePage = nullptr;
+        // take the clone path.
+        for (Recent &r : recent)
+            r.unshared = false;
         return snap;
     }
 
@@ -178,36 +185,46 @@ class PagedMemory
     std::size_t pageCount() const { return pages.size(); }
 
   private:
-    /** Find a present page, preferring the single-entry cache. The
-     *  cache only ever holds present pages — a miss is not cached, so
-     *  a later write materialising the page cannot be shadowed. */
+    /** One slot of the recent-page table. */
+    struct Recent
+    {
+        Addr page = 0;
+        Page *data = nullptr;   //!< nullptr: the slot is empty
+        bool unshared = false;  //!< no snapshot shares the page
+    };
+
+    static constexpr unsigned recentBits = 6;
+    static constexpr std::size_t recentSlots = std::size_t{1} << recentBits;
+
+    /** The slot of page @p page (Fibonacci hashing: the log area and
+     *  the heap both start on 256 KB boundaries, so their first pages
+     *  would share a slot under a plain modulo). */
+    Recent &
+    recentSlot(Addr page) const
+    {
+        return recent[(page * 0x9e3779b97f4a7c15ULL) >> (64 - recentBits)];
+    }
+
+    /** Find a present page, preferring the recent-page table. Only a
+     *  present page is cached. A page only this store holds is
+     *  recorded as unshared, so a write to it skips the map too. */
     const Page *
     lookup(Addr page) const
     {
-        if (lastPage && lastPageNum == page)
-            return lastPage;
+        Recent &r = recentSlot(page);
+        if (r.data && r.page == page)
+            return r.data;
         auto it = pages.find(page);
         if (it == pages.end())
             return nullptr;
-        lastPageNum = page;
-        lastPage = it->second.get();
-        lastWritablePage = nullptr;
-        return lastPage;
+        r = {page, it->second.get(), it->second.use_count() == 1};
+        return r.data;
     }
 
-    void
-    dropCache()
-    {
-        lastPage = nullptr;
-        lastWritablePage = nullptr;
-    }
+    void dropCache() { recent.fill(Recent{}); }
 
     std::unordered_map<Addr, std::shared_ptr<Page>> pages;
-    mutable Addr lastPageNum = 0;
-    mutable Page *lastPage = nullptr;
-    /** Like lastPage, but only set when the page is known unshared —
-     *  a snapshot() invalidates it so writes re-check use_count. */
-    mutable Page *lastWritablePage = nullptr;
+    mutable std::array<Recent, recentSlots> recent{};
 };
 
 } // namespace slpmt

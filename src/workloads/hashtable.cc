@@ -1,10 +1,36 @@
 #include "workloads/hashtable.hh"
 
-#include <unordered_map>
+#include <algorithm>
+#include <map>
 #include <unordered_set>
 
 namespace slpmt
 {
+
+namespace
+{
+
+/**
+ * The steps of one walk over the table's chains, bounded by the heap's
+ * allocation count: every node is a live allocation, so only a cyclic
+ * (corrupted) chain takes more steps, as in the AVL tree's searches.
+ * The bound is host-side: it reads no simulated state.
+ */
+struct ChainWalk
+{
+    ChainWalk(PmContext &sys, const char *what)
+        : bound(sys.heap().liveCount()), what(what)
+    {
+    }
+
+    void step() { panicIfNot(++steps <= bound, what); }
+
+    std::size_t bound;
+    const char *what;
+    std::size_t steps = 0;
+};
+
+} // namespace
 
 void
 HashTableWorkload::setup(PmContext &sys)
@@ -152,9 +178,11 @@ HashTableWorkload::resize(PmContext &sys, DurableTx &tx,
     // one pass with correct next pointers.
     std::vector<Addr> heads(new_num, 0);
 
+    ChainWalk walk(sys, "hashtable: resize walks a cyclic chain");
     for (std::uint64_t b = 0; b < old_num; ++b) {
         Addr cursor = sys.read<Addr>(old_buckets + b * wordSize);
         while (cursor != 0) {
+            walk.step();
             sys.compute(opcost::perMove);
             const auto key =
                 sys.read<std::uint64_t>(cursor + NodeOff::key);
@@ -196,7 +224,9 @@ HashTableWorkload::lookup(PmContext &sys, std::uint64_t key,
     const Addr buckets = sys.read<Addr>(headerAddr + HdrOff::bucketsPtr);
     Addr cursor =
         sys.read<Addr>(buckets + bucketOf(key, num) * wordSize);
+    ChainWalk walk(sys, "hashtable: lookup walks a cyclic chain");
     while (cursor != 0) {
+        walk.step();
         sys.compute(opcost::perLevel);
         if (sys.read<std::uint64_t>(cursor + NodeOff::key) == key) {
             readValue(sys, cursor + NodeOff::valPtr,
@@ -215,9 +245,11 @@ HashTableWorkload::count(PmContext &sys)
         sys.read<std::uint64_t>(headerAddr + HdrOff::numBuckets);
     const Addr buckets = sys.read<Addr>(headerAddr + HdrOff::bucketsPtr);
     std::size_t n = 0;
+    ChainWalk walk(sys, "hashtable: count walks a cyclic chain");
     for (std::uint64_t b = 0; b < num; ++b) {
         Addr cursor = sys.read<Addr>(buckets + b * wordSize);
         while (cursor != 0) {
+            walk.step();
             ++n;
             cursor = sys.read<Addr>(cursor + NodeOff::next);
         }
@@ -225,11 +257,19 @@ HashTableWorkload::count(PmContext &sys)
     return n;
 }
 
-std::vector<HashTableWorkload::Survivor>
-HashTableWorkload::walkDurable(PmContext &sys, Addr buckets,
-                               std::uint64_t num) const
+HashTableWorkload::DurableNode
+HashTableWorkload::peekNode(PmContext &sys, Addr node)
 {
-    std::vector<Survivor> out;
+    DurableNode n{};
+    sys.peekBytes(node, &n, sizeof(n));
+    return n;
+}
+
+template <typename Fn>
+bool
+HashTableWorkload::walkDurable(PmContext &sys, Addr buckets,
+                               std::uint64_t num, Fn &&visit) const
+{
     const auto &heap = sys.heap();
     const Addr lo = heap.base();
     const Addr hi = heap.base() + heap.size();
@@ -238,25 +278,23 @@ HashTableWorkload::walkDurable(PmContext &sys, Addr buckets,
     };
 
     if (!plausible(buckets))
-        return out;
+        return false;
+    bool whole = true;
     for (std::uint64_t b = 0; b < num; ++b) {
         Addr cursor = sys.peek<Addr>(buckets + b * wordSize);
         std::size_t guard = 0;
         while (cursor != 0 && plausible(cursor) && guard++ < 1'000'000) {
-            const auto key =
-                sys.peek<std::uint64_t>(cursor + NodeOff::key);
-            const Addr next = sys.peek<Addr>(cursor + NodeOff::next);
-            const Addr val_ptr = sys.peek<Addr>(cursor + NodeOff::valPtr);
-            const auto val_len =
-                sys.peek<std::uint64_t>(cursor + NodeOff::valLen);
-            const auto chk = sys.peek<std::uint64_t>(cursor + NodeOff::chk);
-            if (chk != nodeChecksum(key, next, val_ptr, val_len))
+            const DurableNode node = peekNode(sys, cursor);
+            if (node.chk !=
+                nodeChecksum(node.key, node.next, node.valPtr, node.valLen))
                 break;  // this copy never reached PM
-            out.push_back({key, val_ptr, val_len});
-            cursor = next;
+            visit(Survivor{node.key, node.valPtr, node.valLen});
+            whole = whole && bucketOf(node.key, num) == b;
+            cursor = node.next;
         }
+        whole = whole && cursor == 0;
     }
-    return out;
+    return whole;
 }
 
 void
@@ -266,16 +304,20 @@ HashTableWorkload::recover(PmContext &sys)
     // durable roots.
     headerAddr = sys.peek<Addr>(sys.rootSlotAddr(headerRootSlot));
     journalAddr = sys.peek<Addr>(sys.rootSlotAddr(journalRootSlot));
+    const Addr buckets = sys.peek<Addr>(headerAddr + HdrOff::bucketsPtr);
+    const auto num =
+        sys.peek<std::uint64_t>(headerAddr + HdrOff::numBuckets);
+    const bool journal_valid =
+        sys.peek<std::uint64_t>(journalAddr + JnlOff::valid) != 0;
 
-    const std::uint64_t journal_valid =
-        sys.peek<std::uint64_t>(journalAddr + JnlOff::valid);
-
+    std::size_t count = 0;
     if (journal_valid) {
-        // A resize committed but its lazily persistent copies may not
-        // have reached PM. Merge: checksum-valid chains of the new
-        // table (always includes post-resize eager inserts) union the
-        // old table (intact whenever any copy is missing; see header
-        // comment).
+        // A resize committed, and its lazily persistent copies may not
+        // all have reached PM. While one is missing the old table is
+        // intact (see header comment), so a lost copy leaves the new
+        // table not whole or lacking an old key, and only then is the
+        // old table merged back in. Otherwise the merge would yield
+        // exactly the new table, which stays where it is.
         const Addr new_buckets =
             sys.peek<Addr>(journalAddr + JnlOff::newBuckets);
         const auto new_num =
@@ -285,82 +327,111 @@ HashTableWorkload::recover(PmContext &sys)
         const auto old_num =
             sys.peek<std::uint64_t>(journalAddr + JnlOff::oldNum);
 
-        auto new_set = walkDurable(sys, new_buckets, new_num);
-        auto old_set = walkDurable(sys, old_buckets, old_num);
+        std::vector<Survivor> new_set;
+        std::vector<Survivor> old_set;
+        const bool new_whole = walkDurable(
+            sys, new_buckets, new_num,
+            [&](const Survivor &s) { new_set.push_back(s); });
+        walkDurable(sys, old_buckets, old_num,
+                    [&](const Survivor &s) { old_set.push_back(s); });
 
-        std::unordered_map<std::uint64_t, Survivor> merged;
-        for (const auto &s : old_set)
-            merged[s.key] = s;
-        for (const auto &s : new_set)
-            merged[s.key] = s;  // new table wins
+        std::vector<std::uint64_t> new_keys;
+        new_keys.reserve(new_set.size());
+        for (const Survivor &s : new_set)
+            new_keys.push_back(s.key);
+        std::ranges::sort(new_keys);
+        const bool old_kept =
+            std::ranges::all_of(old_set, [&](const Survivor &s) {
+                return std::ranges::binary_search(new_keys, s.key);
+            });
 
-        // Capture every survivor's value bytes before the rebuild:
-        // the fresh table reuses the same heap range from its base,
-        // so an early allocation can sit where a later survivor's
-        // blob still lives.
-        std::unordered_map<std::uint64_t, std::vector<std::uint8_t>>
-            values;
-        for (const auto &[key, s] : merged) {
-            auto &value = values[key];
-            value.resize(s.valLen);
-            sys.peekBytes(s.valPtr, value.data(), s.valLen);
+        if (!new_whole || !old_kept || buckets != new_buckets ||
+            num != new_num) {
+            mergeJournal(sys, new_set, old_set);
+            return;
         }
-
-        // Rebuild a fresh table from the merged set. Allocator state
-        // is rebuilt below, so reset it first to a blank slate.
-        sys.heap().reset();
-        DurableTx tx(sys);
-        headerAddr = sys.heap().alloc(HdrOff::size);
-        journalAddr = sys.heap().alloc(JnlOff::size);
-        std::uint64_t num = initialBuckets;
-        while (num * loadFactor < merged.size())
-            num *= 2;
-        const Addr buckets = sys.heap().alloc(num * wordSize);
-        for (std::uint64_t b = 0; b < num; ++b)
-            sys.write<Addr>(buckets + b * wordSize, 0);
-
-        std::uint64_t cnt = 0;
-        for (const auto &[key, s] : merged) {
-            // Value blobs were written eagerly by the original insert
-            // and never moved: copy their captured durable contents.
-            const std::vector<std::uint8_t> &value = values[key];
-            const Addr val_ptr = sys.heap().alloc(s.valLen);
-            sys.writeBytes(val_ptr, value.data(), s.valLen);
-
-            const Addr slot = buckets + bucketOf(key, num) * wordSize;
-            const Addr head = sys.read<Addr>(slot);
-            const Addr node = sys.heap().alloc(NodeOff::size);
-            sys.write<std::uint64_t>(node + NodeOff::key, key);
-            sys.write<Addr>(node + NodeOff::next, head);
-            sys.write<Addr>(node + NodeOff::valPtr, val_ptr);
-            sys.write<std::uint64_t>(node + NodeOff::valLen, s.valLen);
-            sys.write<std::uint64_t>(
-                node + NodeOff::chk,
-                nodeChecksum(key, head, val_ptr, s.valLen));
-            sys.write<Addr>(slot, node);
-            ++cnt;
-        }
-        sys.write<std::uint64_t>(headerAddr + HdrOff::numBuckets, num);
-        sys.write<std::uint64_t>(headerAddr + HdrOff::count, cnt);
-        sys.write<Addr>(headerAddr + HdrOff::bucketsPtr, buckets);
-        sys.write<std::uint64_t>(journalAddr + JnlOff::valid, 0);
-        sys.writeRoot(headerRootSlot, headerAddr);
-        sys.writeRoot(journalRootSlot, journalAddr);
-        tx.commit();
-        sys.quiesce();
-        return;
+        count = new_set.size();
+    } else {
+        walkDurable(sys, buckets, num, [&](const Survivor &) { ++count; });
     }
 
-    // No resize in flight: recompute the lazy count and GC leaks.
-    const Addr buckets = sys.peek<Addr>(headerAddr + HdrOff::bucketsPtr);
-    const auto num =
-        sys.peek<std::uint64_t>(headerAddr + HdrOff::numBuckets);
-    const auto survivors = walkDurable(sys, buckets, num);
+    // Recompute the lazy count, retire a resize whose copies all
+    // reached PM, and GC leaks.
     DurableTx tx(sys);
-    sys.write<std::uint64_t>(headerAddr + HdrOff::count,
-                             survivors.size());
+    sys.write<std::uint64_t>(headerAddr + HdrOff::count, count);
+    if (journal_valid)
+        sys.write<std::uint64_t>(journalAddr + JnlOff::valid, 0);
     tx.commit();
     sys.heap().rebuild(collectReachable(sys));
+    sys.quiesce();
+}
+
+void
+HashTableWorkload::mergeJournal(PmContext &sys,
+                                const std::vector<Survivor> &new_set,
+                                const std::vector<Survivor> &old_set)
+{
+    // The checksum-valid chains of the new table (always including the
+    // post-resize eager inserts) union the old table. Key order makes
+    // the rebuilt layout independent of any host hash table.
+    std::map<std::uint64_t, Survivor> merged;
+    for (const auto &s : old_set)
+        merged[s.key] = s;
+    for (const auto &s : new_set)
+        merged[s.key] = s;  // new table wins
+
+    // Capture every survivor's value bytes before the rebuild: the
+    // fresh table reuses the same heap range from its base, so an
+    // early allocation can sit where a later survivor's blob still
+    // lives.
+    std::vector<std::vector<std::uint8_t>> values;
+    values.reserve(merged.size());
+    for (const auto &[key, s] : merged) {
+        auto &value = values.emplace_back(s.valLen);
+        sys.peekBytes(s.valPtr, value.data(), s.valLen);
+    }
+
+    // Rebuild a fresh table from the merged set. Allocator state is
+    // rebuilt here, so reset it first to a blank slate.
+    sys.heap().reset();
+    DurableTx tx(sys);
+    headerAddr = sys.heap().alloc(HdrOff::size);
+    journalAddr = sys.heap().alloc(JnlOff::size);
+    std::uint64_t num = initialBuckets;
+    while (num * loadFactor < merged.size())
+        num *= 2;
+    const Addr buckets = sys.heap().alloc(num * wordSize);
+    for (std::uint64_t b = 0; b < num; ++b)
+        sys.write<Addr>(buckets + b * wordSize, 0);
+
+    std::uint64_t cnt = 0;
+    auto value = values.begin();
+    for (const auto &[key, s] : merged) {
+        // Value blobs were written eagerly by the original insert and
+        // never moved: copy their captured durable contents.
+        const Addr val_ptr = sys.heap().alloc(s.valLen);
+        sys.writeBytes(val_ptr, (value++)->data(), s.valLen);
+
+        const Addr slot = buckets + bucketOf(key, num) * wordSize;
+        const Addr head = sys.read<Addr>(slot);
+        const Addr node = sys.heap().alloc(NodeOff::size);
+        sys.write<std::uint64_t>(node + NodeOff::key, key);
+        sys.write<Addr>(node + NodeOff::next, head);
+        sys.write<Addr>(node + NodeOff::valPtr, val_ptr);
+        sys.write<std::uint64_t>(node + NodeOff::valLen, s.valLen);
+        sys.write<std::uint64_t>(
+            node + NodeOff::chk,
+            nodeChecksum(key, head, val_ptr, s.valLen));
+        sys.write<Addr>(slot, node);
+        ++cnt;
+    }
+    sys.write<std::uint64_t>(headerAddr + HdrOff::numBuckets, num);
+    sys.write<std::uint64_t>(headerAddr + HdrOff::count, cnt);
+    sys.write<Addr>(headerAddr + HdrOff::bucketsPtr, buckets);
+    sys.write<std::uint64_t>(journalAddr + JnlOff::valid, 0);
+    sys.writeRoot(headerRootSlot, headerAddr);
+    sys.writeRoot(journalRootSlot, journalAddr);
+    tx.commit();
     sys.quiesce();
 }
 
@@ -372,12 +443,15 @@ HashTableWorkload::collectReachable(PmContext &sys)
         sys.peek<std::uint64_t>(headerAddr + HdrOff::numBuckets);
     const Addr buckets = sys.peek<Addr>(headerAddr + HdrOff::bucketsPtr);
     reachable.push_back(buckets);
+    ChainWalk walk(sys, "hashtable: recovery walks a cyclic chain");
     for (std::uint64_t b = 0; b < num; ++b) {
         Addr cursor = sys.peek<Addr>(buckets + b * wordSize);
         while (cursor != 0) {
+            walk.step();
+            const DurableNode node = peekNode(sys, cursor);
             reachable.push_back(cursor);
-            reachable.push_back(sys.peek<Addr>(cursor + NodeOff::valPtr));
-            cursor = sys.peek<Addr>(cursor + NodeOff::next);
+            reachable.push_back(node.valPtr);
+            cursor = node.next;
         }
     }
     return reachable;
@@ -394,6 +468,8 @@ HashTableWorkload::checkConsistency(PmContext &sys, std::string *why)
 
     std::unordered_set<std::uint64_t> seen;
     std::size_t walked = 0;
+    // No step bound: a cyclic chain revisits a key, which the
+    // duplicate test below reports.
     for (std::uint64_t b = 0; b < num; ++b) {
         Addr cursor = sys.read<Addr>(buckets + b * wordSize);
         while (cursor != 0) {
@@ -430,8 +506,11 @@ HashTableWorkload::update(PmContext &sys, std::uint64_t key,
         sys.read<std::uint64_t>(headerAddr + HdrOff::numBuckets);
     const Addr buckets = sys.read<Addr>(headerAddr + HdrOff::bucketsPtr);
     Addr node = sys.read<Addr>(buckets + bucketOf(key, num) * wordSize);
-    while (node && sys.read<std::uint64_t>(node + NodeOff::key) != key)
+    ChainWalk walk(sys, "hashtable: update walks a cyclic chain");
+    while (node && sys.read<std::uint64_t>(node + NodeOff::key) != key) {
+        walk.step();
         node = sys.read<Addr>(node + NodeOff::next);
+    }
     if (!node)
         return false;
 
@@ -460,7 +539,9 @@ HashTableWorkload::remove(PmContext &sys, std::uint64_t key)
     const Addr slot = buckets + bucketOf(key, num) * wordSize;
     Addr prev = 0;
     Addr node = sys.read<Addr>(slot);
+    ChainWalk walk(sys, "hashtable: remove walks a cyclic chain");
     while (node && sys.read<std::uint64_t>(node + NodeOff::key) != key) {
+        walk.step();
         prev = node;
         node = sys.read<Addr>(node + NodeOff::next);
     }

@@ -23,9 +23,18 @@
  *  table is intact — the resize transaction *read* every old node, so
  *  they are in its working set, and the hardware persists all its
  *  lazy lines before any of those addresses can be overwritten
- *  (Section III-C). Recovery therefore merges the checksum-valid part
- *  of the new table (which always includes every post-resize insert,
- *  because those are eager) with the old table's contents.
+ *  (Section III-C). A lost copy therefore shows in the durable image:
+ *  a new-table chain stops at a node that fails its checksum (or at
+ *  an implausible address), or a key of the intact old table is
+ *  missing from the new one. Only then, or when the header does not
+ *  name the journal's new table, does recovery merge the
+ *  checksum-valid part of the new table (which always includes every
+ *  post-resize insert, because those are eager) with the old table's
+ *  contents into a fresh table. Otherwise the new table is whole: the
+ *  merge would yield exactly its entries and values, so recovery
+ *  keeps it in place and clears the journal inside its recount
+ *  transaction. A key removed after the resize still sits in the old
+ *  table and still triggers the merge, which brings it back.
  */
 
 #ifndef SLPMT_WORKLOADS_HASHTABLE_HH
@@ -70,6 +79,23 @@ class HashTableWorkload : public Workload
     /** Number of resizes performed so far (test introspection). */
     std::uint64_t resizes() const { return resizeCount; }
 
+    /** @name The durable format recovery checks (tests forge nodes) */
+    /** @{ */
+    static std::uint64_t
+    nodeChecksum(std::uint64_t key, Addr next, Addr val_ptr,
+                 std::uint64_t val_len)
+    {
+        return mix64(key ^ mix64(next) ^ mix64(val_ptr) ^ val_len ^
+                     0x5a5a5a5a5a5a5a5aULL);
+    }
+
+    static std::uint64_t
+    bucketOf(std::uint64_t key, std::uint64_t num_buckets)
+    {
+        return mix64(key) % num_buckets;
+    }
+    /** @} */
+
   private:
     /** Node field offsets (all fields are 8-byte words). */
     struct NodeOff
@@ -102,20 +128,6 @@ class HashTableWorkload : public Workload
         static constexpr Bytes size = 40;
     };
 
-    static std::uint64_t
-    nodeChecksum(std::uint64_t key, Addr next, Addr val_ptr,
-                 std::uint64_t val_len)
-    {
-        return mix64(key ^ mix64(next) ^ mix64(val_ptr) ^ val_len ^
-                     0x5a5a5a5a5a5a5a5aULL);
-    }
-
-    static std::uint64_t
-    bucketOf(std::uint64_t key, std::uint64_t num_buckets)
-    {
-        return mix64(key) % num_buckets;
-    }
-
     /**
      * Rehash into @p new_num buckets inside @p tx, which frees the old
      * nodes and array with its commit. An earlier free could hand an
@@ -132,6 +144,20 @@ class HashTableWorkload : public Workload
                         Addr val_ptr, std::uint64_t val_len,
                         bool as_copy);
 
+    /** A node's durable image, its fields in NodeOff order. */
+    struct DurableNode
+    {
+        std::uint64_t key;
+        Addr next;
+        Addr valPtr;
+        std::uint64_t valLen;
+        std::uint64_t chk;
+    };
+    static_assert(sizeof(DurableNode) == NodeOff::size);
+
+    /** Read a node's durable image with one peek. */
+    static DurableNode peekNode(PmContext &sys, Addr node);
+
     /** A durable-image chain walk entry. */
     struct Survivor
     {
@@ -140,9 +166,23 @@ class HashTableWorkload : public Workload
         std::uint64_t valLen;
     };
 
-    /** Walk one durable table image, keeping checksum-valid nodes. */
-    std::vector<Survivor> walkDurable(PmContext &sys, Addr buckets,
-                                      std::uint64_t num) const;
+    /**
+     * Walk one durable table image, calling @p visit with each
+     * checksum-valid node; a chain stops at its first bad node.
+     * @return whether the table is whole: every chain ends at a null
+     * pointer and every node sits in its own bucket.
+     */
+    template <typename Fn>
+    bool walkDurable(PmContext &sys, Addr buckets, std::uint64_t num,
+                     Fn &&visit) const;
+
+    /**
+     * Recovery's merge of a resize whose copies were lost: rebuild a
+     * fresh table from @p new_set union @p old_set, the new side
+     * winning, allocated in key order.
+     */
+    void mergeJournal(PmContext &sys, const std::vector<Survivor> &new_set,
+                      const std::vector<Survivor> &old_set);
 
     /** Reachable allocation bases for the heap GC. */
     std::vector<Addr> collectReachable(PmContext &sys);

@@ -401,6 +401,47 @@ TEST(Cache, OccupancyAuditCatchesCorruptCount)
     EXPECT_TRUE(c.checkProbeKeys(&why)) << why;
 }
 
+TEST(EmptyCache, FindsNothing)
+{
+    Cache c(CacheConfig{"c", 8 * cacheLineSize, 2, 1});  // 4 sets
+    EXPECT_EQ(c.find(0x40), nullptr);
+    EXPECT_EQ(c.findFrame(0x80), Cache::npos);
+
+    CacheLine &a = c.victimFor(0x40);
+    c.fillFrame(a, 0x40, MesiState::Exclusive);
+    EXPECT_EQ(c.find(0x40), &a);
+    EXPECT_EQ(c.find(0x80), nullptr);
+    c.invalidateFrame(a);
+    EXPECT_EQ(c.find(0x40), nullptr);
+
+    CacheLine &b = c.victimFor(0xc0);
+    c.fillFrame(b, 0xc0, MesiState::Modified);
+    c.invalidateAll();
+    EXPECT_EQ(c.find(0xc0), nullptr);
+    std::string why;
+    EXPECT_TRUE(c.checkProbeKeys(&why)) << why;
+}
+
+TEST(EmptyCache, AuditCatchesWrongTotal)
+{
+    Cache c(CacheConfig{"c", 8 * cacheLineSize, 2, 1});
+    CacheLine &a = c.victimFor(0x40);
+    c.fillFrame(a, 0x40, MesiState::Exclusive);
+    std::string why;
+    ASSERT_TRUE(c.checkProbeKeys(&why)) << why;
+
+    // A total of 0 would make every lookup miss the valid line.
+    c.setValidLinesForTest(0);
+    EXPECT_FALSE(c.checkProbeKeys(&why));
+    EXPECT_NE(why.find("valid lines"), std::string::npos) << why;
+    EXPECT_EQ(c.find(0x40), nullptr);
+    c.setValidLinesForTest(2);
+    EXPECT_FALSE(c.checkProbeKeys(&why));
+    c.setValidLinesForTest(1);
+    EXPECT_TRUE(c.checkProbeKeys(&why)) << why;
+    EXPECT_EQ(c.find(0x40), &a);
+}
+
 class HierarchyTest : public ::testing::Test
 {
   protected:

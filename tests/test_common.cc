@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.hh"
 #include "stats/stats.hh"
 #include "common/types.hh"
@@ -169,6 +171,102 @@ TEST(PagedMemory, ClearDropsEverything)
     std::uint64_t r = 1;
     mem.read(0, &r, sizeof(r));
     EXPECT_EQ(r, 0u);
+}
+
+// The recent-page table: a cached page must never let a write skip a
+// copy-on-write clone, outlive a restore, or shadow an absent page.
+
+/** Bytes of a snapshot's copy of the word at @p addr. */
+std::uint64_t
+snapWord(const PagedMemory::Snapshot &snap, Addr addr)
+{
+    std::uint64_t v = 0;
+    std::memcpy(&v,
+                snap.at(addr / PagedMemory::pageSize)->data() +
+                    addr % PagedMemory::pageSize,
+                sizeof(v));
+    return v;
+}
+
+TEST(RecentPageTable, WritesAfterSnapshotCloneInterleavedPages)
+{
+    // Undo-log and heap pages interleaved: one of each, whose entries
+    // stay cached across the snapshot, then more pages than the table
+    // has slots, so entries evict each other.
+    for (Addr pages : {1, 100}) {
+        PagedMemory mem;
+        std::vector<Addr> words;
+        for (Addr i = 0; i < pages; ++i) {
+            words.push_back(0x4000'0000 + i * PagedMemory::pageSize);
+            words.push_back(0x4100'0000 + i * PagedMemory::pageSize + 8);
+        }
+        auto put = [&](Addr a, std::uint64_t v) {
+            mem.write(a, &v, sizeof(v));
+        };
+        auto get = [&](Addr a) {
+            std::uint64_t v = 0;
+            mem.read(a, &v, sizeof(v));
+            return v;
+        };
+        for (std::size_t round = 0; round < 3; ++round) {
+            for (std::size_t i = 0; i < words.size(); ++i)
+                put(words[i], round * 1000 + i);
+            const PagedMemory::Snapshot snap = mem.snapshot();
+            // Log words are read first (the read caches the now shared
+            // page), heap words written straight away.
+            for (std::size_t i = 0; i < words.size(); ++i) {
+                if (i % 2 == 0) {
+                    ASSERT_EQ(get(words[i]), round * 1000 + i);
+                }
+                put(words[i], 7);
+                put(words[i], 9);
+            }
+            for (std::size_t i = 0; i < words.size(); ++i) {
+                EXPECT_EQ(snapWord(snap, words[i]), round * 1000 + i) << i;
+                EXPECT_EQ(get(words[i]), 9u) << i;
+            }
+        }
+    }
+}
+
+TEST(RecentPageTable, RestoreDropsCachedPages)
+{
+    PagedMemory mem;
+    const Addr a = 0x4100'0040;
+    auto put = [&](std::uint64_t v) { mem.write(a, &v, sizeof(v)); };
+    auto get = [&] {
+        std::uint64_t v = 0;
+        mem.read(a, &v, sizeof(v));
+        return v;
+    };
+    put(1);
+    const PagedMemory::Snapshot snap = mem.snapshot();
+    put(2);  // the clone is cached as unshared
+    ASSERT_EQ(get(), 2u);
+
+    mem.restore(snap);  // releases the clone
+    EXPECT_EQ(get(), 1u);
+    put(3);  // must clone again: the snapshot still shares the page
+    EXPECT_EQ(get(), 3u);
+    EXPECT_EQ(snapWord(snap, a), 1u);
+
+    mem.clear();
+    EXPECT_EQ(get(), 0u);
+}
+
+TEST(RecentPageTable, AbsentPageIsNotCached)
+{
+    PagedMemory mem;
+    const Addr a = 0x4000'0100;
+    std::uint64_t v = 5;
+    mem.read(a, &v, sizeof(v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_EQ(mem.bytesAt(a), nullptr);
+    v = 6;
+    mem.write(a, &v, sizeof(v));
+    std::uint64_t r = 0;
+    mem.read(a, &r, sizeof(r));
+    EXPECT_EQ(r, 6u);
 }
 
 } // namespace

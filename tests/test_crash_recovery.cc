@@ -22,6 +22,7 @@
 #include "sim/experiment.hh"
 #include "test_util.hh"
 #include "workloads/factory.hh"
+#include "workloads/hashtable.hh"
 #include "workloads/ycsb.hh"
 
 namespace slpmt
@@ -222,32 +223,220 @@ INSTANTIATE_TEST_SUITE_P(KillPoints, CrashDuringResize,
                                            std::size_t{200},
                                            std::size_t{400}));
 
+/** The hashtable's durable header and journal, read through the root
+ *  slots (header: numBuckets, count, bucketsPtr; journal: valid
+ *  first). */
+Addr
+bucketArray(PmSystem &sys)
+{
+    const Addr hdr =
+        sys.peek<Addr>(sys.rootSlotAddr(HashTableWorkload::headerRootSlot));
+    return sys.peek<Addr>(hdr + 16);
+}
+
+std::uint64_t
+journalValid(PmSystem &sys)
+{
+    const Addr jnl = sys.peek<Addr>(
+        sys.rootSlotAddr(HashTableWorkload::journalRootSlot));
+    return sys.peek<std::uint64_t>(jnl);
+}
+
+/** A hashtable that has just resized: 49 inserts, the 49th of which
+ *  doubled the table with lazily persistent copies. */
+struct ResizedTable
+{
+    ResizedTable() : workload(makeWorkload("hashtable"))
+    {
+        workload->setup(sys);
+        YcsbConfig ycsb;
+        ycsb.numOps = 80;
+        ycsb.valueBytes = 32;
+        ops = ycsbLoad(ycsb);
+        for (std::size_t i = 0; i < 49; ++i)
+            workload->insert(sys, ops[i].key, ops[i].value);
+    }
+
+    /** Power failure, hardware replay, then the workload's recovery. */
+    void
+    crashAndRecover()
+    {
+        sys.crash();
+        sys.recoverHardware();
+        workload->recover(sys);
+    }
+
+    /** The recovered table holds the 49 keys and keeps working. */
+    void
+    verifyAndContinue()
+    {
+        verifyContents(sys, *workload, ops, 49);
+        for (std::size_t i = 49; i < ops.size(); ++i)
+            workload->insert(sys, ops[i].key, ops[i].value);
+        verifyContents(sys, *workload, ops, ops.size());
+    }
+
+    PmSystem sys{configFor(SchemeKind::SLPMT)};
+    std::unique_ptr<Workload> workload;
+    std::vector<YcsbOp> ops;
+};
+
 /** Crash right after a resize commit while the lazily persistent node
  *  copies are still volatile: the journal-merge recovery must rebuild
  *  the full table. */
 TEST(CrashAfterResize, LazyCopiesRecoveredFromOldTable)
 {
-    PmSystem sys(configFor(SchemeKind::SLPMT));
-    auto workload = makeWorkload("hashtable");
-    workload->setup(sys);
+    ResizedTable t;
+    const Addr resized = bucketArray(t.sys);
+    ASSERT_EQ(journalValid(t.sys), 1u);
 
-    YcsbConfig ycsb;
-    ycsb.numOps = 80;
-    ycsb.valueBytes = 32;
-    const auto ops = ycsbLoad(ycsb);
+    t.crashAndRecover();  // copies that were still cached are gone
+    EXPECT_NE(bucketArray(t.sys), resized) << "the table was not rebuilt";
+    EXPECT_EQ(journalValid(t.sys), 0u);
+    t.verifyAndContinue();
+}
 
-    // 49 inserts: the 49th resized the table; its copies are lazy.
-    for (std::size_t i = 0; i < 49; ++i)
-        workload->insert(sys, ops[i].key, ops[i].value);
+/** Once the copies are durable the new table is whole: recovery keeps
+ *  it in place, clears the journal in its recount transaction with a
+ *  handful of stores, and a second recovery replays nothing. */
+TEST(CrashAfterResize, DurableCopiesKeepTheTable)
+{
+    ResizedTable t;
+    t.sys.quiesce();  // every copy reaches PM
+    const Addr resized = bucketArray(t.sys);
 
-    sys.crash();  // copies that were still cached are gone
-    sys.recoverHardware();
-    workload->recover(sys);
-    verifyContents(sys, *workload, ops, 49);
+    t.sys.crash();
+    t.sys.recoverHardware();
+    const std::uint64_t before = t.sys.storesExecuted();
+    t.workload->recover(t.sys);
+    EXPECT_LE(t.sys.storesExecuted() - before, 4u);
+    EXPECT_EQ(bucketArray(t.sys), resized);
+    EXPECT_EQ(journalValid(t.sys), 0u);
 
-    for (std::size_t i = 49; i < ops.size(); ++i)
-        workload->insert(sys, ops[i].key, ops[i].value);
-    verifyContents(sys, *workload, ops, ops.size());
+    t.sys.crash();
+    EXPECT_EQ(t.sys.recoverHardware(), 0u);
+    t.workload->recover(t.sys);
+    EXPECT_EQ(bucketArray(t.sys), resized);
+    t.verifyAndContinue();
+}
+
+/** A crash inside the recount transaction rolls the journal flag back,
+ *  so the next recovery decides again from the same durable state. */
+TEST(CrashAfterResize, CrashInRecountRollsTheFlagBack)
+{
+    ResizedTable t;
+    t.sys.quiesce();
+    const Addr resized = bucketArray(t.sys);
+
+    t.sys.crash();
+    t.sys.recoverHardware();
+    t.sys.armCrashAfterStores(2);  // the second store clears the flag
+    EXPECT_THROW(t.workload->recover(t.sys), CrashInjected);
+    t.sys.armCrashAfterStores(0);
+    t.sys.recoverHardware();
+    EXPECT_EQ(journalValid(t.sys), 1u);
+
+    t.workload->recover(t.sys);
+    EXPECT_EQ(bucketArray(t.sys), resized);
+    EXPECT_EQ(journalValid(t.sys), 0u);
+    t.verifyAndContinue();
+}
+
+/** A new-table node that fails its checksum cuts its chain short, so
+ *  recovery still merges: the key comes back from the old table. */
+TEST(CrashAfterResize, BadNewNodeChecksumStillMerges)
+{
+    ResizedTable t;
+    t.sys.quiesce();
+    const Addr resized = bucketArray(t.sys);
+    Addr node = 0;
+    for (std::uint64_t b = 0; !node; ++b)
+        node = t.sys.peek<Addr>(resized + b * 8);
+    const std::uint64_t bad = 0xBAD;
+    t.sys.pm().poke(node + 32, &bad, sizeof(bad));  // checksum word
+
+    t.crashAndRecover();
+    EXPECT_NE(bucketArray(t.sys), resized) << "the table was not rebuilt";
+    t.verifyAndContinue();
+}
+
+/**
+ * A 40-key hashtable (no resize, so the journal is clear) with a
+ * checksum-valid self-loop poked into the durable image: the head
+ * node of an absent key's chain points at itself. Every chain walk
+ * must fail fast instead of spinning.
+ */
+struct CyclicTable
+{
+    CyclicTable() : workload(makeWorkload("hashtable"))
+    {
+        workload->setup(sys);
+        for (const auto &op : ycsbLoad({.numOps = 40, .valueBytes = 32}))
+            workload->insert(sys, op.key, op.value);
+        sys.quiesce();
+        sys.hierarchy().crash();  // reads now see the pokes below
+
+        const Addr hdr = sys.peek<Addr>(
+            sys.rootSlotAddr(HashTableWorkload::headerRootSlot));
+        const auto num = sys.peek<std::uint64_t>(hdr);
+        const Addr buckets = sys.peek<Addr>(hdr + 16);
+        // Trace keys are odd, so an even key is absent; take the first
+        // one whose bucket holds a chain.
+        Addr node = 0;
+        for (absentKey = 2; !node; absentKey += 2) {
+            node = sys.peek<Addr>(
+                buckets +
+                HashTableWorkload::bucketOf(absentKey, num) * 8);
+        }
+        absentKey -= 2;
+        const auto key = sys.peek<std::uint64_t>(node);
+        const Addr val_ptr = sys.peek<Addr>(node + 16);
+        const auto val_len = sys.peek<std::uint64_t>(node + 24);
+        const std::uint64_t chk =
+            HashTableWorkload::nodeChecksum(key, node, val_ptr, val_len);
+        sys.pm().poke(node + 8, &node, sizeof(node));  // next = itself
+        sys.pm().poke(node + 32, &chk, sizeof(chk));
+    }
+
+    PmSystem sys{configFor(SchemeKind::SLPMT)};
+    std::unique_ptr<Workload> workload;
+    std::uint64_t absentKey = 0;
+};
+
+TEST(CyclicChain, LookupUpdateAndRemovePanic)
+{
+    CyclicTable t;
+    EXPECT_THROW(t.workload->lookup(t.sys, t.absentKey, nullptr),
+                 PanicError);
+    EXPECT_THROW(t.workload->update(t.sys, t.absentKey, {1, 2, 3}),
+                 PanicError);
+    EXPECT_THROW(t.workload->remove(t.sys, t.absentKey), PanicError);
+}
+
+TEST(CyclicChain, CountPanics)
+{
+    CyclicTable t;
+    EXPECT_THROW(t.workload->count(t.sys), PanicError);
+}
+
+/** The consistency check needs no step bound: the loop revisits a
+ *  key, which its duplicate-key test reports at once. */
+TEST(CyclicChain, CheckReportsTheRevisit)
+{
+    CyclicTable t;
+    std::string why;
+    EXPECT_FALSE(t.workload->checkConsistency(t.sys, &why));
+    EXPECT_EQ(why, "duplicate key");
+}
+
+/** The durable recount walk stops at its guard; the reachability walk
+ *  behind the heap GC then panics. */
+TEST(CyclicChain, RecoverPanics)
+{
+    CyclicTable t;
+    t.sys.crash();
+    t.sys.recoverHardware();
+    EXPECT_THROW(t.workload->recover(t.sys), PanicError);
 }
 
 /** Repeated crash/recover cycles accumulate no corruption or leaks. */

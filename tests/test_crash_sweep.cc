@@ -469,6 +469,43 @@ TEST(CrashSweepDigest, ServiceReportsArePinned)
                  std::nullopt, 97);
 }
 
+// Sweeps past the hashtable's first resize (48 keys). Every recovery
+// after it finds the resize journal set: at one point of each sweep a
+// copy was lost and recovery merges the old table back, at every other
+// it keeps the new table. The points' fields equal those of a recovery
+// that merges every time; the core JSON digest, whose machine counters
+// include recovery's stores, pins the keep.
+TEST(CrashSweepDigest, ResizeCrossingReportsArePinned)
+{
+    CrashSweepConfig cfg;
+    cfg.workload = "hashtable";
+    cfg.tinyCache = true;
+    cfg.mix.numOps = 70;
+    cfg.mix.valueBytes = 32;
+    cfg.mix.seed = 42;
+    cfg.mix.insertPct = 80;
+    cfg.mix.updatePct = 20;
+    cfg.maxPoints = 0;
+    expectDigest(cfg, runCrashSweep, 0x395eab470436841dULL,
+                 0x3d724910d337f10cULL, 805);
+
+    ServiceCrashConfig svc;
+    svc.numShards = 2;
+    svc.tinyCache = true;
+    svc.checkpointInterval = 64;
+    svc.load.mix = YcsbMix::A;
+    svc.load.skew = KeySkew::Zipfian;
+    svc.load.keySpace = std::size_t{1} << 14;
+    svc.load.preloadRecords = 130;
+    svc.load.numOps = 6;
+    svc.load.valueBytesMin = 48;
+    svc.load.valueBytesMax = 96;
+    svc.load.seed = 5;
+    svc.maxPoints = 30;
+    expectDigest(svc, runServiceCrashSweep, 0x2b804b7ee35882fcULL,
+                 std::nullopt, 31);
+}
+
 // ---------------------------------------------------------------------
 // The engine's own violation lines, driven by fake targets whose
 // primitives misbehave on purpose
