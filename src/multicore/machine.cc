@@ -12,7 +12,7 @@ namespace slpmt
 McCore::McCore(McMachine &machine, std::size_t id,
                const SystemConfig &cfg, Cache &shared_l3, PmDevice &pm,
                DramDevice &dram, Addr log_base, Bytes log_size,
-               std::uint64_t &seq_counter, std::uint64_t &crash_countdown)
+               std::uint64_t &seq_counter, CrashCountdown &crash_countdown)
     : machine(machine),
       coreId(id),
       hasPeers(cfg.numCores > 1),

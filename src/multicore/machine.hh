@@ -62,7 +62,7 @@ class McCore final : public PmContext
     McCore(McMachine &machine, std::size_t id, const SystemConfig &cfg,
            Cache &shared_l3, PmDevice &pm, DramDevice &dram,
            Addr log_base, Bytes log_size, std::uint64_t &seq_counter,
-           std::uint64_t &crash_countdown);
+           CrashCountdown &crash_countdown);
 
     std::size_t id() const { return coreId; }
     TxnEngine &engine() { return eng; }
@@ -161,7 +161,10 @@ class McMachine
     /** @{ */
     std::uint64_t sharedSeqCounter() const { return seqCounter; }
     void setSharedSeqCounter(std::uint64_t v) { seqCounter = v; }
-    std::uint64_t sharedCrashCountdown() const { return crashCountdown; }
+    std::uint64_t sharedCrashCountdown() const
+    {
+        return crashCountdown.stores;
+    }
     /** @} */
 
     void setAnnotationPolicy(const AnnotationPolicy *p)
@@ -196,7 +199,12 @@ class McMachine
     /** @name Machine-wide crash, recovery, quiesce */
     /** @{ */
     void crash();
-    void armCrashAfterStores(std::uint64_t n) { crashCountdown = n; }
+    /** Crash in place at the @p n-th store from now (0 disarms). */
+    void armCrashAfterStores(std::uint64_t n) { crashCountdown = {n}; }
+
+    /** The shared countdown register, which a crash sweep's walk arms
+     *  with its fork hook. */
+    CrashCountdown &countdown() { return crashCountdown; }
     std::uint64_t storesExecuted() const;
 
     /** Hardware log replay on every core's log slice. */
@@ -267,7 +275,7 @@ class McMachine
     const AnnotationPolicy *policy = nullptr;
 
     std::uint64_t seqCounter = 0;      //!< shared txn sequence source
-    std::uint64_t crashCountdown = 0;  //!< shared fault injection
+    CrashCountdown crashCountdown;     //!< shared fault injection
 
     std::vector<std::unique_ptr<McCore>> cores;
     ConflictHandler conflictHandler;

@@ -5,11 +5,12 @@
  * (validate/sweep_engine.hh), built into slpmt_validate.
  *
  * The seeded interleaved YCSB run executes once on a master machine;
- * its fork bases sit at scheduler quantum boundaries, where no driver
- * is mid-transaction, and carry the machine checkpoint plus the
- * driver cursors, the commit log so far and the scheduler's register
- * file. Each point resumes the identical interleaving for only the
- * tail, fires the machine-wide power failure at exactly that store,
+ * its bases sit at scheduler quantum boundaries, where no driver is
+ * mid-transaction, and carry the machine checkpoint plus the driver
+ * cursors, the commit log so far and the scheduler's register file. A
+ * walker resumes the identical interleaving from a base and forks
+ * each point at its store; the point takes the machine-wide power
+ * failure at exactly that store,
  * recovers every core's log slice plus the workload's user-level
  * recovery, and checks the survivors against the
  * scheduler-commit-order shadow map: committed upserts readable with

@@ -17,13 +17,15 @@
  * does building a view while any core is inside a transaction (a
  * timed load there may restore redo-evicted data, which the view does
  * not model). Because nothing can change under it, the view memoises
- * the last line it observed.
+ * the lines it observed in a small direct-mapped table, exactly: a
+ * memoised line's bytes are the ones observeLine() would return again.
  */
 
 #ifndef SLPMT_MULTICORE_ORACLE_VIEW_HH
 #define SLPMT_MULTICORE_ORACLE_VIEW_HH
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "multicore/machine.hh"
@@ -68,14 +70,21 @@ class OracleView final : public PmContext
             const Addr line = lineBase(addr);
             const std::size_t off = addr - line;
             const std::size_t chunk = std::min(len, cacheLineSize - off);
-            if (line != memoLine) {
-                memoBytes = machine.observeLine(line);
-                memoLine = line;
+            Memo &memo = memos[(line / cacheLineSize) % memos.size()];
+            if (memo.line != line) {
+                memo.bytes = machine.observeLine(line);
+                memo.line = line;
             }
-            if (memoBytes)
-                std::memcpy(dst, memoBytes + off, chunk);
-            else
+            // Word and whole-line copies, the structures' common reads,
+            // take a fixed-size copy.
+            if (!memo.bytes)
                 std::memset(dst, 0, chunk);
+            else if (chunk == sizeof(std::uint64_t))
+                std::memcpy(dst, memo.bytes + off, sizeof(std::uint64_t));
+            else if (chunk == cacheLineSize)
+                std::memcpy(dst, memo.bytes, cacheLineSize);
+            else
+                std::memcpy(dst, memo.bytes + off, chunk);
             addr += chunk;
             dst += chunk;
             len -= chunk;
@@ -104,10 +113,16 @@ class OracleView final : public PmContext
 
     McMachine &machine;
 
-    /** The last observed line and its bytes (nullptr: zeros). Line
-     *  bases are 64-byte aligned, so the all-ones start never hits. */
-    Addr memoLine = ~Addr{0};
-    const std::uint8_t *memoBytes = nullptr;
+    /** One observed line and its bytes (nullptr: zeros). Line bases
+     *  are 64-byte aligned, so the all-ones start never hits. */
+    struct Memo
+    {
+        Addr line = ~Addr{0};
+        const std::uint8_t *bytes = nullptr;
+    };
+
+    /** Observed lines, direct-mapped by line number. */
+    std::array<Memo, 256> memos{};
 };
 
 } // namespace slpmt

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -66,12 +67,13 @@ class FirstFailure final : public VerifySink
 /** Committed keys and the values a structure must hold for them. */
 using Shadow = std::map<std::uint64_t, std::vector<std::uint8_t>>;
 
-/** A Shadow entry's value. A state that keeps a recipe per key instead
- *  (the service's) overloads this to rebuild the bytes. */
-inline const std::vector<std::uint8_t> &
-expectedValue(std::uint64_t, const std::vector<std::uint8_t> &value)
+/** Whether @p got is a Shadow entry's value. A state that keeps a
+ *  recipe per key instead (the service's) overloads this. */
+inline bool
+isExpected(const std::vector<std::uint8_t> &got, std::uint64_t,
+           const std::vector<std::uint8_t> &value)
 {
-    return value;
+    return got == value;
 }
 
 /** A key as printed in violation lines. */
@@ -135,7 +137,9 @@ struct Unwritten
 /**
  * Read @p st back against @p want and write every failure to @p sink
  * (checks and order in the file comment). @p want iterates ascending
- * (key, value) pairs, each value given to expectedValue(key, value).
+ * (key, value) pairs, each value given to isExpected(got, key, value).
+ * Each part is read through one OracleView per call, and each expected
+ * key is routed to its part once.
  */
 template <typename Expected>
 void
@@ -144,25 +148,32 @@ verifyStructure(const VerifiedStructure &st, const Expected &want,
 {
     const InterruptedWrite *const iw = crash.interrupted;
     const bool sharded = static_cast<bool>(st.shardOf);
+
+    // Expected keys per part, each entry's part (sharded only), and
+    // whether the interrupted key is fresh: only a fresh key may add
+    // one to its part's count.
+    std::vector<std::size_t> expected(st.parts.size(), want.size());
+    std::vector<std::uint32_t> route;
+    bool fresh = iw != nullptr;
+    if (sharded || iw) {
+        std::fill(expected.begin(), expected.end(), 0);
+        route.reserve(sharded ? want.size() : 0);
+        for (const auto &[key, value] : want) {
+            const std::size_t s = sharded ? st.shardOf(key) : 0;
+            if (sharded)
+                route.push_back(static_cast<std::uint32_t>(s));
+            expected[s]++;
+            fresh = fresh && key != iw->key;
+        }
+    }
     const auto partOf = [&](std::uint64_t key) -> std::size_t {
         return sharded ? st.shardOf(key) : 0;
     };
 
-    // Expected keys per part, and whether the interrupted key is fresh:
-    // only a fresh key may add one to its part's count.
-    std::vector<std::size_t> expected(st.parts.size(), want.size());
-    bool fresh = iw != nullptr;
-    if (sharded || iw) {
-        std::fill(expected.begin(), expected.end(), 0);
-        for (const auto &[key, value] : want) {
-            expected[partOf(key)]++;
-            fresh = fresh && key != iw->key;
-        }
-    }
-
+    std::deque<OracleView> views;
     std::vector<std::uint8_t> got;
     for (std::size_t s = 0; s < st.parts.size(); ++s) {
-        OracleView view(*st.parts[s].first);
+        OracleView &view = views.emplace_back(*st.parts[s].first);
         Workload &wl = *st.parts[s].second;
         const std::string where =
             sharded ? "shard " + std::to_string(s) + " " : "";
@@ -179,8 +190,9 @@ verifyStructure(const VerifiedStructure &st, const Expected &want,
                      std::to_string(expected[s]) +
                      (slack ? " (+1 allowed)" : ""));
 
+        std::size_t entry = 0;
         for (const auto &[key, value] : want) {
-            if (sharded && partOf(key) != s)
+            if (sharded && route[entry++] != s)
                 continue;
             got.clear();
             if (iw && key == iw->key) {
@@ -188,8 +200,7 @@ verifyStructure(const VerifiedStructure &st, const Expected &want,
                 if (!wl.lookup(view, key, &got))
                     sink.add(where + "interrupted key " + hexKey(key) +
                              " lost its committed value");
-                else if (got != expectedValue(key, value) &&
-                         got != iw->value)
+                else if (!isExpected(got, key, value) && got != iw->value)
                     sink.add(where + "interrupted key " + hexKey(key) +
                              " holds neither old nor new value");
                 continue;
@@ -197,7 +208,7 @@ verifyStructure(const VerifiedStructure &st, const Expected &want,
             if (!wl.lookup(view, key, &got))
                 sink.add(where + "committed key " + hexKey(key) +
                          " missing");
-            else if (got != expectedValue(key, value))
+            else if (!isExpected(got, key, value))
                 sink.add(where + "value mismatch for committed key " +
                          hexKey(key));
         }
@@ -218,8 +229,7 @@ verifyStructure(const VerifiedStructure &st, const Expected &want,
             (iw && key == iw->key))
             continue;
         const std::size_t s = partOf(key);
-        OracleView view(*st.parts[s].first);
-        if (st.parts[s].second->lookup(view, key, nullptr))
+        if (st.parts[s].second->lookup(views[s], key, nullptr))
             sink.add(std::string(crash.label) + " key " + hexKey(key) +
                      " visible" +
                      (sharded ? " on shard " + std::to_string(s) : ""));

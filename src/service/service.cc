@@ -136,12 +136,16 @@ applyShardOp(PmContext &ctx, Workload &wl, const ShardOp &op)
 }
 
 void
-commitToShadow(SvcShadow &shadow, std::span<const ShardOp> ops)
+commitToShadow(SvcShadow &shadow, std::span<const ShardOp> ops,
+               std::span<const std::vector<std::uint8_t>> bytes)
 {
     const auto old_end = static_cast<std::ptrdiff_t>(shadow.size());
-    for (const ShardOp &op : ops) {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const ShardOp &op = ops[i];
         if (op.isMutation())
-            shadow.push_back({op.key, {op.valueSalt, op.valueBytes}});
+            shadow.push_back({op.key,
+                              {op.valueSalt, op.valueBytes,
+                               bytes.empty() ? nullptr : &bytes[i]}});
     }
     // Both sorts are stable, so each key's entries stay in write order,
     // and a unique pass from the back keeps each key's last.

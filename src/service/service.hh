@@ -81,18 +81,24 @@ struct ShardOpOutcome
 ShardOpOutcome applyShardOp(PmContext &ctx, Workload &wl,
                             const ShardOp &op);
 
-/** A committed key's value, as the recipe svcValueFor() rebuilds. */
+/** A committed key's value: the recipe svcValueFor() rebuilds, or the
+ *  bytes a caller built once ahead (a crash sweep's per-op table). */
 struct SvcValue
 {
     std::uint64_t valueSalt = 0;
     std::uint32_t valueBytes = 0;
+    const std::vector<std::uint8_t> *bytes = nullptr;  //!< nullptr: rebuild
 };
 
-/** The verifier's bytes for a service shadow entry. */
-inline std::vector<std::uint8_t>
-expectedValue(std::uint64_t key, const SvcValue &value)
+/** Whether @p got is a service shadow entry's value (the verifier's
+ *  test; see isExpected() in multicore/verifier.hh). */
+inline bool
+isExpected(const std::vector<std::uint8_t> &got, std::uint64_t key,
+           const SvcValue &value)
 {
-    return svcValueFor(key, value.valueSalt, value.valueBytes);
+    return value.bytes
+               ? got == *value.bytes
+               : got == svcValueFor(key, value.valueSalt, value.valueBytes);
 }
 
 /** The committed keys with their value recipes, ascending by key: a
@@ -101,8 +107,10 @@ expectedValue(std::uint64_t key, const SvcValue &value)
 using SvcShadow = std::vector<std::pair<std::uint64_t, SvcValue>>;
 
 /** Fold the writes of @p ops, in order, into @p shadow: the last write
- *  of each key wins. */
-void commitToShadow(SvcShadow &shadow, std::span<const ShardOp> ops);
+ *  of each key wins. @p bytes, when given, holds each op's value bytes
+ *  (parallel to @p ops), which the entries then point at. */
+void commitToShadow(SvcShadow &shadow, std::span<const ShardOp> ops,
+                    std::span<const std::vector<std::uint8_t>> bytes = {});
 
 /**
  * Bucket bounds of the service latency histograms: geometric with

@@ -8,13 +8,14 @@
  * The generated request stream is lowered to its arrival-ordered
  * (shard, op) dispatch list; a master run executes it once across the
  * shard machines, counting store/storeT instructions in one *global*
- * ordinal space (the sum over shards). Its fork bases sit at request
+ * ordinal space (the sum over shards). Its bases sit at request
  * boundaries and hold one MachineCheckpoint plus one workload clone
  * per shard, and the oracle's shadow of the requests before the
- * boundary. Each point replays the dispatch tail, arms the
- * store-level crash on the shard executing the interrupted request,
- * and power-fails the *whole service* — every shard machine — at
- * exactly that store.
+ * boundary. A walker replays the dispatch list from a base, arming the
+ * store-level countdown on the shard executing each request; at a
+ * point's store it forks every shard into the point, which
+ * power-fails the *whole service* — every shard machine — at exactly
+ * that store. Each mutation's value bytes are built once per sweep.
  *
  * Recovery then runs per shard (hardware log replay + the workload's
  * user-level recovery) and is validated against the last-write-wins

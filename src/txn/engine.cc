@@ -10,7 +10,7 @@ TxnEngine::TxnEngine(const SchemeConfig &scheme, LoggingStyle style,
                      const AddressMap &map, CacheHierarchy &hier,
                      PmDevice &pm, StatsRegistry &stats, Addr log_base,
                      Bytes log_size, std::uint64_t &seq_counter,
-                     std::uint64_t &crash_countdown)
+                     CrashCountdown &crash_countdown)
     : schemeCfg(scheme),
       loggingStyle(style),
       addrMap(map),
@@ -354,9 +354,12 @@ void
 TxnEngine::storeT(Addr addr, const void *src, std::size_t len,
                   StoreFlags flags)
 {
-    if (crashCountdown > 0 && --crashCountdown == 0) {
-        crash();
-        throw CrashInjected();
+    if (crashCountdown.stores > 0 && --crashCountdown.stores == 0) {
+        if (!crashCountdown.hook) {
+            crash();
+            throw CrashInjected();
+        }
+        crashCountdown.hook->atArmedStore();
     }
 
     const bool is_storeT = flags.lazy || flags.logFree;

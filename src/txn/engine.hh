@@ -64,6 +64,30 @@ class CrashInjected : public std::exception
     }
 };
 
+/** What an armed countdown calls instead of crashing (CrashCountdown). */
+class ForkHook
+{
+  public:
+    /** The armed store is reached; it executes once this returns. */
+    virtual void atArmedStore() = 0;
+
+  protected:
+    ~ForkHook() = default;
+};
+
+/**
+ * A machine's crash-after-N-stores register, shared by its engines so
+ * the machine stops at a global store ordinal. Reaching zero at the top
+ * of a store either crashes the engine and throws CrashInjected (no
+ * hook) or calls the hook, after which the store proceeds (a crash
+ * sweep forks its point there).
+ */
+struct CrashCountdown
+{
+    std::uint64_t stores = 0;  //!< stores until it fires; 0 = disarmed
+    ForkHook *hook = nullptr;  //!< nullptr: crash in place
+};
+
 /** Fixed instruction overheads of the timing model. */
 struct EngineCosts
 {
@@ -99,15 +123,17 @@ class TxnEngine final
      *        shared by its engines so (txn ID, txn seq) pairs stay
      *        globally unique.
      * @param crash_countdown The machine's crash-after-N-stores
-     *        countdown, shared by its engines so the machine crashes
-     *        at a global store ordinal (0 = disarmed). When it reaches
-     *        zero on a store, the engine crashes and throws
-     *        CrashInjected, unwinding the workload mid-transaction.
+     *        countdown, shared by its engines so the machine stops at
+     *        a global store ordinal (0 = disarmed). When it reaches
+     *        zero on a store without a hook, the engine crashes and
+     *        throws CrashInjected, unwinding the workload
+     *        mid-transaction; with one, the hook runs first and the
+     *        store then proceeds.
      */
     TxnEngine(const SchemeConfig &scheme, LoggingStyle style,
               const AddressMap &map, CacheHierarchy &hier, PmDevice &pm,
               StatsRegistry &stats, Addr log_base, Bytes log_size,
-              std::uint64_t &seq_counter, std::uint64_t &crash_countdown);
+              std::uint64_t &seq_counter, CrashCountdown &crash_countdown);
 
     TxnEngine(const TxnEngine &) = delete;
     TxnEngine &operator=(const TxnEngine &) = delete;
@@ -381,7 +407,7 @@ class TxnEngine final
 
     /** The machine's shared counters (see the constructor). */
     std::uint64_t &seqCounter;
-    std::uint64_t &crashCountdown;
+    CrashCountdown &crashCountdown;
 
     /** A remoteObserve() probe is running: attribute forced lazy
      *  drains to the cross-core counters. */

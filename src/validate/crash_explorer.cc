@@ -110,19 +110,19 @@ CoreTarget::runMaster(MasterSink &sink)
     return sys.engine().storesExecuted() - start;
 }
 
-/** One machine replaying the trace from a base (or from setup). */
+/** One machine walking the trace from a base (or from setup), or a
+ *  point forked from one. */
 class CorePoint final : public SweepPoint
 {
   public:
     explicit CorePoint(const CoreTarget &target) : target(target) {}
 
     void
-    fork(const SweepBase *from, std::uint64_t crash_point) override
+    restore(const SweepBase *from) override
     {
-        crashPoint = crash_point;
         const auto *base = static_cast<const CoreBase *>(from);
-        // A point with no base is the from-scratch reference: it runs
-        // on a fresh machine.
+        // A walk with no base is the from-scratch reference: it runs on
+        // a fresh machine.
         if (!base || !machine)
             machine.emplace(systemFor(target.cfg));
         if (base) {
@@ -130,40 +130,52 @@ class CorePoint final : public SweepPoint
             wl = base->workload->clone();
             shadow = base->shadow;
             nextOp = base->nextOp;
-            armStores = crash_point > 0 ? crash_point - base->storesAt : 0;
+            startStores = base->storesAt;
         } else {
             wl = makeWorkload(target.cfg.workload);
             wl->setup(*machine);
             shadow.clear();
             nextOp = 0;
-            armStores = crash_point;
+            startStores = 0;
         }
     }
 
     bool
-    tail(CrashPointOutcome &out) override
+    walk(SweepWalk &walk) override
     {
-        PmSystem &sys = *machine;
-        out.committedOps = nextOp;
-        if (armStores > 0)
-            sys.armCrashAfterStores(armStores);
-        for (std::size_t i = nextOp; i < target.trace.size(); ++i) {
+        walk.enter(machine->countdown(), startStores);
+        for (; nextOp < target.trace.size(); ++nextOp) {
             try {
-                applyOp(sys, *wl, target.trace[i], shadow);
+                applyOp(*machine, *wl, target.trace[nextOp], shadow);
             } catch (const CrashInjected &) {
-                out.fired = true;
-                break;
+                return true;
             }
-            ++out.committedOps;
         }
-        sys.armCrashAfterStores(0);
+        return false;
+    }
 
-        // A point past the last store (or the explicit post-completion
-        // point 0): power off after the trace, with any lazily
-        // persistent data still volatile in the caches.
-        if (!out.fired)
-            sys.crash();
-        return true;
+    void
+    forkFrom(SweepPoint &from) override
+    {
+        auto &walker = static_cast<CorePoint &>(from);
+        if (!machine)
+            machine.emplace(systemFor(target.cfg));
+        MachineCheckpoint::capture(*walker.machine).restore(*machine);
+        wl = walker.wl->clone();
+        shadow = walker.shadow;
+        nextOp = walker.nextOp;
+    }
+
+    void
+    progress(CrashPointOutcome &out) const override
+    {
+        out.committedOps = nextOp;
+    }
+
+    void
+    forEachMachine(const std::function<void(McMachine &)> &fn) override
+    {
+        fn(*machine);
     }
 
     /** Either stage may be skipped by the config's fault injection. */
@@ -212,12 +224,11 @@ class CorePoint final : public SweepPoint
 
   private:
     const CoreTarget &target;
-    std::optional<PmSystem> machine;  //!< built by the first fork
+    std::optional<PmSystem> machine;  //!< built on first use
     std::unique_ptr<Workload> wl;
     Shadow shadow;
-    std::uint64_t crashPoint = 0;
-    std::size_t nextOp = 0;
-    std::uint64_t armStores = 0;
+    std::size_t nextOp = 0;  //!< the first trace op not yet completed
+    std::uint64_t startStores = 0;  //!< run stores at the walk's base
 };
 
 std::unique_ptr<SweepPoint>
@@ -239,7 +250,7 @@ CrashPointOutcome
 runCrashPoint(const CrashSweepConfig &cfg, std::uint64_t crash_point)
 {
     const CoreTarget target(cfg);
-    return target.runPoint(*target.newPoint(), nullptr, crash_point);
+    return runSweepPoint(target, crash_point);
 }
 
 CrashSweepReport

@@ -7,9 +7,10 @@
  * persistency recovers a consistent state from *any* power-failure
  * point. This target validates that systematically instead of via
  * hand-picked points: a seeded YCSB-style mixed trace runs once on a
- * master machine, whose op boundaries are the fork bases; each crash
- * point replays the trace up to exactly that store, injects the power
- * failure, runs hardware recovery (undo/redo replay) plus the
+ * master machine, whose op boundaries are the bases; a walker replays
+ * the trace from a base and forks each crash point at exactly its
+ * store, where the point takes the power failure (the whole machine,
+ * DRAM included), runs hardware recovery (undo/redo replay) plus the
  * workload's user-level recovery, and checks the surviving state
  * against a shadow map updated op by op:
  *

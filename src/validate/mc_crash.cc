@@ -150,47 +150,62 @@ McTarget::runMaster(MasterSink &sink)
     return run.machine.storesExecuted() - start;
 }
 
-/** One interleaving resumed from a base (or from setup); the shadow is
- *  the commit log the tail leaves behind. */
+/** One interleaving walked from a base (or from setup), or a point
+ *  forked from one; the shadow is the commit log as of the stop. */
 class McPoint final : public SweepPoint
 {
   public:
     explicit McPoint(const McTarget &target) : target(target) {}
 
     void
-    fork(const SweepBase *from, std::uint64_t crash_point) override
+    restore(const SweepBase *from) override
     {
         base = static_cast<const McBase *>(from);
-        crashPoint = crash_point;
-        // A point with no base is the from-scratch reference: it runs
-        // on a fresh machine.
+        // A walk with no base is the from-scratch reference: it runs on
+        // a fresh machine.
         if (!base || !run)
             run.emplace(target.rc);
         run->start(target.rc, target.streams, base);
-        shadow.clear();
+        committed = 0;
     }
 
     bool
-    tail(CrashPointOutcome &out) override
+    walk(SweepWalk &walk) override
     {
         McMachine &machine = run->machine;
-        if (crashPoint > 0)
-            machine.armCrashAfterStores(crashPoint -
-                                        (base ? base->storesAt : 0));
+        walk.enter(machine.countdown(), base ? base->storesAt : 0);
         const McScheduleResult res =
             base ? runInterleavedFrom(machine, run->ptrs, target.rc.sched,
                                       base->sched)
                  : runInterleaved(machine, run->ptrs, target.rc.sched);
-        machine.armCrashAfterStores(0);
-        out.fired = res.crashed;
-        out.committedOps = run->commitLog.size();
-
-        // Power off after the run when the armed point never fired
-        // (or for the explicit post-completion sentinel).
-        if (!res.crashed)
-            machine.crash();
+        committed = run->commitLog.size();
         shadow = shadowOf(run->commitLog);
-        return true;
+        return res.crashed;
+    }
+
+    /** A point copies no drivers: only the walker runs the streams. */
+    void
+    forkFrom(SweepPoint &from) override
+    {
+        auto &walker = static_cast<McPoint &>(from);
+        if (!run)
+            run.emplace(target.rc);
+        MachineCheckpoint::capture(walker.run->machine).restore(run->machine);
+        run->wl = walker.run->wl->clone();
+        committed = walker.run->commitLog.size();
+        shadow = shadowOf(walker.run->commitLog);
+    }
+
+    void
+    progress(CrashPointOutcome &out) const override
+    {
+        out.committedOps = committed;
+    }
+
+    void
+    forEachMachine(const std::function<void(McMachine &)> &fn) override
+    {
+        fn(run->machine);
     }
 
     /** Every core's log slice, then the workload's user-level recovery
@@ -238,9 +253,9 @@ class McPoint final : public SweepPoint
 
   private:
     const McTarget &target;
-    const McBase *base = nullptr;
-    std::uint64_t crashPoint = 0;
-    std::optional<Interleaving> run;  //!< built by the first fork
+    const McBase *base = nullptr;  //!< the walk's base (nullptr: setup)
+    std::optional<Interleaving> run;  //!< built on first use
+    std::size_t committed = 0;  //!< commit-log entries as of the stop
     Shadow shadow;
 };
 
@@ -263,7 +278,7 @@ McCrashPointOutcome
 runMcCrashPoint(const McCrashSweepConfig &cfg, std::uint64_t crash_point)
 {
     const McTarget target(cfg);
-    return target.runPoint(*target.newPoint(), nullptr, crash_point);
+    return runSweepPoint(target, crash_point);
 }
 
 McCrashSweepReport

@@ -1,6 +1,7 @@
 #include "service/service_crash.hh"
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <ranges>
@@ -116,7 +117,8 @@ class ServiceTarget final : public SweepTarget
           cfg(cfg), router(cfg.numShards, cfg.routerSalt),
           dispatch(buildDispatch(svcGenerate(cfg.load))),
           writtenKeys(runKeySet(dispatch | std::views::filter(
-                                             &ShardOp::isMutation)))
+                                             &ShardOp::isMutation))),
+          opBytes(buildBytes(dispatch))
     {}
 
     std::uint64_t runMaster(MasterSink &sink) override;
@@ -130,6 +132,10 @@ class ServiceTarget final : public SweepTarget
      *  shadow lacks, only later requests write. */
     const std::vector<std::uint64_t> writtenKeys;
 
+    /** Each dispatch mutation's value bytes, built once for every
+     *  oracle of the sweep (empty for reads). */
+    const std::vector<std::vector<std::uint8_t>> opBytes;
+
     /**
      * Global stores completed before dispatch op i, written by the
      * master; the extra final entry is the whole run's store count.
@@ -137,6 +143,18 @@ class ServiceTarget final : public SweepTarget
     std::vector<std::uint64_t> opStart;
 
   private:
+    static std::vector<std::vector<std::uint8_t>>
+    buildBytes(const std::vector<ShardOp> &dispatch)
+    {
+        std::vector<std::vector<std::uint8_t>> bytes(dispatch.size());
+        for (std::size_t i = 0; i < dispatch.size(); ++i) {
+            const ShardOp &op = dispatch[i];
+            if (op.isMutation())
+                bytes[i] = svcValueFor(op.key, op.valueSalt, op.valueBytes);
+        }
+        return bytes;
+    }
+
     static SweepIdentity
     identity(const ServiceCrashConfig &cfg)
     {
@@ -162,8 +180,9 @@ ServiceTarget::runMaster(MasterSink &sink)
         opStart[i] = stores;
         std::unique_ptr<SvcBase> base;
         if (sink.wantsBase(stores)) {
-            commitToShadow(shadow, std::span(dispatch).subspan(
-                                       folded, i - folded));
+            commitToShadow(shadow,
+                           std::span(dispatch).subspan(folded, i - folded),
+                           std::span(opBytes).subspan(folded, i - folded));
             folded = i;
             base = std::make_unique<SvcBase>(set, shadow, i);
         }
@@ -175,9 +194,10 @@ ServiceTarget::runMaster(MasterSink &sink)
 }
 
 /**
- * Every shard replaying the dispatch tail from a base (or from setup).
- * The tail leaves the oracle's inputs: the shadow of the completed
- * request prefix and the write the crash unwound.
+ * Every shard walking the dispatch list from a base (or from setup), or
+ * a point forked from them. The walk leaves the oracle's inputs at its
+ * stop: the shadow of the completed request prefix and the write the
+ * stop interrupted.
  */
 class SvcPoint final : public SweepPoint
 {
@@ -187,12 +207,11 @@ class SvcPoint final : public SweepPoint
     {}
 
     void
-    fork(const SweepBase *from, std::uint64_t crash_point) override
+    restore(const SweepBase *from) override
     {
         const auto *base = static_cast<const SvcBase *>(from);
-        crashPoint = crash_point;
-        // A point with no base is the from-scratch reference: it runs
-        // on fresh machines.
+        // A walk with no base is the from-scratch reference: it runs on
+        // fresh machines.
         if (!base || set.machines.empty())
             set = makeShards(target.cfg, base == nullptr);
         if (base) {
@@ -206,56 +225,70 @@ class SvcPoint final : public SweepPoint
             shadow.clear();
             at = 0;
         }
+        folded = at;
         interrupted.reset();
-        fresh.clear();
     }
 
+    /** Each op's shard enters the walk with the op's stores; the last
+     *  op's range is open, so a point past the run's last store arms it
+     *  and never fires. */
     bool
-    tail(CrashPointOutcome &out) override
+    walk(SweepWalk &walk) override
     {
         const std::vector<ShardOp> &dispatch = target.dispatch;
         const std::vector<std::uint64_t> &op_start = target.opStart;
-        std::size_t completed = dispatch.size();
-        if (crashPoint == 0) {
-            // Post-completion point: run out, then power off with
-            // lazy data still volatile.
-            set.replay(router, dispatch, at, dispatch.size());
-        } else {
-            // The dispatch op executing global store crashPoint: the
-            // last one starting below it (zero-store requests can
-            // never hold a point). A point past the run's last store
-            // arms the last op, whose crash then does not fire.
-            completed = at;
-            while (completed + 2 < op_start.size() &&
-                   op_start[completed + 1] < crashPoint)
-                ++completed;
-            set.replay(router, dispatch, at, completed);
-
-            const ShardOp &op = dispatch.at(completed);
-            if (op.isMutation())
-                interrupted = InterruptedWrite{
-                    op.key, svcValueFor(op.key, op.valueSalt, op.valueBytes)};
-            out.crashShard = router.shardOf(op.key);
-            McMachine &machine = *set.machines[out.crashShard];
-            machine.armCrashAfterStores(crashPoint - op_start[completed]);
+        bool crashed = false;
+        for (; at < dispatch.size(); ++at) {
+            const std::size_t s = router.shardOf(dispatch[at].key);
+            walk.enter(set.machines[s]->countdown(), op_start[at],
+                       at + 1 < dispatch.size() ? op_start[at + 1]
+                                                : SweepWalk::unbounded);
             try {
-                applyShardOp(machine.context(0),
-                             *set.workloads[out.crashShard], op);
+                applyShardOp(set.machines[s]->context(0), *set.workloads[s],
+                             dispatch[at]);
             } catch (const CrashInjected &) {
-                out.fired = true;
+                crashed = true;
+                break;
             }
-            machine.armCrashAfterStores(0);
         }
-        out.committedOps = completed;
+        settle();
+        return crashed;
+    }
 
-        // Power failure is service-wide: every shard machine goes down,
-        // the one that fired included (its engine crashed only itself).
+    void
+    forkFrom(SweepPoint &from) override
+    {
+        auto &walker = static_cast<SvcPoint &>(from);
+        walker.settle();
+        if (set.machines.empty())
+            set = makeShards(target.cfg, false);
+        for (std::size_t s = 0; s < target.cfg.numShards; ++s) {
+            MachineCheckpoint::capture(*walker.set.machines[s])
+                .restore(*set.machines[s]);
+            set.workloads[s] = walker.set.workloads[s]->clone();
+        }
+        shadow = walker.shadow;
+        at = folded = walker.at;
+        interrupted = walker.interrupted;
+    }
+
+    /** A stop inside a request names that request's shard; the
+     *  post-completion point names shard 0. */
+    void
+    progress(CrashPointOutcome &out) const override
+    {
+        out.committedOps = at;
+        if (at < target.dispatch.size())
+            out.crashShard = router.shardOf(target.dispatch[at].key);
+    }
+
+    /** Power failure is service-wide: every shard machine goes down,
+     *  the one whose store fired included. */
+    void
+    forEachMachine(const std::function<void(McMachine &)> &fn) override
+    {
         for (auto &machine : set.machines)
-            machine->crash();
-
-        commitToShadow(shadow,
-                       std::span(dispatch).subspan(at, completed - at));
-        return crashPoint == 0 || out.fired;
+            fn(*machine);
     }
 
     /** Hardware log replay, then the workload's user-level recovery,
@@ -290,6 +323,7 @@ class SvcPoint final : public SweepPoint
     continueRun(std::size_t ops) override
     {
         Rng rng(mix64(target.cfg.load.seed) ^ (crashPoint + 1));
+        fresh.clear();
         for (std::size_t i = 0; i < ops; ++i) {
             const std::uint64_t key =
                 (std::uint64_t{1} << 61) |
@@ -301,16 +335,18 @@ class SvcPoint final : public SweepPoint
         }
     }
 
-    /** The fresh keys read back. */
+    /** The fresh keys read back, through one view per shard. */
     void
     checkContinuation(OracleLines &lines) override
     {
+        std::deque<OracleView> views;
+        for (const auto &machine : set.machines)
+            views.emplace_back(*machine);
         std::vector<std::uint8_t> got;
         for (std::uint64_t key : fresh) {
             const std::size_t s = router.shardOf(key);
-            OracleView view(*set.machines[s]);
             got.clear();
-            if (!set.workloads[s]->lookup(view, key, &got) ||
+            if (!set.workloads[s]->lookup(views[s], key, &got) ||
                 got != ycsbValueFor(key, 64))
                 lines.add("fresh key " + hexKey(key) +
                           " unreadable on shard " + std::to_string(s));
@@ -322,11 +358,29 @@ class SvcPoint final : public SweepPoint
     void stats(std::vector<std::uint64_t> &) const override {}
 
   private:
+    /** Fold the requests completed since the last fold into the shadow
+     *  and name the write the stop interrupted (none past the end). */
+    void
+    settle()
+    {
+        const std::vector<ShardOp> &dispatch = target.dispatch;
+        if (at > folded)
+            commitToShadow(shadow,
+                           std::span(dispatch).subspan(folded, at - folded),
+                           std::span(target.opBytes)
+                               .subspan(folded, at - folded));
+        folded = at;
+        interrupted.reset();
+        if (at < dispatch.size() && dispatch[at].isMutation())
+            interrupted = InterruptedWrite{dispatch[at].key,
+                                           target.opBytes[at]};
+    }
+
     const ServiceTarget &target;
     const ShardRouter &router;
-    ShardSet set;  //!< machines built by the first fork
-    std::uint64_t crashPoint = 0;
-    std::size_t at = 0;  //!< first dispatch op the tail applies
+    ShardSet set;  //!< machines built on first use
+    std::size_t at = 0;      //!< the first dispatch op not yet completed
+    std::size_t folded = 0;  //!< ops before it are in the shadow
     std::optional<InterruptedWrite> interrupted;  //!< a mutation only
     SvcShadow shadow;
     std::vector<std::uint64_t> fresh;  //!< continueRun()'s keys
@@ -344,10 +398,10 @@ ServiceCrashPointOutcome
 runServiceCrashPoint(const ServiceCrashConfig &cfg,
                      std::uint64_t crash_point)
 {
-    // The from-scratch point needs the master's op boundaries.
+    // The walk needs the master's op boundaries.
     ServiceTarget target(cfg);
     countStores(target);
-    return target.runPoint(*target.newPoint(), nullptr, crash_point);
+    return runSweepPoint(target, crash_point);
 }
 
 ServiceCrashSweepReport

@@ -1,10 +1,13 @@
 #include "validate/sweep_engine.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <iterator>
 #include <mutex>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <string_view>
 
 #include "common/rng.hh"
@@ -261,10 +264,10 @@ class BaseChain final : public MasterSink
         }
     }
 
-    /** The base point @p k forks: the last one strictly below k, so
-     *  the armed countdown sees at least one store (point 0 runs after
-     *  the last store, so every base lies below it). nullptr when none
-     *  does: the point runs from scratch. */
+    /** The base a walk to point @p k restores: the last one strictly
+     *  below k, so the armed countdown sees at least one store (point 0
+     *  runs after the last store, so every base lies below it).
+     *  nullptr when none does: the walk starts from setup. */
     const SweepBase *
     baseFor(std::uint64_t k) const
     {
@@ -319,79 +322,64 @@ enumeratePoints(std::uint64_t total, const SweepOptions &opts,
     return points;
 }
 
-} // namespace
+/** Most consecutive points one ticket hands out: enough to walk far
+ *  between restores, few enough that four workers draw many chunks of
+ *  an exhaustive sweep and stay balanced. */
+constexpr std::size_t chunkCap = 32;
 
-CrashPointOutcome
-SweepTarget::runPoint(SweepPoint &point, const SweepBase *base,
-                      std::uint64_t crash_point) const
+/** What the points of one sweep share: the stat-name table and the
+ *  host time per pipeline step. */
+class SweepLedger
 {
-    CrashPointOutcome out;
-    out.crashPoint = crash_point;
-    const std::string tuple = reproTuple(id, crash_point);
+  public:
+    /** The name table, built from @p point's names on first use;
+     *  panics on a duplicate name. */
+    const std::vector<std::string> &statTable(const SweepPoint &point);
 
-    // Each lap charges the time since the previous one to a step.
-    using Clock = std::chrono::steady_clock;
-    Clock::time_point last = Clock::now();
-    auto lap = [&](PointStep step) {
-        const Clock::time_point now = Clock::now();
-        stepNs[static_cast<std::size_t>(step)] += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(now - last)
-                .count());
-        last = now;
-    };
-
-    try {
-        point.fork(base, crash_point);
-        lap(PointStep::Fork);
-        if (!point.tail(out))
-            out.violations.push_back(
-                tuple + " armed crash did not fire (stores at " +
-                std::to_string(base ? base->storesAt : 0) + ")");
-        lap(PointStep::Tail);
-
-        out.replayedRecords = point.recover();
-        lap(PointStep::Recover);
-        OracleLines post(tuple, "post-recovery", out.violations);
-        point.check(post);
-        lap(PointStep::Oracle);
-
-        // Recovery must be idempotent: a second replay finds an empty
-        // log and a second user-level pass changes nothing.
-        const std::size_t again = point.recover();
-        lap(PointStep::Recover);
-        if (again != 0)
-            out.violations.push_back(
-                tuple +
-                " idempotence: second hardware recovery replayed " +
-                std::to_string(again) + " records");
-        OracleLines idem(tuple, "idempotence", out.violations);
-        point.check(idem);
-        lap(PointStep::Oracle);
-
-        // The recovered structure must keep working.
-        point.continueRun(continuationOps);
-        lap(PointStep::Continue);
-        OracleLines cont(tuple, "continuation", out.violations);
-        point.checkContinuation(cont);
-        lap(PointStep::Oracle);
-
-        const std::vector<std::string> &table = statTable(point);
-        out.stats.reserve(table.size());
-        point.stats(out.stats);
-        if (out.stats.size() != table.size())
-            panic("point dumped " + std::to_string(out.stats.size()) +
-                  " stats values for the sweep's " +
-                  std::to_string(table.size()) + " names");
-        lap(PointStep::Stats);
-    } catch (const std::exception &e) {
-        out.stats.clear();
-        out.violations.push_back(tuple + " exception: " + e.what());
+    void
+    charge(PointStep step, std::uint64_t ns)
+    {
+        stepNs[static_cast<std::size_t>(step)] += ns;
     }
-    return out;
+
+    /** The name table once the points have run (empty if none
+     *  dumped its stats). */
+    const std::vector<std::string> &names() const { return table; }
+
+    std::array<double, numPointSteps> stepMs() const;
+
+  private:
+    std::mutex namesMtx;
+    bool namesBuilt = false;         //!< guarded by namesMtx
+    std::vector<std::string> table;  //!< written under namesMtx
+
+    /** Nanoseconds per pipeline step, added to by concurrent points. */
+    std::array<std::atomic<std::uint64_t>, numPointSteps> stepNs{};
+};
+
+const std::vector<std::string> &
+SweepLedger::statTable(const SweepPoint &point)
+{
+    // Once built, the table never changes, so callers read it unlocked.
+    // A rejected table stays unbuilt: every later point is rejected too.
+    std::lock_guard<std::mutex> lock(namesMtx);
+    if (!namesBuilt) {
+        std::vector<std::string> names;
+        point.statNames(names);
+        std::vector<std::string_view> sorted(names.begin(), names.end());
+        std::sort(sorted.begin(), sorted.end());
+        const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+        if (dup != sorted.end())
+            panic("stat '" + std::string(*dup) +
+                  "' appears twice in the sweep's name table");
+        table = std::move(names);
+        namesBuilt = true;
+    }
+    return table;
 }
 
 std::array<double, numPointSteps>
-SweepTarget::stepMs() const
+SweepLedger::stepMs() const
 {
     std::array<double, numPointSteps> ms{};
     for (std::size_t i = 0; i < numPointSteps; ++i)
@@ -399,26 +387,242 @@ SweepTarget::stepMs() const
     return ms;
 }
 
-const std::vector<std::string> &
-SweepTarget::statTable(const SweepPoint &point) const
+/**
+ * One sweep thread's walker and point, walking a chunk of points at a
+ * time (file comment). Without forks (the audit and single-point runs)
+ * the walker crashes in place at its point and is its own point.
+ */
+class ChunkWalker final : public SweepWalk, public ForkHook
 {
-    // Once built, the table never changes, so callers read it unlocked.
-    // A rejected table stays unbuilt: every later point is rejected too.
-    std::lock_guard<std::mutex> lock(namesMtx);
-    if (!namesBuilt) {
-        std::vector<std::string> table;
-        point.statNames(table);
-        std::vector<std::string_view> sorted(table.begin(), table.end());
-        std::sort(sorted.begin(), sorted.end());
-        const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
-        if (dup != sorted.end())
-            panic("stat '" + std::string(*dup) +
-                  "' appears twice in the sweep's name table");
-        names = std::move(table);
-        namesBuilt = true;
-    }
-    return names;
+  public:
+    ChunkWalker(const SweepTarget &target, SweepLedger &ledger,
+                const BaseChain &chain, bool forks)
+        : target(target), ledger(ledger), chain(chain), forks(forks)
+    {}
+
+    /** Run the chunk @p points (ascending, but for a final 0), writing
+     *  each point's outcome to the same index of @p outs. */
+    void run(std::span<const std::uint64_t> points,
+             std::span<CrashPointOutcome> outs);
+
+    void enter(CrashCountdown &cd, std::uint64_t from,
+               std::uint64_t to) override;
+
+    /** The walker is at the top of the next point's store: fork the
+     *  point and run it, then walk on to the next one or end the walk
+     *  (the walker crashes and unwinds). */
+    void atArmedStore() override;
+
+  private:
+    using Clock = std::chrono::steady_clock;
+
+    /** Charge the time since the previous lap to @p step. */
+    void lap(PointStep step);
+
+    /** Disarm the register entered last. */
+    void disarm();
+
+    /** Stop at point next: fork it from the walker (or, without forks,
+     *  take the walker itself), power it off and run its pipeline. */
+    void stopAtNext(bool fired);
+
+    /** Recovery, the oracles, the continuation and the stats dump. */
+    void pipeline(SweepPoint &p, CrashPointOutcome &out,
+                  const std::string &tuple);
+
+    const SweepTarget &target;
+    SweepLedger &ledger;
+    const BaseChain &chain;
+    const bool forks;
+
+    std::unique_ptr<SweepPoint> walker;  //!< built on first use
+    std::unique_ptr<SweepPoint> point;   //!< built on first fork
+
+    std::span<const std::uint64_t> points;
+    std::span<CrashPointOutcome> outs;
+    std::size_t next = 0;  //!< the point the walker is bound for
+    std::uint64_t walkFrom = 0;  //!< run stores at the walk's base
+    bool stopped = false;  //!< the walk ended at a fork
+
+    CrashCountdown *armed = nullptr;  //!< the register entered last
+    std::uint64_t armedTo = 0;        //!< its last run store
+    Clock::time_point last;
+};
+
+void
+ChunkWalker::lap(PointStep step)
+{
+    const Clock::time_point now = Clock::now();
+    ledger.charge(step, static_cast<std::uint64_t>(
+                            std::chrono::duration_cast<
+                                std::chrono::nanoseconds>(now - last)
+                                .count()));
+    last = now;
 }
+
+void
+ChunkWalker::disarm()
+{
+    if (armed)
+        *armed = {};
+    armed = nullptr;
+}
+
+void
+ChunkWalker::enter(CrashCountdown &cd, std::uint64_t from,
+                   std::uint64_t to)
+{
+    disarm();
+    armed = &cd;
+    armedTo = to;
+    const std::uint64_t k = points[next];
+    if (k > from && k <= to)
+        cd = {k - from, forks ? this : nullptr};
+}
+
+void
+ChunkWalker::run(std::span<const std::uint64_t> chunk,
+                 std::span<CrashPointOutcome> chunk_outs)
+{
+    points = chunk;
+    outs = chunk_outs;
+    for (next = 0; next < points.size();) {
+        const SweepBase *base = chain.baseFor(points[next]);
+        walkFrom = base ? base->storesAt : 0;
+        stopped = false;
+        bool walking = false;
+        bool fired = false;
+        last = Clock::now();
+        try {
+            if (!walker)
+                walker = target.newPoint();
+            walker->restore(base);
+            lap(PointStep::Fork);
+            walking = true;
+            fired = walker->walk(*this);
+        } catch (const std::exception &e) {
+            disarm();
+            if (stopped)
+                continue;
+            // The walker threw on its way to point next, which gets
+            // the line; the next point restores its own base.
+            CrashPointOutcome &out = outs[next];
+            out = {};
+            out.crashPoint = points[next++];
+            if (walking)
+                walker->progress(out);
+            out.violations.push_back(reproTuple(target.id, out.crashPoint) +
+                                     " exception: " + e.what());
+            continue;
+        }
+        disarm();
+        lap(PointStep::Tail);
+        if (stopped)
+            continue;
+        // The walker crashed in place, or ran the trace out.
+        stopAtNext(fired);
+        ++next;
+    }
+}
+
+void
+ChunkWalker::atArmedStore()
+{
+    lap(PointStep::Tail);
+    // The walker stands at the top of store k: k - 1 stores are done.
+    const std::uint64_t k = points[next];
+    stopAtNext(true);
+    ++next;
+
+    // Walk on unless the chunk is done or the next point's base lies
+    // ahead of the walker: restoring it replays fewer stores.
+    const SweepBase *base =
+        next < points.size() ? chain.baseFor(points[next]) : nullptr;
+    if (next == points.size() || (base && base->storesAt >= k)) {
+        stopped = true;
+        walker->forEachMachine([](McMachine &m) { m.crash(); });
+        throw CrashInjected();
+    }
+    const std::uint64_t q = points[next];
+    if (q != 0 && q <= armedTo)
+        *armed = {q - k, this};
+}
+
+void
+ChunkWalker::stopAtNext(bool fired)
+{
+    const std::uint64_t k = points[next];
+    CrashPointOutcome &out = outs[next];
+    out = {};
+    out.crashPoint = k;
+    out.fired = fired;
+    const std::string tuple = reproTuple(target.id, k);
+    try {
+        SweepPoint *subject = walker.get();
+        if (forks) {
+            if (!point)
+                point = target.newPoint();
+            // The walker's countdown reads 0 here, so the copy carries
+            // no trap.
+            point->forkFrom(*walker);
+            subject = point.get();
+        }
+        subject->crashPoint = k;
+        subject->forEachMachine([](McMachine &m) { m.crash(); });
+        subject->progress(out);
+        lap(forks ? PointStep::Fork : PointStep::Tail);
+        if (k != 0 && !fired)
+            out.violations.push_back(tuple +
+                                     " armed crash did not fire (stores "
+                                     "at " +
+                                     std::to_string(walkFrom) + ")");
+        pipeline(*subject, out, tuple);
+    } catch (const std::exception &e) {
+        out.stats.clear();
+        out.violations.push_back(tuple + " exception: " + e.what());
+    }
+}
+
+void
+ChunkWalker::pipeline(SweepPoint &p, CrashPointOutcome &out,
+                      const std::string &tuple)
+{
+    out.replayedRecords = p.recover();
+    lap(PointStep::Recover);
+    OracleLines post(tuple, "post-recovery", out.violations);
+    p.check(post);
+    lap(PointStep::Oracle);
+
+    // Recovery must be idempotent: a second replay finds an empty log
+    // and a second user-level pass changes nothing.
+    const std::size_t again = p.recover();
+    lap(PointStep::Recover);
+    if (again != 0)
+        out.violations.push_back(
+            tuple + " idempotence: second hardware recovery replayed " +
+            std::to_string(again) + " records");
+    OracleLines idem(tuple, "idempotence", out.violations);
+    p.check(idem);
+    lap(PointStep::Oracle);
+
+    // The recovered structure must keep working.
+    p.continueRun(continuationOps);
+    lap(PointStep::Continue);
+    OracleLines cont(tuple, "continuation", out.violations);
+    p.checkContinuation(cont);
+    lap(PointStep::Oracle);
+
+    const std::vector<std::string> &table = ledger.statTable(p);
+    out.stats.reserve(table.size());
+    p.stats(out.stats);
+    if (out.stats.size() != table.size())
+        panic("point dumped " + std::to_string(out.stats.size()) +
+              " stats values for the sweep's " +
+              std::to_string(table.size()) + " names");
+    lap(PointStep::Stats);
+}
+
+} // namespace
 
 CrashSweepReport
 runSweep(SweepTarget &target, const SweepOptions &opts)
@@ -435,21 +639,43 @@ runSweep(SweepTarget &target, const SweepOptions &opts)
     const auto points =
         enumeratePoints(report.traceStores, opts, target.pointSeed);
     report.points.resize(points.size());
-    // One point per worker, built by the worker on first use.
-    std::vector<std::unique_ptr<SweepPoint>> own(workers);
-    parallelFor(workers, points.size(),
-                [&](std::size_t worker, std::size_t i) {
+    // Chunks of up to chunkCap consecutive points, smaller when a
+    // sweep has too few points to give every worker a chunk.
+    const std::size_t chunk = std::clamp<std::size_t>(
+        (points.size() + workers - 1) / workers, 1, chunkCap);
+    SweepLedger ledger;
+    // One walker (and point) per worker, built by the worker on first
+    // use.
+    std::vector<std::optional<ChunkWalker>> own(workers);
+    parallelFor(workers, (points.size() + chunk - 1) / chunk,
+                [&](std::size_t worker, std::size_t c) {
                     if (!own[worker])
-                        own[worker] = target.newPoint();
-                    report.points[i] = target.runPoint(
-                        *own[worker], chain.baseFor(points[i]), points[i]);
+                        own[worker].emplace(target, ledger, chain,
+                                            opts.useCheckpoints);
+                    const std::size_t lo = c * chunk;
+                    const std::size_t n =
+                        std::min(chunk, points.size() - lo);
+                    own[worker]->run(
+                        std::span(points).subspan(lo, n),
+                        std::span(report.points).subspan(lo, n));
                 });
     const auto t1 = std::chrono::steady_clock::now();
-    report.statNames = target.statNames();
-    report.stepMs = target.stepMs();
+    report.statNames = ledger.names();
+    report.stepMs = ledger.stepMs();
     report.wallMs =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     return report;
+}
+
+CrashPointOutcome
+runSweepPoint(const SweepTarget &target, std::uint64_t crash_point)
+{
+    const BaseChain none(false, 1);
+    SweepLedger ledger;
+    ChunkWalker walker(target, ledger, none, false);
+    CrashPointOutcome out;
+    walker.run(std::span(&crash_point, 1), std::span(&out, 1));
+    return out;
 }
 
 std::uint64_t

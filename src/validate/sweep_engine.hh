@@ -15,25 +15,33 @@
  *  - the master run's checkpoint chain: a base is captured at the
  *    first boundary the target reports and then at every boundary
  *    that completes another checkpointInterval stores;
- *  - the nearest-base lookup: point k forks the last base captured
- *    strictly below store k (the post-completion point 0 forks the
+ *  - the nearest-base lookup: point k's base is the last one captured
+ *    strictly below store k (the post-completion point 0's is the
  *    last base);
  *  - stratified point enumeration, seeded from the target's salt;
  *  - dispatch: every sweep runs its master to the end (the strata
- *    need the store count), then its points over the ticket pool
- *    (validate/work_queue.hh);
- *  - the from-scratch audit path (useCheckpoints = false): the master
- *    captures nothing and every point runs with no base;
- *  - the points themselves: one per sweep thread (the calling thread
- *    is worker 0), re-forked in place for every crash point the thread
- *    runs, so a point costs only the work it does and no machine is
- *    built or torn down per point once a thread has its first;
- *  - every point's pipeline after its tail run: the engine stamps the
- *    crash point and its repro tuple, then runs recovery, the
+ *    need the store count), then hands its points out over the ticket
+ *    pool (validate/work_queue.hh) in chunks of consecutive points;
+ *  - the walk: each sweep thread keeps a walker and a point. For a
+ *    chunk, the walker restores the base of the chunk's first point
+ *    and replays the trace forward with its machines' countdown armed
+ *    for a fork. At each point's store the countdown forks the walker
+ *    into the point, which power-fails and runs the point's pipeline,
+ *    and the store then proceeds. When the next point's base lies
+ *    ahead of the walker, the walker restores it rather than walking
+ *    up to it, so no store is replayed that the point's own tail from
+ *    its base would not replay. After the chunk's last point the
+ *    walker crashes and unwinds;
+ *  - the from-scratch audit path (useCheckpoints = false) and the
+ *    single-point runs: the walker walks from setup to its one point
+ *    and crashes in place, with no checkpoint anywhere;
+ *  - every point's pipeline after its power failure: the engine stamps
+ *    the crash point and its repro tuple, then runs recovery, the
  *    post-recovery oracle, a second recovery that must replay nothing,
  *    the idempotence oracle, the continuation inserts and their oracle,
  *    and the stats dump, and turns an exception anywhere in the point
- *    into a violation line;
+ *    into a violation line; a walker that throws gives the point it
+ *    was bound for that line, and the next point restores its own base;
  *  - the host time of each pipeline step, summed over the points
  *    (PointStep);
  *  - the sweep's one stat-name table, taken from the first point that
@@ -42,14 +50,15 @@
  *
  * A target supplies only what differs: the master run, which reports
  * its op or quantum boundaries and captures an immutable base when
- * asked; a point that re-forks itself from a base (or from scratch),
- * whose tail runs up to and including the power failure; the point's
- * recover, check, continue and stats primitives; and the fields of its
- * repro tuple.
+ * asked; a walker that restores a base (or runs setup) and replays its
+ * trace, entering each machine's countdown with the walk before the
+ * stores it counts; a point that copies the walker at a store; the
+ * point's recover, check, continue and stats primitives; and the
+ * fields of its repro tuple.
  *
  * `workers` is the total thread count, the calling thread included:
  * 1 starts no thread at all, and no sweep starts more threads than it
- * has points.
+ * has chunks.
  */
 
 #ifndef SLPMT_VALIDATE_SWEEP_ENGINE_HH
@@ -57,11 +66,9 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -108,14 +115,14 @@ struct SweepOptions
     bool tinyCache = false;
 };
 
-/** The steps of one point's pipeline (SweepTarget::runPoint), in
- *  order. Recover and Oracle run more than once per point: recovery
- *  twice, the oracle after each recovery and after the continuation
- *  inserts. */
+/** The steps of one point's pipeline, in order. Recover and Oracle run
+ *  more than once per point: recovery twice, the oracle after each
+ *  recovery and after the continuation inserts. */
 enum class PointStep : std::size_t
 {
-    Fork,      //!< re-fork the thread's point from its base
-    Tail,      //!< the run up to and including the power failure
+    Fork,      //!< copy the walker into the point and power it off, or
+               //!< restore a chunk's base into the walker
+    Tail,      //!< the walker's own stores up to the point
     Recover,   //!< hardware log replay and user-level recovery
     Oracle,    //!< the recovered structure against the committed state
     Continue,  //!< the continuation inserts
@@ -285,8 +292,8 @@ struct CrashSweepReport
     std::string toJson() const;
 };
 
-/** An immutable fork base the master run captured at a boundary;
- *  targets derive from it to add their host state. */
+/** An immutable base the master run captured at a boundary, which
+ *  walkers restore; targets derive from it to add their host state. */
 struct SweepBase
 {
     SweepBase() = default;
@@ -314,34 +321,84 @@ class MasterSink
 };
 
 /**
- * One sweep thread's crash point: its machine(s), the cloned workload,
- * the shadow and its per-point scratch, which a target's primitives
- * act on while the engine drives the point (SweepTarget::runPoint).
- * The engine keeps one per thread and re-forks it for every crash
- * point the thread runs.
+ * The engine's side of a walk (SweepPoint::walk): which stores the
+ * walker stops at. A walker enters each machine's countdown register
+ * before the run stores that machine executes; the walk arms the
+ * register for the next point among them, with a fork hook or, in the
+ * audit and single-point runs, to crash in place.
+ */
+class SweepWalk
+{
+  public:
+    /** No upper store bound: the register counts the rest of the walk. */
+    static constexpr std::uint64_t unbounded = ~std::uint64_t{0};
+
+    /**
+     * The machine of register @p cd is about to execute run stores
+     * @p from + 1 through @p to: disarm the register entered before,
+     * then arm @p cd if the walk's next point lies among those stores.
+     */
+    virtual void enter(CrashCountdown &cd, std::uint64_t from,
+                       std::uint64_t to = unbounded) = 0;
+
+  protected:
+    ~SweepWalk() = default;
+};
+
+/**
+ * A sweep thread's machine(s) with the cloned workload(s), the shadow
+ * and the per-point scratch, in one of two roles. As the walker it
+ * restores bases and replays the trace (restore, walk); as the point it
+ * becomes a copy of the walker at a point's store (forkFrom). After its
+ * power failure the engine drives the point's pipeline through the
+ * remaining primitives; in the audit and single-point runs the walker
+ * crashes in place and is its own point. The engine keeps one walker
+ * and one point per thread and reuses them for every point the thread
+ * runs.
  */
 class SweepPoint
 {
   public:
     virtual ~SweepPoint() = default;
 
-    /**
-     * Become crash point @p crash_point forked from @p base: restore
-     * the base into the machines the point already has (building them
-     * on first use), copy the base's host state into the point's
-     * containers and reset every per-point field, so nothing a
-     * previous point left behind, even one that threw mid-tail, is
-     * seen. With no base (nullptr) the point builds fresh machines and
-     * runs setup, as a from-scratch reference must.
-     */
-    virtual void fork(const SweepBase *base, std::uint64_t crash_point) = 0;
+    /** The crash point this machine stands for once the walk stops
+     *  there: set by the engine before the point's pipeline runs. */
+    std::uint64_t crashPoint = 0;
 
     /**
-     * Run the tail up to and including the power failure, recording
-     * fired and committedOps (and crashShard) in @p out. Returns false
-     * when the armed crash should have fired and did not.
+     * Put the walker at @p base: restore the base into the machines it
+     * already has (building them on first use), copy the base's host
+     * state into its containers and reset every per-walk field, so
+     * nothing a previous walk left behind, even one that threw, is
+     * seen. With no base (nullptr) it builds fresh machines and runs
+     * setup, as a from-scratch reference must.
      */
-    virtual bool tail(CrashPointOutcome &out) = 0;
+    virtual void restore(const SweepBase *base) = 0;
+
+    /**
+     * Replay the trace from where the walker stands, entering every
+     * machine's countdown with @p walk before the stores it counts.
+     * Returns true when an injected crash unwound the walk (the
+     * walker's own in-place crash, or the engine ending the walk at a
+     * fork) and false when the trace ran out; either way the host state
+     * (op cursor, shadow) is left as of the stop.
+     */
+    virtual bool walk(SweepWalk &walk) = 0;
+
+    /**
+     * Become a copy of @p walker, which stands at the top of a store:
+     * its machines (whose countdown reads 0), workload clones, shadow,
+     * interrupted write and op cursor. @p walker is the same target's.
+     */
+    virtual void forkFrom(SweepPoint &walker) = 0;
+
+    /** Record where the run stopped in @p out: committedOps (trace
+     *  ops, commit-log entries or dispatch ops) and crashShard. */
+    virtual void progress(CrashPointOutcome &out) const = 0;
+
+    /** Call @p fn on every machine: the engine power-fails each. */
+    virtual void
+    forEachMachine(const std::function<void(McMachine &)> &fn) = 0;
 
     /** Hardware log replay, then the workload's user-level recovery;
      *  returns the log records the replay applied. */
@@ -350,7 +407,8 @@ class SweepPoint
     /** The oracle: the recovered state against the committed one. */
     virtual void check(OracleLines &lines) = 0;
 
-    /** Insert @p ops fresh keys on top of the recovered state. */
+    /** Insert @p ops fresh keys, drawn from crashPoint, on top of the
+     *  recovered state. */
     virtual void continueRun(std::size_t ops) = 0;
 
     /** The oracle after continueRun(): the structure serves the
@@ -384,47 +442,27 @@ class SweepTarget
     const std::uint64_t pointSeed;
 
     /**
-     * Run the whole trace once, reporting every boundary a point may
-     * fork from to @p sink (the first at the run's start). Returns the
+     * Run the whole trace once, reporting every boundary a walker may
+     * restore (the first at the run's start) to @p sink. Returns the
      * run's store count. No point runs before this call returns.
      */
     virtual std::uint64_t runMaster(MasterSink &sink) = 0;
 
-    /** A new point, not yet forked; building it must be cheap (its
-     *  machines come with its first fork). Called concurrently from
-     *  many threads, once per sweep thread. */
+    /** A new walker or point, not yet restored or forked; building it
+     *  must be cheap (its machines come with first use). Called
+     *  concurrently from many threads: once per sweep thread for its
+     *  walker, and once more if the thread forks. */
     virtual std::unique_ptr<SweepPoint> newPoint() const = 0;
-
-    /** Re-fork @p point as crash point @p crash_point from @p base
-     *  (nullptr: from scratch) and run it through its tail, recovery
-     *  and every oracle phase. */
-    CrashPointOutcome runPoint(SweepPoint &point, const SweepBase *base,
-                               std::uint64_t crash_point) const;
-
-    /** The sweep's stat-name table, built from the first point that
-     *  reached its stats dump (empty before that). Read it once the
-     *  points have run. */
-    const std::vector<std::string> &statNames() const { return names; }
-
-    /** Host milliseconds per pipeline step, summed over every point
-     *  this target ran (CrashSweepReport::stepMs). */
-    std::array<double, numPointSteps> stepMs() const;
-
-  private:
-    /** The name table, built from @p point's names on first use;
-     *  panics on a duplicate name. */
-    const std::vector<std::string> &statTable(const SweepPoint &point) const;
-
-    mutable std::mutex namesMtx;
-    mutable bool namesBuilt = false;  //!< guarded by namesMtx
-    mutable std::vector<std::string> names;  //!< written under namesMtx
-
-    /** Nanoseconds per pipeline step, added to by concurrent points. */
-    mutable std::array<std::atomic<std::uint64_t>, numPointSteps> stepNs{};
 };
 
 /** Run a sweep of @p target (dispatch as in the file comment). */
 CrashSweepReport runSweep(SweepTarget &target, const SweepOptions &opts);
+
+/** Walk @p target from setup to point @p crash_point, crash in place
+ *  and run the point's pipeline: the reproducer of a printed tuple.
+ *  Stores past the run's end never fire, which the outcome reports. */
+CrashPointOutcome runSweepPoint(const SweepTarget &target,
+                                std::uint64_t crash_point);
 
 /** Run the target's master once, capturing nothing; returns its
  *  store count. */

@@ -2,13 +2,13 @@
  * @file
  * Ticket pool for the crash-point sweep and the figure orchestrator.
  *
- * Items are fully independent — each crash point re-forks its own
- * simulated machine, each figure cell builds its own — so the pool
- * needs no partitioning: every worker draws the next unclaimed item
- * index from one shared atomic ticket until the tickets run out. A
- * worker that drew a cheap item simply draws again, so per-item costs
- * that vary by an order of magnitude (a crash at store #3 replays
- * almost nothing; one at store #900 replays the whole trace) still
+ * Items are fully independent — each chunk of crash points walks its
+ * own simulated machine from a base, each figure cell builds its own —
+ * so the pool needs no partitioning: every worker draws the next
+ * unclaimed item index from one shared atomic ticket until the tickets
+ * run out. A worker that drew a cheap item simply draws again, so
+ * per-item costs that vary by an order of magnitude (a chunk of points
+ * inside a resize costs far more than one over plain updates) still
  * balance. Results are written to caller-owned slots indexed by item,
  * keeping the output independent of the worker count and schedule.
  */

@@ -1,8 +1,10 @@
 #include "workloads/hashtable.hh"
 
 #include <algorithm>
+#include <bit>
 #include <map>
-#include <unordered_set>
+#include <utility>
+#include <vector>
 
 namespace slpmt
 {
@@ -28,6 +30,67 @@ struct ChainWalk
     std::size_t bound;
     const char *what;
     std::size_t steps = 0;
+};
+
+/**
+ * The keys a consistency walk has visited: linear probing over a
+ * power-of-two table of keys, with no allocation per key. The all-ones
+ * key marks an empty slot and is tracked on its own.
+ */
+class VisitedKeys
+{
+  public:
+    /** Room for about @p expect keys before the table first grows. */
+    explicit VisitedKeys(std::size_t expect)
+        : slots(std::bit_ceil(std::max<std::size_t>(2 * expect, 64)),
+                empty)
+    {}
+
+    /** Add @p key; false when it was already there. */
+    bool
+    insert(std::uint64_t key)
+    {
+        if (key == empty)
+            return !std::exchange(hasEmptyKey, true);
+        if (2 * (held + 1) > slots.size())
+            grow();
+        if (!place(slots, key))
+            return false;
+        ++held;
+        return true;
+    }
+
+  private:
+    static constexpr std::uint64_t empty = ~std::uint64_t{0};
+
+    /** Put @p key into @p table; false when it is there already. */
+    static bool
+    place(std::vector<std::uint64_t> &table, std::uint64_t key)
+    {
+        const std::size_t mask = table.size() - 1;
+        for (std::size_t i = mix64(key) & mask;; i = (i + 1) & mask) {
+            if (table[i] == key)
+                return false;
+            if (table[i] == empty) {
+                table[i] = key;
+                return true;
+            }
+        }
+    }
+
+    void
+    grow()
+    {
+        std::vector<std::uint64_t> bigger(2 * slots.size(), empty);
+        for (std::uint64_t key : slots)
+            if (key != empty)
+                place(bigger, key);
+        slots.swap(bigger);
+    }
+
+    std::vector<std::uint64_t> slots;
+    std::size_t held = 0;
+    bool hasEmptyKey = false;
 };
 
 } // namespace
@@ -268,7 +331,8 @@ HashTableWorkload::peekNode(PmContext &sys, Addr node)
 template <typename Fn>
 bool
 HashTableWorkload::walkDurable(PmContext &sys, Addr buckets,
-                               std::uint64_t num, Fn &&visit) const
+                               std::uint64_t num, std::size_t bound,
+                               Fn &&visit) const
 {
     const auto &heap = sys.heap();
     const Addr lo = heap.base();
@@ -280,10 +344,12 @@ HashTableWorkload::walkDurable(PmContext &sys, Addr buckets,
     if (!plausible(buckets))
         return false;
     bool whole = true;
+    std::size_t steps = 0;
     for (std::uint64_t b = 0; b < num; ++b) {
         Addr cursor = sys.peek<Addr>(buckets + b * wordSize);
-        std::size_t guard = 0;
-        while (cursor != 0 && plausible(cursor) && guard++ < 1'000'000) {
+        while (cursor != 0 && plausible(cursor)) {
+            if (steps++ == bound)
+                return false;  // a chain revisits a node
             const DurableNode node = peekNode(sys, cursor);
             if (node.chk !=
                 nodeChecksum(node.key, node.next, node.valPtr, node.valLen))
@@ -327,12 +393,14 @@ HashTableWorkload::recover(PmContext &sys)
         const auto old_num =
             sys.peek<std::uint64_t>(journalAddr + JnlOff::oldNum);
 
+        // The new table's nodes are live allocations; the old table
+        // held loadFactor * old_num + 1 nodes when it resized.
         std::vector<Survivor> new_set;
         std::vector<Survivor> old_set;
         const bool new_whole = walkDurable(
-            sys, new_buckets, new_num,
+            sys, new_buckets, new_num, sys.heap().liveCount(),
             [&](const Survivor &s) { new_set.push_back(s); });
-        walkDurable(sys, old_buckets, old_num,
+        walkDurable(sys, old_buckets, old_num, loadFactor * old_num + 1,
                     [&](const Survivor &s) { old_set.push_back(s); });
 
         std::vector<std::uint64_t> new_keys;
@@ -352,7 +420,8 @@ HashTableWorkload::recover(PmContext &sys)
         }
         count = new_set.size();
     } else {
-        walkDurable(sys, buckets, num, [&](const Survivor &) { ++count; });
+        walkDurable(sys, buckets, num, sys.heap().liveCount(),
+                    [&](const Survivor &) { ++count; });
     }
 
     // Recompute the lazy count, retire a resize whose copies all
@@ -466,7 +535,9 @@ HashTableWorkload::checkConsistency(PmContext &sys, std::string *why)
     if (num == 0 || buckets == 0)
         return failCheck(why, "empty header");
 
-    std::unordered_set<std::uint64_t> seen;
+    // Room for a small table; a larger one, or a header whose bucket
+    // count is corrupt, grows the set only as keys arrive.
+    VisitedKeys seen(std::min<std::uint64_t>(num, 64) * loadFactor);
     std::size_t walked = 0;
     // No step bound: a cyclic chain revisits a key, which the
     // duplicate test below reports.
@@ -485,7 +556,7 @@ HashTableWorkload::checkConsistency(PmContext &sys, std::string *why)
                 return failCheck(why, "node checksum mismatch");
             if (bucketOf(key, num) != b)
                 return failCheck(why, "key in wrong bucket");
-            if (!seen.insert(key).second)
+            if (!seen.insert(key))
                 return failCheck(why, "duplicate key");
             ++walked;
             cursor = next;

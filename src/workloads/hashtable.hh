@@ -168,13 +168,16 @@ class HashTableWorkload : public Workload
 
     /**
      * Walk one durable table image, calling @p visit with each
-     * checksum-valid node; a chain stops at its first bad node.
+     * checksum-valid node; a chain stops at its first bad node, and the
+     * walk stops after @p bound nodes, the most the table can hold (a
+     * cyclic chain).
      * @return whether the table is whole: every chain ends at a null
-     * pointer and every node sits in its own bucket.
+     * pointer, every node sits in its own bucket and the walk stayed
+     * within its bound.
      */
     template <typename Fn>
     bool walkDurable(PmContext &sys, Addr buckets, std::uint64_t num,
-                     Fn &&visit) const;
+                     std::size_t bound, Fn &&visit) const;
 
     /**
      * Recovery's merge of a resize whose copies were lost: rebuild a

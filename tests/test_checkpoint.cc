@@ -486,11 +486,11 @@ expectCheckpointedMatchesAudit(Config cfg,
 }
 
 /**
- * maxPoints == 0: every store, forked from the finished master's
- * chain by @p workers threads at once, each re-forking its own point
- * across the chain's bases. (These tests once covered a path that
- * overlapped the points with the master run; their names keep it.)
- * The from-scratch audit sweep of the same target is the reference.
+ * maxPoints == 0: every store, forked by @p workers threads at once,
+ * each walking its chunks from the finished master's bases. (These
+ * tests once covered a path that overlapped the points with the master
+ * run; their names keep it.) The from-scratch audit sweep of the same
+ * target is the reference.
  */
 template <class Config>
 void
@@ -514,8 +514,8 @@ TEST(CheckpointAudit, SingleCoreReportMatchesNoCheckpointMode)
 
 TEST(CheckpointAudit, TableIIISingleCoreReportMatchesNoCheckpointMode)
 {
-    // Table III geometry: every re-forked point restores, crashes and
-    // flushes arrays far larger than the lines they hold.
+    // Table III geometry: every walker restore, fork and crash copies
+    // and flushes arrays far larger than the lines they hold.
     CrashSweepConfig cfg = auditSweepConfig();
     cfg.tinyCache = false;
     cfg.mix.numOps = 200;
@@ -606,6 +606,84 @@ TEST(CheckpointAudit, ServicePipelinedExhaustiveSweepMatchesFromScratch)
     cfg.load.valueBytesMax = 96;
     cfg.load.seed = 5;
     expectExhaustiveMatchesAudit(cfg, runServiceCrashSweep, 3);
+}
+
+// ---------------------------------------------------------------------
+// The walk against the audit on sweeps past the hashtable's first
+// resize (48 keys): a resize is one op of a few hundred stores, and
+// bases land only between ops, so far more points share a base than
+// one chunk of the walk holds. Each point inside the resize forks from
+// the walker at its own store; the audit walks from setup to each
+// point and crashes in place.
+// ---------------------------------------------------------------------
+
+/** @p cfg checkpointed at one worker and at four against one audit at
+ *  four workers: byte-identical JSON reports and victim shards. */
+template <class Config>
+void
+expectWalkMatchesAudit(Config cfg, CrashSweepReport (*sweep)(const Config &))
+{
+    cfg.useCheckpoints = false;
+    cfg.workers = 4;
+    const CrashSweepReport audit = sweep(cfg);
+    EXPECT_EQ(audit.violationCount(), 0u) << audit.violationsText();
+    for (const std::size_t workers : {1u, 4u}) {
+        cfg.useCheckpoints = true;
+        cfg.workers = workers;
+        const CrashSweepReport walked = sweep(cfg);
+        EXPECT_EQ(walked.toJson(), audit.toJson()) << workers;
+        for (std::size_t i = 0; i < walked.points.size(); ++i)
+            EXPECT_EQ(walked.points[i].crashShard,
+                      audit.points[i].crashShard);
+    }
+}
+
+TEST(SweepWalk, CoreResizeSweepMatchesTheAudit)
+{
+    // The 70-op 80/20 trace of CrashSweepDigest's resize pin.
+    CrashSweepConfig cfg;
+    cfg.workload = "hashtable";
+    cfg.tinyCache = true;
+    cfg.mix.numOps = 70;
+    cfg.mix.valueBytes = 32;
+    cfg.mix.seed = 42;
+    cfg.mix.insertPct = 80;
+    cfg.mix.updatePct = 20;
+    cfg.mix.removePct = 0;
+    cfg.maxPoints = 0;
+    expectWalkMatchesAudit(cfg, runCrashSweep);
+}
+
+TEST(SweepWalk, McResizeSweepMatchesTheAudit)
+{
+    McCrashSweepConfig cfg;
+    cfg.tinyCache = true;
+    cfg.run.workload = "hashtable";
+    cfg.run.numCores = 2;
+    cfg.run.opsPerCore = 40;
+    cfg.run.valueBytes = 32;
+    cfg.run.seed = 42;
+    cfg.maxPoints = 0;
+    expectWalkMatchesAudit(cfg, runMcCrashSweep);
+}
+
+TEST(SweepWalk, ServiceResizeSweepMatchesTheAudit)
+{
+    // Over 100 preload records per shard, and one base per 1,024
+    // stores: hundreds of points per base.
+    ServiceCrashConfig cfg;
+    cfg.numShards = 2;
+    cfg.tinyCache = true;
+    cfg.checkpointInterval = 1024;
+    cfg.load.mix = YcsbMix::A;
+    cfg.load.keySpace = std::size_t{1} << 14;
+    cfg.load.preloadRecords = 220;
+    cfg.load.numOps = 8;
+    cfg.load.valueBytesMin = 48;
+    cfg.load.valueBytesMax = 96;
+    cfg.load.seed = 5;
+    cfg.maxPoints = 600;
+    expectWalkMatchesAudit(cfg, runServiceCrashSweep);
 }
 
 } // namespace

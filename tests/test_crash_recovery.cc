@@ -429,7 +429,7 @@ TEST(CyclicChain, CheckReportsTheRevisit)
     EXPECT_EQ(why, "duplicate key");
 }
 
-/** The durable recount walk stops at its guard; the reachability walk
+/** The durable recount walk stops at its bound; the reachability walk
  *  behind the heap GC then panics. */
 TEST(CyclicChain, RecoverPanics)
 {
@@ -437,6 +437,111 @@ TEST(CyclicChain, RecoverPanics)
     t.sys.crash();
     t.sys.recoverHardware();
     EXPECT_THROW(t.workload->recover(t.sys), PanicError);
+}
+
+/** Every call forwarded to a machine, with the durable peeks counted:
+ *  recovery's chain walks read the durable image only through them. */
+class PeekCounter final : public PmContext
+{
+  public:
+    explicit PeekCounter(PmSystem &sys) : sys(sys) {}
+
+    void txBegin() override { sys.txBegin(); }
+    void txCommit() override { sys.txCommit(); }
+    void txAbort() override { sys.txAbort(); }
+    bool inTransaction() const override { return sys.inTransaction(); }
+
+    void
+    readBytes(Addr addr, void *out, std::size_t len) override
+    {
+        sys.readBytes(addr, out, len);
+    }
+    void
+    writeBytes(Addr addr, const void *src, std::size_t len) override
+    {
+        sys.writeBytes(addr, src, len);
+    }
+    void
+    writeBytesT(Addr addr, const void *src, std::size_t len,
+                StoreFlags flags) override
+    {
+        sys.writeBytesT(addr, src, len, flags);
+    }
+    void
+    writeBytesSite(Addr addr, const void *src, std::size_t len,
+                   SiteId site) override
+    {
+        sys.writeBytesSite(addr, src, len, site);
+    }
+    void
+    peekBytes(Addr addr, void *out, std::size_t len) const override
+    {
+        ++peeks;
+        sys.peekBytes(addr, out, len);
+    }
+
+    PersistentHeap &heap() override { return sys.heap(); }
+    StoreSiteRegistry &sites() override { return sys.sites(); }
+    const AddressMap &map() const override { return sys.map(); }
+    Cycles cycles() const override { return sys.cycles(); }
+    void compute(Cycles c) override { sys.compute(c); }
+    void quiesce() override { sys.quiesce(); }
+
+    mutable std::size_t peeks = 0;
+
+  private:
+    PmSystem &sys;
+};
+
+/** The durable recount walk stops after as many nodes as the heap holds
+ *  live allocations, and the reachability walk then panics: each walk
+ *  peeks at most a few header words, one slot per bucket and as many
+ *  nodes as are live. */
+TEST(CyclicChain, RecoverPeeksBoundedByTheLiveCount)
+{
+    CyclicTable t;
+    t.sys.crash();
+    t.sys.recoverHardware();
+    const std::size_t live = t.sys.heap().liveCount();
+    PeekCounter counter(t.sys);
+    EXPECT_THROW(t.workload->recover(counter), PanicError);
+    EXPECT_LE(counter.peeks, 2 * (live + 16) + 8) << live;
+}
+
+/**
+ * With the resize journal set, a cyclic new-table chain stops the new
+ * table's walk after as many nodes as are live: the table is not
+ * whole, so recovery merges the old table back in, and every key
+ * survives. The old table's walk is bounded by the nodes it held when
+ * it resized.
+ */
+TEST(CyclicChain, JournalMergeStopsAtTheLiveCount)
+{
+    ResizedTable t;
+    t.sys.quiesce();
+    const Addr resized = bucketArray(t.sys);
+    ASSERT_EQ(journalValid(t.sys), 1u);
+    Addr node = 0;
+    for (std::uint64_t b = 0; !node; ++b)
+        node = t.sys.peek<Addr>(resized + b * 8);
+    const auto key = t.sys.peek<std::uint64_t>(node);
+    const Addr val_ptr = t.sys.peek<Addr>(node + 16);
+    const auto val_len = t.sys.peek<std::uint64_t>(node + 24);
+    const std::uint64_t chk =
+        HashTableWorkload::nodeChecksum(key, node, val_ptr, val_len);
+    t.sys.pm().poke(node + 8, &node, sizeof(node));  // next = itself
+    t.sys.pm().poke(node + 32, &chk, sizeof(chk));
+
+    t.sys.crash();
+    t.sys.recoverHardware();
+    const std::size_t live = t.sys.heap().liveCount();
+    PeekCounter counter(t.sys);
+    t.workload->recover(counter);
+    EXPECT_NE(bucketArray(t.sys), resized) << "the table was not rebuilt";
+    // The new walk: 32 slots and at most `live` nodes; the old: 16
+    // slots and at most 49 nodes; then one value read per merged key.
+    EXPECT_LE(counter.peeks, live + 32 + 16 + 49 + 49 + 16) << live;
+    t.verifyAndContinue();
 }
 
 /** Repeated crash/recover cycles accumulate no corruption or leaks. */

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checkpoint/checkpoint.hh"
 #include "multicore/mc_crash.hh"
 #include "service/service_crash.hh"
 #include "sim/json.hh"
@@ -518,37 +519,93 @@ struct Misbehaviour
     bool oracleThrows = false;   //!< every oracle phase throws
     bool raggedStats = false;    //!< point 2 dumps one stats value too many
     bool repeatedName = false;   //!< the stat names repeat one name
-    bool tailThrows = false;     //!< point 2 throws mid-tail
+    bool tailThrows = false;     //!< a walk bound for point 2 throws
 };
 
-/** A fake point: every armed point fires, and recovery, the oracle or
- *  the stats dump misbehaves as its target asks. Its two counters are
- *  named out of key order, so the report must sort them. */
+/** A fake base: the engine stamps its store count. */
+struct FakeBase final : SweepBase
+{};
+
+/** What the walkers and points of a fake target did. */
+struct FakeCounts
+{
+    std::atomic<std::size_t> walkers{0};  //!< objects that walked
+    std::atomic<std::size_t> points{0};   //!< objects forked into
+    std::atomic<std::uint64_t> walked{0};  //!< stores the walkers ran
+};
+
+/**
+ * A fake walker or point: a run of plain stores counted through its own
+ * countdown register, so every armed point fires as on a machine, and
+ * recovery, the oracle or the stats dump misbehave as its target asks.
+ * Its two counters are named out of key order, so the report must sort
+ * them.
+ */
 class FakePoint final : public SweepPoint
 {
   public:
-    explicit FakePoint(const Misbehaviour &mis) : mis(mis) {}
+    FakePoint(const Misbehaviour &mis, std::uint64_t stores,
+              FakeCounts &counts)
+        : mis(mis), runStores(stores), counts(counts)
+    {}
 
     void
-    fork(const SweepBase *, std::uint64_t crash_point) override
+    restore(const SweepBase *base) override
     {
-        crashPoint = crash_point;
+        if (!walker)
+            counts.walkers++;
+        walker = true;
+        at = base ? base->storesAt : 0;
         recoveries = 0;
     }
 
-    /** A throwing tail leaves the point dirty (a recovery already
-     *  counted), as a point that fails part way leaves its machine;
-     *  the next fork must clean it. */
+    /** A walk bound for point 2 throws at the top of store 2 and
+     *  leaves the walker dirty (a recovery already counted), as a
+     *  walker that fails part way leaves its machine; the next restore
+     *  must clean it. */
     bool
-    tail(CrashPointOutcome &out) override
+    walk(SweepWalk &walk) override
     {
-        out.fired = out.crashPoint != 0;
-        if (mis.tailThrows && crashPoint == 2) {
-            ++recoveries;
-            throw std::runtime_error("tail lost its trace");
+        walk.enter(countdown, at);
+        try {
+            for (; at < runStores; ++at) {
+                if (mis.tailThrows && at + 1 == 2 && countdown.stores == 1) {
+                    ++recoveries;
+                    throw std::runtime_error("tail lost its trace");
+                }
+                if (countdown.stores > 0 && --countdown.stores == 0) {
+                    if (!countdown.hook)
+                        throw CrashInjected();
+                    countdown.hook->atArmedStore();
+                }
+                ++counts.walked;
+            }
+        } catch (const CrashInjected &) {
+            return true;
         }
-        return true;
+        return false;
     }
+
+    void
+    forkFrom(SweepPoint &from) override
+    {
+        if (!forked)
+            counts.points++;
+        forked = true;
+        const auto &walker = static_cast<const FakePoint &>(from);
+        at = walker.at;
+        recoveries = walker.recoveries;
+        countdown = walker.countdown;
+    }
+
+    void
+    progress(CrashPointOutcome &out) const override
+    {
+        out.committedOps = at;
+    }
+
+    void forEachMachine(const std::function<void(McMachine &)> &) override
+    {}
 
     /** The first recovery replays 5 records; one that leaves records
      *  behind replays 2 more the second time. */
@@ -558,11 +615,14 @@ class FakePoint final : public SweepPoint
         return recoveries++ == 0 ? 5 : (mis.leavesRecords ? 2 : 0);
     }
 
+    /** A copy that still carries an armed countdown is reported. */
     void
-    check(OracleLines &) override
+    check(OracleLines &lines) override
     {
         if (mis.oracleThrows)
             throw std::runtime_error("oracle lost its shadow");
+        if (countdown.stores != 0)
+            lines.add("the point carries an armed countdown");
     }
 
     void continueRun(std::size_t) override {}
@@ -588,39 +648,46 @@ class FakePoint final : public SweepPoint
 
   private:
     const Misbehaviour mis;
-    std::uint64_t crashPoint = 0;
+    const std::uint64_t runStores;
+    FakeCounts &counts;
+    bool walker = false;  //!< counted among the walkers
+    bool forked = false;  //!< counted among the points
+    CrashCountdown countdown;
+    std::uint64_t at = 0;  //!< stores done
     std::size_t recoveries = 0;
 };
 
-/** A three-store fake target with one boundary at the run's start. */
+/** A fake target of @p stores stores (three by default), one per op:
+ *  every store boundary may hold a base. */
 class FakeTarget final : public SweepTarget
 {
   public:
-    explicit FakeTarget(const Misbehaviour &mis)
+    explicit FakeTarget(const Misbehaviour &mis, std::uint64_t stores = 3)
         : SweepTarget(sweepIdentity("fake-sweep", SweepOptions{}, "fake", 9),
                       7),
-          mis(mis)
+          mis(mis), stores(stores)
     {}
 
     std::uint64_t
     runMaster(MasterSink &sink) override
     {
-        sink.boundary(0, nullptr);
-        return 3;
+        for (std::uint64_t s = 0; s < stores; ++s)
+            sink.boundary(s, sink.wantsBase(s) ? std::make_unique<FakeBase>()
+                                               : nullptr);
+        return stores;
     }
 
     std::unique_ptr<SweepPoint>
     newPoint() const override
     {
-        ++pointsBuilt;
-        return std::make_unique<FakePoint>(mis);
+        return std::make_unique<FakePoint>(mis, stores, counts);
     }
 
-    /** Points newPoint() built. */
-    mutable std::atomic<std::size_t> pointsBuilt{0};
+    mutable FakeCounts counts;
 
   private:
     const Misbehaviour mis;
+    const std::uint64_t stores;
 };
 
 TEST(SweepEngine, SecondRecoveryThatReplaysIsReported)
@@ -659,11 +726,11 @@ TEST(SweepEngine, ThrowingOracleIsReported)
     EXPECT_NE(report.toJson().find("\"stats\":{}"), std::string::npos);
 }
 
-/** Each sweep thread re-forks one point for every crash point it runs.
- *  A point that throws mid-tail leaves that point mid-run, and the
- *  next point the thread runs on it still matches its isolated run, on
- *  one thread and on three, with a budget that covers every store and
- *  with maxPoints == 0. */
+/** Each sweep thread keeps one walker and one point for every crash
+ *  point it runs. A walker that throws on its way to a point leaves
+ *  itself mid-run, and the points after it in its chunk still match
+ *  their isolated runs, on one thread and on three, with a budget that
+ *  covers every store and with maxPoints == 0. */
 TEST(SweepEngine, PointAfterAThrowingTailMatchesItsIsolatedRun)
 {
     SweepOptions serial;
@@ -675,9 +742,11 @@ TEST(SweepEngine, PointAfterAThrowingTailMatchesItsIsolatedRun)
     for (const SweepOptions &opts : {serial, budgeted, exhaustive}) {
         FakeTarget target({.tailThrows = true});
         const CrashSweepReport report = runSweep(target, opts);
-        EXPECT_LE(target.pointsBuilt.load(), opts.workers);
+        EXPECT_LE(target.counts.points.load(), opts.workers);
+        EXPECT_LE(target.counts.walkers.load(), opts.workers);
         if (opts.workers == 1) {
-            EXPECT_EQ(target.pointsBuilt.load(), 1u);
+            EXPECT_EQ(target.counts.points.load(), 1u);
+            EXPECT_EQ(target.counts.walkers.load(), 1u);
         }
         for (const auto &p : report.points) {
             if (p.crashPoint == 2) {
@@ -688,12 +757,301 @@ TEST(SweepEngine, PointAfterAThrowingTailMatchesItsIsolatedRun)
                 continue;
             }
             const CrashPointOutcome alone =
-                target.runPoint(*target.newPoint(), nullptr, p.crashPoint);
+                runSweepPoint(target, p.crashPoint);
             EXPECT_TRUE(p.violations.empty()) << p.crashPoint;
             EXPECT_EQ(p.fired, alone.fired);
             EXPECT_EQ(p.replayedRecords, alone.replayedRecords);
             EXPECT_EQ(p.violations, alone.violations);
             EXPECT_EQ(p.stats, alone.stats);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The walk: one walker per thread replays its chunk of points and
+// forks each at its own store
+// ---------------------------------------------------------------------
+
+/** The stores a walker executes for @p points (one chunk) of a fake run
+ *  of @p stores stores whose bases lie every @p interval stores, under
+ *  the restore-ahead rule: walk on from the last point while its store
+ *  lies past the next point's base, else restore that base. */
+std::uint64_t
+restoreAheadStores(const std::vector<std::uint64_t> &points,
+                   std::uint64_t stores, std::uint64_t interval)
+{
+    std::uint64_t walked = 0;
+    std::optional<std::uint64_t> at;  // the last point, walker still live
+    for (std::uint64_t k : points) {
+        const std::uint64_t base = (k == 0 ? stores - 1 : k - 1) /
+                                   interval * interval;
+        const std::uint64_t end = k == 0 ? stores + 1 : k;
+        walked += at && base < *at ? end - *at : end - 1 - base;
+        at = k;
+    }
+    return walked;
+}
+
+TEST(SweepWalk, RestoreAheadRulePinsTheWalkedStores)
+{
+    SweepOptions opts;
+    opts.maxPoints = 12;
+    opts.checkpointInterval = 16;
+    FakeTarget target({}, 200);
+    const CrashSweepReport report = runSweep(target, opts);
+    ASSERT_EQ(report.pointsExplored(), 13u);  // one chunk
+    EXPECT_EQ(report.violationCount(), 0u) << report.violationsText();
+
+    std::vector<std::uint64_t> points;
+    std::uint64_t tails = 0;  // each point's own tail from its base
+    for (const auto &p : report.points) {
+        points.push_back(p.crashPoint);
+        const std::uint64_t k = p.crashPoint;
+        tails += (k == 0 ? 200 : k - 1) - (k == 0 ? 199 : k - 1) / 16 * 16;
+    }
+    EXPECT_EQ(target.counts.walked.load(),
+              restoreAheadStores(points, 200, 16));
+    EXPECT_LT(target.counts.walked.load(), tails);
+}
+
+/** Past the throw, every later point of the chunk restores its own base
+ *  and matches its isolated run. */
+TEST(SweepWalk, PointsAfterAThrowingWalkerMatchTheirIsolatedRuns)
+{
+    SweepOptions opts;
+    opts.checkpointInterval = 8;
+    FakeTarget target({.tailThrows = true}, 40);
+    const CrashSweepReport report = runSweep(target, opts);
+    ASSERT_EQ(report.pointsExplored(), 41u);
+    for (const auto &p : report.points) {
+        const CrashPointOutcome alone = runSweepPoint(target, p.crashPoint);
+        EXPECT_EQ(p.violations.empty(), p.crashPoint != 2) << p.crashPoint;
+        EXPECT_EQ(p.fired, alone.fired) << p.crashPoint;
+        EXPECT_EQ(p.committedOps, alone.committedOps) << p.crashPoint;
+        EXPECT_EQ(p.replayedRecords, alone.replayedRecords);
+        EXPECT_EQ(p.violations, alone.violations);
+        EXPECT_EQ(p.stats, alone.stats);
+    }
+}
+
+/** A base of MachineTarget: the machine and the workload before op
+ *  nextOp. */
+struct MachineBase final : SweepBase
+{
+    MachineBase(PmSystem &sys, const Workload &wl, std::size_t next_op)
+        : machine(MachineCheckpoint::capture(sys)), workload(wl.clone()),
+          nextOp(next_op)
+    {}
+
+    const MachineCheckpoint machine;
+    const std::unique_ptr<const Workload> workload;
+    const std::size_t nextOp;
+};
+
+/** Where MachineTarget's setup leaves a line of DRAM data. */
+constexpr Addr dramLine = 0x10000;
+
+/** The tiny-cache machine of MachineTarget. */
+SystemConfig
+machineConfig()
+{
+    CrashSweepConfig opts;
+    opts.tinyCache = true;
+    SystemConfig sc;
+    applySweepOptions(sc, opts);
+    return sc;
+}
+
+/**
+ * A core-shaped walker or point built on a real machine: hashtable
+ * inserts on a tiny-cache PmSystem whose setup leaves a line in the
+ * DRAM image. Its oracle reports a DRAM image that outlived the power
+ * failure and a fork whose copy carries an armed countdown, and checks
+ * the inserted and continuation keys.
+ */
+class MachinePoint final : public SweepPoint
+{
+  public:
+    explicit MachinePoint(const std::vector<YcsbOp> &ops) : ops(ops) {}
+
+    void
+    restore(const SweepBase *from) override
+    {
+        const auto *base = static_cast<const MachineBase *>(from);
+        if (!base || !sys)
+            sys.emplace(machineConfig());
+        if (base) {
+            base->machine.restore(*sys);
+            wl = base->workload->clone();
+            nextOp = base->nextOp;
+            start = base->storesAt;
+        } else {
+            setupMachine(*sys, wl);
+            nextOp = 0;
+            start = 0;
+        }
+        armedAtFork = 0;
+        fresh.clear();
+    }
+
+    bool
+    walk(SweepWalk &walk) override
+    {
+        walk.enter(sys->countdown(), start);
+        for (; nextOp < ops.size(); ++nextOp) {
+            try {
+                wl->insert(*sys, ops[nextOp].key, ops[nextOp].value);
+            } catch (const CrashInjected &) {
+                return true;
+            }
+        }
+        return false;
+    }
+
+    void
+    forkFrom(SweepPoint &from) override
+    {
+        auto &walker = static_cast<MachinePoint &>(from);
+        if (!sys)
+            sys.emplace(machineConfig());
+        MachineCheckpoint::capture(*walker.sys).restore(*sys);
+        wl = walker.wl->clone();
+        nextOp = walker.nextOp;
+        armedAtFork = sys->sharedCrashCountdown();
+        fresh.clear();
+    }
+
+    void
+    progress(CrashPointOutcome &out) const override
+    {
+        out.committedOps = nextOp;
+    }
+
+    void
+    forEachMachine(const std::function<void(McMachine &)> &fn) override
+    {
+        fn(*sys);
+    }
+
+    std::size_t
+    recover() override
+    {
+        const std::size_t replayed = sys->recoverHardware();
+        wl->recover(*sys);
+        return replayed;
+    }
+
+    void
+    check(OracleLines &lines) override
+    {
+        if (sys->dram().memory().pageCount() != 0)
+            lines.add("the DRAM image outlived the power failure");
+        if (armedAtFork != 0)
+            lines.add("the fork's copy carries an armed countdown");
+        Shadow shadow = fresh;
+        for (std::size_t i = 0; i < nextOp; ++i)
+            shadow[ops[i].key] = ops[i].value;
+        verifyStructure({*sys, *wl}, shadow, lines);
+    }
+
+    /** Inserts that a trap left in the copy would crash. */
+    void
+    continueRun(std::size_t n) override
+    {
+        fresh.clear();
+        insertContinuation(*wl, fresh, 3, crashPoint, n, 32,
+                           [&](std::size_t) -> PmContext & {
+                               return *sys;
+                           });
+    }
+
+    void checkContinuation(OracleLines &lines) override { check(lines); }
+
+    void statNames(std::vector<std::string> &) const override {}
+    void stats(std::vector<std::uint64_t> &) const override {}
+
+    /** Fresh machine state: the hashtable set up, then one DRAM line
+     *  written and flushed to the DRAM image. */
+    static void
+    setupMachine(PmSystem &sys, std::unique_ptr<Workload> &wl)
+    {
+        wl = makeWorkload("hashtable");
+        wl->setup(sys);
+        sys.write<std::uint64_t>(dramLine, 42);
+        sys.quiesce();
+    }
+
+  private:
+    const std::vector<YcsbOp> &ops;
+    std::optional<PmSystem> sys;
+    std::unique_ptr<Workload> wl;
+    std::size_t nextOp = 0;
+    std::uint64_t start = 0;
+    std::uint64_t armedAtFork = 0;
+    Shadow fresh;  //!< continueRun()'s keys
+};
+
+class MachineTarget final : public SweepTarget
+{
+  public:
+    MachineTarget()
+        : SweepTarget(sweepIdentity("machine-sweep", SweepOptions{},
+                                    "hashtable", 3),
+                      5),
+          ops(ycsbLoad({.numOps = 30, .valueBytes = 32}))
+    {}
+
+    std::uint64_t
+    runMaster(MasterSink &sink) override
+    {
+        PmSystem sys(machineConfig());
+        std::unique_ptr<Workload> wl;
+        MachinePoint::setupMachine(sys, wl);
+        const std::uint64_t origin = sys.storesExecuted();
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            const std::uint64_t stores = sys.storesExecuted() - origin;
+            sink.boundary(stores, sink.wantsBase(stores)
+                                      ? std::make_unique<MachineBase>(
+                                            sys, *wl, i)
+                                      : nullptr);
+            wl->insert(sys, ops[i].key, ops[i].value);
+        }
+        return sys.storesExecuted() - origin;
+    }
+
+    std::unique_ptr<SweepPoint>
+    newPoint() const override
+    {
+        return std::make_unique<MachinePoint>(ops);
+    }
+
+  private:
+    const std::vector<YcsbOp> ops;
+};
+
+/**
+ * The engine powers off every machine of a point, the one whose store
+ * fired included (DRAM loses its image, not only the firing core's
+ * caches), and a fork's copy carries no armed countdown, so its
+ * continuation inserts complete. Both hold for forked points and for
+ * the audit's walker crashing in place.
+ */
+TEST(SweepWalk, PointsPowerOffWholeMachinesAndCarryNoTrap)
+{
+    for (const bool forks : {true, false}) {
+        for (const std::size_t workers : {1u, 3u}) {
+            MachineTarget target;
+            SweepOptions opts;
+            opts.useCheckpoints = forks;
+            opts.workers = workers;
+            const CrashSweepReport report = runSweep(target, opts);
+            EXPECT_GT(report.pointsExplored(), 100u);
+            EXPECT_EQ(report.violationCount(), 0u)
+                << report.violationsText();
+            std::size_t fired = 0;
+            for (const auto &p : report.points)
+                fired += p.fired ? 1 : 0;
+            EXPECT_EQ(fired, report.pointsExplored() - 1);
         }
     }
 }
